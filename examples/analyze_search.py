@@ -30,7 +30,7 @@ from repro.core import (
 )
 from repro.datasets import load_dataset
 from repro.searchspace import ArchitectureSpace, default_dataparallel_space
-from repro.workflow import SimulatedEvaluator
+from repro.workflow import FaultPolicy, SimulatedEvaluator
 
 
 def main() -> None:
@@ -39,7 +39,9 @@ def main() -> None:
 
     space = ArchitectureSpace(num_nodes=4)
     evaluation = ModelEvaluation(ds, space, epochs=4, warmup_epochs=2, nominal_epochs=20)
-    evaluator = SimulatedEvaluator(evaluation, num_workers=8, on_error="penalize")
+    evaluator = SimulatedEvaluator(
+        evaluation, num_workers=8, fault_policy=FaultPolicy(on_error="penalize")
+    )
     search = make_agebo_variant(
         "AgEBO", space, evaluator, population_size=10, sample_size=3, seed=11
     )

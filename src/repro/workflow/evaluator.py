@@ -2,18 +2,23 @@
 
 Algorithm 1 interacts with the cluster only through two calls —
 ``submit_evaluation`` (non-blocking) and ``get_finished_evaluations`` —
-mirroring DeepHyper/Balsam.  Both backends here expose exactly that:
+mirroring DeepHyper/Balsam.  Every backend here exposes exactly that:
 
 - :class:`SimulatedEvaluator` advances a simulated clock to the next job
   completion; the *results* are computed by genuinely running the
   evaluation function at submit time, while the *completion time* comes
   from the ``duration`` the function reports (the training-cost model).
-- :class:`ThreadedEvaluator` runs evaluation functions concurrently on a
-  thread pool; ``gather`` blocks until at least one finishes.
-- :class:`ProcessPoolEvaluator` runs evaluation functions on a process
-  pool — true multi-core parallelism for GIL-bound (numpy-heavy) run
-  functions, with worker-crash detection and real timeout cancellation
-  (hung worker processes are terminated and the pool rebuilt).
+- :class:`ThreadedEvaluator` and :class:`ProcessPoolEvaluator` run
+  evaluation functions concurrently on a thread / process pool.  Both
+  are thin shells over :class:`_WallClockEvaluator`, which owns submit,
+  the cache short-circuit and the whole of ``gather``: collect finished
+  futures, reap attempts past the policy deadline, reclaim the pool when
+  it broke or holds a hung worker, then route every outcome through the
+  :class:`~repro.workflow.faults.FaultPolicy`.  A backend supplies only
+  ``_make_pool``, ``_dispatch`` (a future resolving to ``(result,
+  elapsed_min)``), ``_kill_workers`` (threads can only abandon a
+  straggler; processes are terminated and the pool rebuilt) and the
+  ``_busy_in_worker`` flag saying where busy time is measured.
 
 All backends honor the same :class:`~repro.workflow.faults.FaultPolicy`
 (retries with exponential backoff, per-job timeouts, penalized results)
@@ -100,24 +105,6 @@ def _strip_event_bus(fn: Any) -> Any:
                 clone = copy.copy(fn)
             clone.run_function = stripped
     return clone
-
-
-def _resolve_policy(
-    fault_policy: FaultPolicy | None,
-    on_error: str | None,
-    failure_objective: float | None,
-    failure_duration: float | None,
-) -> FaultPolicy:
-    """Merge the legacy keyword surface into a FaultPolicy."""
-    policy = fault_policy or FaultPolicy()
-    overrides: dict[str, Any] = {}
-    if on_error is not None:
-        overrides["on_error"] = on_error
-    if failure_objective is not None:
-        overrides["failure_objective"] = failure_objective
-    if failure_duration is not None:
-        overrides["failure_duration"] = failure_duration
-    return dataclasses.replace(policy, **overrides) if overrides else policy
 
 
 class Evaluator:
@@ -233,9 +220,7 @@ class SimulatedEvaluator(Evaluator):
     num_workers:
         W in the paper (128 on Theta; scaled down in the benches).
     fault_policy:
-        Uniform failure handling (see :class:`FaultPolicy`).  The legacy
-        ``on_error`` / ``failure_objective`` / ``failure_duration``
-        keywords override the corresponding policy fields.
+        Uniform failure handling (see :class:`FaultPolicy`).
     worker_failures:
         Optional ``(time_minutes, worker_id)`` pairs: the worker dies
         permanently at that simulated time; a job running on it is
@@ -263,9 +248,6 @@ class SimulatedEvaluator(Evaluator):
         self,
         run_function: RunFunction,
         num_workers: int,
-        on_error: str | None = None,
-        failure_objective: float | None = None,
-        failure_duration: float | None = None,
         fault_policy: FaultPolicy | None = None,
         worker_failures: Iterable[tuple[float, int]] | None = None,
         cache: EvaluationCache | None = None,
@@ -275,9 +257,7 @@ class SimulatedEvaluator(Evaluator):
         self.run_function = run_function
         self.num_workers = num_workers
         self.cache = cache
-        self.fault_policy = _resolve_policy(
-            fault_policy, on_error, failure_objective, failure_duration
-        )
+        self.fault_policy = fault_policy or FaultPolicy()
         self.num_failures = 0
         self.num_retries = 0
         self.num_timeouts = 0
@@ -297,20 +277,6 @@ class SimulatedEvaluator(Evaluator):
             if not 0 <= worker < num_workers:
                 raise ValueError(f"worker_failures names unknown worker {worker}")
             self._events.push(float(fail_time), ("worker_fail", worker, 0))
-
-    # ------------------------------------------------------------------ #
-    # Legacy accessors kept for the pre-FaultPolicy API
-    @property
-    def on_error(self) -> str:
-        return self.fault_policy.on_error
-
-    @property
-    def failure_objective(self) -> float:
-        return self.fault_policy.failure_objective
-
-    @property
-    def failure_duration(self) -> float:
-        return self.fault_policy.failure_duration
 
     # ------------------------------------------------------------------ #
     @property
@@ -581,20 +547,28 @@ class SimulatedEvaluator(Evaluator):
 class _WallClockEvaluator(Evaluator):
     """Shared machinery for the wall-clock (thread / process) backends.
 
-    Time is wall-clock minutes since construction.  Subclasses provide
-    ``_dispatch`` (queue one attempt on their pool), ``gather`` and
-    ``shutdown``; everything else — submit bookkeeping, the cache-hit
-    short-circuit, failure routing and the deadline scan — is common.
+    Time is wall-clock minutes since construction.  This class owns submit
+    bookkeeping, the cache-hit short-circuit, the deadline scan and the
+    whole of :meth:`gather`; a backend supplies only
+
+    - ``_make_pool()``: a fresh executor with ``num_workers`` workers;
+    - ``_dispatch(job)``: queue one attempt and track its future, which
+      resolves to ``(result, elapsed_min)``;
+    - ``_kill_workers()``: reclaim every worker of a broken or hung pool
+      and return the innocent in-flight jobs to re-dispatch;
+    - ``_busy_in_worker``: ``True`` when attempts stamp ``start_time`` and
+      credit busy time inside the worker (threads), ``False`` when a job
+      is ``RUNNING`` from dispatch and gather credits busy time
+      (processes).
     """
+
+    _busy_in_worker = False
 
     def __init__(
         self,
         run_function: RunFunction,
         num_workers: int,
         measure_wall_time: bool = False,
-        on_error: str | None = None,
-        failure_objective: float | None = None,
-        failure_duration: float | None = None,
         fault_policy: FaultPolicy | None = None,
         cache: EvaluationCache | None = None,
     ) -> None:
@@ -604,12 +578,11 @@ class _WallClockEvaluator(Evaluator):
         self.num_workers = num_workers
         self.measure_wall_time = measure_wall_time
         self.cache = cache
-        self.fault_policy = _resolve_policy(
-            fault_policy, on_error, failure_objective, failure_duration
-        )
+        self.fault_policy = fault_policy or FaultPolicy()
         self.num_failures = 0
         self.num_retries = 0
         self.num_timeouts = 0
+        self.num_worker_crashes = 0
         self._t0 = _time.perf_counter()
         self._futures: dict[Future, Job] = {}
         self._completed: collections.deque[Job] = collections.deque()
@@ -617,20 +590,9 @@ class _WallClockEvaluator(Evaluator):
         self._lock = threading.Lock()
         self._next_id = 0
         self.jobs: list[Job] = []
+        self._pool = self._make_pool()
 
     # ------------------------------------------------------------------ #
-    @property
-    def on_error(self) -> str:
-        return self.fault_policy.on_error
-
-    @property
-    def failure_objective(self) -> float:
-        return self.fault_policy.failure_objective
-
-    @property
-    def failure_duration(self) -> float:
-        return self.fault_policy.failure_duration
-
     @property
     def now(self) -> float:
         return (_time.perf_counter() - self._t0) / 60.0
@@ -678,8 +640,36 @@ class _WallClockEvaluator(Evaluator):
         self._emit_cache_hit(job)
         return True
 
+    def _make_pool(self) -> Any:
+        raise NotImplementedError
+
     def _dispatch(self, job: Job) -> None:
         raise NotImplementedError
+
+    def _kill_workers(self) -> list[Job]:
+        raise NotImplementedError
+
+    def _start_attempt(self, job: Job) -> None:
+        """Mark a new attempt of ``job`` as running (caller holds the lock)."""
+        job.state = JobState.RUNNING
+        job.start_time = self.now
+        job.attempt += 1
+
+    def _credit(self, minutes: float) -> None:
+        with self._lock:
+            self._busy_time += minutes
+
+    def _credit_unmeasured(self, jobs: list[Job]) -> None:
+        """Credit attempts that ended with no in-worker timing.
+
+        Crashed, raising, reaped and killed attempts are credited wall time
+        since dispatch — but executors start work in FIFO order, so only
+        the ``num_workers`` oldest dispatches can have been running; the
+        younger ones were still queued and are credited nothing.
+        """
+        now = self.now
+        oldest = sorted(jobs, key=lambda job: job.start_time)[: self.num_workers]
+        self._credit(sum(max(0.0, now - job.start_time) for job in oldest))
 
     def _finalize(self, job: Job, state: JobState) -> None:
         # Busy time is credited per attempt as attempts end, not here.
@@ -724,8 +714,116 @@ class _WallClockEvaluator(Evaluator):
             return None
         return max(0.0, (min(deadlines) - now) * 60.0) + 1e-3
 
+    def gather(self) -> list[Job]:
+        """Block until at least one job finishes; return all finished jobs.
+
+        Jobs already buffered in ``_completed`` — siblings collected before
+        a prior ``on_error="raise"`` exception, or cache hits finalized at
+        submit — are returned immediately, never blocking on unrelated
+        pending futures.  Outcomes are collected *before* any failure
+        routing so that retries triggered by a crash or a kill are
+        dispatched to the reclaimed pool, never to the broken one.  Only
+        tracked futures deliver results: an attempt abandoned by a timeout
+        was untracked when it was reaped, so its late return is dropped.
+        """
+        policy = self.fault_policy
+        while True:
+            with self._lock:
+                finished = list(self._completed)
+                self._completed.clear()
+                pending = dict(self._futures)
+            if finished:
+                for job in finished:
+                    self._emit_gathered(job)
+                return finished
+            if not pending:
+                return []
+            done, _ = wait(
+                pending.keys(),
+                timeout=self._wait_timeout(pending.values()),
+                return_when=FIRST_COMPLETED,
+            )
+            # Phase 1: collect outcomes without touching the pool.
+            outcomes: list[tuple[Job, BaseException | None, Any]] = []
+            for future in done:
+                with self._lock:
+                    job = self._futures.pop(future, None)
+                if job is None:
+                    continue  # already reaped by a timeout
+                exc = future.exception()
+                outcomes.append((job, exc, None if exc is not None else future.result()))
+            pool_broken = any(isinstance(exc, BrokenExecutor) for _, exc, _ in outcomes)
+            # Phase 2: reap attempts past the policy deadline.  Attempts
+            # still queued are cancelled in place; attempts already running
+            # in a worker force a kill (an abandon, for threads).
+            overdue: list[Job] = []
+            unmeasured = [job for job, exc, _ in outcomes if exc is not None]
+            must_kill = False
+            if policy.timeout is not None:
+                now = self.now
+                for future, job in pending.items():
+                    if future in done or job.state is not JobState.RUNNING:
+                        continue
+                    if now >= job.start_time + policy.timeout:
+                        with self._lock:
+                            self._futures.pop(future, None)
+                            self.num_timeouts += 1
+                        if not future.cancel():
+                            must_kill = True
+                            unmeasured.append(job)
+                        overdue.append(job)
+            # Phase 3: reclaim the pool if it is broken or holds hung
+            # workers; innocent in-flight jobs are re-dispatched uncharged.
+            victims = self._kill_workers() if pool_broken or must_kill else []
+            if not self._busy_in_worker:
+                self._credit_unmeasured(unmeasured + victims)
+            for job in victims:
+                self._dispatch(job)
+            # Phase 4: route outcomes through the policy (pool is healthy).
+            failures: list[tuple[Job, str, BaseException]] = []
+            for job, exc, payload in outcomes:
+                if exc is None:
+                    result, elapsed_min = payload
+                    if not self._busy_in_worker:
+                        self._credit(elapsed_min)
+                    if self.measure_wall_time:
+                        result = EvaluationResult(
+                            result.objective, elapsed_min, result.metadata
+                        )
+                    job.result = result
+                    error = policy.classify(result)
+                    if error is None:
+                        self._finalize(job, JobState.DONE)
+                        self._cache_store(job)
+                        finished.append(job)
+                        continue
+                    exc = RuntimeError(f"job {job.job_id}: {error}")
+                elif isinstance(exc, BrokenExecutor):
+                    self.num_worker_crashes += 1
+                    exc = RuntimeError(f"job {job.job_id}: worker process crashed ({exc!r})")
+                failures.append((job, repr(exc), exc))
+            for job in overdue:
+                error = f"timeout after {policy.timeout} min"
+                failures.append((job, error, TimeoutError(f"job {job.job_id}: {error}")))
+            first_error: BaseException | None = None
+            for job, error, exc in failures:
+                if policy.on_error == "raise":
+                    job.error = error
+                    self._finalize(job, JobState.FAILED)
+                    first_error = first_error or exc
+                else:
+                    self._handle_failure(job, error, finished)
+            if first_error is not None:
+                with self._lock:
+                    self._completed.extend(finished)
+                raise first_error
+            if finished:
+                for job in finished:
+                    self._emit_gathered(job)
+                return finished
+
     def shutdown(self) -> None:
-        raise NotImplementedError
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
     def close(self) -> None:
         """Alias for :meth:`shutdown` (context-manager parity)."""
@@ -755,143 +853,38 @@ class ThreadedEvaluator(_WallClockEvaluator):
     concept; sleeping real minutes would stall the pool).
 
     Worker busy time is accumulated *per attempt* as each attempt's thread
-    returns (a retried job credits every attempt, not just the last), and
-    an optional ``cache`` serves duplicate configurations at submit time:
-    a hit is finalized instantly with the memoized result, zero busy-time
-    credit, and no dispatch.
+    returns (a retried job credits every attempt, not just the last, and
+    an abandoned attempt credits its time when its thread finally
+    returns), and an optional ``cache`` serves duplicate configurations at
+    submit time: a hit is finalized instantly with the memoized result,
+    zero busy-time credit, and no dispatch.
     """
 
-    def __init__(
-        self,
-        run_function: RunFunction,
-        num_workers: int,
-        measure_wall_time: bool = False,
-        on_error: str | None = None,
-        failure_objective: float | None = None,
-        failure_duration: float | None = None,
-        fault_policy: FaultPolicy | None = None,
-        cache: EvaluationCache | None = None,
-    ) -> None:
-        super().__init__(
-            run_function,
-            num_workers,
-            measure_wall_time=measure_wall_time,
-            on_error=on_error,
-            failure_objective=failure_objective,
-            failure_duration=failure_duration,
-            fault_policy=fault_policy,
-            cache=cache,
-        )
-        self._pool = ThreadPoolExecutor(max_workers=num_workers)
+    _busy_in_worker = True
 
-    # ------------------------------------------------------------------ #
+    def _make_pool(self) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(max_workers=self.num_workers)
+
     def _dispatch(self, job: Job) -> None:
-        future = self._pool.submit(self._run, job)
+        def attempt() -> tuple[EvaluationResult, float]:
+            with self._lock:
+                self._start_attempt(job)
+            t0 = _time.perf_counter()
+            try:
+                result = self.run_function(job.config)
+            finally:
+                # Every attempt that ran credits its own elapsed time,
+                # including failed ones and abandoned ones that return late.
+                elapsed_min = (_time.perf_counter() - t0) / 60.0
+                self._credit(elapsed_min)
+            return result, elapsed_min
+
+        future = self._pool.submit(attempt)
         with self._lock:
             self._futures[future] = job
 
-    def _run(self, job: Job) -> None:
-        with self._lock:
-            job.state = JobState.RUNNING
-            job.start_time = self.now
-            job.attempt += 1
-            my_attempt = job.attempt
-        t0 = _time.perf_counter()
-        try:
-            result = self.run_function(job.config)
-        finally:
-            # Per-attempt busy accounting: every attempt that actually ran
-            # (including failed ones about to raise, and abandoned attempts
-            # whose thread eventually returns) credits its own elapsed
-            # time, so utilization reflects all work performed.
-            elapsed_min = (_time.perf_counter() - t0) / 60.0
-            with self._lock:
-                self._busy_time += elapsed_min
-        if self.measure_wall_time:
-            result = EvaluationResult(result.objective, elapsed_min, result.metadata)
-        with self._lock:
-            # An abandoned (timed-out) attempt must not clobber its retry.
-            if job.attempt == my_attempt:
-                job.result = result
-
-    def gather(self) -> list[Job]:
-        """Block until at least one job finishes; return all finished jobs.
-
-        Jobs already buffered in ``_completed`` — siblings collected before
-        a prior ``on_error="raise"`` exception, or cache hits finalized at
-        submit — are returned immediately, never blocking on unrelated
-        pending futures.
-        """
-        policy = self.fault_policy
-        while True:
-            with self._lock:
-                finished = list(self._completed)
-                self._completed.clear()
-                pending = dict(self._futures)
-            if finished:
-                for job in finished:
-                    self._emit_gathered(job)
-                return finished
-            if not pending:
-                return []
-            done, _ = wait(
-                pending.keys(),
-                timeout=self._wait_timeout(pending.values()),
-                return_when=FIRST_COMPLETED,
-            )
-            first_error: BaseException | None = None
-            for future in done:
-                with self._lock:
-                    job = self._futures.pop(future, None)
-                if job is None:
-                    continue  # already abandoned by a timeout
-                exc = future.exception()
-                if exc is None:
-                    error = policy.classify(job.result)
-                    if error is None:
-                        self._finalize(job, JobState.DONE)
-                        self._cache_store(job)
-                        finished.append(job)
-                        continue
-                    exc = RuntimeError(f"job {job.job_id}: {error}")
-                if policy.on_error == "raise":
-                    job.error = repr(exc)
-                    self._finalize(job, JobState.FAILED)
-                    first_error = first_error or exc
-                else:
-                    self._handle_failure(job, repr(exc), finished)
-            # Reap stragglers past the policy deadline (threads cannot be
-            # killed; the job is finalized and the thread abandoned).
-            if policy.timeout is not None:
-                now = self.now
-                for future, job in pending.items():
-                    if future in done or job.state is not JobState.RUNNING:
-                        continue
-                    if now >= job.start_time + policy.timeout:
-                        with self._lock:
-                            self._futures.pop(future, None)
-                            self.num_timeouts += 1
-                        future.cancel()
-                        error = f"timeout after {policy.timeout} min"
-                        if policy.on_error == "raise":
-                            self._finalize(job, JobState.FAILED)
-                            job.error = error
-                            first_error = first_error or TimeoutError(
-                                f"job {job.job_id}: {error}"
-                            )
-                        else:
-                            self._handle_failure(job, error, finished)
-            if first_error is not None:
-                with self._lock:
-                    self._completed.extend(finished)
-                raise first_error
-            if finished:
-                for job in finished:
-                    self._emit_gathered(job)
-                return finished
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
+    def _kill_workers(self) -> list[Job]:
+        return []  # threads cannot be killed; a hung attempt is abandoned
 
 
 class ProcessPoolEvaluator(_WallClockEvaluator):
@@ -925,7 +918,8 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
 
     Busy time is credited per attempt: successful attempts report their
     measured in-worker wall time; crashed/timed-out/failed attempts are
-    credited manager-observed wall time since dispatch.
+    credited manager-observed wall time since dispatch, and only the
+    ``num_workers`` oldest of them, since younger ones were still queued.
     """
 
     def __init__(
@@ -933,24 +927,9 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
         run_function: RunFunction,
         num_workers: int,
         measure_wall_time: bool = False,
-        on_error: str | None = None,
-        failure_objective: float | None = None,
-        failure_duration: float | None = None,
         fault_policy: FaultPolicy | None = None,
         cache: EvaluationCache | None = None,
     ) -> None:
-        super().__init__(
-            run_function,
-            num_workers,
-            measure_wall_time=measure_wall_time,
-            on_error=on_error,
-            failure_objective=failure_objective,
-            failure_duration=failure_duration,
-            fault_policy=fault_policy,
-            cache=cache,
-        )
-        self.num_worker_crashes = 0
-        self.num_pool_rebuilds = 0
         try:
             self._payload = pickle.dumps(_strip_event_bus(run_function))
         except Exception as exc:
@@ -959,7 +938,14 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
                 "(module-level callable or picklable object); "
                 f"pickling failed with: {exc!r}"
             ) from exc
-        self._pool = self._make_pool()
+        self.num_pool_rebuilds = 0
+        super().__init__(
+            run_function,
+            num_workers,
+            measure_wall_time=measure_wall_time,
+            fault_policy=fault_policy,
+            cache=cache,
+        )
 
     def _make_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
@@ -968,149 +954,25 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
             initargs=(self._payload,),
         )
 
-    # ------------------------------------------------------------------ #
     def _dispatch(self, job: Job) -> None:
         with self._lock:
-            job.state = JobState.RUNNING
-            job.start_time = self.now
-            job.attempt += 1
+            self._start_attempt(job)
             future = self._pool.submit(_process_worker_call, job.config)
             self._futures[future] = job
 
-    def _credit_attempt(self, minutes: float) -> None:
-        with self._lock:
-            self._busy_time += minutes
-
-    def _rebuild_pool(self) -> list[Job]:
+    def _kill_workers(self) -> list[Job]:
         """Terminate every worker process and build a fresh pool.
 
         Returns the innocent in-flight jobs (futures still tracked when the
-        pool went down) that must be re-dispatched on the new pool.  Their
-        partial attempts credit wall time since dispatch, but they are not
-        charged a retry — the fault was not theirs.
+        pool went down) that must be re-dispatched on the new pool; they
+        are not charged a retry — the fault was not theirs.
         """
         with self._lock:
-            victims = dict(self._futures)
+            victims = list(self._futures.values())
             self._futures.clear()
         for proc in list(getattr(self._pool, "_processes", {}).values()):
             proc.terminate()
         self._pool.shutdown(wait=False, cancel_futures=True)
         self._pool = self._make_pool()
         self.num_pool_rebuilds += 1
-        now = self.now
-        for job in victims.values():
-            self._credit_attempt(max(0.0, now - job.start_time))
-        return list(victims.values())
-
-    def gather(self) -> list[Job]:
-        """Block until at least one job finishes; return all finished jobs.
-
-        Outcomes are collected *before* any failure routing so that retries
-        triggered by a crash are dispatched to the rebuilt pool, never to
-        the broken one.
-        """
-        policy = self.fault_policy
-        while True:
-            with self._lock:
-                finished = list(self._completed)
-                self._completed.clear()
-                pending = dict(self._futures)
-            if finished:
-                for job in finished:
-                    self._emit_gathered(job)
-                return finished
-            if not pending:
-                return []
-            done, _ = wait(
-                pending.keys(),
-                timeout=self._wait_timeout(pending.values()),
-                return_when=FIRST_COMPLETED,
-            )
-            # Phase 1: collect outcomes without touching the pool.
-            outcomes: list[tuple[Job, BaseException | None, Any]] = []
-            pool_broken = False
-            for future in done:
-                with self._lock:
-                    job = self._futures.pop(future, None)
-                if job is None:
-                    continue  # already reaped by a timeout kill
-                exc = future.exception()
-                if exc is None:
-                    outcomes.append((job, None, future.result()))
-                else:
-                    if isinstance(exc, BrokenExecutor):
-                        pool_broken = True
-                    outcomes.append((job, exc, None))
-            # Phase 2: reap attempts past the policy deadline.  Attempts
-            # still queued are cancelled in place; attempts already running
-            # in a worker force a pool kill (the only real cancellation).
-            overdue: list[Job] = []
-            must_kill = False
-            if policy.timeout is not None:
-                now = self.now
-                for future, job in pending.items():
-                    if future in done or job.state is not JobState.RUNNING:
-                        continue
-                    if now >= job.start_time + policy.timeout:
-                        with self._lock:
-                            self._futures.pop(future, None)
-                            self.num_timeouts += 1
-                        if not future.cancel():
-                            must_kill = True
-                        self._credit_attempt(max(0.0, now - job.start_time))
-                        overdue.append(job)
-            # Phase 3: rebuild the pool if it is broken or holds hung
-            # workers, re-dispatching the innocent in-flight jobs.
-            if pool_broken or must_kill:
-                for job in self._rebuild_pool():
-                    self._dispatch(job)
-            # Phase 4: route outcomes through the policy (pool is healthy).
-            first_error: BaseException | None = None
-            for job, exc, payload in outcomes:
-                if exc is None:
-                    result, elapsed_min = payload
-                    self._credit_attempt(elapsed_min)
-                    if self.measure_wall_time:
-                        result = EvaluationResult(
-                            result.objective, elapsed_min, result.metadata
-                        )
-                    job.result = result
-                    error = policy.classify(result)
-                    if error is None:
-                        self._finalize(job, JobState.DONE)
-                        self._cache_store(job)
-                        finished.append(job)
-                        continue
-                    exc = RuntimeError(f"job {job.job_id}: {error}")
-                else:
-                    if isinstance(exc, BrokenExecutor):
-                        self.num_worker_crashes += 1
-                        exc = RuntimeError(
-                            f"job {job.job_id}: worker process crashed ({exc!r})"
-                        )
-                    self._credit_attempt(max(0.0, self.now - job.start_time))
-                if policy.on_error == "raise":
-                    job.error = repr(exc)
-                    self._finalize(job, JobState.FAILED)
-                    first_error = first_error or exc
-                else:
-                    self._handle_failure(job, repr(exc), finished)
-            for job in overdue:
-                error = f"timeout after {policy.timeout} min"
-                if policy.on_error == "raise":
-                    self._finalize(job, JobState.FAILED)
-                    job.error = error
-                    first_error = first_error or TimeoutError(f"job {job.job_id}: {error}")
-                else:
-                    self._handle_failure(job, error, finished)
-            if first_error is not None:
-                with self._lock:
-                    self._completed.extend(finished)
-                raise first_error
-            if finished:
-                for job in finished:
-                    self._emit_gathered(job)
-                return finished
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        return victims

@@ -182,10 +182,14 @@ def test_sim_cache_on_off_histories_bit_identical_with_nonzero_hits():
 # --------------------------------------------------------------------- #
 # Wall-clock backends: hits finalized at submit with zero duration
 # --------------------------------------------------------------------- #
-def test_threaded_cache_hit_finalized_at_submit():
+@pytest.mark.parametrize(
+    "backend", [ThreadedEvaluator, ProcessPoolEvaluator], ids=["threaded", "process"]
+)
+def test_wallclock_cache_hit_finalized_at_submit(backend):
+    """Both wall-clock backends serve a duplicate at submit: no dispatch,
+    zero wall duration, zero busy credit."""
     cache = EvaluationCache()
-    ev = ThreadedEvaluator(int_eval, num_workers=2, cache=cache)
-    try:
+    with backend(int_eval, num_workers=2, cache=cache) as ev:
         ev.submit([5])
         while ev.num_in_flight:
             ev.gather()
@@ -194,28 +198,11 @@ def test_threaded_cache_hit_finalized_at_submit():
         finished = []
         while ev.num_in_flight:
             finished.extend(ev.gather())
-        assert jobs[0].cache_hit
-        assert finished[0].job_id == jobs[0].job_id
-        assert finished[0].objective == int_eval(5).objective
-        assert finished[0].start_time == finished[0].end_time  # zero wall time
-        assert ev._busy_time == busy_before  # zero busy credit
-        assert cache.hits == 1
-    finally:
-        ev.shutdown()
-
-
-def test_process_cache_hit_skips_dispatch():
-    cache = EvaluationCache()
-    with ProcessPoolEvaluator(int_eval, num_workers=2, cache=cache) as ev:
-        ev.submit([5])
-        while ev.num_in_flight:
-            ev.gather()
-        jobs = ev.submit([5])
-        finished = []
-        while ev.num_in_flight:
-            finished.extend(ev.gather())
     assert jobs[0].cache_hit
+    assert finished[0].job_id == jobs[0].job_id
     assert finished[0].objective == int_eval(5).objective
+    assert finished[0].start_time == finished[0].end_time  # zero wall time
+    assert ev._busy_time == busy_before  # zero busy credit
     assert cache.hits == 1 and cache.stores == 1
 
 

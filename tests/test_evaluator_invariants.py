@@ -10,10 +10,14 @@ invariants that must hold for *any* schedule:
 - workers are conserved: free + busy + dead == num_workers,
 - ``utilization() <= 1.0`` at every quiescent point.
 
-Plus targeted regressions for three ThreadedEvaluator bugs: gather
-blocking on pending futures while holding buffered finished jobs,
-per-attempt busy-time under-accounting on retries, and the timeout
-deadline scan skipping dispatched-but-unstarted (RETRYING) jobs.
+The wall-clock schedule, retry and raise checks run on both the thread
+and the process backend, which share one ``gather``.  Plus targeted
+regressions: gather blocking on pending futures while holding buffered
+finished jobs, per-attempt busy-time under-accounting on retries, the
+timeout deadline scan skipping dispatched-but-unstarted (RETRYING) jobs,
+queued process attempts credited busy time when a kill or crash ends
+them, and a late-returning abandoned thread attempt clobbering its
+retry's result.
 """
 
 from __future__ import annotations
@@ -174,34 +178,19 @@ def test_sim_invariants_hold_under_faults(seed):
     assert 0.0 <= ev.utilization() <= 1.0
 
 
-@pytest.mark.parametrize("seed", SCHEDULE_SEEDS[:2])
-def test_threaded_schedule_invariants(seed):
-    """Same schedule invariants on the real-thread backend (smaller scale)."""
-    rng = random.Random(seed)
-
-    def run(config):
-        return EvaluationResult(objective=0.5, duration=0.0)
-
-    ev = ThreadedEvaluator(run, num_workers=3)
-    try:
-        finished = random_schedule(ev, rng, num_jobs=12, max_batch=3)
-        assert len(finished) == 12
-        assert all(j.state is JobState.DONE for j in finished)
-        assert sorted(j.job_id for j in finished) == list(range(12))
-        assert 0.0 <= ev.utilization() <= 1.0
-        assert ev.num_in_flight == 0
-    finally:
-        ev.shutdown()
-
-
 # --------------------------------------------------------------------- #
-# ProcessPoolEvaluator: parity with the invariant suite
+# Wall-clock backends: one shared gather, one parametrized parity suite
 # --------------------------------------------------------------------- #
+WALL_CLOCK = {"threaded": ThreadedEvaluator, "process": ProcessPoolEvaluator}
+
+
 @pytest.mark.parametrize("seed", SCHEDULE_SEEDS[:2])
-def test_process_schedule_invariants(seed):
-    """The schedule invariants hold on the real-process backend."""
+@pytest.mark.parametrize("backend", WALL_CLOCK)
+def test_wallclock_schedule_invariants(backend, seed):
+    """The schedule invariants hold on the real-thread and real-process
+    backends (smaller scale)."""
     rng = random.Random(seed)
-    with ProcessPoolEvaluator(hashed_run, num_workers=3) as ev:
+    with WALL_CLOCK[backend](hashed_run, num_workers=3) as ev:
         finished = random_schedule(ev, rng, num_jobs=10, max_batch=3)
         assert len(finished) == 10
         assert all(j.state is JobState.DONE for j in finished)
@@ -210,23 +199,12 @@ def test_process_schedule_invariants(seed):
         assert ev.num_in_flight == 0
 
 
-def test_process_results_match_run_function():
-    """Objectives computed in worker processes round-trip exactly."""
-    with ProcessPoolEvaluator(hashed_run, num_workers=2) as ev:
-        ev.submit(list(range(8)))
-        finished = drain(ev)
-    by_id = {j.job_id: j for j in finished}
-    for i in range(8):
-        expected = hashed_run(i)
-        assert by_id[i].objective == expected.objective
-        assert by_id[i].result.duration == expected.duration
-
-
-def test_process_retry_policy_parity():
+@pytest.mark.parametrize("backend", WALL_CLOCK)
+def test_wallclock_retry_policy_parity(backend):
     """Deterministic worker-side exceptions retry then penalize, exactly
-    as on the other backends."""
+    as on the simulated backend."""
     policy = FaultPolicy(on_error="retry", max_retries=1, failure_objective=-1.0)
-    with ProcessPoolEvaluator(flaky_every_fourth, num_workers=2, fault_policy=policy) as ev:
+    with WALL_CLOCK[backend](flaky_every_fourth, num_workers=2, fault_policy=policy) as ev:
         ev.submit(list(range(8)))
         finished = drain(ev)
     assert len(finished) == 8
@@ -240,12 +218,25 @@ def test_process_retry_policy_parity():
             assert job.state is JobState.DONE
 
 
-def test_process_raise_policy_propagates():
+@pytest.mark.parametrize("backend", WALL_CLOCK)
+def test_wallclock_raise_policy_propagates(backend):
     policy = FaultPolicy(on_error="raise")
-    with ProcessPoolEvaluator(flaky_every_fourth, num_workers=1, fault_policy=policy) as ev:
+    with WALL_CLOCK[backend](flaky_every_fourth, num_workers=1, fault_policy=policy) as ev:
         ev.submit([4])
         with pytest.raises(Exception, match="injected"):
             drain(ev)
+
+
+def test_process_results_match_run_function():
+    """Objectives computed in worker processes round-trip exactly."""
+    with ProcessPoolEvaluator(hashed_run, num_workers=2) as ev:
+        ev.submit(list(range(8)))
+        finished = drain(ev)
+    by_id = {j.job_id: j for j in finished}
+    for i in range(8):
+        expected = hashed_run(i)
+        assert by_id[i].objective == expected.objective
+        assert by_id[i].result.duration == expected.duration
 
 
 def test_process_worker_crash_routed_through_policy():
@@ -284,6 +275,20 @@ def test_process_timeout_kills_hung_worker_and_reclaims_slot():
         ev.submit([7])
         more = drain(ev)
         assert len(more) == 1 and more[0].state is JobState.DONE
+
+
+@pytest.mark.parametrize("run", [hang_on_negative, crash_on_negative])
+def test_process_reclaim_credits_only_running_attempts(run):
+    """A kill (timeout) or crash ends every in-flight attempt, but with one
+    worker only the oldest was running: the queued ones must not be
+    credited busy time (pre-fix utilization reached ~3 on this schedule)."""
+    policy = FaultPolicy(on_error="penalize", timeout=0.02)
+    with ProcessPoolEvaluator(run, num_workers=1, fault_policy=policy) as ev:
+        ev.submit([-1, 5, 6])
+        finished = drain(ev)
+        assert len(finished) == 3
+        assert ev.num_pool_rebuilds >= 1
+        assert 0.0 <= ev.utilization() <= 1.0
 
 
 def test_process_rejects_unpicklable_run_function():
@@ -446,3 +451,38 @@ def test_threaded_hung_retry_does_not_deadlock_gather():
     finally:
         release.set()
         ev.shutdown()
+
+
+# --------------------------------------------------------------------- #
+# Regression: an abandoned attempt that returns late is dropped
+# --------------------------------------------------------------------- #
+def test_threaded_abandoned_attempt_late_return_is_dropped():
+    """The first attempt hangs past the timeout and then returns 0.1; the
+    retry (on the second worker) returns 0.9 first.  Only the tracked
+    (retry) future may set the result — the late 0.1 must not clobber it
+    — and both attempts credit the busy time they actually ran."""
+    hang_s = 0.4
+    state = {"n": 0}
+
+    def hang_then_recover(config):
+        state["n"] += 1
+        if state["n"] == 1:
+            time.sleep(hang_s)
+            return EvaluationResult(objective=0.1, duration=0.0)
+        return EvaluationResult(objective=0.9, duration=0.0)
+
+    policy = FaultPolicy(on_error="retry", max_retries=1, timeout=0.1 / 60.0)
+    ev = ThreadedEvaluator(hang_then_recover, num_workers=2, fault_policy=policy)
+    try:
+        ev.submit([0])
+        finished = drain(ev, wall_limit_s=30.0)
+    finally:
+        ev.shutdown()  # waits for the abandoned thread to return
+    assert len(finished) == 1
+    job = finished[0]
+    assert job.state is JobState.DONE
+    assert job.retries == 1
+    assert ev.num_timeouts == 1
+    assert state["n"] == 2
+    assert job.result.objective == 0.9  # the late 0.1 never lands
+    assert ev._busy_time >= hang_s / 60.0  # the abandoned attempt credits

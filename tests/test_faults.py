@@ -239,21 +239,14 @@ def test_sim_corrupted_result_is_penalized():
     def run(config):
         return EvaluationResult(objective=float("nan"), duration=2.0)
 
-    ev = SimulatedEvaluator(run, num_workers=1, on_error="penalize")
+    ev = SimulatedEvaluator(
+        run, num_workers=1, fault_policy=FaultPolicy(on_error="penalize")
+    )
     ev.submit(["a"])
     (job,) = drain(ev)
     assert job.state is JobState.FAILED
     assert "invalid objective" in job.result.metadata["error"]
     assert math.isfinite(job.result.objective)
-
-
-def test_sim_legacy_kwargs_still_override():
-    ev = SimulatedEvaluator(
-        constant_run(), num_workers=1, on_error="penalize", failure_objective=-2.0
-    )
-    assert ev.fault_policy.on_error == "penalize"
-    assert ev.fault_policy.failure_objective == -2.0
-    assert ev.on_error == "penalize" and ev.failure_objective == -2.0
 
 
 # --------------------------------------------------------------------- #
@@ -355,7 +348,9 @@ def test_threaded_penalize_policy_parity():
         return EvaluationResult(objective=0.7, duration=0.0)
 
     ev = ThreadedEvaluator(
-        run, num_workers=2, on_error="penalize", failure_objective=-1.0
+        run,
+        num_workers=2,
+        fault_policy=FaultPolicy(on_error="penalize", failure_objective=-1.0),
     )
     try:
         ev.submit(["ok", "bad"])
@@ -397,7 +392,9 @@ def test_threaded_invalid_objective_penalized():
     def run(config):
         return EvaluationResult(objective=float("inf"), duration=0.0)
 
-    ev = ThreadedEvaluator(run, num_workers=1, on_error="penalize")
+    ev = ThreadedEvaluator(
+        run, num_workers=1, fault_policy=FaultPolicy(on_error="penalize")
+    )
     try:
         ev.submit([0])
         (job,) = ev.gather()

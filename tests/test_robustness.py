@@ -10,7 +10,7 @@ from repro.dataparallel import DataParallelTrainer
 from repro.nn import GraphNetwork, Trainer
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
 from repro.searchspace import ArchitectureSpace
-from repro.workflow import EvaluationResult, SimulatedEvaluator
+from repro.workflow import EvaluationResult, FaultPolicy, SimulatedEvaluator
 
 from conftest import make_blobs
 
@@ -31,14 +31,18 @@ def flaky_run(fail_every: int):
 
 
 def test_evaluator_raise_policy_propagates():
-    ev = SimulatedEvaluator(flaky_run(1), num_workers=1, on_error="raise")
+    ev = SimulatedEvaluator(
+        flaky_run(1), num_workers=1, fault_policy=FaultPolicy(on_error="raise")
+    )
     with pytest.raises(RuntimeError, match="worker crash"):
         ev.submit([0])
 
 
 def test_evaluator_penalize_policy_records_failure():
     ev = SimulatedEvaluator(
-        flaky_run(2), num_workers=2, on_error="penalize", failure_objective=-1.0
+        flaky_run(2),
+        num_workers=2,
+        fault_policy=FaultPolicy(on_error="penalize", failure_objective=-1.0),
     )
     ev.submit([0, 1, 2, 3])
     done = []
@@ -57,7 +61,9 @@ def test_evaluator_penalize_policy_records_failure():
 
 def test_evaluator_unknown_policy_rejected():
     with pytest.raises(ValueError):
-        SimulatedEvaluator(flaky_run(1), num_workers=1, on_error="explode")
+        SimulatedEvaluator(
+            flaky_run(1), num_workers=1, fault_policy=FaultPolicy(on_error="explode")
+        )
 
 
 def test_search_survives_flaky_evaluations():
@@ -73,7 +79,9 @@ def test_search_survives_flaky_evaluations():
         score = float(np.mean(config.arch[: space.num_nodes])) / space.num_ops
         return EvaluationResult(objective=score, duration=1.0)
 
-    ev = SimulatedEvaluator(run, num_workers=3, on_error="penalize")
+    ev = SimulatedEvaluator(
+        run, num_workers=3, fault_policy=FaultPolicy(on_error="penalize")
+    )
     search = AgE(space, ev, population_size=5, sample_size=2, seed=0)
     history = search.search(max_evaluations=30)
     assert len(history) >= 30

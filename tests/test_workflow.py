@@ -14,6 +14,7 @@ from repro.workflow import (
     EventQueue,
     Job,
     JobState,
+    ProcessPoolEvaluator,
     SimulatedEvaluator,
     ThreadedEvaluator,
 )
@@ -183,7 +184,7 @@ def test_sim_deterministic_job_ids_and_order():
 
 
 # --------------------------------------------------------------------- #
-# ThreadedEvaluator
+# Wall-clock evaluators
 # --------------------------------------------------------------------- #
 def test_threaded_evaluator_runs_concurrently():
     def run(config):
@@ -201,19 +202,21 @@ def test_threaded_evaluator_runs_concurrently():
         ev.shutdown()
 
 
-def test_threaded_evaluator_measures_wall_time():
-    def run(config):
-        time.sleep(0.02)
-        return EvaluationResult(objective=1.0, duration=999.0)
+def sleepy_run(config):
+    """Module-level (picklable) run function declaring a bogus duration."""
+    time.sleep(0.02)
+    return EvaluationResult(objective=1.0, duration=999.0)
 
-    ev = ThreadedEvaluator(run, num_workers=1, measure_wall_time=True)
-    try:
+
+@pytest.mark.parametrize(
+    "backend", [ThreadedEvaluator, ProcessPoolEvaluator], ids=["threaded", "process"]
+)
+def test_wallclock_evaluator_measures_wall_time(backend):
+    with backend(sleepy_run, num_workers=1, measure_wall_time=True) as ev:
         ev.submit([0])
         (job,) = ev.gather()
-        # Measured minutes, not the declared 999.
-        assert 0.0 < job.result.duration < 0.1
-    finally:
-        ev.shutdown()
+    # Measured minutes, not the declared 999.
+    assert 0.0 < job.result.duration < 0.1
 
 
 def test_threaded_evaluator_propagates_exceptions():
