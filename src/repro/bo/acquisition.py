@@ -14,7 +14,6 @@ extension for the surrogate ablation benchmarks.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["upper_confidence_bound", "expected_improvement"]
 
@@ -34,6 +33,8 @@ def expected_improvement(
     mu: np.ndarray, sigma: np.ndarray, best: float, xi: float = 0.0
 ) -> np.ndarray:
     """Expected improvement over ``best`` for maximization."""
+    from scipy import stats  # deferred: importing scipy.stats dominates startup
+
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     improvement = mu - best - xi

@@ -1,29 +1,44 @@
 """Regression trees and random forests for the BO surrogate.
 
-A small, vectorized CART implementation built for surrogate latency: the
-freshness of the liar-augmented model when workers request new configs is
-gated by how fast ``fit``/``predict`` run (Klein et al., model-based
-asynchronous HPO), so both paths avoid per-row Python work.
+A small CART implementation built for surrogate latency: the freshness of
+the liar-augmented model when workers request new configs is gated by how
+fast ``fit``/``predict`` run (Klein et al., model-based asynchronous HPO),
+so neither path does Python work per node or per row.
 
-``fit`` evaluates every threshold of a feature in one pass using cumulative
-sums of ``y`` and ``y²`` over the sorted column (variance reduction in
-O(n) per feature per node).  Columns are argsorted **once** per tree; the
-sorted index cache is partitioned into the child nodes with a boolean
-compress at every split, so no node below the root pays an argsort.  The
-partition is stable, which keeps the chosen splits bit-identical to the
-naive re-sorting reference (``presort=False``).
+**Level-synchronous growth.**  ``fit`` grows every tree of the ensemble at
+once, one depth level per iteration, straight into one node table.  Each
+column is argsorted once per tree (stable, so equal values keep sample
+order); at every level each split-eligible frontier node of every tree is
+scored in one padded ``(nodes, rows, features)`` cumsum batch, and all
+columns are partitioned into the children with one stable argsort, so
+every node's rows stay sorted.  Frontier nodes are batched in power-of-two
+size classes, which bounds a padded batch to twice the frontier's rows.
 
-After ``fit`` the tree's node lists freeze into contiguous numpy arrays
-(:meth:`RegressionTree._finalize`) and ``predict`` is an iterative,
-fully-vectorized level-walk routing all candidate rows at once.  The
-forest stacks every tree's frozen arrays into one node table so
-:meth:`RandomForestRegressor.predict` walks **all trees × all candidates**
-simultaneously — no per-tree Python loop on the BO ``ask`` hot path.  The
-per-row Python recursion (:meth:`RegressionTree.predict_recursive`) is
-kept as the reference implementation for equivalence tests and the perf
-harness.  ``predict`` returns per-candidate mean and standard deviation
-across trees, which is exactly the (μ, σ) pair skopt's forest surrogate
-feeds into UCB.
+A split minimises the children's summed squared error
+``Σy²_L - (Σy_L)²/n_L + Σy²_R - (Σy_R)²/n_R`` over the thresholds where the
+sorted feature changes value, from cumulative sums in that feature's order
+(node totals are the last cumulative sum).  A node is split-eligible when
+it is shallower than ``max_depth``, holds at least ``min_samples_split``
+rows and its targets are not all equal.  Its leaf value is the sum of its
+targets, accumulated in sample order, over its size.
+
+**Random draw order** (what a seed fixes):
+
+1. Bootstrap: one ``rng.integers(0, n, size=(n_trees, n))`` draw (forest
+   with ``bootstrap=True`` and ``n > 1`` only).
+2. Feature keys: one ``rng.random((m, d))`` draw per level, one row per
+   split-eligible frontier node in (tree, then breadth-first) order.
+   A node's candidate features are its ``max_features`` smallest keys.
+3. Ties on the best SSE go to the candidate feature with the smallest key,
+   then to the first split position within that feature.
+
+Nodes are numbered level by level: roots ``0..n_trees-1``, then each
+level's children in frontier order, left before right.  A split whose
+midpoint threshold sends every row to one side leaves the node a leaf.
+
+``predict`` routes all trees × all candidate rows through the table in one
+level walk and returns the per-candidate mean and standard deviation across
+trees, the (μ, σ) pair skopt's forest surrogate feeds into UCB.
 """
 
 from __future__ import annotations
@@ -33,7 +48,196 @@ import numpy as np
 __all__ = ["RegressionTree", "RandomForestRegressor"]
 
 
-class RegressionTree:
+def _check_params(max_depth: int, min_samples_split: int, max_features: int | None) -> None:
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    if min_samples_split < 2:
+        raise ValueError("min_samples_split must be >= 2")
+    if max_features is not None and max_features < 1:
+        raise ValueError("max_features must be >= 1 (or None)")
+
+
+def _check_data(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError(f"bad shapes: X {X.shape}, y {y.shape}")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit on empty data")
+    return X, y
+
+
+def _find_splits(
+    xs_all: np.ndarray,
+    ys_all: np.ndarray,
+    order: np.ndarray,
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    cand: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best (feature, threshold) of each node; feature ``-1`` if none.
+
+    ``order`` lists the frontier's sample ids per column, node by node,
+    sorted within a node; ``cand`` holds each node's candidate features in
+    key order.  Nodes run in power-of-two size classes, each padded to its
+    largest node; padding rows follow the real ones, so they never enter a
+    real prefix sum and are masked out of the split positions.
+    """
+    feature = np.full(sizes.size, -1, dtype=np.intp)
+    threshold = np.zeros(sizes.size)
+    size_class = np.frexp(sizes - 1)[1]
+    for c in np.unique(size_class):
+        J = np.flatnonzero(size_class == c)
+        n = sizes[J]
+        L = int(n.max())
+        rows = np.minimum(starts[J, None] + np.arange(L), order.shape[0] - 1)
+        fc = cand[J][:, None, :]                                   # (m, 1, k)
+        sid = order[rows[:, :, None], fc]                          # (m, L, k)
+        xs = xs_all[sid, fc]
+        ys = ys_all[sid]
+        csum = np.cumsum(ys, axis=1)
+        csum2 = np.cumsum(ys * ys, axis=1)
+        a = np.arange(J.size)
+        total = csum[a, n - 1][:, None]
+        total2 = csum2[a, n - 1][:, None]
+        left_sum = csum[:, :-1]
+        left_sum2 = csum2[:, :-1]
+        right_sum = total - left_sum
+        right_sum2 = total2 - left_sum2
+        counts = np.arange(1, L)[:, None]                          # left sizes
+        right_counts = np.maximum(n[:, None, None] - counts, 1)    # >= 1 on padding
+        sse = (
+            left_sum2
+            - left_sum * left_sum / counts
+            + right_sum2
+            - right_sum * right_sum / right_counts
+        )
+        valid = (xs[:, 1:] > xs[:, :-1]) & (counts < n[:, None, None])
+        np.copyto(sse, np.inf, where=~valid)
+        # Feature-major flat argmin: smallest key, then first position, wins.
+        flat = np.argmin(sse.transpose(0, 2, 1).reshape(J.size, -1), axis=1)
+        j, pos = np.divmod(flat, L - 1)
+        ok = np.isfinite(sse[a, pos, j])
+        feature[J[ok]] = fc[a, 0, j][ok]
+        threshold[J[ok]] = (0.5 * (xs[a, pos, j] + xs[a, pos + 1, j]))[ok]
+    return feature, threshold
+
+
+def _grow(
+    X: np.ndarray,
+    y: np.ndarray,
+    samples: np.ndarray,
+    max_depth: int,
+    min_samples_split: int,
+    k: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, ...]:
+    """Grow one tree per row of ``samples`` (row indices into ``X``).
+
+    Returns the node table ``(feature, threshold, left, right, value)``;
+    leaves have feature ``-1``.
+    """
+    t, n = samples.shape
+    d = X.shape[1]
+    xs = X[samples.ravel()]                                        # (S, d) per sample
+    ys = y[samples.ravel()]
+    order = np.argsort(xs.reshape(t, n, d), axis=1, kind="stable")
+    order = (order + (np.arange(t) * n)[:, None, None]).reshape(t * n, d)
+    node_of = np.repeat(np.arange(t), n)                           # frontier index; -1: done
+    sizes = np.full(t, n)
+    base = 0
+    levels = []
+    for depth in range(max_depth + 1):
+        live = node_of >= 0
+        value = np.bincount(node_of[live], weights=ys[live], minlength=sizes.size) / sizes
+        feature = np.full(sizes.size, -1, dtype=np.intp)
+        threshold = np.zeros(sizes.size)
+        left = np.full(sizes.size, -1, dtype=np.intp)
+        levels.append((feature, threshold, left, value))
+        if depth == max_depth or k == 0:
+            break
+        starts = np.cumsum(sizes) - sizes
+        y_seg = ys[order[:, 0]]
+        E = np.flatnonzero(
+            (sizes >= min_samples_split)
+            & (np.maximum.reduceat(y_seg, starts) > np.minimum.reduceat(y_seg, starts))
+        )
+        if E.size == 0:
+            break
+        cand = np.argsort(rng.random((E.size, d)), axis=1, kind="stable")[:, :k]
+        feature[E], threshold[E] = _find_splits(xs, ys, order, starts[E], sizes[E], cand)
+        # Route every row of a splitting node; a one-sided split stays a leaf.
+        seg = np.repeat(np.arange(sizes.size), sizes)
+        go_left = xs[order[:, 0], feature[seg]] <= threshold[seg]
+        n_left = np.bincount(seg, weights=go_left, minlength=sizes.size)
+        one_sided = (n_left == 0) | (n_left == sizes)
+        feature[one_sided] = -1
+        threshold[one_sided] = 0.0
+        split = np.flatnonzero(feature >= 0)
+        if split.size == 0:
+            break
+        child = np.full(sizes.size, -1, dtype=np.intp)
+        child[split] = 2 * np.arange(split.size)
+        base += sizes.size                                         # next level's first id
+        left[split] = base + child[split]
+        row_child = np.where(child[seg] >= 0, child[seg] + ~go_left, -1)
+        node_of[order[:, 0]] = row_child
+        # One stable argsort moves every column into child order; rows of
+        # leaves (key 2 * splits) sort last and are dropped.
+        key = np.where(node_of >= 0, node_of, 2 * split.size)[order]
+        kept = int(sizes[split].sum())
+        order = np.take_along_axis(order, np.argsort(key, axis=0, kind="stable")[:kept], axis=0)
+        n_left = n_left[split].astype(np.intp)
+        sizes = np.column_stack([n_left, sizes[split] - n_left]).ravel()
+    feature, threshold, left, value = (np.concatenate(a) for a in zip(*levels))
+    right = np.where(left >= 0, left + 1, -1)
+    return feature, threshold, left, right, value
+
+
+class _NodeTable:
+    """Fitted node arrays shared by the tree and the forest."""
+
+    feature_: np.ndarray | None = None
+    threshold_: np.ndarray | None = None
+    left_: np.ndarray | None = None
+    right_: np.ndarray | None = None
+    value_: np.ndarray | None = None
+    max_depth: int
+    min_samples_split: int
+
+    def _fit_table(
+        self, X: np.ndarray, y: np.ndarray, samples: np.ndarray, k: int, rng: np.random.Generator
+    ):
+        (self.feature_, self.threshold_, self.left_, self.right_, self.value_) = _grow(
+            X, y, samples, self.max_depth, self.min_samples_split, k, rng
+        )
+        return self
+
+    def _walk(self, X: np.ndarray, n_roots: int) -> np.ndarray:
+        """Leaf values ``(n_roots, rows)``: every (tree, row) walker routed
+        one level per iteration."""
+        if self.value_ is None:
+            raise RuntimeError(f"{type(self).__name__} is not fitted")
+        X = np.asarray(X, dtype=float)
+        n = X.shape[0]
+        feature = self.feature_
+        threshold = self.threshold_
+        nodes = np.repeat(np.arange(n_roots), n)
+        rows = np.tile(np.arange(n), n_roots)
+        active = feature[nodes] >= 0
+        while active.any():
+            cur = nodes[active]
+            go_left = X[rows[active], feature[cur]] <= threshold[cur]
+            nodes[active] = np.where(go_left, self.left_[cur], self.right_[cur])
+            active = feature[nodes] >= 0
+        return self.value_[nodes].reshape(n_roots, n)
+
+    @property
+    def node_count(self) -> int:
+        return 0 if self.value_ is None else self.value_.size
+
+
+class RegressionTree(_NodeTable):
     """CART regression tree with random feature subsampling per split.
 
     Parameters
@@ -44,10 +248,6 @@ class RegressionTree:
         Nodes with fewer samples become leaves.
     max_features:
         Number of candidate features per split; ``None`` uses all.
-    presort:
-        Reuse one stable argsort of every column across all depths
-        (default).  ``False`` re-argsorts each node's rows per feature —
-        the slow reference path; both produce identical trees.
     """
 
     def __init__(
@@ -55,273 +255,23 @@ class RegressionTree:
         max_depth: int = 12,
         min_samples_split: int = 4,
         max_features: int | None = None,
-        presort: bool = True,
     ) -> None:
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
+        _check_params(max_depth, min_samples_split, max_features)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.max_features = max_features
-        self.presort = presort
-        # Flat node arrays, appended during fit, frozen by _finalize().
-        self._feature: list[int] = []
-        self._threshold: list[float] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._value: list[float] = []
-        # Frozen contiguous views (valid after fit).
-        self.feature_: np.ndarray | None = None
-        self.threshold_: np.ndarray | None = None
-        self.left_: np.ndarray | None = None
-        self.right_: np.ndarray | None = None
-        self.value_: np.ndarray | None = None
 
-    # ------------------------------------------------------------------ #
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> "RegressionTree":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise ValueError(f"bad shapes: X {X.shape}, y {y.shape}")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on empty data")
-        self._feature.clear()
-        self._threshold.clear()
-        self._left.clear()
-        self._right.clear()
-        self._value.clear()
-        if self.presort and (self.max_features is None or self.max_features >= X.shape[1]):
-            # One stable argsort per column; children inherit partitions.
-            # Cache upkeep scales with the full feature count while the
-            # benefit scales with features-per-split, so presort only pays
-            # when splits consider every column (true for the BO spaces,
-            # which have a handful of dimensions).
-            sorted_idx = np.argsort(X, axis=0, kind="stable")
-        else:
-            sorted_idx = None
-        self._build(X, y, np.arange(X.shape[0]), sorted_idx, depth=0, rng=rng)
-        self._finalize()
-        return self
+        X, y = _check_data(X, y)
+        d = X.shape[1]
+        k = d if self.max_features is None else min(self.max_features, d)
+        return self._fit_table(X, y, np.arange(X.shape[0])[None], k, rng)
 
-    def _finalize(self) -> None:
-        """Freeze the append-lists into contiguous arrays for predict."""
-        self.feature_ = np.asarray(self._feature, dtype=np.intp)
-        self.threshold_ = np.asarray(self._threshold, dtype=float)
-        self.left_ = np.asarray(self._left, dtype=np.intp)
-        self.right_ = np.asarray(self._right, dtype=np.intp)
-        self.value_ = np.asarray(self._value, dtype=float)
-
-    def _new_node(self, value: float) -> int:
-        idx = len(self._value)
-        self._feature.append(-1)
-        self._threshold.append(0.0)
-        self._left.append(-1)
-        self._right.append(-1)
-        self._value.append(value)
-        return idx
-
-    def _build(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        idx: np.ndarray,
-        sorted_idx: np.ndarray | None,
-        depth: int,
-        rng: np.random.Generator,
-    ) -> int:
-        y_node = y[idx]
-        node = self._new_node(float(y_node.mean()))
-        if (
-            depth >= self.max_depth
-            or idx.size < self.min_samples_split
-            or np.ptp(y_node) == 0.0
-        ):
-            return node
-        split = self._best_split(X, y, idx, y_node, sorted_idx, rng)
-        if split is None:
-            return node
-        feature, threshold = split
-        mask = X[idx, feature] <= threshold
-        left_idx = idx[mask]
-        right_idx = idx[~mask]
-        if left_idx.size == 0 or right_idx.size == 0:
-            return node
-        if sorted_idx is not None:
-            left_sorted, right_sorted = self._partition_sorted(
-                X, sorted_idx, left_idx, feature, threshold
-            )
-        else:
-            left_sorted = right_sorted = None
-        self._feature[node] = feature
-        self._threshold[node] = threshold
-        self._left[node] = self._build(X, y, left_idx, left_sorted, depth + 1, rng)
-        self._right[node] = self._build(X, y, right_idx, right_sorted, depth + 1, rng)
-        return node
-
-    @staticmethod
-    def _partition_sorted(
-        X: np.ndarray,
-        sorted_idx: np.ndarray,
-        left_idx: np.ndarray,
-        feature: int,
-        threshold: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Split the per-column sorted index cache into the two children.
-
-        Every index keeps its rank among its sibling group, so each child
-        column stays stably sorted.  One ``put_along_axis`` scatter moves
-        all columns at once: destination row = rank-so-far among lefts for
-        left members, ``n_left`` + rank-so-far among rights otherwise.
-        """
-        member = np.zeros(X.shape[0], dtype=bool)
-        member[left_idx] = True
-        in_left = member[sorted_idx]  # (n_node, d) membership in sorted order
-        n, d = sorted_idx.shape
-        n_left = left_idx.size
-        cl = np.cumsum(in_left, axis=0)  # lefts seen up to each row, per column
-        rows = np.arange(n).reshape(-1, 1)
-        dest = np.where(in_left, cl - 1, n_left + rows - cl)
-        out = np.empty_like(sorted_idx)
-        out[dest, np.arange(d)] = sorted_idx
-        return out[:n_left], out[n_left:]
-
-    def _best_split(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        idx: np.ndarray,
-        y_node: np.ndarray,
-        sorted_idx: np.ndarray | None,
-        rng: np.random.Generator,
-    ) -> tuple[int, float] | None:
-        if sorted_idx is not None:
-            return self._best_split_presorted(X, y, y_node, sorted_idx, rng)
-        n_features = X.shape[1]
-        k = n_features if self.max_features is None else min(self.max_features, n_features)
-        features = rng.choice(n_features, size=k, replace=False)
-        n = idx.size
-        total_sum = y_node.sum()
-        best_score = np.inf  # weighted child SSE; parent SSE is constant
-        best: tuple[int, float] | None = None
-        counts = np.arange(1, n)  # left sizes (shared across features)
-        right_counts = n - counts
-        for f in features:
-            col = X[idx, f]
-            order = np.argsort(col, kind="stable")
-            xs = col[order]
-            ys = y_node[order]
-            # Candidate split after position i (1..n-1) only where x changes.
-            csum = np.cumsum(ys)
-            csum2 = np.cumsum(ys * ys)
-            left_sum = csum[:-1]
-            left_sum2 = csum2[:-1]
-            right_sum = total_sum - left_sum
-            right_sum2 = csum2[-1] - left_sum2
-            sse = (
-                left_sum2
-                - left_sum * left_sum / counts
-                + right_sum2
-                - right_sum * right_sum / right_counts
-            )
-            valid = xs[1:] > xs[:-1]
-            if not valid.any():
-                continue
-            sse = np.where(valid, sse, np.inf)
-            pos = int(np.argmin(sse))
-            if sse[pos] < best_score:
-                best_score = float(sse[pos])
-                best = (int(f), float(0.5 * (xs[pos] + xs[pos + 1])))
-        return best
-
-    def _best_split_presorted(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        y_node: np.ndarray,
-        sorted_idx: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[int, float] | None:
-        """All candidate features scored in one (n, k) cumsum batch.
-
-        Column-wise ``cumsum`` accumulates sequentially per column, so the
-        SSE floats match the reference loop bit for bit; the flat argmin
-        over the feature-major (k, n-1) matrix reproduces its tie
-        breaking (first sampled feature, then first position, wins).
-        """
-        n_features = X.shape[1]
-        k = n_features if self.max_features is None else min(self.max_features, n_features)
-        features = rng.choice(n_features, size=k, replace=False)
-        n = y_node.size
-        total_sum = y_node.sum()
-        order = sorted_idx[:, features]  # (n, k) per-feature sorted indices
-        ys = y[order]
-        xs = X[order, features]
-        csum = np.cumsum(ys, axis=0)
-        csum2 = np.cumsum(ys * ys, axis=0)
-        left_sum = csum[:-1]
-        left_sum2 = csum2[:-1]
-        right_sum = total_sum - left_sum
-        right_sum2 = csum2[-1] - left_sum2
-        counts = np.arange(1, n).reshape(-1, 1)  # left sizes
-        right_counts = n - counts
-        sse = (
-            left_sum2
-            - left_sum * left_sum / counts
-            + right_sum2
-            - right_sum * right_sum / right_counts
-        )
-        np.copyto(sse, np.inf, where=xs[1:] <= xs[:-1])  # splits only where x changes
-        flat = int(np.argmin(sse.T.ravel()))  # feature-major: first feature wins ties
-        j, pos = divmod(flat, n - 1)
-        if not np.isfinite(sse[pos, j]):
-            return None
-        return int(features[j]), float(0.5 * (xs[pos, j] + xs[pos + 1, j]))
-
-    # ------------------------------------------------------------------ #
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized prediction: route all rows level by level."""
-        X = np.asarray(X, dtype=float)
-        if self.value_ is None or self.value_.size == 0:
-            raise RuntimeError("tree is not fitted")
-        feature = self.feature_
-        threshold = self.threshold_
-        left = self.left_
-        right = self.right_
-
-        nodes = np.zeros(X.shape[0], dtype=np.intp)
-        active = feature[nodes] >= 0
-        while active.any():
-            cur = nodes[active]
-            feats = feature[cur]
-            go_left = X[active, feats] <= threshold[cur]
-            nodes[active] = np.where(go_left, left[cur], right[cur])
-            active = feature[nodes] >= 0
-        return self.value_[nodes]
-
-    def predict_recursive(self, X: np.ndarray) -> np.ndarray:
-        """Per-row Python recursion — the reference the vectorized walks
-        must match bit-for-bit (kept for tests and the perf harness)."""
-        X = np.asarray(X, dtype=float)
-        if self.value_ is None or self.value_.size == 0:
-            raise RuntimeError("tree is not fitted")
-
-        def walk(node: int, row: np.ndarray) -> float:
-            while self.feature_[node] >= 0:
-                if row[self.feature_[node]] <= self.threshold_[node]:
-                    node = self.left_[node]
-                else:
-                    node = self.right_[node]
-            return float(self.value_[node])
-
-        return np.array([walk(0, row) for row in X])
-
-    @property
-    def node_count(self) -> int:
-        return len(self._value)
+        return self._walk(X, 1)[0]
 
 
-class RandomForestRegressor:
+class RandomForestRegressor(_NodeTable):
     """Bootstrap ensemble of regression trees with (μ, σ) prediction."""
 
     def __init__(
@@ -331,98 +281,31 @@ class RandomForestRegressor:
         min_samples_split: int = 4,
         max_features: int | None = None,
         bootstrap: bool = True,
-        presort: bool = True,
     ) -> None:
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        _check_params(max_depth, min_samples_split, max_features)
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.max_features = max_features
         self.bootstrap = bootstrap
-        self.presort = presort
-        self._trees: list[RegressionTree] = []
-        # Concatenated node table over all trees (built post-fit).
-        self._ens_feature: np.ndarray | None = None
-        self._ens_threshold: np.ndarray | None = None
-        self._ens_left: np.ndarray | None = None
-        self._ens_right: np.ndarray | None = None
-        self._ens_value: np.ndarray | None = None
-        self._ens_roots: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> "RandomForestRegressor":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on empty data")
-        n = X.shape[0]
-        max_features = self.max_features
-        if max_features is None and X.shape[1] > 1:
-            # skopt-style default: use all features for small dims, else sqrt.
-            max_features = X.shape[1] if X.shape[1] <= 3 else max(1, int(np.sqrt(X.shape[1])))
-        self._trees = []
-        for _ in range(self.n_trees):
-            tree = RegressionTree(
-                self.max_depth, self.min_samples_split, max_features, presort=self.presort
-            )
-            if self.bootstrap and n > 1:
-                sample = rng.integers(0, n, size=n)
-                tree.fit(X[sample], y[sample], rng)
-            else:
-                tree.fit(X, y, rng)
-            self._trees.append(tree)
-        self._finalize_ensemble()
-        return self
-
-    def _finalize_ensemble(self) -> None:
-        """Stack all trees' frozen node arrays into one offset table."""
-        counts = [t.node_count for t in self._trees]
-        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.intp)
-        self._ens_roots = offsets
-        self._ens_feature = np.concatenate([t.feature_ for t in self._trees])
-        self._ens_threshold = np.concatenate([t.threshold_ for t in self._trees])
-        self._ens_value = np.concatenate([t.value_ for t in self._trees])
-        # Child pointers shift by each tree's offset; leaves stay -1 but
-        # are never followed (feature < 0 stops the walk first).
-        self._ens_left = np.concatenate(
-            [t.left_ + off for t, off in zip(self._trees, offsets)]
-        )
-        self._ens_right = np.concatenate(
-            [t.right_ + off for t, off in zip(self._trees, offsets)]
-        )
+        X, y = _check_data(X, y)
+        n, d = X.shape
+        if self.max_features is not None:
+            k = min(self.max_features, d)
+        else:
+            # skopt-style default: all features for small dims, else sqrt.
+            k = d if d <= 3 else max(1, int(np.sqrt(d)))
+        if self.bootstrap and n > 1:
+            samples = rng.integers(0, n, size=(self.n_trees, n))
+        else:
+            samples = np.broadcast_to(np.arange(n), (self.n_trees, n))
+        return self._fit_table(X, y, samples, k, rng)
 
     def predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row (mean, std) across the ensemble, all trees at once.
-
-        One level-synchronous walk routes the full (trees × candidates)
-        pointer matrix; numerically identical to stacking per-tree
-        predictions (same floats, same reductions).
-        """
-        if not self._trees:
-            raise RuntimeError("forest is not fitted")
-        X = np.asarray(X, dtype=float)
-        n = X.shape[0]
-        t = len(self._trees)
-        feature = self._ens_feature
-        threshold = self._ens_threshold
-        left = self._ens_left
-        right = self._ens_right
-
-        nodes = np.repeat(self._ens_roots, n)       # (t * n,) current node ids
-        rows = np.tile(np.arange(n), t)             # candidate row per walker
-        active = feature[nodes] >= 0
-        while active.any():
-            cur = nodes[active]
-            feats = feature[cur]
-            go_left = X[rows[active], feats] <= threshold[cur]
-            nodes[active] = np.where(go_left, left[cur], right[cur])
-            active = feature[nodes] >= 0
-        preds = self._ens_value[nodes].reshape(t, n)
-        return preds.mean(axis=0), preds.std(axis=0)
-
-    def predict_reference(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-tree, per-row recursive reference (tests / perf harness)."""
-        if not self._trees:
-            raise RuntimeError("forest is not fitted")
-        preds = np.stack([t.predict_recursive(X) for t in self._trees])
+        """Per-row (mean, std) across the ensemble, all trees at once."""
+        preds = self._walk(X, self.n_trees)
         return preds.mean(axis=0), preds.std(axis=0)

@@ -125,15 +125,13 @@ class BayesianOptimizer:
         y = np.empty(n + k, dtype=float)
         y[:n] = self._y
         lie = constant_lie(y[:n], self.lie_strategy)
-        candidates = np.empty((self.candidate_pool_size, d), dtype=float)
         batch: list[dict[str, Any]] = []
         model = self._fit_surrogate(X[:n], y[:n])
         for j in range(k):
-            for i in range(self.candidate_pool_size):
-                candidates[i] = self.space.sample_array(self._rng)
+            candidates = self.space.sample_array(self._rng, self.candidate_pool_size)
             mu, sigma = model.predict(candidates)
             scores = upper_confidence_bound(mu, sigma, self.kappa)
-            best = candidates[int(np.argmax(scores))].copy()
+            best = candidates[int(np.argmax(scores))]
             batch.append(self.space.from_array(best))
             X[n + j] = best
             y[n + j] = lie
@@ -154,7 +152,6 @@ class BayesianOptimizer:
             min_samples_split=self._forest_proto.min_samples_split,
             max_features=self._forest_proto.max_features,
             bootstrap=self._forest_proto.bootstrap,
-            presort=self._forest_proto.presort,
         )
         forest.fit(X, y, self._rng)
         return forest

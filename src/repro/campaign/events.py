@@ -301,12 +301,23 @@ class JsonlEventLog:
 
 
 def load_events(path: str | Path) -> list[CampaignEvent]:
-    """Replay a :class:`JsonlEventLog` file into typed events."""
+    """Replay a :class:`JsonlEventLog` file into typed events.
+
+    The log is block-buffered, so a killed campaign can leave a final line
+    with no newline; such a line is skipped when it does not parse.  A
+    malformed complete line still raises.
+    """
     events: list[CampaignEvent] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    lines = Path(path).read_text().split("\n")
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        row = json.loads(line)
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError:
+            if lineno == len(lines):  # unterminated: a write cut short
+                break
+            raise
         name = row.pop("event", None)
         cls = EVENT_TYPES.get(name)
         if cls is None:

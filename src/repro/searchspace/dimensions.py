@@ -25,6 +25,10 @@ class Dimension:
     def sample(self, rng: np.random.Generator) -> Any:
         raise NotImplementedError
 
+    def sample_numeric(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` samples drawn directly in numeric coordinates, one draw."""
+        raise NotImplementedError
+
     def to_numeric(self, value: Any) -> float:
         """Map a value into the surrogate's numeric coordinate."""
         raise NotImplementedError
@@ -61,6 +65,11 @@ class Real(Dimension):
             return float(math.exp(rng.uniform(math.log(self.low), math.log(self.high))))
         return float(rng.uniform(self.low, self.high))
 
+    def sample_numeric(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        if self.prior == "log-uniform":
+            return rng.uniform(math.log(self.low), math.log(self.high), size)
+        return rng.uniform(self.low, self.high, size)
+
     def to_numeric(self, value: float) -> float:
         return math.log(value) if self.prior == "log-uniform" else float(value)
 
@@ -92,6 +101,9 @@ class Integer(Dimension):
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.low, self.high + 1))
 
+    def sample_numeric(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.integers(self.low, self.high + 1, size).astype(float)
+
     def to_numeric(self, value: int) -> float:
         return float(value)
 
@@ -119,6 +131,9 @@ class Categorical(Dimension):
 
     def sample(self, rng: np.random.Generator) -> Any:
         return self.values[int(rng.integers(len(self.values)))]
+
+    def sample_numeric(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.integers(len(self.values), size=size).astype(float)
 
     def to_numeric(self, value: Any) -> float:
         try:

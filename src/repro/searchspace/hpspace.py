@@ -96,9 +96,14 @@ class HyperparameterSpace:
         config.update(self.defaults)
         return config
 
-    def sample_array(self, rng: np.random.Generator) -> np.ndarray:
-        """Sample directly in numeric coordinates (for candidate pools)."""
-        return self.to_array(self.sample(rng))
+    def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` candidates sampled directly in numeric coordinates,
+        shape ``(size, num_dimensions)``: one ``rng`` draw per dimension,
+        in definition order."""
+        out = np.empty((size, self.num_dimensions))
+        for j, dim in enumerate(self.dimensions.values()):
+            out[:, j] = dim.sample_numeric(rng, size)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -124,6 +124,17 @@ def test_forest_validation(rng):
         RandomForestRegressor().predict(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("cls", [RegressionTree, RandomForestRegressor])
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_features": 0}, {"max_features": -1}, {"max_depth": 0}, {"min_samples_split": 1}],
+)
+def test_tree_and_forest_reject_bad_growth_params(cls, kwargs):
+    """max_features=0 used to fit a constant (single-leaf) surrogate."""
+    with pytest.raises(ValueError):
+        cls(**kwargs)
+
+
 # --------------------------------------------------------------------- #
 # Acquisition
 # --------------------------------------------------------------------- #

@@ -302,6 +302,59 @@ def test_event_round_trip_through_jsonl(tmp_path):
     assert load_events(path) == events
 
 
+def test_import_campaign_leaves_scipy_stats_unloaded():
+    """scipy.stats is most of the import cost; only expected_improvement needs it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    code = "import sys, repro.campaign; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def _two_event_log(path):
+    events = [
+        CampaignStarted(method="AgE", dataset="covertype", num_workers=2,
+                        max_evaluations=4),
+        CampaignStarted(method="AgEBO", dataset="airlines", num_workers=8,
+                        max_evaluations=6),
+    ]
+    with JsonlEventLog(path) as log:
+        for event in events:
+            log(event)
+    return events
+
+
+def test_load_events_skips_torn_final_line(tmp_path):
+    """A killed campaign can leave half a line with no newline at the end."""
+    path = tmp_path / "events.jsonl"
+    events = _two_event_log(path)
+    text = path.read_text()
+    path.write_text(text + text.splitlines()[1][:25])
+    assert load_events(path) == events
+
+
+def test_load_events_raises_on_malformed_middle_line(tmp_path):
+    path = tmp_path / "events.jsonl"
+    _two_event_log(path)
+    first, second = path.read_text().splitlines()
+    path.write_text(first[:25] + "\n" + second + "\n")
+    with pytest.raises(json.JSONDecodeError):
+        load_events(path)
+    # A complete (newline-terminated) final line that does not parse is
+    # corruption, not a torn write.
+    path.write_text(first + "\n" + second[:25] + "\n")
+    with pytest.raises(json.JSONDecodeError):
+        load_events(path)
+
+
 def test_campaign_event_stream_reproduces_utilization(tmp_path):
     """Replaying the JSONL log == utilization_summary on the evaluator."""
     path = tmp_path / "events.jsonl"

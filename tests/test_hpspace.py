@@ -8,6 +8,7 @@ import pytest
 from repro.searchspace import (
     Categorical,
     HyperparameterSpace,
+    Integer,
     Real,
     default_dataparallel_space,
 )
@@ -71,6 +72,35 @@ def test_to_from_array_roundtrip(rng):
         assert back["batch_size"] == config["batch_size"]
         assert back["num_ranks"] == config["num_ranks"]
         assert abs(back["learning_rate"] - config["learning_rate"]) < 1e-9
+
+
+def test_sample_array_draws_one_block_per_dimension():
+    """The candidate pool is one draw per dimension, in definition order,
+    directly in numeric coordinates, and every row decodes to a valid config."""
+    space = HyperparameterSpace(
+        {
+            "lr": Real(0.001, 0.1, prior="log-uniform"),
+            "units": Integer(4, 9),
+            "act": Categorical(["relu", "tanh", "swish"]),
+            "drop": Real(0.0, 0.5),
+        },
+        defaults={"num_ranks": 2},
+    )
+    pool = space.sample_array(np.random.default_rng(7), 300)
+    assert pool.shape == (300, 4) and pool.dtype == float
+    rng = np.random.default_rng(7)
+    expected = np.column_stack(
+        [
+            rng.uniform(np.log(0.001), np.log(0.1), 300),
+            rng.integers(4, 10, 300),
+            rng.integers(3, size=300),
+            rng.uniform(0.0, 0.5, 300),
+        ]
+    )
+    np.testing.assert_array_equal(pool, expected)
+    for row in pool:
+        space.validate(space.from_array(row))
+    assert space.from_array(pool[0])["num_ranks"] == 2
 
 
 def test_learning_rate_encoded_on_log_scale():

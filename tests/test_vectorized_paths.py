@@ -1,8 +1,8 @@
 """Vectorized hot paths vs their references, and precision plumbing.
 
-Covers the three satellite guarantees of the perf work: the batched
-forest walks are bit-identical to the per-row recursive reference (and
-presorted split search grows the exact same trees as per-node argsort),
+Covers the three satellite guarantees of the perf work: the level-
+synchronous forest grower and the batched forest walks are bit-identical
+to the per-node oracle in ``forest_oracle.py`` (node tables and (μ, σ)),
 ``no_grad`` stays thread-local so a concurrent inference pass cannot
 disable taping on another thread, and float32 survives end-to-end
 through tensors, networks and compiled plans (no silent float64
@@ -15,10 +15,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from forest_oracle import ReferenceForest, grow_reference, predict_recursive, predict_reference
+from repro.bo import BayesianOptimizer
 from repro.bo.forest import RandomForestRegressor, RegressionTree
 from repro.nn import GraphNetwork, Tensor, is_grad_enabled, no_grad, softmax_cross_entropy
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
+from repro.searchspace import default_dataparallel_space
 
 
 def _forest_data(seed: int = 0, n: int = 250, d: int = 3):
@@ -29,50 +34,104 @@ def _forest_data(seed: int = 0, n: int = 250, d: int = 3):
     return X, y
 
 
+def _assert_bitwise(got, ref):
+    for a, b in zip(got, ref, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _table(model):
+    return model.feature_, model.threshold_, model.left_, model.right_, model.value_
+
+
 # --------------------------------------------------------------------- #
-# Forest: vectorized vs reference
+# Forest: level-synchronous grower and batched walks vs the oracle
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_presort_grows_identical_trees(seed):
+def test_grower_matches_oracle_tree(seed):
     X, y = _forest_data(seed)
-    fast = RegressionTree(max_depth=9, presort=True).fit(X, y, np.random.default_rng(seed))
-    ref = RegressionTree(max_depth=9, presort=False).fit(X, y, np.random.default_rng(seed))
-    assert fast.node_count == ref.node_count
-    np.testing.assert_array_equal(fast.feature_, ref.feature_)
-    np.testing.assert_array_equal(fast.threshold_, ref.threshold_)
-    np.testing.assert_array_equal(fast.left_, ref.left_)
-    np.testing.assert_array_equal(fast.right_, ref.right_)
-    np.testing.assert_array_equal(fast.value_, ref.value_)
+    tree = RegressionTree(max_depth=9).fit(X, y, np.random.default_rng(seed))
+    ref = grow_reference(X, y, np.random.default_rng(seed), max_depth=9)
+    _assert_bitwise(_table(tree), ref)
 
 
 def test_tree_levelwalk_matches_recursive():
     X, y = _forest_data(3)
     tree = RegressionTree(max_depth=9).fit(X, y, np.random.default_rng(3))
     Xq = np.random.default_rng(4).standard_normal((333, 3))
-    np.testing.assert_array_equal(tree.predict(Xq), tree.predict_recursive(Xq))
+    np.testing.assert_array_equal(tree.predict(Xq), predict_recursive(tree, Xq))
 
 
 def test_forest_batched_predict_matches_reference():
     X, y = _forest_data(5)
     forest = RandomForestRegressor(n_trees=25, max_depth=9).fit(X, y, np.random.default_rng(5))
     Xq = np.random.default_rng(6).standard_normal((1024, 3))
-    mu, sigma = forest.predict(Xq)
-    mu_ref, sigma_ref = forest.predict_reference(Xq)
-    np.testing.assert_array_equal(mu, mu_ref)
-    np.testing.assert_array_equal(sigma, sigma_ref)
+    _assert_bitwise(forest.predict(Xq), predict_reference(forest, Xq))
 
 
-def test_forest_presort_toggle_identical_predictions():
+def test_forest_grower_matches_oracle():
     X, y = _forest_data(7)
-    Xq = np.random.default_rng(8).standard_normal((100, 3))
-    out = {}
-    for presort in (False, True):
-        forest = RandomForestRegressor(n_trees=10, presort=presort).fit(
-            X, y, np.random.default_rng(9)
-        )
-        out[presort] = forest.predict(Xq)
-    np.testing.assert_array_equal(out[True][0], out[False][0])
-    np.testing.assert_array_equal(out[True][1], out[False][1])
+    forest = RandomForestRegressor(n_trees=10).fit(X, y, np.random.default_rng(9))
+    ref = ReferenceForest(n_trees=10).fit(X, y, np.random.default_rng(9))
+    _assert_bitwise(_table(forest), _table(ref))
+
+
+def test_ask_with_oracle_forest_proposes_identical_batch():
+    """The whole BO ask (sampling, fit, predict, liar refits) is unchanged
+    when the oracle stands in for the production forest."""
+    space = default_dataparallel_space()
+    cfg_rng = np.random.default_rng(0)
+    configs = [space.sample(cfg_rng) for _ in range(15)]
+    values = list(np.random.default_rng(1).random(15))
+
+    class OracleOptimizer(BayesianOptimizer):
+        def _fit_surrogate(self, X, y):
+            return ReferenceForest(n_trees=8, max_depth=6).fit(X, y, self._rng)
+
+    batches = []
+    for cls in (BayesianOptimizer, OracleOptimizer):
+        opt = cls(space, seed=2, forest=RandomForestRegressor(n_trees=8, max_depth=6))
+        opt.tell(configs, values)
+        batches.append(opt.ask(3))
+    assert batches[0] == batches[1]
+
+
+@st.composite
+def _forest_cases(draw):
+    n = draw(st.integers(1, 120))
+    d = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    if draw(st.booleans()):
+        X = np.round(X)  # heavy ties
+    for col in range(1, d):
+        kind = draw(st.sampled_from(["free", "duplicate", "constant"]))
+        if kind == "duplicate":
+            X[:, col] = X[:, draw(st.integers(0, col - 1))]
+        elif kind == "constant":
+            X[:, col] = 0.5
+    y = np.full(n, 0.25) if draw(st.booleans()) else rng.standard_normal(n)
+    params = dict(
+        n_trees=draw(st.integers(1, 6)),
+        max_depth=draw(st.integers(1, 12)),
+        min_samples_split=draw(st.integers(2, 5)),
+        max_features=draw(st.integers(1, d)),
+        bootstrap=draw(st.booleans()),
+    )
+    return X, y, seed, params
+
+
+@given(case=_forest_cases())
+@settings(max_examples=150, deadline=None)
+def test_grower_matches_oracle_property(case):
+    X, y, seed, params = case
+    forest = RandomForestRegressor(**params).fit(X, y, np.random.default_rng(seed))
+    ref = ReferenceForest(**params).fit(X, y, np.random.default_rng(seed))
+    _assert_bitwise(_table(forest), _table(ref))
+    Xq = np.random.default_rng(seed + 1).standard_normal((40, X.shape[1]))
+    Xq[: min(7, len(X))] = X[:7]  # rows sitting exactly on training values
+    _assert_bitwise(forest.predict(Xq), ref.predict(Xq))
 
 
 # --------------------------------------------------------------------- #
