@@ -151,20 +151,20 @@ class DataParallelTrainer:
     # ------------------------------------------------------------------ #
     def _rank_gradient(
         self, model: GraphNetwork, X: np.ndarray, y: np.ndarray, plan=None, copy: bool = True
-    ) -> tuple[list[np.ndarray], float]:
+    ) -> tuple[list[np.ndarray] | np.ndarray, float]:
         """Gradient of the mean loss on one rank's micro-batch.
 
-        With a compiled ``plan`` the gradients land in the plan's reused
-        buffers; ``copy=True`` (needed whenever per-rank gradients are
-        collected before reduction) snapshots them, while the fused path
-        passes ``copy=False`` and consumes the buffers immediately.
+        With a compiled ``plan`` the gradient lands in the plan's reused
+        flat buffer; ``copy=True`` (needed whenever per-rank gradients are
+        collected before reduction) snapshots it per parameter, while the
+        fused path passes ``copy=False`` and gets the flat buffer itself,
+        for the optimizer to consume immediately.
         """
         if plan is not None:
             loss_value = plan.loss_and_grad(X, y)
-            grads = plan.grad_buffers
             if copy:
-                grads = [g.copy() for g in grads]
-            return grads, loss_value
+                return [g.copy() for g in plan.mean_grad_views], loss_value
+            return plan.mean_grad_flat, loss_value
         params = model.parameters()
         for p in params:
             p.grad = None
@@ -230,8 +230,8 @@ class DataParallelTrainer:
 
         if batched:
             # Preallocated stacked micro-batch and the flat-buffer reducer;
-            # the reduced mean lands in the plan's double-buffered gradient
-            # views, which Adam consumes directly.
+            # the reduced mean lands in the plan's flat gradient, which
+            # Adam consumes directly.
             stacked_rows = n * self.batch_size
             Xb = np.empty((stacked_rows, X_train.shape[1]), dtype=dtype)
             yb = np.empty(stacked_rows, dtype=y_train.dtype)
@@ -267,7 +267,7 @@ class DataParallelTrainer:
                         reducer.reduce(rank_grads, out=plan.mean_grad_flat)
                     else:
                         allreduce_mean_flat(rank_grads, out=plan.mean_grad_flat)
-                    optimizer.apply_gradients(plan.mean_grad_views)
+                    optimizer.apply_gradients(plan.mean_grad_flat)
                     epoch_loss += float(np.mean(losses))
                     continue
                 if self.allreduce == "fused":

@@ -11,22 +11,26 @@ the architecture **once** and emits a flat schedule of fused ops:
 
 - ``_DenseOp`` — affine + activation in one step (``act(x @ W + b)``),
   with the activation's backward auxiliaries (ReLU mask, sigmoid/swish
-  values) stored in preallocated buffers;
+  values) stored in preallocated buffers.  The activations are
+  branchless (``fmax`` for ReLU, one shared divide for the sigmoid): a
+  masked ``copyto`` on a random mask costs ~10x a plain ufunc;
 - ``_SkipOp`` — skip-connection fusion: all incoming projections, the
   sums, and the ReLU execute as one step (projection + sum + ReLU fused);
 - identity nodes emit **no op at all**: their output slot aliases the
   input slot at trace time.
 
 Execution writes into per-batch-size buffer sets (allocated on first use,
-reused forever after), parameter gradients accumulate in place into
-preallocated per-parameter buffers, and the steady-state train step does
-zero tape reconstruction and near-zero allocation.
+reused forever after), parameter gradients land in views of one flat
+gradient vector laid out like the model's flat parameter vector, and the
+steady-state train step does zero tape reconstruction and near-zero
+allocation.
 
 Numerical contract: the plan replays the *exact* operation order of the
 eager tape (same kernels, same association order for skip sums, the same
-stable-sigmoid formula), so losses and gradients match the eager reference
-to float round-off; :func:`assert_plan_equivalence` is the seeded gate the
-test-suite and the perf harness both call.
+stable-sigmoid formula), so forward values match the eager reference
+bitwise and losses and gradients to float round-off;
+:func:`assert_plan_equivalence` is the seeded gate the test-suite and the
+perf harness both call.
 
 A plan also executes in **multi-rank mode** for the data-parallel
 trainer: :meth:`CompiledPlan.loss_and_grads_ranked` runs ``n`` stacked
@@ -34,7 +38,7 @@ micro-batches through one fused forward/backward and recovers the *per
 rank* parameter gradients — batched ``(n, bs, ·)`` matmuls writing
 through column-slice views into an allreduce-ready ``(n, P)`` flat
 matrix (:class:`_RankGradBuffers`), with the reduced mean double-buffered
-in ``mean_grad_flat`` / ``mean_grad_views`` for the optimizer.  Each
+in ``mean_grad_flat`` for the optimizer.  Each
 rank's gradients are bitwise identical to ``n`` separate
 ``loss_and_grad`` calls (gated in ``tests/test_rank_vectorized.py``).
 
@@ -46,10 +50,14 @@ Buffer-reuse invariants (see DESIGN.md §Performance):
 2. gradient slots are written by their *first* consumer in reverse
    schedule order (a plain write, precomputed at trace time) and ``+=``
    by every later consumer — no zeroing pass is needed;
-3. per-parameter gradient buffers are fully overwritten each step (every
-   parameter has exactly one consuming op), so stale values can never
-   leak between steps;
-4. a plan is **not** thread-safe: concurrent evaluations must compile one
+3. there is one flat gradient, ``mean_grad_flat``: every parameter's
+   gradient is a view of it (``mean_grad_views``), and every view is fully
+   overwritten each step (every parameter has exactly one consuming op),
+   so stale values can never leak between steps;
+4. the activation auxiliaries are one ``bool`` mask per ReLU (``x > 0``)
+   and one ``bool`` mask (``x >= 0``) plus one float scratch per
+   sigmoid/swish; there are no negated-mask buffers;
+5. a plan is **not** thread-safe: concurrent evaluations must compile one
    plan per model (which the evaluators do — one model per candidate).
 """
 
@@ -63,23 +71,37 @@ from repro.nn.layers import Dense
 __all__ = ["CompiledPlan", "assert_plan_equivalence"]
 
 
-def _stable_sigmoid_into(x: np.ndarray, out: np.ndarray, scratch: np.ndarray,
-                         neg: np.ndarray) -> None:
-    """Numerically stable sigmoid, bitwise-equal to the eager formula.
+def _relu_into(x: np.ndarray, mask: np.ndarray) -> None:
+    """In-place ReLU that stores the backward mask ``x > 0``.
 
-    ``exp(-|x|)`` is shared by both branches: for ``x >= 0`` the eager path
-    computes ``1 / (1 + exp(-x))`` and for ``x < 0`` it computes
-    ``e / (1 + e)`` with ``e = exp(x)`` — in both cases the exponential is
-    ``exp(-|x|)``, so the branchless form below reproduces the same bits.
+    Bitwise equal to the eager ``np.where(x > 0, x, 0.0)``: ``fmax`` maps
+    NaN and -inf to 0 and keeps subnormals, and adding ``0.0`` turns the
+    ``-0.0`` that ``fmax(-0.0, 0.0)`` may return into ``+0.0``.
     """
-    np.less(x, 0.0, out=neg)
-    np.abs(x, out=scratch)
-    np.negative(scratch, out=scratch)
-    np.exp(scratch, out=scratch)          # exp(-|x|)
-    np.add(scratch, 1.0, out=out)         # 1 + exp(-|x|)
-    np.divide(scratch, out, out=scratch)  # negative branch: e / (1 + e)
-    np.divide(1.0, out, out=out)          # positive branch: 1 / (1 + e)
-    np.copyto(out, scratch, where=neg)
+    np.greater(x, 0.0, out=mask)
+    np.fmax(x, 0.0, out=x)
+    x += 0.0
+
+
+def _sigmoid_into(x: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                  pos: np.ndarray) -> None:
+    """Numerically stable sigmoid, bitwise equal to the eager formula.
+
+    The eager path computes ``1 / (1 + exp(-x))`` for ``x >= 0`` and
+    ``e / (1 + e)`` with ``e = exp(x)`` otherwise; both exponentials are
+    ``e = exp(-|x|)``.  As ``e`` lies in ``[0, 1]``, ``maximum(e, x >= 0)``
+    is exactly the numerator of either branch, so one divide serves both.
+    ``-|x|`` is taken as ``minimum(x, -x)``, which returns a NaN input
+    unchanged (sign included), as the eager path does.  ``out`` may alias
+    ``x``.
+    """
+    np.greater_equal(x, 0.0, out=pos)
+    np.negative(x, out=scratch)
+    np.minimum(x, scratch, out=scratch)   # -|x|
+    np.exp(scratch, out=scratch)          # e = exp(-|x|)
+    np.maximum(scratch, pos, out=out)     # 1 where x >= 0, else e
+    scratch += 1.0
+    out /= scratch
 
 
 class _DenseOp:
@@ -105,19 +127,14 @@ class _DenseOp:
         if act is None or act == "identity":
             return
         if act == "relu":
-            mask, nmask = aux[(id(self), "mask")], aux[(id(self), "nmask")]
-            np.greater(out, 0.0, out=mask)
-            np.logical_not(mask, out=nmask)
-            np.copyto(out, 0.0, where=nmask)
+            _relu_into(out, aux[(id(self), "mask")])
         elif act == "tanh":
             np.tanh(out, out=out)  # backward reads the stored output
         elif act == "sigmoid":
-            scr, neg = aux[(id(self), "scr")], aux[(id(self), "neg")]
-            _stable_sigmoid_into(out, out, scr, neg)
+            _sigmoid_into(out, out, aux[(id(self), "scr")], aux[(id(self), "pos")])
         elif act == "swish":
             sig = aux[(id(self), "sig")]
-            scr, neg = aux[(id(self), "scr")], aux[(id(self), "neg")]
-            _stable_sigmoid_into(out, sig, scr, neg)
+            _sigmoid_into(out, sig, aux[(id(self), "scr")], aux[(id(self), "pos")])
             np.multiply(out, sig, out=out)
         else:  # pragma: no cover - trace time rejects unknown activations
             raise AssertionError(f"unknown activation {act!r}")
@@ -207,10 +224,7 @@ class _SkipOp:
                 np.add(vals[self.base_slot], ptmp, out=acc)
             else:
                 acc += ptmp
-        mask, nmask = aux[(id(self), "mask")], aux[(id(self), "nmask")]
-        np.greater(acc, 0.0, out=mask)
-        np.logical_not(mask, out=nmask)
-        np.copyto(acc, 0.0, where=nmask)
+        _relu_into(acc, aux[(id(self), "mask")])
 
     def backward(self, vals: list[np.ndarray], grads: list[np.ndarray | None],
                  aux: dict, param_grads: dict, ranks: int = 0) -> None:
@@ -270,12 +284,11 @@ class _BufferSet:
                 act = op.activation
                 if act == "relu":
                     aux[(key, "mask")] = np.empty((n, w), dtype=bool)
-                    aux[(key, "nmask")] = np.empty((n, w), dtype=bool)
-                elif act in ("tanh",):
+                elif act == "tanh":
                     aux[(key, "scr")] = np.empty((n, w), dtype=dt)
                 elif act in ("sigmoid", "swish"):
                     aux[(key, "scr")] = np.empty((n, w), dtype=dt)
-                    aux[(key, "neg")] = np.empty((n, w), dtype=bool)
+                    aux[(key, "pos")] = np.empty((n, w), dtype=bool)
                     if act == "swish":
                         aux[(key, "sig")] = np.empty((n, w), dtype=dt)
                 if op.in_needs_grad and not op.first_touch:
@@ -284,7 +297,6 @@ class _BufferSet:
                 w = widths[op.out_slot]
                 aux[(key, "ptmp")] = np.empty((n, w), dtype=dt)
                 aux[(key, "mask")] = np.empty((n, w), dtype=bool)
-                aux[(key, "nmask")] = np.empty((n, w), dtype=bool)
                 for k, (slot, _) in enumerate(op.sources):
                     needs_grad, first = op.source_flags[k]
                     if needs_grad and not first:
@@ -393,23 +405,11 @@ class CompiledPlan:
                 op.source_flags = [claim(slot) for slot, _ in reversed(op.sources)]
                 op.source_flags.reverse()  # re-align with ascending sources
 
-        # Preallocated per-parameter gradient buffers, one (gW, gb) pair per
-        # layer; each layer is consumed by exactly one op, so every buffer
-        # is fully overwritten each step.
-        self.param_grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._layers: list[Dense] = []
-        for op in ops:
-            if isinstance(op, _DenseOp):
-                self._register_layer(op.layer)
-            else:
-                for _, proj in op.sources:
-                    self._register_layer(proj)
+        # Flat layout: each parameter occupies one contiguous
+        # [offset, offset + size) span, in ``parameters()`` order — the
+        # layout of the model's flat parameter vector and the packing order
+        # the ring-allreduce reference uses.
         self._params: list[Tensor] = model.parameters()
-        self.grad_buffers: list[np.ndarray] = [self._grad_for(p) for p in self._params]
-
-        # Flat-gradient layout: each parameter occupies one contiguous
-        # [offset, offset + size) column span, in ``parameters()`` order —
-        # the packing order the ring-allreduce reference uses.
         self.param_segments: list[tuple[int, int, tuple[int, ...]]] = []
         self._param_layout: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         offset = 0
@@ -420,36 +420,36 @@ class CompiledPlan:
             offset += p.data.size
         self.num_flat_params = offset
 
-        # Double-buffered gradients for the rank-batched data-parallel
-        # path: per-rank gradients land in a _RankGradBuffers (n, P) matrix
-        # (the producer side), the reduced mean lands here (the consumer
-        # side Adam reads), so neither step needs a defensive copy.
+        # The one flat gradient Adam reads.  ``loss_and_grad`` writes its
+        # per-parameter gradients straight into these views; the
+        # rank-batched path writes per-rank gradients into a
+        # _RankGradBuffers (n, P) matrix (the producer side) and reduces
+        # the mean into it, so neither path needs a defensive copy.
         self.mean_grad_flat = np.empty(self.num_flat_params, dtype=self.dtype)
         self.mean_grad_views: list[np.ndarray] = [
             self.mean_grad_flat[o : o + s].reshape(shape)
             for o, s, shape in self.param_segments
         ]
 
+        # Per-layer (gW, gb) gradient views, in op order; each layer is
+        # consumed by exactly one op, so every view is fully overwritten
+        # each step.
+        grad_of = {id(p): g for p, g in zip(self._params, self.mean_grad_views)}
+        self._layers: list[Dense] = [
+            layer
+            for op in ops
+            for layer in ([op.layer] if isinstance(op, _DenseOp)
+                          else [proj for _, proj in op.sources])
+        ]
+        self.param_grads: dict[int, tuple[np.ndarray, np.ndarray]] = {
+            id(layer): (grad_of[id(layer.W)], grad_of[id(layer.b)])
+            for layer in self._layers
+        }
+
         self._buffers: dict[int, _BufferSet] = {}
         self._rank_buffers: dict[int, _RankGradBuffers] = {}
 
     # ------------------------------------------------------------------ #
-    def _register_layer(self, layer: Dense) -> None:
-        if id(layer) not in self.param_grads:
-            gW = np.empty_like(layer.W.data)
-            gb = np.empty_like(layer.b.data)
-            self.param_grads[id(layer)] = (gW, gb)
-            self._layers.append(layer)
-
-    def _grad_for(self, p: Tensor) -> np.ndarray:
-        for layer in self._layers:
-            gW, gb = self.param_grads[id(layer)]
-            if p is layer.W:
-                return gW
-            if p is layer.b:
-                return gb
-        raise ValueError(f"parameter {p!r} is not part of this plan")
-
     def buffers_for(self, n: int) -> _BufferSet:
         bufs = self._buffers.get(n)
         if bufs is None:
@@ -480,10 +480,10 @@ class CompiledPlan:
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> float:
         """Mean softmax cross-entropy and its gradients, in one fused pass.
 
-        On return every model parameter's ``.grad`` points at this plan's
-        preallocated buffer holding the fresh gradient, ready for
-        ``optimizer.step()`` — no ``zero_grad`` is required (buffers are
-        fully overwritten, never accumulated across steps).
+        On return ``mean_grad_flat`` holds the fresh gradient, ready for
+        ``optimizer.apply_gradients``, and every model parameter's
+        ``.grad`` points at its view of it — no ``zero_grad`` is required
+        (the buffer is fully overwritten, never accumulated across steps).
         """
         X = np.ascontiguousarray(X, dtype=self.dtype)
         y = np.asarray(y)
@@ -585,8 +585,8 @@ class CompiledPlan:
         return losses, rank_bufs.flat
 
     def install_grads(self) -> None:
-        """Point every parameter's ``.grad`` at its plan buffer."""
-        for p, g in zip(self._params, self.grad_buffers):
+        """Point every parameter's ``.grad`` at its view of the flat gradient."""
+        for p, g in zip(self._params, self.mean_grad_views):
             p.grad = g
 
     def predict_logits(self, X: np.ndarray, batch_size: int = 4096) -> np.ndarray:

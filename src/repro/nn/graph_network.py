@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.layers import Dense
+from repro.nn.optimizers import flatten_parameters
 
 __all__ = ["NodeOp", "ArchitectureSpec", "GraphNetwork"]
 
@@ -149,6 +150,23 @@ class GraphNetwork:
             )
 
         self._output = Dense(widths[m], n_classes, None, rng, name="output", dtype=self.dtype)
+        # Every parameter is a view of one contiguous vector, in
+        # ``parameters()`` order: the layout of the compiled plan's flat
+        # gradient, so Adam updates all weights with one set of ufuncs.
+        self._flat = flatten_parameters(self.parameters())
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_plan"] = None  # a plan keys its buffers by object id
+        del state["_flat"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickling and deep-copying give each parameter view its own
+        # memory; lay the copies out in one vector again, or an optimizer
+        # would update a buffer that ``forward`` never reads.
+        self.__dict__.update(state)
+        self._flat = flatten_parameters(self.parameters())
 
     # ------------------------------------------------------------------ #
     def parameters(self) -> list[Tensor]:
@@ -211,7 +229,9 @@ class GraphNetwork:
                 self.forward(x[i : i + batch_size]).data
                 for i in range(0, x.shape[0], batch_size)
             ]
-        return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, self.n_classes))
+        if not chunks:
+            return np.zeros((0, self.n_classes), dtype=self.dtype)
+        return np.concatenate(chunks, axis=0)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predicted class indices."""

@@ -134,7 +134,7 @@ class Trainer:
                 idx = order[start : start + self.batch_size]
                 if plan is not None:
                     loss_value = plan.loss_and_grad(X_train[idx], y_train[idx])
-                    optimizer.step()
+                    optimizer.apply_gradients(plan.mean_grad_flat)
                 else:
                     logits = model.forward(X_train[idx])
                     loss = softmax_cross_entropy(logits, y_train[idx])

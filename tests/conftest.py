@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.datasets import load_dataset
 from repro.searchspace import ArchitectureSpace
+
+# ``HYPOTHESIS_PROFILE=ci`` runs every property test that does not pin its
+# own ``max_examples`` (the bitwise gates) on five times the default count.
+settings.register_profile("ci", max_examples=5 * settings.default.max_examples)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

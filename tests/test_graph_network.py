@@ -199,3 +199,78 @@ def test_forward_accepts_tensor_input():
     net = make_net([NodeOp(8, "relu")])
     out = net.forward(Tensor(np.zeros((2, 6))))
     assert out.shape == (2, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_predict_logits_zero_rows_keep_model_dtype(dtype):
+    net = GraphNetwork(
+        ArchitectureSpec((NodeOp(8, "relu"),)), 6, 3, np.random.default_rng(0), dtype=dtype
+    )
+    for out in (net.predict_logits(np.zeros((0, 6))),
+                net.compile().predict_logits(np.zeros((0, 6)))):
+        assert out.shape == (0, 3)
+        assert out.dtype == dtype
+
+
+# --------------------------------------------------------------------- #
+# Flat parameter layout
+# --------------------------------------------------------------------- #
+def _assert_params_tile_flat(net):
+    params = net.parameters()
+    assert net._flat.size == sum(p.size for p in params)
+    offset = 0
+    for p in params:
+        assert np.shares_memory(p.data, net._flat)
+        np.testing.assert_array_equal(p.data.ravel(), net._flat[offset : offset + p.size])
+        offset += p.size
+
+
+def _skip_net(seed=0):
+    return make_net(
+        [NodeOp(8, "relu"), NodeOp(None, None), NodeOp(5, "swish")],
+        skips={(0, 2), (1, 4)},
+        seed=seed,
+    )
+
+
+@pytest.mark.parametrize("how", ["pickle", "deepcopy", "set_weights"])
+def test_parameters_stay_views_of_flat_vector(how):
+    import copy
+    import pickle
+
+    net = _skip_net()
+    net.compile()  # a cached plan must not break copying
+    _assert_params_tile_flat(net)
+    if how == "pickle":
+        twin = pickle.loads(pickle.dumps(net))
+    elif how == "deepcopy":
+        twin = copy.deepcopy(net)
+    else:
+        twin = _skip_net(seed=1)
+        twin.set_weights(net.get_weights())
+    _assert_params_tile_flat(twin)
+    assert not np.shares_memory(twin._flat, net._flat)
+    for a, b in zip(twin.get_weights(), net.get_weights()):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+def test_training_a_copy_matches_training_the_original(how):
+    import copy
+    import pickle
+
+    from repro.dataparallel import DataParallelTrainer
+
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((96, 6))
+    y = rng.integers(0, 3, size=96)
+    net = _skip_net()
+    twin = pickle.loads(pickle.dumps(net)) if how == "pickle" else copy.deepcopy(net)
+    before = twin.get_weights()
+    for model in (net, twin):
+        DataParallelTrainer(num_ranks=2, epochs=2, batch_size=16, allreduce="ring").fit(
+            model, X[:64], y[:64], X[64:], y[64:], np.random.default_rng(4)
+        )
+    assert any(not np.array_equal(a, b) for a, b in zip(twin.get_weights(), before))
+    for a, b in zip(twin.get_weights(), net.get_weights()):
+        assert a.tobytes() == b.tobytes()

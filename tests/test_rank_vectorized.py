@@ -70,7 +70,7 @@ def test_ranked_gradients_match_per_rank_loop(seed, num_ranks):
     for r in range(num_ranks):
         lo, hi = r * bs, (r + 1) * bs
         loss_r = plan.loss_and_grad(X[lo:hi], y[lo:hi])
-        packed = np.concatenate([g.ravel() for g in plan.grad_buffers])
+        packed = plan.mean_grad_flat
         assert abs(loss_r - losses[r]) < 1e-10
         np.testing.assert_allclose(rank_grads[r], packed, rtol=0, atol=1e-10)
 

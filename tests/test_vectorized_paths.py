@@ -194,7 +194,7 @@ def test_network_and_plan_preserve_float32():
 
     plan = model.compile()
     plan.loss_and_grad(X, y)
-    assert all(g.dtype == np.float32 for g in plan.grad_buffers)
+    assert all(g.dtype == np.float32 for g in plan.mean_grad_views)
     assert plan.predict_logits(X).dtype == np.float32
 
 
