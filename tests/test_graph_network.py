@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.dataparallel import DataParallelTrainer
 from repro.nn import GraphNetwork, Tensor
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
 
@@ -235,9 +239,6 @@ def _skip_net(seed=0):
 
 @pytest.mark.parametrize("how", ["pickle", "deepcopy", "set_weights"])
 def test_parameters_stay_views_of_flat_vector(how):
-    import copy
-    import pickle
-
     net = _skip_net()
     net.compile()  # a cached plan must not break copying
     _assert_params_tile_flat(net)
@@ -256,11 +257,6 @@ def test_parameters_stay_views_of_flat_vector(how):
 
 @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
 def test_training_a_copy_matches_training_the_original(how):
-    import copy
-    import pickle
-
-    from repro.dataparallel import DataParallelTrainer
-
     rng = np.random.default_rng(3)
     X = rng.standard_normal((96, 6))
     y = rng.integers(0, 3, size=96)
