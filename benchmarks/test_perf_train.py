@@ -2,7 +2,8 @@
 
 Times the training hot path at three granularities — single train step,
 full validation inference, and a whole :class:`ModelEvaluation` call —
-with the compiled plan against the eager reference, plus two kernels of
+with the compiled plan against the eager reference (the whole evaluation
+runs on ``tests/reference/eager_trainer.py``), plus two kernels of
 the compiled step against their oracles in ``tests/reference/``: the
 flat-vector Adam update (``adam_step``) and the branchless activations
 (``activations``).  Writes the before/after medians to
@@ -34,6 +35,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 from reference.activations import relu_masked_into, sigmoid_masked_into  # noqa: E402
 from reference.adam import ReferenceAdam  # noqa: E402
+from reference.eager_trainer import eager_training  # noqa: E402
 
 BATCH = 256
 N_FEATURES = 54
@@ -109,7 +111,7 @@ def test_perf_train_step_and_evaluation():
         )
     )
 
-    # --- whole evaluation call: backend="eager" vs "compiled" ---------- #
+    # --- whole evaluation call: eager tape vs compiled plan ------------- #
     ds = load_dataset("covertype", size=1500)
     space = ArchitectureSpace(num_nodes=5)
     arch = space.random_sample(np.random.default_rng(3))
@@ -118,12 +120,15 @@ def test_perf_train_step_and_evaluation():
         hyperparameters={"learning_rate": 0.01, "batch_size": 256, "num_ranks": 1},
     )
 
-    def run_eval(backend: str):
-        ev = ModelEvaluation(ds, space, epochs=3, nominal_epochs=20, backend=backend)
-        return ev(config)
+    def run_eval():
+        return ModelEvaluation(ds, space, epochs=3, nominal_epochs=20)(config)
 
-    eval_eager_s = median_time(lambda: run_eval("eager"), repeats=3)
-    eval_compiled_s = median_time(lambda: run_eval("compiled"), repeats=3)
+    def run_eval_eager():
+        with eager_training():
+            return run_eval()
+
+    eval_eager_s = median_time(run_eval_eager, repeats=3)
+    eval_compiled_s = median_time(run_eval, repeats=3)
     entries.append(
         BenchEntry(
             "model_evaluation",

@@ -226,10 +226,8 @@ def _build_run_function(config: CampaignConfig, dataset, space, event_bus):
         warmup_epochs=t.warmup_epochs,
         plateau_patience=t.plateau_patience,
         objective=t.objective,
-        allreduce=t.allreduce,
         base_seed=t.base_seed,
         apply_linear_scaling=t.apply_linear_scaling,
-        backend=t.backend,
         dtype=t.dtype,
     )
     evaluation.event_bus = event_bus

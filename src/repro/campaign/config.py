@@ -35,6 +35,25 @@ __all__ = [
 CONFIG_VERSION = 1
 
 
+#: Training fields that older builds wrote, each with the one value this
+#: build still runs.  ``from_dict`` drops them so existing checkpoints
+#: resume, and refuses any other value.
+_RETIRED_TRAINING_KEYS = {"allreduce": "fused", "backend": "compiled"}
+
+
+def _drop_retired_training_keys(training: dict) -> dict:
+    training = dict(training)
+    for key, supported in _RETIRED_TRAINING_KEYS.items():
+        if key in training:
+            value = training.pop(key)
+            if value != supported:
+                raise ValueError(
+                    f"campaign config: training.{key}={value!r} was removed; "
+                    f"this build trains only with {key}={supported!r}"
+                )
+    return training
+
+
 def _from_dict(cls, data: Any, context: str):
     """Build a config dataclass from a mapping, rejecting unknown keys."""
     if not isinstance(data, dict):
@@ -100,8 +119,6 @@ class TrainingConfig:
     warmup_epochs: int = 5
     plateau_patience: int = 5
     objective: str = "best"
-    allreduce: str = "fused"
-    backend: str = "compiled"
     dtype: str = "float64"
     apply_linear_scaling: bool = True
     base_seed: int = 0
@@ -111,10 +128,6 @@ class TrainingConfig:
             raise ValueError("training.epochs must be >= 1")
         if self.objective not in ("best", "final"):
             raise ValueError(f"training.objective must be 'best' or 'final', got {self.objective!r}")
-        if self.allreduce not in ("ring", "mean", "fused"):
-            raise ValueError(f"unknown training.allreduce {self.allreduce!r}")
-        if self.backend not in ("compiled", "eager"):
-            raise ValueError(f"unknown training.backend {self.backend!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"training.dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
@@ -257,7 +270,9 @@ class CampaignConfig:
 
         Raises ``ValueError`` with a clear message on a missing or
         unsupported ``config_version`` and on unknown keys anywhere in the
-        tree (typo protection + forward-compatibility signal).
+        tree (typo protection + forward-compatibility signal).  The retired
+        ``training.allreduce`` / ``training.backend`` keys are accepted
+        (and dropped) at the one value this build runs.
         """
         if not isinstance(data, dict):
             raise ValueError(f"campaign config: expected a mapping, got {type(data).__name__}")
@@ -269,6 +284,8 @@ class CampaignConfig:
                 f"(this build reads version {CONFIG_VERSION}); "
                 "re-create the config with CampaignConfig.to_dict()"
             )
+        if isinstance(data.get("training"), dict):
+            data["training"] = _drop_retired_training_keys(data["training"])
         for name, sub_cls in cls._SUBCONFIGS.items():
             if name in data:
                 data[name] = _from_dict(sub_cls, data[name], f"campaign config: {name}")

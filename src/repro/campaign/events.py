@@ -157,9 +157,9 @@ class BOTellAsk(CampaignEvent):
 class EpochEnd(CampaignEvent):
     """One training epoch finished inside an evaluation.
 
-    ``ring_bytes_per_rank`` is the simulated ring-allreduce payload each
-    rank shipped during the epoch's training steps (0 when the reduction
-    is not a ring or runs single-rank), from
+    ``ring_bytes_per_rank`` is the ring-allreduce payload each rank ships
+    during the epoch's training steps — one allreduce of the flat gradient
+    per step, as the cost model bills it (0 single-rank) — from
     :func:`repro.dataparallel.allreduce.ring_transfer_stats`.
     """
 
@@ -416,8 +416,8 @@ class MetricsAggregator:
         elif isinstance(event, CacheStore):
             self.num_cache_stores += 1
         elif isinstance(event, EpochEnd):
-            # Simulated communication volume: every rank ships its ring
-            # payload once per epoch's reduction schedule.
+            # Simulated communication volume: every rank ships the
+            # epoch's ring payload (one allreduce per training step).
             self.ring_comm_bytes += event.ring_bytes_per_rank * event.num_ranks
 
     # ------------------------------------------------------------------ #

@@ -53,13 +53,6 @@ class ModelEvaluation:
     objective:
         ``"best"`` (max epoch validation accuracy, DeepHyper's default) or
         ``"final"`` (last epoch).
-    allreduce:
-        Gradient reduction mode for the data-parallel trainer; ``"fused"``
-        is the fast algebraically equivalent path used by the benches.
-    backend:
-        ``"compiled"`` (default) trains through the traced
-        :class:`~repro.nn.compiled.CompiledPlan`; ``"eager"`` uses the
-        reference autograd tape.
     dtype:
         Model/array precision, e.g. ``"float32"`` to halve memory traffic
         (default ``"float64"``).
@@ -74,18 +67,14 @@ class ModelEvaluation:
         warmup_epochs: int = 5,
         plateau_patience: int = 5,
         objective: str = "best",
-        allreduce: str = "fused",
         base_seed: int = 0,
         keep_best_weights: bool = False,
         nominal_epochs: int | None = None,
         apply_linear_scaling: bool = True,
-        backend: str = "compiled",
         dtype="float64",
     ) -> None:
         if objective not in ("best", "final"):
             raise ValueError(f"objective must be 'best' or 'final', got {objective!r}")
-        if backend not in ("compiled", "eager"):
-            raise ValueError(f"backend must be 'compiled' or 'eager', got {backend!r}")
         self.dataset = dataset
         self.space = space
         self.cost_model = cost_model or TrainingCostModel()
@@ -96,13 +85,11 @@ class ModelEvaluation:
         self.warmup_epochs = warmup_epochs
         self.plateau_patience = plateau_patience
         self.objective = objective
-        self.allreduce = allreduce
         self.base_seed = base_seed
         self.keep_best_weights = keep_best_weights
         # Ablation knob: disable the linear scaling rule (Eq. 2) so the
         # base learning rate is used unscaled at any rank count.
         self.apply_linear_scaling = apply_linear_scaling
-        self.backend = backend
         self.dtype = np.dtype(dtype)
         # Optional campaign event bus, forwarded to the per-call trainer so
         # EpochEnd events surface on the campaign stream.
@@ -126,10 +113,8 @@ class ModelEvaluation:
             learning_rate=config.learning_rate,
             warmup_epochs=self.warmup_epochs,
             plateau_patience=self.plateau_patience,
-            allreduce=self.allreduce,
             keep_best_weights=self.keep_best_weights,
             apply_linear_scaling=self.apply_linear_scaling,
-            backend=self.backend,
             dtype=self.dtype,
         )
         trainer.event_bus = self.event_bus

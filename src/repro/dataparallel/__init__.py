@@ -2,52 +2,26 @@
 
 Implements synchronous data-parallel SGD with real semantics: the training
 set is split into ``n`` mutually exclusive shards, each simulated rank
-computes a gradient on a shard-local micro-batch, gradients are averaged by
-a simulated ring-allreduce, and a single optimizer update is applied with
+draws a shard-local micro-batch, and one forward/backward over the
+concatenated global batch yields the rank-averaged gradient — the tensor
+Horovod's fused allreduce produces — before a single optimizer update with
 the linearly scaled learning rate.  The accuracy-vs-``(n, lr, bs)``
 landscape that Bayesian optimization must learn is therefore reproduced
-genuinely; only wall-clock time is replaced by the analytic cost model in
-:mod:`repro.dataparallel.costmodel`.
+genuinely; only wall-clock time (including the ring allreduce's
+communication, see :func:`ring_transfer_stats`) is replaced by the
+analytic cost model in :mod:`repro.dataparallel.costmodel`.
 """
 
 from repro.dataparallel.sharding import shard_indices
-from repro.dataparallel.allreduce import (
-    RingReducer,
-    allreduce_mean,
-    allreduce_mean_flat,
-    flatten_gradients,
-    gradient_segments,
-    ring_allreduce,
-    ring_allreduce_reference,
-    ring_transfer_stats,
-)
+from repro.dataparallel.allreduce import ring_transfer_stats
 from repro.dataparallel.scaling import linear_scaled_batch_size, linear_scaled_lr
 from repro.dataparallel.trainer import DataParallelTrainer
 from repro.dataparallel.costmodel import TrainingCostModel
 from repro.dataparallel.multinode import MultiNodeCostModel
-from repro.dataparallel.compression import (
-    FlatTopKCompressor,
-    TopKCompressor,
-    compressed_allreduce_mean,
-    compressed_allreduce_mean_flat,
-    compressed_transfer_bytes,
-)
 
 __all__ = [
-    "FlatTopKCompressor",
     "MultiNodeCostModel",
-    "RingReducer",
-    "TopKCompressor",
-    "compressed_allreduce_mean",
-    "compressed_allreduce_mean_flat",
-    "compressed_transfer_bytes",
     "shard_indices",
-    "allreduce_mean",
-    "allreduce_mean_flat",
-    "flatten_gradients",
-    "gradient_segments",
-    "ring_allreduce",
-    "ring_allreduce_reference",
     "ring_transfer_stats",
     "linear_scaled_lr",
     "linear_scaled_batch_size",

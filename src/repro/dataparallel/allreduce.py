@@ -1,134 +1,19 @@
-"""Simulated ring-allreduce over per-rank gradients.
+"""Communication accounting for the ring allreduce.
 
-:func:`ring_allreduce` reproduces the Baidu/Horovod ring algorithm —
-reduce-scatter followed by allgather over flattened chunks — so that tests
-can verify it is numerically equivalent (up to float associativity) to the
-naive mean in :func:`allreduce_mean`, and so :func:`ring_transfer_stats`
-can feed the communication term of the training cost model with the
-actual transferred byte counts.
-
-Two implementations of the ring coexist:
-
-- :func:`ring_allreduce_reference` — the original chunked-list form: one
-  Python loop over ranks per round, one ``.copy()`` per send.  Kept
-  permanently as the readable reference the fast path is gated against.
-- :class:`RingReducer` — the vectorized flat-buffer form.  All ``n`` rank
-  gradients live in one ``(n, P)`` matrix; each chunk is padded to a
-  common width so that every reduce-scatter/allgather round becomes a
-  single fancy-indexed gather + scatter over an ``(n, n, c)`` view of one
-  preallocated float64 workspace.  Chunk boundaries, padding-free lanes
-  and the per-element association order are identical to the reference,
-  so the two paths agree bit for bit (the test-suite gate is 1e-10).
-
-Both public reductions accumulate in float64 (the reference semantics)
-and cast the result back to the input dtype, so float32 training never
-silently upcasts its optimizer state.
+Training computes the averaged gradient in one fused pass over the global
+batch (Horovod's tensor fusion: all gradient tensors reduced as one
+buffer), so no ring is simulated.  What the ring would *ship* still
+matters: :func:`ring_transfer_stats` gives the bandwidth-optimal
+Baidu/Horovod ring's per-rank payload and round count, which feed the
+communication term of the training cost models and the
+``EpochEnd.ring_bytes_per_rank`` event field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = [
-    "allreduce_mean",
-    "allreduce_mean_flat",
-    "flatten_gradients",
-    "gradient_segments",
-    "ring_allreduce",
-    "ring_allreduce_reference",
-    "ring_transfer_stats",
-    "RingReducer",
-    "RingStats",
-]
-
-GradientList = list[np.ndarray]
-
-#: One (offset, size, shape) triple per tensor of a flattened gradient list.
-Segments = list[tuple[int, int, tuple[int, ...]]]
-
-
-def gradient_segments(grads: GradientList) -> Segments:
-    """The (offset, size, shape) layout of ``grads`` inside a flat buffer."""
-    segments: Segments = []
-    offset = 0
-    for g in grads:
-        segments.append((offset, g.size, g.shape))
-        offset += g.size
-    return segments
-
-
-def flatten_gradients(
-    grads_per_rank: list[GradientList],
-    out: np.ndarray | None = None,
-    dtype=np.float64,
-) -> tuple[np.ndarray, Segments]:
-    """Pack aligned per-rank gradient lists into one ``(n, P)`` matrix."""
-    _check_alignment(grads_per_rank)
-    segments = gradient_segments(grads_per_rank[0])
-    total = segments[-1][0] + segments[-1][1] if segments else 0
-    n = len(grads_per_rank)
-    if out is None:
-        out = np.empty((n, total), dtype=dtype)
-    elif out.shape != (n, total):
-        raise ValueError(f"out has shape {out.shape}, expected {(n, total)}")
-    for r, grads in enumerate(grads_per_rank):
-        row = out[r]
-        for (offset, size, _), g in zip(segments, grads):
-            row[offset : offset + size] = g.ravel()
-    return out, segments
-
-
-def _unflatten(flat: np.ndarray, segments: Segments, dtype) -> GradientList:
-    return [
-        flat[offset : offset + size].reshape(shape).astype(dtype)
-        for offset, size, shape in segments
-    ]
-
-
-def allreduce_mean(grads_per_rank: list[GradientList]) -> GradientList:
-    """Elementwise mean of aligned gradient lists (the reference reduction).
-
-    Accumulates in float64 in ascending rank order; the result is cast back
-    to each input tensor's dtype.
-    """
-    _check_alignment(grads_per_rank)
-    n = len(grads_per_rank)
-    if n == 1:
-        return [g.copy() for g in grads_per_rank[0]]
-    out: GradientList = []
-    for tensors in zip(*grads_per_rank):
-        acc = tensors[0].astype(np.float64, copy=True)
-        for t in tensors[1:]:
-            acc += t
-        out.append((acc / n).astype(tensors[0].dtype))
-    return out
-
-
-def allreduce_mean_flat(flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row mean of an ``(n, P)`` flat gradient matrix.
-
-    Accumulates in float64 in ascending rank order — the exact association
-    order of :func:`allreduce_mean` — then casts into ``out`` (allocated in
-    ``flat``'s dtype when not supplied).
-    """
-    if flat.ndim != 2:
-        raise ValueError(f"expected an (n, P) matrix, got shape {flat.shape}")
-    n = flat.shape[0]
-    if n < 1:
-        raise ValueError("need at least one rank")
-    if out is None:
-        out = np.empty(flat.shape[1], dtype=flat.dtype)
-    if n == 1:
-        out[:] = flat[0]
-        return out
-    acc = flat[0].astype(np.float64, copy=True)
-    for r in range(1, n):
-        acc += flat[r]
-    acc /= n
-    out[:] = acc
-    return out
+__all__ = ["ring_transfer_stats", "RingStats"]
 
 
 @dataclass(frozen=True)
@@ -154,166 +39,3 @@ def ring_transfer_stats(num_ranks: int, total_bytes: int) -> RingStats:
     steps = 2 * (num_ranks - 1)
     per_rank = int(round(2 * (num_ranks - 1) / num_ranks * total_bytes))
     return RingStats(num_ranks, steps, per_rank)
-
-
-class RingReducer:
-    """Vectorized flat-buffer ring allreduce for repeated ``(n, P)`` reductions.
-
-    The constructor precomputes everything shape-dependent — the linspace
-    chunk bounds of the reference, the scatter map from flat positions into
-    the padded ``(n, n·c)`` workspace, and the per-round source/destination
-    index vectors — so :meth:`reduce` runs ``2(n-1)`` rounds of pure
-    fancy-indexed array arithmetic with zero per-step allocation.
-
-    Padding lanes (chunk positions past a chunk's true length) only ever
-    combine with other padding lanes, and are re-zeroed each call, so they
-    never contaminate a result.
-    """
-
-    def __init__(self, num_ranks: int, num_params: int) -> None:
-        if num_ranks < 1:
-            raise ValueError("num_ranks must be >= 1")
-        if num_params < 1:
-            raise ValueError("num_params must be >= 1")
-        self.num_ranks = n = num_ranks
-        self.num_params = P = num_params
-        if n == 1:
-            return
-        bounds = np.linspace(0, P, n + 1).astype(np.intp)
-        sizes = np.diff(bounds)
-        c = int(sizes.max())
-        chunk_of = np.repeat(np.arange(n), sizes)
-        within = np.arange(P) - bounds[chunk_of]
-        # Position of flat element p inside one padded workspace row.
-        self._scatter = chunk_of * c + within
-        pad = np.ones(n * c, dtype=bool)
-        pad[self._scatter] = False
-        self._pad_cols = np.flatnonzero(pad)
-        # Chunks are contiguous in both the flat vector and the workspace,
-        # so pack/unpack run as n slice copies instead of a P-element
-        # fancy-indexed scatter/gather.
-        self._copy_spans = [
-            (slice(bounds[k], bounds[k + 1]), slice(k * c, k * c + int(sizes[k])))
-            for k in range(n)
-        ]
-        self._work = np.zeros((n, n * c))
-        self._chunk_width = c
-        self._src = np.arange(n)
-        self._dst = (self._src + 1) % n
-
-    def reduce(self, flat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Ring-mean over the rank axis of ``flat``; returns a ``(P,)`` vector.
-
-        The result is computed in float64 and cast into ``out`` (allocated
-        in ``flat``'s dtype when not supplied).
-        """
-        n, P = self.num_ranks, self.num_params
-        if flat.shape != (n, P):
-            raise ValueError(f"expected shape {(n, P)}, got {flat.shape}")
-        if out is None:
-            out = np.empty(P, dtype=flat.dtype)
-        if n == 1:
-            out[:] = flat[0]
-            return out
-        work = self._work
-        for flat_span, work_span in self._copy_spans:
-            work[:, work_span] = flat[:, flat_span]  # upcasts to float64
-        if self._pad_cols.size:
-            work[:, self._pad_cols] = 0.0
-        rounds = work.reshape(n, n, self._chunk_width)
-        src, dst = self._src, self._dst
-        # Reduce-scatter: rank r ships chunk (r - step) mod n to rank r+1.
-        # The fancy-indexed gather on the right-hand side snapshots the
-        # pre-round values, exactly like the reference's explicit sends.
-        for step in range(n - 1):
-            k = (src - step) % n
-            rounds[dst, k] += rounds[src, k]
-        # Allgather: circulate each completed chunk around the ring.
-        for step in range(n - 1):
-            k = (src + 1 - step) % n
-            rounds[dst, k] = rounds[src, k]
-        work[0] /= n  # divide in float64, then cast into ``out``
-        for flat_span, work_span in self._copy_spans:
-            out[flat_span] = work[0, work_span]
-        return out
-
-
-def ring_allreduce(grads_per_rank: list[GradientList]) -> GradientList:
-    """Average gradients via the vectorized flat-buffer ring.
-
-    Packs the per-rank lists into one ``(n, P)`` float64 matrix, runs
-    :class:`RingReducer`, and unflattens the mean back to the input
-    tensors' shapes and dtype.  Bit-identical to
-    :func:`ring_allreduce_reference` (same chunk bounds, same per-element
-    association order).
-    """
-    flat, segments = flatten_gradients(grads_per_rank)
-    n = len(grads_per_rank)
-    dtype = grads_per_rank[0][0].dtype if grads_per_rank[0] else np.float64
-    if n == 1:
-        return [g.copy() for g in grads_per_rank[0]]
-    mean = RingReducer(n, flat.shape[1]).reduce(flat)
-    return _unflatten(mean, segments, dtype)
-
-
-def ring_allreduce_reference(grads_per_rank: list[GradientList]) -> GradientList:
-    """Average gradients via an explicit chunked-list simulated ring.
-
-    The per-rank gradient lists are flattened into one buffer per rank and
-    the ring proceeds in ``2(n-1)`` rounds: ``n-1`` reduce-scatter rounds in
-    which rank ``r`` sends chunk ``(r - step) mod n`` to rank ``r+1``, then
-    ``n-1`` allgather rounds circulating the fully reduced chunks.  The
-    mean (sum / n) is computed chunk-wise, then unflattened.
-
-    This is the readable reference :func:`ring_allreduce` (and the flat
-    :class:`RingReducer` under it) is gated against.
-    """
-    _check_alignment(grads_per_rank)
-    n = len(grads_per_rank)
-    if n == 1:
-        return [g.copy() for g in grads_per_rank[0]]
-
-    shapes = [g.shape for g in grads_per_rank[0]]
-    sizes = [g.size for g in grads_per_rank[0]]
-    dtype = grads_per_rank[0][0].dtype
-    buffers = [
-        np.concatenate([g.ravel().astype(np.float64) for g in grads]) for grads in grads_per_rank
-    ]
-    total = buffers[0].size
-    bounds = np.linspace(0, total, n + 1).astype(np.intp)
-    chunks = [slice(bounds[i], bounds[i + 1]) for i in range(n)]
-
-    # Reduce-scatter: after n-1 rounds, rank r holds the full sum of chunk
-    # (r + 1) mod n.
-    for step in range(n - 1):
-        sends = [buffers[r][chunks[(r - step) % n]].copy() for r in range(n)]
-        for r in range(n):
-            dst = (r + 1) % n
-            buffers[dst][chunks[(r - step) % n]] += sends[r]
-
-    # Allgather: circulate each completed chunk around the ring.
-    for step in range(n - 1):
-        sends = [buffers[r][chunks[(r + 1 - step) % n]].copy() for r in range(n)]
-        for r in range(n):
-            dst = (r + 1) % n
-            buffers[dst][chunks[(r + 1 - step) % n]] = sends[r]
-
-    mean = buffers[0] / n
-    out: GradientList = []
-    offset = 0
-    for shape, size in zip(shapes, sizes):
-        out.append(mean[offset : offset + size].reshape(shape).astype(dtype))
-        offset += size
-    return out
-
-
-def _check_alignment(grads_per_rank: list[GradientList]) -> None:
-    if not grads_per_rank:
-        raise ValueError("need at least one rank")
-    ref = grads_per_rank[0]
-    for r, grads in enumerate(grads_per_rank[1:], start=1):
-        if len(grads) != len(ref):
-            raise ValueError(f"rank {r} has {len(grads)} tensors, rank 0 has {len(ref)}")
-        for i, (a, b) in enumerate(zip(ref, grads)):
-            if a.shape != b.shape:
-                raise ValueError(f"tensor {i} shape mismatch: {a.shape} vs {b.shape}")

@@ -84,7 +84,7 @@ class TrainingCostModel:
         return flops / throughput + self.step_overhead_s
 
     def allreduce_seconds(self, num_params: int, num_ranks: int) -> float:
-        """One gradient allreduce via the simulated ring."""
+        """One gradient allreduce over the ring."""
         if num_ranks == 1:
             return 0.0
         stats = ring_transfer_stats(num_ranks, num_params * _BYTES_PER_PARAM)

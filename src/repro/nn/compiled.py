@@ -32,15 +32,16 @@ bitwise and losses and gradients to float round-off;
 :func:`assert_plan_equivalence` is the seeded gate the test-suite and the
 perf harness both call.
 
-A plan also executes in **multi-rank mode** for the data-parallel
-trainer: :meth:`CompiledPlan.loss_and_grads_ranked` runs ``n`` stacked
+The data-parallel trainer needs only ``loss_and_grad`` over the
+concatenated global batch.  A plan can also run in **multi-rank mode**:
+:meth:`CompiledPlan.loss_and_grads_ranked` runs ``n`` stacked
 micro-batches through one fused forward/backward and recovers the *per
 rank* parameter gradients — batched ``(n, bs, ·)`` matmuls writing
-through column-slice views into an allreduce-ready ``(n, P)`` flat
-matrix (:class:`_RankGradBuffers`), with the reduced mean double-buffered
-in ``mean_grad_flat`` for the optimizer.  Each
-rank's gradients are bitwise identical to ``n`` separate
-``loss_and_grad`` calls (gated in ``tests/test_rank_vectorized.py``).
+through column-slice views into one ``(n, P)`` flat matrix
+(:class:`_RankGradBuffers`).  Each rank's gradients are bitwise identical
+to ``n`` separate ``loss_and_grad`` calls (gated in
+``tests/test_rank_vectorized.py``).  No trainer calls it; it stays while
+``perfbench/spans.py`` names it as a tracer target.
 
 Buffer-reuse invariants (see DESIGN.md §Performance):
 
@@ -407,8 +408,7 @@ class CompiledPlan:
 
         # Flat layout: each parameter occupies one contiguous
         # [offset, offset + size) span, in ``parameters()`` order — the
-        # layout of the model's flat parameter vector and the packing order
-        # the ring-allreduce reference uses.
+        # layout of the model's flat parameter vector.
         self._params: list[Tensor] = model.parameters()
         self.param_segments: list[tuple[int, int, tuple[int, ...]]] = []
         self._param_layout: dict[int, tuple[int, int, tuple[int, ...]]] = {}

@@ -82,8 +82,8 @@ class Optimizer:
     def apply_gradients(self, grads: list[np.ndarray] | np.ndarray) -> None:
         """Install externally computed gradients then step.
 
-        Used by the data-parallel trainer, which averages shard gradients
-        outside the optimizer (the allreduce) before the update.  ``grads``
+        Used by the trainers, whose compiled plan leaves the (rank-averaged)
+        gradient in its flat buffer outside the optimizer.  ``grads``
         is one array per parameter, or one flat vector holding them all in
         ``parameters()`` order.
         """

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.nn.graph_network import GraphNetwork
-from repro.nn.losses import softmax_cross_entropy
 from repro.nn.metrics import accuracy
 from repro.nn.optimizers import Adam
 from repro.nn.schedules import GradualWarmup, ReduceLROnPlateau
@@ -47,12 +46,6 @@ class Trainer:
     keep_best_weights:
         If True, retain a copy of the weights from the best-validation
         epoch (used when the selected model is later evaluated on test).
-    backend:
-        ``"compiled"`` (default) trains through the model's
-        :class:`~repro.nn.compiled.CompiledPlan` — traced once, fused
-        kernels, preallocated buffers; ``"eager"`` uses the reference
-        tape.  Both produce numerically matching results (the equivalence
-        gate in ``tests/test_compiled.py`` asserts it).
     dtype:
         Optional precision override for the training arrays.  ``None``
         keeps the model's dtype; ``np.float32`` roughly halves memory
@@ -67,22 +60,18 @@ class Trainer:
         warmup_epochs: int = 5,
         plateau_patience: int = 5,
         keep_best_weights: bool = False,
-        backend: str = "compiled",
         dtype=None,
     ) -> None:
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if backend not in ("compiled", "eager"):
-            raise ValueError(f"backend must be 'compiled' or 'eager', got {backend!r}")
         self.epochs = epochs
         self.batch_size = batch_size
         self.learning_rate = learning_rate
         self.warmup_epochs = warmup_epochs
         self.plateau_patience = plateau_patience
         self.keep_best_weights = keep_best_weights
-        self.backend = backend
         self.dtype = None if dtype is None else np.dtype(dtype)
         # Optional campaign event bus; when set, fit emits one
         # repro.campaign.events.EpochEnd per epoch.
@@ -118,7 +107,7 @@ class Trainer:
         dtype = self.dtype or model.dtype
         X_train = np.ascontiguousarray(X_train, dtype=dtype)
         X_valid = np.ascontiguousarray(X_valid, dtype=dtype)
-        plan = model.compile() if self.backend == "compiled" else None
+        plan = model.compile()
         optimizer = Adam(model.parameters(), lr=self.learning_rate)
         warmup = GradualWarmup(optimizer, self.learning_rate, self.warmup_epochs)
         plateau = ReduceLROnPlateau(optimizer, patience=self.plateau_patience)
@@ -132,17 +121,8 @@ class Trainer:
             n_batches = 0
             for start in range(0, n, self.batch_size):
                 idx = order[start : start + self.batch_size]
-                if plan is not None:
-                    loss_value = plan.loss_and_grad(X_train[idx], y_train[idx])
-                    optimizer.apply_gradients(plan.mean_grad_flat)
-                else:
-                    logits = model.forward(X_train[idx])
-                    loss = softmax_cross_entropy(logits, y_train[idx])
-                    optimizer.zero_grad()
-                    loss.backward()
-                    optimizer.step()
-                    loss_value = loss.item()
-                epoch_loss += loss_value
+                epoch_loss += plan.loss_and_grad(X_train[idx], y_train[idx])
+                optimizer.apply_gradients(plan.mean_grad_flat)
                 n_batches += 1
             mean_loss = epoch_loss / max(n_batches, 1)
             if not np.isfinite(mean_loss):
@@ -154,11 +134,7 @@ class Trainer:
                 result.epoch_val_accuracies.append(0.0)
                 self._emit_epoch(epoch, mean_loss, 0.0)
                 break
-            val_logits = (
-                plan.predict_logits(X_valid) if plan is not None
-                else model.predict_logits(X_valid)
-            )
-            val_acc = accuracy(val_logits, y_valid)
+            val_acc = accuracy(plan.predict_logits(X_valid), y_valid)
             result.epoch_val_accuracies.append(val_acc)
             result.epoch_train_losses.append(mean_loss)
             self._emit_epoch(epoch, mean_loss, val_acc)

@@ -97,8 +97,6 @@ training_configs = st.builds(
     warmup_epochs=st.integers(0, 10),
     plateau_patience=st.integers(1, 10),
     objective=st.sampled_from(("best", "final")),
-    allreduce=st.sampled_from(("ring", "mean", "fused")),
-    backend=st.sampled_from(("compiled", "eager")),
     dtype=st.sampled_from(("float32", "float64")),
     apply_linear_scaling=st.booleans(),
     base_seed=st.integers(0, 1000),
@@ -170,6 +168,52 @@ def test_from_dict_rejects_unknown_keys_at_both_levels():
     data = CampaignConfig().to_dict()
     data["search"]["poplation_size"] = 10
     with pytest.raises(ValueError, match="poplation_size"):
+        CampaignConfig.from_dict(data)
+
+
+#: ``tiny_config().to_dict()`` as written by builds that still carried the
+#: ``training.allreduce`` / ``training.backend`` fields.
+LEGACY_TINY_CONFIG = {
+    "config_version": 1,
+    "dataset": "covertype", "size": 300, "num_nodes": 2,
+    "max_evaluations": 8, "wall_time_minutes": None,
+    "search": {
+        "method": "AgEBO", "population_size": 4, "sample_size": 2, "seed": 3,
+        "mutate_skips": True, "replacement": "aging", "num_ranks": 1,
+        "batch_size": 256, "learning_rate": 0.01, "kappa": 0.001, "max_ranks": 8,
+        "n_initial_points": 3, "lie_strategy": "mean", "surrogate": "forest",
+    },
+    "training": {
+        "epochs": 1, "nominal_epochs": 20, "warmup_epochs": 5,
+        "plateau_patience": 5, "objective": "best", "allreduce": "fused",
+        "backend": "compiled", "dtype": "float64", "apply_linear_scaling": True,
+        "base_seed": 0,
+    },
+    "evaluator": {
+        "backend": "simulated", "num_workers": 3, "measure_wall_time": False,
+        "cache": "off",
+    },
+    "faults": {
+        "on_error": "penalize", "max_retries": 2, "retry_backoff": 0.0,
+        "timeout": None, "failure_objective": 0.0, "failure_duration": 1.0,
+        "crash_prob": 0.0, "hang_prob": 0.0, "corrupt_prob": 0.0,
+        "hang_factor": 20.0, "fault_seed": 0,
+    },
+    "checkpoint": {"path": None, "every": 1},
+}
+
+
+def test_from_dict_drops_retired_training_keys_at_their_only_value():
+    assert CampaignConfig.from_dict(LEGACY_TINY_CONFIG) == tiny_config()
+    assert "allreduce" not in tiny_config().to_dict()["training"]
+
+
+@pytest.mark.parametrize("key,value", [("allreduce", "ring"), ("allreduce", "mean"),
+                                       ("backend", "eager")])
+def test_from_dict_rejects_retired_training_values(key, value):
+    data = json.loads(json.dumps(LEGACY_TINY_CONFIG))
+    data["training"][key] = value
+    with pytest.raises(ValueError, match=f"training.{key}='{value}' was removed"):
         CampaignConfig.from_dict(data)
 
 
@@ -434,6 +478,22 @@ def test_kill_and_resume_is_bit_identical(tmp_path):
     assert resumed.config.search == interrupted.config.search
     assert resumed.config.training == interrupted.config.training
     history = resumed.run()
+    assert history_to_dict(history) == history_to_dict(full)
+
+
+def test_resume_from_checkpoint_with_retired_training_keys(tmp_path):
+    """A checkpoint whose embedded config still names allreduce/backend
+    resumes bit-identically to the straight run."""
+    path = tmp_path / "camp.ckpt"
+    full = build_campaign(tiny_config(max_evaluations=16)).run()
+    build_campaign(
+        tiny_config(checkpoint=CheckpointConfig(path=str(path), every=1))
+    ).run()
+    data = json.loads(path.read_text())
+    data["extra"]["campaign"]["training"].update(allreduce="fused", backend="compiled")
+    path.write_text(json.dumps(data))
+
+    history = resume_campaign(path, max_evaluations=16).run()
     assert history_to_dict(history) == history_to_dict(full)
 
 

@@ -5,10 +5,14 @@ kernels, so losses and gradients should agree to float64 round-off
 (≤ 1e-10, typically exactly 0) — on single steps and over whole
 multi-epoch training runs, for architectures covering every structural
 feature the tracer handles: plain chains, identity ops (slot aliasing),
-multi-source skips and skips into the output node.
+multi-source skips and skips into the output node.  Whole runs take the
+production trainers' loops, once on the plan and once on the eager tape
+(``reference/eager_trainer.py``).
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from repro.dataparallel import DataParallelTrainer
 from repro.nn import GraphNetwork, Trainer, assert_plan_equivalence
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
 from repro.searchspace import ArchitectureSpace
+
+from reference.eager_trainer import eager_training
 
 N_FEATURES = 10
 N_CLASSES = 4
@@ -47,6 +53,10 @@ def _data(seed: int = 0, n: int = 400):
     return X, y
 
 
+def _backend(name: str):
+    return eager_training() if name == "eager" else contextlib.nullcontext()
+
+
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_single_step_equivalence(name):
     model = GraphNetwork(SPECS[name], N_FEATURES, N_CLASSES, np.random.default_rng(1))
@@ -75,8 +85,9 @@ def test_five_epoch_training_equivalence(name):
     weights = {}
     for backend in ("eager", "compiled"):
         model = GraphNetwork(SPECS[name], N_FEATURES, N_CLASSES, np.random.default_rng(5))
-        trainer = Trainer(epochs=5, batch_size=64, learning_rate=0.01, backend=backend)
-        results[backend] = trainer.fit(model, X, y, Xv, yv, np.random.default_rng(9))
+        trainer = Trainer(epochs=5, batch_size=64, learning_rate=0.01)
+        with _backend(backend):
+            results[backend] = trainer.fit(model, X, y, Xv, yv, np.random.default_rng(9))
         weights[backend] = model.get_weights()
 
     eager, compiled = results["eager"], results["compiled"]
@@ -88,19 +99,17 @@ def test_five_epoch_training_equivalence(name):
 
 
 def test_dataparallel_backend_parity():
-    """Multi-rank training agrees between backends (per-rank grads are
-    snapshotted out of the plan's reused buffers before reduction)."""
+    """Multi-rank training (one step per global batch) agrees between
+    the plan and the eager tape."""
     X, y = _data(11)
     Xv, yv = _data(12, n=200)
     results = {}
     weights = {}
     for backend in ("eager", "compiled"):
         model = GraphNetwork(SPECS["multi_skip"], N_FEATURES, N_CLASSES, np.random.default_rng(2))
-        trainer = DataParallelTrainer(
-            num_ranks=2, epochs=3, batch_size=64, learning_rate=0.01,
-            allreduce="ring", backend=backend,
-        )
-        results[backend] = trainer.fit(model, X, y, Xv, yv, np.random.default_rng(3))
+        trainer = DataParallelTrainer(num_ranks=2, epochs=3, batch_size=64, learning_rate=0.01)
+        with _backend(backend):
+            results[backend] = trainer.fit(model, X, y, Xv, yv, np.random.default_rng(3))
         weights[backend] = model.get_weights()
     assert results["eager"].epoch_val_accuracies == results["compiled"].epoch_val_accuracies
     for we, wc in zip(weights["eager"], weights["compiled"]):

@@ -1,4 +1,4 @@
-"""Unit tests for sharding, allreduce, the linear scaling rule and costs."""
+"""Unit tests for sharding, ring accounting, the linear scaling rule and costs."""
 
 from __future__ import annotations
 
@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from repro.dataparallel import (
     TrainingCostModel,
-    allreduce_mean,
     linear_scaled_batch_size,
     linear_scaled_lr,
-    ring_allreduce,
     ring_transfer_stats,
     shard_indices,
 )
@@ -52,48 +50,8 @@ def test_sharding_validation():
 
 
 # --------------------------------------------------------------------- #
-# Allreduce
+# Ring accounting
 # --------------------------------------------------------------------- #
-@given(ranks=st.integers(1, 8), seed=st.integers(0, 1000))
-@settings(max_examples=50, deadline=None)
-def test_ring_equals_mean(ranks, seed):
-    rng = np.random.default_rng(seed)
-    grads = [
-        [rng.normal(size=(4, 3)), rng.normal(size=(3,)), rng.normal(size=(3, 2))]
-        for _ in range(ranks)
-    ]
-    ring = ring_allreduce(grads)
-    mean = allreduce_mean(grads)
-    for a, b in zip(ring, mean):
-        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
-
-
-def test_allreduce_single_rank_is_identity():
-    g = [np.arange(6.0).reshape(2, 3)]
-    out = allreduce_mean([g])
-    np.testing.assert_array_equal(out[0], g[0])
-    out_ring = ring_allreduce([g])
-    np.testing.assert_array_equal(out_ring[0], g[0])
-
-
-def test_allreduce_preserves_shapes():
-    rng = np.random.default_rng(0)
-    grads = [[rng.normal(size=(5, 7)), rng.normal(size=(7,))] for _ in range(3)]
-    out = ring_allreduce(grads)
-    assert out[0].shape == (5, 7) and out[1].shape == (7,)
-
-
-def test_allreduce_alignment_checks():
-    a = [np.zeros((2, 2))]
-    b = [np.zeros((2, 3))]
-    with pytest.raises(ValueError):
-        allreduce_mean([a, b])
-    with pytest.raises(ValueError):
-        ring_allreduce([a, a + [np.zeros(1)]])
-    with pytest.raises(ValueError):
-        allreduce_mean([])
-
-
 def test_ring_stats_bandwidth_optimal():
     stats = ring_transfer_stats(4, 1000)
     assert stats.message_steps == 2 * 3

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dataparallel import DataParallelTrainer
-from repro.nn import GraphNetwork, Trainer
+import repro.dataparallel.trainer as dp_trainer
+from repro.campaign.events import EpochEnd, EventBus, MetricsAggregator
+from repro.dataparallel import DataParallelTrainer, ring_transfer_stats
+from repro.nn import Adam, GraphNetwork, Trainer
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
+from repro.searchspace import ArchitectureSpace
 
 from conftest import make_blobs
+from reference.dataparallel import per_rank_training
 
 
 def build(seed=0, d=8, classes=3):
@@ -17,35 +26,60 @@ def build(seed=0, d=8, classes=3):
     return GraphNetwork(spec, d, classes, np.random.default_rng(seed))
 
 
-def test_ring_and_mean_paths_agree(rng):
-    """Identical seeds: ring and naive-mean allreduce give the same run."""
-    X, y = make_blobs(np.random.default_rng(0), n=400)
+@given(seed=st.integers(0, 10_000), num_ranks=st.integers(1, 8),
+       dtype=st.sampled_from(["float32", "float64"]))
+@settings(max_examples=40, deadline=None)
+def test_fused_step_matches_per_rank_reference(seed, num_ranks, dtype):
+    """One fused global-batch step == the mean of n per-rank gradients.
 
-    def run(mode):
-        net = build(seed=3)
-        return DataParallelTrainer(
-            num_ranks=4, epochs=3, batch_size=16, learning_rate=0.005, allreduce=mode
-        ).fit(net, X[:320], y[:320], X[320:], y[320:], np.random.default_rng(9))
+    Every rank draws one full micro-batch, so the trainer takes exactly
+    one step.  float64 agrees to 1e-10; float32 to its own round-off
+    (the fused pass sums the global batch in a different order).
+    """
+    rng = np.random.default_rng(seed)
+    space = ArchitectureSpace(num_nodes=4)
+    arch = space.random_sample(rng)
+    bs = 8
+    rows = num_ranks * bs
+    X, y = make_blobs(rng, n=rows + 40, d=10, classes=4)
 
-    a = run("ring")
-    b = run("mean")
-    np.testing.assert_allclose(a.epoch_train_losses, b.epoch_train_losses, rtol=1e-8)
-    np.testing.assert_array_equal(a.epoch_val_accuracies, b.epoch_val_accuracies)
+    steps = []
+
+    class RecordingAdam(Adam):
+        def apply_gradients(self, grads):
+            steps.append(np.array(grads, copy=True))
+            super().apply_gradients(grads)
+
+    for reference in (False, True):
+        model = GraphNetwork(space.decode(arch), 10, 4, np.random.default_rng(seed), dtype=dtype)
+        trainer = DataParallelTrainer(num_ranks=num_ranks, epochs=1, batch_size=bs)
+        with mock.patch.object(dp_trainer, "Adam", RecordingAdam):
+            with per_rank_training(num_ranks) if reference else contextlib.nullcontext():
+                trainer.fit(model, X[:rows], y[:rows], X[rows:], y[rows:],
+                            np.random.default_rng(seed + 1))
+    fused, ref = steps  # one step per run
+    assert fused.dtype == ref.dtype == np.dtype(dtype)
+    tol = 1e-10 if dtype == "float64" else 1e-5
+    np.testing.assert_allclose(fused, ref, rtol=0, atol=tol * max(1.0, np.abs(ref).max()))
 
 
 def test_fused_path_matches_per_rank(rng):
-    """The concatenated-batch fast path equals averaged per-rank grads."""
+    """Whole runs: the fused step against the per-rank reference step."""
     X, y = make_blobs(np.random.default_rng(1), n=400)
 
-    def run(mode):
+    def run(reference):
         net = build(seed=5)
-        return DataParallelTrainer(
-            num_ranks=2, epochs=3, batch_size=32, learning_rate=0.005, allreduce=mode
-        ).fit(net, X[:320], y[:320], X[320:], y[320:], np.random.default_rng(4))
+        trainer = DataParallelTrainer(num_ranks=2, epochs=3, batch_size=32, learning_rate=0.005)
+        with per_rank_training(2) if reference else contextlib.nullcontext():
+            result = trainer.fit(net, X[:320], y[:320], X[320:], y[320:],
+                                 np.random.default_rng(4))
+        return result, net.get_weights()
 
-    a = run("fused")
-    b = run("mean")
-    np.testing.assert_allclose(a.epoch_train_losses, b.epoch_train_losses, rtol=1e-6)
+    (a, wa), (b, wb) = run(False), run(True)
+    np.testing.assert_allclose(a.epoch_train_losses, b.epoch_train_losses, rtol=0, atol=1e-10)
+    assert a.epoch_val_accuracies == b.epoch_val_accuracies
+    for x, z in zip(wa, wb):
+        np.testing.assert_allclose(x, z, rtol=0, atol=1e-10)
 
 
 def test_single_rank_matches_reference_trainer():
@@ -109,10 +143,6 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         DataParallelTrainer(num_ranks=0)
     with pytest.raises(ValueError):
-        DataParallelTrainer(num_ranks=1, allreduce="tree")
-    with pytest.raises(ValueError):
-        DataParallelTrainer(num_ranks=1, rank_mode="vector")
-    with pytest.raises(ValueError):
         DataParallelTrainer(num_ranks=1, epochs=-1)
 
 
@@ -134,34 +164,32 @@ def test_epochs_zero_returns_zeroed_result(rng):
 
 
 def test_epoch_end_event_reports_ring_bytes():
-    """EpochEnd carries the simulated per-rank ring communication volume."""
-    from repro.campaign.events import EpochEnd, EventBus
-    from repro.dataparallel import ring_transfer_stats
-
+    """EpochEnd carries the ring payload of every step of the epoch."""
     X, y = make_blobs(np.random.default_rng(9), n=300)
-    net = build(seed=6)
-    trainer = DataParallelTrainer(num_ranks=4, epochs=2, batch_size=16, allreduce="ring")
-    bus = EventBus()
-    seen = []
-    bus.subscribe(seen.append, EpochEnd)
-    trainer.event_bus = bus
-    trainer.fit(net, X[:240], y[:240], X[240:], y[240:], np.random.default_rng(2))
-    assert len(seen) == 2
-    expected = ring_transfer_stats(
-        4, net.num_parameters() * net.dtype.itemsize
-    ).bytes_sent_per_rank
-    assert all(e.ring_bytes_per_rank == expected for e in seen)
-    assert expected > 0
 
-    # Non-ring reductions report zero communication.
-    net2 = build(seed=6)
-    trainer2 = DataParallelTrainer(num_ranks=4, epochs=1, batch_size=16, allreduce="fused")
-    bus2 = EventBus()
-    seen2 = []
-    bus2.subscribe(seen2.append, EpochEnd)
-    trainer2.event_bus = bus2
-    trainer2.fit(net2, X[:240], y[:240], X[240:], y[240:], np.random.default_rng(2))
-    assert seen2 and all(e.ring_bytes_per_rank == 0 for e in seen2)
+    def events(num_ranks):
+        trainer = DataParallelTrainer(num_ranks=num_ranks, epochs=2, batch_size=16)
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append, EpochEnd)
+        metrics = MetricsAggregator()
+        bus.subscribe(metrics)
+        trainer.event_bus = bus
+        net = build(seed=6)
+        trainer.fit(net, X[:240], y[:240], X[240:], y[240:], np.random.default_rng(2))
+        return net, seen, metrics
+
+    net, seen, metrics = events(4)
+    # 240 rows over 4 ranks: 60-row shards, 3 steps of 16 per epoch.
+    per_step = ring_transfer_stats(4, net.num_parameters() * 8).bytes_sent_per_rank
+    assert per_step == round(2 * 3 / 4 * net.num_parameters() * 8)
+    assert len(seen) == 2
+    assert all(e.num_ranks == 4 and e.ring_bytes_per_rank == 3 * per_step for e in seen)
+    assert metrics.ring_comm_bytes == 2 * 4 * 3 * per_step
+
+    _, seen, metrics = events(1)
+    assert len(seen) == 2 and all(e.ring_bytes_per_rank == 0 for e in seen)
+    assert metrics.ring_comm_bytes == 0
 
 
 def test_large_effective_batch_degrades_accuracy():

@@ -264,7 +264,7 @@ def test_training_a_copy_matches_training_the_original(how):
     twin = pickle.loads(pickle.dumps(net)) if how == "pickle" else copy.deepcopy(net)
     before = twin.get_weights()
     for model in (net, twin):
-        DataParallelTrainer(num_ranks=2, epochs=2, batch_size=16, allreduce="ring").fit(
+        DataParallelTrainer(num_ranks=2, epochs=2, batch_size=16).fit(
             model, X[:64], y[:64], X[64:], y[64:], np.random.default_rng(4)
         )
     assert any(not np.array_equal(a, b) for a, b in zip(twin.get_weights(), before))
