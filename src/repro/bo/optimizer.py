@@ -157,20 +157,15 @@ class BayesianOptimizer:
         return forest
 
     # ------------------------------------------------------------------ #
-    # Checkpointing: the tell-history plus the RNG state is the complete
-    # mutable state — the surrogate is refit from scratch on every ask.
+    # Checkpointing: the RNG state is the only state a checkpoint keeps —
+    # the surrogate is refit from scratch on every ask, and the search
+    # rebuilds the tell-history from its evaluation records on resume.
     def state_dict(self) -> dict[str, Any]:
-        """JSON-safe snapshot of observations and RNG state."""
-        return {
-            "X": [np.asarray(x, dtype=float).tolist() for x in self._X],
-            "y": [float(v) for v in self._y],
-            "rng_state": self._rng.bit_generator.state,
-        }
+        """JSON-safe snapshot of the RNG state."""
+        return {"rng_state": self._rng.bit_generator.state}
 
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore a snapshot taken by :meth:`state_dict`."""
-        self._X = [np.asarray(x, dtype=float) for x in state["X"]]
-        self._y = [float(v) for v in state["y"]]
         self._rng.bit_generator.state = state["rng_state"]
 
     # ------------------------------------------------------------------ #

@@ -12,10 +12,11 @@ Construction is intentionally *identical* to hand-wiring the raw classes
 bit-identical :class:`~repro.core.results.SearchHistory` to the same seeds
 run through the class API directly.
 
-:func:`resume_campaign` rebuilds a campaign from a checkpoint that stores
-its own ``CampaignConfig`` (written by ``Campaign.run`` /
-``search.checkpoint``), so every knob — including ones added later — is
-restored without a pinned key list.
+:func:`resume_campaign` is the one resume path: it builds the campaign
+from the ``CampaignConfig`` a checkpoint embeds (written by
+``Campaign.run`` / ``search.checkpoint``) and loads the search state into
+it, so every knob — including ones added later — is restored without a
+pinned key list, and any registered search method resumes.
 """
 
 from __future__ import annotations
@@ -119,10 +120,6 @@ def _build_age(config: CampaignConfig, space, hp_space, evaluator) -> AgE:
     )
 
 
-def _resume_age(path, config, space, hp_space, run_function, evaluator) -> AgE:
-    return AgE.resume(path, space, run_function, evaluator=evaluator)
-
-
 def _build_agebo(config: CampaignConfig, space, hp_space, evaluator) -> AgEBO:
     s = config.search
     return AgEBO(
@@ -142,18 +139,9 @@ def _build_agebo(config: CampaignConfig, space, hp_space, evaluator) -> AgEBO:
     )
 
 
-def _resume_agebo(path, config, space, hp_space, run_function, evaluator) -> AgEBO:
-    return AgEBO.resume(path, space, hp_space, run_function, evaluator=evaluator)
-
-
-SEARCH_METHODS.register(
-    "AgE", SearchMethod("AgE", build=_build_age, resume=_resume_age, uses_bo=False)
-)
+SEARCH_METHODS.register("AgE", SearchMethod("AgE", build=_build_age, uses_bo=False))
 for _variant in AGEBO_VARIANTS:
-    SEARCH_METHODS.register(
-        _variant,
-        SearchMethod(_variant, build=_build_agebo, resume=_resume_agebo, uses_bo=True),
-    )
+    SEARCH_METHODS.register(_variant, SearchMethod(_variant, build=_build_agebo, uses_bo=True))
 
 
 # --------------------------------------------------------------------- #
@@ -325,7 +313,8 @@ def resume_campaign(
     The checkpoint's embedded :class:`CampaignConfig` supplies every knob;
     ``overrides`` replace top-level config fields (typically the budgets —
     ``max_evaluations``, ``wall_time_minutes`` — or ``checkpoint``) before
-    the campaign is rebuilt.  The restored search continues bit-identically
+    :func:`build_campaign` constructs the campaign, whose search then loads
+    the checkpointed state.  The restored search continues bit-identically
     to an uninterrupted run.
     """
     from repro.core.serialization import load_checkpoint
@@ -347,35 +336,6 @@ def resume_campaign(
     config = CampaignConfig.from_dict(extra["campaign"])
     if overrides:
         config = dataclasses.replace(config, **overrides)
-
-    _validate_names(config)
-    bus = event_bus if event_bus is not None else EventBus()
-    dataset = load_dataset(config.dataset, size=config.size)
-    space = ArchitectureSpace(num_nodes=config.num_nodes)
-    evaluation, run_function = _build_run_function(config, dataset, space, bus)
-    evaluator = EVALUATORS.get(config.evaluator.backend)(
-        run_function, config.evaluator, _fault_policy(config)
-    )
-    evaluator.event_bus = bus
-
-    method = SEARCH_METHODS.get(config.search.method)
-    hp_space = (
-        variant_hp_space(config.search.method, max_ranks=config.search.max_ranks)
-        if method.uses_bo
-        else None
-    )
-    search = method.resume(path, config, space, hp_space, run_function, evaluator)
-    search.event_bus = bus
-    search.checkpoint_metadata = {"campaign": config.to_dict()}
-
-    return Campaign(
-        config=config,
-        dataset=dataset,
-        space=space,
-        hp_space=hp_space,
-        evaluation=evaluation,
-        run_function=run_function,
-        evaluator=evaluator,
-        search=search,
-        event_bus=bus,
-    )
+    campaign = build_campaign(config, event_bus)
+    campaign.search.load_state(data["search"])
+    return campaign

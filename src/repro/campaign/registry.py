@@ -6,8 +6,9 @@ touching either:
 
 - :data:`EVALUATORS` — ``name -> (run_function, EvaluatorConfig,
   FaultPolicy) -> Evaluator``;
-- :data:`SEARCH_METHODS` — ``name ->`` :class:`SearchMethod` (build +
-  resume factories);
+- :data:`SEARCH_METHODS` — ``name ->`` :class:`SearchMethod` (a build
+  factory; resuming builds the search the same way, then calls its
+  ``load_state``);
 - :data:`SURROGATES` — ``name -> () -> surrogate`` with a
   ``fit(X, y, rng) -> model`` / ``predict(X) -> (mu, sigma)`` interface;
   :class:`repro.bo.optimizer.BayesianOptimizer` consults this registry
@@ -75,14 +76,13 @@ class SearchMethod:
     """One registered search method.
 
     ``build(config, space, hp_space, evaluator)`` constructs a fresh
-    search; ``resume(path, config, space, hp_space, run_function,
-    evaluator)`` rebuilds one from a checkpoint.  ``uses_bo`` tells the
-    builder whether to construct the variant's hyperparameter space.
+    search; :func:`repro.campaign.resume_campaign` calls it too, then loads
+    the checkpointed state into the result.  ``uses_bo`` tells the builder
+    whether to construct the variant's hyperparameter space.
     """
 
     name: str
     build: Callable
-    resume: Callable
     uses_bo: bool = True
 
 

@@ -61,52 +61,3 @@ class AgE(AgingEvolutionBase):
 
     def _next_hyperparameters(self, results: list[EvaluationRecord]) -> list[dict[str, Any]]:
         return [dict(self.hyperparameters) for _ in results]
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint / resume
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> dict[str, Any]:
-        state = super().state_dict()
-        state["hyperparameters"] = dict(self.hyperparameters)
-        return state
-
-    @classmethod
-    def resume(
-        cls,
-        path,
-        space: ArchitectureSpace,
-        run_function,
-        evaluator: Evaluator | None = None,
-    ) -> "AgE":
-        """Rebuild a checkpointed AgE campaign and continue it.
-
-        Mirrors :meth:`repro.core.agebo.AgEBO.resume`; the static
-        hyperparameters are restored from the checkpoint.
-        """
-        from repro.core.serialization import load_checkpoint
-        from repro.workflow.evaluator import SimulatedEvaluator
-        from repro.workflow.faults import FaultPolicy
-
-        data = load_checkpoint(path)
-        state = data["search"]
-        if evaluator is None:
-            ev_state = state["evaluator"]
-            evaluator = SimulatedEvaluator(
-                run_function,
-                num_workers=ev_state["num_workers"],
-                fault_policy=FaultPolicy(**ev_state["policy"]),
-            )
-        search = cls(
-            space,
-            evaluator,
-            hyperparameters=dict(state["hyperparameters"]),
-            population_size=state["population_size"],
-            sample_size=state["sample_size"],
-            num_workers=state["num_workers"],
-            mutate_skips=state["mutate_skips"],
-            replacement=state["replacement"],
-            label=state["label"],
-        )
-        search.checkpoint_metadata = data.get("extra", {})
-        search.load_state(state)
-        return search

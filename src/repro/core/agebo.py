@@ -111,63 +111,15 @@ class AgEBO(AgingEvolutionBase):
     # ------------------------------------------------------------------ #
     def state_dict(self) -> dict[str, Any]:
         state = super().state_dict()
-        state["kappa"] = self.optimizer.kappa
-        state["n_initial_points"] = self.optimizer.n_initial_points
-        state["lie_strategy"] = self.optimizer.lie_strategy
-        state["surrogate"] = self.optimizer.surrogate
         state["optimizer"] = self.optimizer.state_dict()
         return state
 
     def load_state(self, state: dict[str, Any]) -> None:
+        """Restore the search, then re-``tell`` the optimizer every record
+        whose replacements were submitted (after any warm-start rows)."""
         super().load_state(state)
-        self.optimizer.load_state(state["optimizer"])
-
-    @classmethod
-    def resume(
-        cls,
-        path,
-        space: ArchitectureSpace,
-        hp_space: HyperparameterSpace,
-        run_function,
-        evaluator: Evaluator | None = None,
-    ) -> "AgEBO":
-        """Rebuild a checkpointed campaign and continue it.
-
-        The checkpoint stores everything except the live objects that
-        cannot be serialized — the search spaces and the run function —
-        which the caller supplies (they must match the original campaign
-        for the resumed history to be bit-identical).  A ready evaluator
-        may be passed; otherwise a :class:`SimulatedEvaluator` is rebuilt
-        from the checkpointed cluster state.
-        """
-        from repro.core.serialization import load_checkpoint
-        from repro.workflow.evaluator import SimulatedEvaluator
-        from repro.workflow.faults import FaultPolicy
-
-        data = load_checkpoint(path)
-        state = data["search"]
-        if evaluator is None:
-            ev_state = state["evaluator"]
-            evaluator = SimulatedEvaluator(
-                run_function,
-                num_workers=ev_state["num_workers"],
-                fault_policy=FaultPolicy(**ev_state["policy"]),
-            )
-        search = cls(
-            space,
-            hp_space,
-            evaluator,
-            population_size=state["population_size"],
-            sample_size=state["sample_size"],
-            num_workers=state["num_workers"],
-            kappa=state["kappa"],
-            n_initial_points=state["n_initial_points"],
-            lie_strategy=state["lie_strategy"],
-            surrogate=state["surrogate"],
-            mutate_skips=state["mutate_skips"],
-            replacement=state["replacement"],
-            label=state["label"],
+        told = self.history.records[: len(self.history) - len(self._pending_results)]
+        self.optimizer.tell(
+            [r.config.hyperparameters for r in told], [r.objective for r in told]
         )
-        search.checkpoint_metadata = data.get("extra", {})
-        search.load_state(state)
-        return search
+        self.optimizer.load_state(state["optimizer"])

@@ -6,6 +6,12 @@ the aging population, generate exactly ``|results|`` replacements (random
 while the population is filling, tournament + mutation afterwards) and
 resubmit — keeping every worker busy, which is what yields the ≈94% node
 utilization reported in §IV-C.
+
+Checkpoints (:meth:`AgingEvolutionBase.state_dict`) keep each evaluation
+once, in the evaluator's job table; :meth:`AgingEvolutionBase.load_state`
+rebuilds the history and population from it.  Resuming is one path:
+:func:`repro.campaign.resume_campaign` builds the campaign from the
+checkpoint's embedded config and calls ``load_state``.
 """
 
 from __future__ import annotations
@@ -80,6 +86,10 @@ class AgingEvolutionBase:
         # (the ablation) evicts the worst member instead.
         self.population: collections.deque[EvaluationRecord] = collections.deque()
         self.history = SearchHistory(label=label or type(self).__name__)
+        # Evaluator job id of each history record, in gather order: the
+        # checkpoint stores these and rebuilds the records from the
+        # evaluator's job table.
+        self._job_ids: list[int] = []
         # Resume bookkeeping: whether the initial W submissions happened,
         # how many full gather→submit iterations have completed, and any
         # gathered results whose replacements were not yet submitted when a
@@ -116,8 +126,10 @@ class AgingEvolutionBase:
             )
         return self.space.random_sample(self.rng)
 
-    def _record(self, job: Job) -> EvaluationRecord:
-        record = EvaluationRecord(
+    @staticmethod
+    def _job_record(job: Job) -> EvaluationRecord:
+        """The history record of a gathered job (also rebuilds checkpoints)."""
+        return EvaluationRecord(
             config=job.config,
             objective=job.result.objective,
             duration=job.result.duration,
@@ -126,7 +138,11 @@ class AgingEvolutionBase:
             end_time=job.end_time,
             metadata=job.result.metadata,
         )
+
+    def _record(self, job: Job) -> EvaluationRecord:
+        record = self._job_record(job)
         self.history.add(record)
+        self._job_ids.append(job.job_id)
         if len(self.population) >= self.population_size:
             if self.replacement == "aging":
                 self.population.popleft()
@@ -160,7 +176,7 @@ class AgingEvolutionBase:
 
         ``wall_time_minutes`` is measured on the evaluator's clock
         (simulated minutes for the simulated backend).  When
-        ``checkpoint_path`` is given, the full search state is written
+        ``checkpoint_path`` is given, the search state is written
         there after every ``checkpoint_every``-th completed iteration —
         always at a quiescent point (after the replacement submissions), so
         resuming from any checkpoint replays the remaining campaign
@@ -231,58 +247,48 @@ class AgingEvolutionBase:
     # Checkpoint / resume
     # ------------------------------------------------------------------ #
     def checkpoint(self, path) -> None:
-        """Write the full search state to ``path`` (atomic)."""
+        """Write the search state to ``path`` (atomic)."""
         from repro.core.serialization import save_checkpoint
 
         save_checkpoint(self, path)
 
     def state_dict(self) -> dict[str, Any]:
-        """JSON-safe snapshot of the search: population, history, RNG,
-        iteration counters and the evaluator's cluster state."""
-        from repro.core.serialization import record_to_dict
+        """JSON-safe snapshot of the state that cannot be derived: RNG,
+        iteration counters and the evaluator's cluster state.
 
+        Every evaluation is stored once, in the evaluator's job table; the
+        history is its job ids in gather order, the population positions
+        into the history, and the pending results a count (they are the
+        last records of the history).
+        """
+        position = {id(r): i for i, r in enumerate(self.history.records)}
         return {
-            "label": self.history.label,
-            "population_size": self.population_size,
-            "sample_size": self.sample_size,
-            "num_workers": self.num_workers,
-            "mutate_skips": self.mutate_skips,
-            "replacement": self.replacement,
             "rng_state": self.rng.bit_generator.state,
             "initialized": self._initialized,
             "iterations": self._iterations,
-            "population": [record_to_dict(r, rich_metadata=True) for r in self.population],
-            "pending_results": [
-                record_to_dict(r, rich_metadata=True) for r in self._pending_results
-            ],
-            "history": {
-                "label": self.history.label,
-                "records": [
-                    record_to_dict(r, rich_metadata=True) for r in self.history.records
-                ],
-            },
+            "history": list(self._job_ids),
+            "population": [position[id(r)] for r in self.population],
+            "pending_results": len(self._pending_results),
             "evaluator": self.evaluator.state_dict(),
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
-        """Restore a snapshot taken by :meth:`state_dict` (evaluator included)."""
-        from repro.core.serialization import record_from_dict
+        """Restore a snapshot taken by :meth:`state_dict`.
 
-        self.population_size = int(state["population_size"])
-        self.sample_size = int(state["sample_size"])
-        self.num_workers = int(state["num_workers"])
-        self.mutate_skips = bool(state["mutate_skips"])
-        self.replacement = state["replacement"]
+        Loads into a search built with the checkpointed constructor
+        arguments (the embedded ``CampaignConfig`` is their one source, see
+        :func:`repro.campaign.resume_campaign`).  The evaluator loads first;
+        history, population and pending results are rebuilt from its jobs.
+        """
+        self.evaluator.load_state(state["evaluator"])
         self.rng.bit_generator.state = state["rng_state"]
         self._initialized = bool(state["initialized"])
         self._iterations = int(state["iterations"])
-        self.population = collections.deque(
-            record_from_dict(row) for row in state["population"]
-        )
-        self._pending_results = [
-            record_from_dict(row) for row in state.get("pending_results", [])
-        ]
-        self.history = SearchHistory(label=state["history"].get("label", ""))
-        for row in state["history"]["records"]:
-            self.history.add(record_from_dict(row))
-        self.evaluator.load_state(state["evaluator"])
+        jobs = {job.job_id: job for job in self.evaluator.jobs}
+        self._job_ids = [int(job_id) for job_id in state["history"]]
+        self.history = SearchHistory(label=self.history.label)
+        for job_id in self._job_ids:
+            self.history.add(self._job_record(jobs[job_id]))
+        records = self.history.records
+        self.population = collections.deque(records[int(i)] for i in state["population"])
+        self._pending_results = records[len(records) - int(state["pending_results"]) :]

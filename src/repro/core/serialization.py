@@ -6,11 +6,16 @@ hyperparameters, objectives, cluster timings, scalar metadata) and model
 weights to ``.npz``.  Loaded histories feed the same analysis tools as live
 ones, and their records can warm-start a new search's population and BO.
 
-It also defines the **checkpoint** schema: a JSON snapshot of the complete
-search state — AgE population, full history, numpy RNG states, BO
-tell-history, and the simulated evaluator's clock/queues/pending events —
-written atomically so a killed campaign can resume bit-identically via
-``AgEBO.resume`` / ``AgE.resume`` or the CLI ``--resume`` flag.
+It also defines the **checkpoint** schema (version 2): the campaign
+config plus the state that cannot be derived — numpy RNG states, iteration
+counters, and the simulated evaluator's clock, queues, pending events and
+job table.  The job table is the one stored copy of every evaluation; the
+history (job ids in gather order), the population (positions into the
+history), the cache entries and the BO tell-history are rebuilt from it on
+load.  Checkpoints are written atomically, so a killed campaign resumes
+bit-identically via :func:`repro.campaign.resume_campaign` or the CLI
+``--resume`` flag.  Version-1 checkpoints, which stored every evaluation
+up to four times, are no longer readable.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 from repro.core.config import ModelConfig
 from repro.core.results import EvaluationRecord, SearchHistory
 from repro.nn.graph_network import GraphNetwork
+from repro.workflow.jobs import jsonable_metadata
 
 __all__ = [
     "history_to_dict",
@@ -41,21 +47,7 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
-CHECKPOINT_VERSION = 1
-
-
-def _scalar_metadata(metadata: dict[str, Any], lists: bool = False) -> dict[str, Any]:
-    out = {}
-    for key, value in metadata.items():
-        if isinstance(value, (bool, int, float, str)):
-            out[key] = value
-        elif isinstance(value, (np.integer, np.floating)):
-            out[key] = value.item()
-        elif lists and isinstance(value, (list, tuple)) and all(
-            isinstance(v, (bool, int, float, str, np.integer, np.floating)) for v in value
-        ):
-            out[key] = [v.item() if isinstance(v, (np.integer, np.floating)) else v for v in value]
-    return out
+CHECKPOINT_VERSION = 2
 
 
 def record_to_dict(record: EvaluationRecord, rich_metadata: bool = False) -> dict[str, Any]:
@@ -73,7 +65,7 @@ def record_to_dict(record: EvaluationRecord, rich_metadata: bool = False) -> dic
         "submit_time": record.submit_time,
         "start_time": record.start_time,
         "end_time": record.end_time,
-        "metadata": _scalar_metadata(record.metadata, lists=rich_metadata),
+        "metadata": jsonable_metadata(record.metadata, lists=rich_metadata),
     }
 
 
@@ -128,7 +120,7 @@ def load_history(path: str | Path) -> SearchHistory:
 # Checkpoints: the full, resumable search state
 # --------------------------------------------------------------------- #
 def save_checkpoint(search: Any, path: str | Path, extra: dict[str, Any] | None = None) -> Path:
-    """Atomically write the complete state of a search to ``path``.
+    """Atomically write the checkpoint state of a search to ``path``.
 
     ``search`` is any :class:`~repro.core.search.AgingEvolutionBase`
     subclass exposing ``state_dict()``.  The file is written to a ``.tmp``
@@ -155,6 +147,12 @@ def save_checkpoint(search: Any, path: str | Path, extra: dict[str, Any] | None 
 def load_checkpoint(path: str | Path) -> dict[str, Any]:
     """Read and validate a checkpoint written by :func:`save_checkpoint`."""
     data = json.loads(Path(path).read_text())
+    if data.get("version") == 1:
+        raise ValueError(
+            f"checkpoint {path} has format version 1, which this build no longer "
+            f"reads; re-run the campaign to write a version-{CHECKPOINT_VERSION} "
+            "checkpoint"
+        )
     if data.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
     if "search" not in data:

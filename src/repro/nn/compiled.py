@@ -344,7 +344,6 @@ class CompiledPlan:
     """
 
     def __init__(self, model) -> None:
-        self.model = model
         self.dtype = model.dtype
         spec = model.spec
         m = spec.num_nodes

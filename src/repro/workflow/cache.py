@@ -24,8 +24,10 @@ Semantics (kept deliberately uniform across backends):
   re-run.
 
 The cache is manipulated exclusively from the manager thread (``submit`` /
-``gather``), so it needs no locking, and its full contents round-trip
-through evaluator checkpoints via :meth:`EvaluationCache.state_dict`.
+``gather``), so it needs no locking.  Simulated-evaluator checkpoints keep
+only its hit/miss/store counters: on load the entries are rebuilt from the
+checkpointed jobs, since every job with a non-failed result holds its
+key's memoized entry.
 
 Determinism caveat: a hit skips the run-function call, so *stateful* run
 functions (e.g. a :class:`~repro.workflow.faults.FaultInjector`, whose RNG
@@ -99,8 +101,7 @@ class EvaluationCache:
     """Exact-match memoization of finished evaluation results.
 
     ``lookup`` / ``store`` count hits, misses and stores so campaigns can
-    report a hit rate; :meth:`state_dict` / :meth:`load_state` serialize
-    the whole cache (entries + counters) into evaluator checkpoints.
+    report a hit rate.
     """
 
     def __init__(self) -> None:
@@ -157,43 +158,3 @@ class EvaluationCache:
         """Hits over lookups so far (0.0 before any lookup)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> dict[str, Any]:
-        """JSON-safe snapshot of all entries and counters."""
-        from repro.workflow.jobs import _jsonable_metadata
-
-        return {
-            "version": 1,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "entries": {
-                key: {
-                    "objective": r.objective,
-                    "duration": r.duration,
-                    "metadata": _jsonable_metadata(r.metadata),
-                }
-                for key, r in self._entries.items()
-            },
-        }
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`."""
-        if state.get("version") != 1:
-            raise ValueError(
-                f"unsupported evaluation-cache state version {state.get('version')!r}"
-            )
-        self.hits = int(state["hits"])
-        self.misses = int(state["misses"])
-        self.stores = int(state["stores"])
-        self._entries = {
-            key: EvaluationResult(
-                objective=float(row["objective"]),
-                duration=float(row["duration"]),
-                metadata=dict(row.get("metadata", {})),
-            )
-            for key, row in state["entries"].items()
-        }

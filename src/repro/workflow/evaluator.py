@@ -26,15 +26,16 @@ and the same optional :class:`~repro.workflow.cache.EvaluationCache`
 (duplicate configurations are served from memo without re-training).  The
 simulated backend additionally models worker failures — a worker dies at
 a scheduled time, its in-flight job is rescheduled on a surviving worker —
-and is fully checkpointable via ``state_dict`` / ``load_state`` (cache
-included) so a killed campaign resumes bit-identically.
+and is checkpointable via ``state_dict`` / ``load_state`` so a killed
+campaign resumes bit-identically.  Its job table is the one stored copy of
+every evaluation: the search history and the cache entries are rebuilt
+from it on load.
 """
 
 from __future__ import annotations
 
 import collections
 import copy
-import dataclasses
 import pickle
 import threading
 import time as _time
@@ -495,21 +496,23 @@ class SimulatedEvaluator(Evaluator):
             ],
             "event_counter": max((c for _, c, _ in entries), default=-1) + 1,
             "jobs": [job_to_dict(job) for job in self.jobs],
-            "policy": dataclasses.asdict(self.fault_policy),
-            "cache": self.cache.state_dict() if self.cache is not None else None,
+            # Cache entries are rebuilt from the jobs; only counters ride along.
+            "cache": None
+            if self.cache is None
+            else [self.cache.hits, self.cache.misses, self.cache.stores],
         }
         if hasattr(self.run_function, "getstate"):
             state["run_function_state"] = self.run_function.getstate()
         return state
 
     def load_state(self, state: dict[str, Any]) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`."""
+        """Restore a snapshot taken by :meth:`state_dict` into an evaluator
+        built with the checkpointed arguments (fault policy included)."""
         if state["num_workers"] != self.num_workers:
             raise ValueError(
                 f"checkpoint has {state['num_workers']} workers, evaluator has "
                 f"{self.num_workers}"
             )
-        self.fault_policy = FaultPolicy(**state["policy"])
         self._clock = float(state["clock"])
         self._busy_time = float(state["busy_time"])
         self._capacity_time = float(state["capacity_time"])
@@ -532,14 +535,18 @@ class SimulatedEvaluator(Evaluator):
             ],
             int(state["event_counter"]),
         )
-        cache_state = state.get("cache")
-        if cache_state is not None:
+        if state["cache"] is not None:
             # A checkpoint written with caching on restores the cache even
-            # when this evaluator was constructed without one, so resumed
-            # campaigns keep their memo (and their hit counters).
+            # when this evaluator was constructed without one.  Every job
+            # with a non-failed result holds its key's memoized entry: the
+            # first success is stored at start and every later job with that
+            # key replays it (a restart after a worker death included).
             if self.cache is None:
                 self.cache = EvaluationCache()
-            self.cache.load_state(cache_state)
+            for job in self.jobs:
+                if job.result is not None and not job.result.metadata.get("failed"):
+                    self.cache.store(job.config, job.result)
+            self.cache.hits, self.cache.misses, self.cache.stores = state["cache"]
         if "run_function_state" in state and hasattr(self.run_function, "setstate"):
             self.run_function.setstate(state["run_function_state"])
 

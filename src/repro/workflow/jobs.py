@@ -8,7 +8,9 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["JobState", "EvaluationResult", "Job", "job_to_dict", "job_from_dict"]
+__all__ = [
+    "JobState", "EvaluationResult", "Job", "job_to_dict", "job_from_dict", "jsonable_metadata"
+]
 
 
 class JobState(enum.Enum):
@@ -85,15 +87,16 @@ class Job:
 # --------------------------------------------------------------------- #
 # Checkpoint (de)serialization
 # --------------------------------------------------------------------- #
-def _jsonable_metadata(metadata: dict[str, Any]) -> dict[str, Any]:
-    """Scalar and list-of-scalar metadata entries; everything else dropped."""
+def jsonable_metadata(metadata: dict[str, Any], lists: bool = True) -> dict[str, Any]:
+    """Scalar metadata entries, plus list-of-scalar ones when ``lists``;
+    everything else is dropped."""
     out: dict[str, Any] = {}
     for key, value in metadata.items():
         if isinstance(value, (bool, int, float, str)):
             out[key] = value
         elif isinstance(value, (np.integer, np.floating)):
             out[key] = value.item()
-        elif isinstance(value, (list, tuple)) and all(
+        elif lists and isinstance(value, (list, tuple)) and all(
             isinstance(v, (bool, int, float, str, np.integer, np.floating)) for v in value
         ):
             out[key] = [v.item() if isinstance(v, (np.integer, np.floating)) else v for v in value]
@@ -143,7 +146,7 @@ def job_to_dict(job: Job) -> dict[str, Any]:
         else {
             "objective": job.result.objective,
             "duration": job.result.duration,
-            "metadata": _jsonable_metadata(job.result.metadata),
+            "metadata": jsonable_metadata(job.result.metadata),
         },
     }
 

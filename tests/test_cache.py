@@ -100,20 +100,6 @@ def test_cache_returns_fresh_copies():
     assert cache.lookup({"x": 1}).metadata["k"] == 1
 
 
-def test_cache_state_roundtrip():
-    cache = EvaluationCache()
-    cache.store({"x": 1}, EvaluationResult(0.5, 2.0, metadata={"h": 7}))
-    cache.lookup({"x": 1})
-    cache.lookup({"x": 2})
-    restored = EvaluationCache()
-    restored.load_state(cache.state_dict())
-    assert len(restored) == 1
-    assert (restored.hits, restored.misses, restored.stores) == (1, 1, 1)
-    assert restored.lookup({"x": 1}).metadata == {"h": 7}
-    with pytest.raises(ValueError, match="version"):
-        EvaluationCache().load_state({"version": 99})
-
-
 # --------------------------------------------------------------------- #
 # Simulated backend: timeline replay, zero busy credit, checkpointing
 # --------------------------------------------------------------------- #

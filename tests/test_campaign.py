@@ -568,25 +568,31 @@ def test_builtin_registries_are_populated():
     assert SEARCH_METHODS.get("AgEBO").uses_bo
 
 
+def _build_custom_age(config, space, hp_space, evaluator):
+    from repro.core import AgE
+
+    return AgE(space, evaluator,
+               hyperparameters={"batch_size": 32, "learning_rate": 0.02,
+                                "num_ranks": 1},
+               population_size=config.search.population_size,
+               sample_size=config.search.sample_size,
+               seed=config.search.seed, label="custom")
+
+
+def _register_custom_age() -> str:
+    name = "test-custom-age"
+    if name not in SEARCH_METHODS:
+        SEARCH_METHODS.register(
+            name, SearchMethod(name, build=_build_custom_age, uses_bo=False)
+        )
+    return name
+
+
 def test_custom_search_method_runs_through_builder():
     """A user-registered method is a first-class campaign citizen."""
     from repro.core.search import AgingEvolutionBase
 
-    def build(config, space, hp_space, evaluator):
-        from repro.core import AgE
-
-        return AgE(space, evaluator,
-                   hyperparameters={"batch_size": 32, "learning_rate": 0.02,
-                                    "num_ranks": 1},
-                   population_size=config.search.population_size,
-                   sample_size=config.search.sample_size,
-                   seed=config.search.seed, label="custom")
-
-    name = "test-custom-age"
-    if name not in SEARCH_METHODS:
-        SEARCH_METHODS.register(
-            name, SearchMethod(name, build=build, resume=None, uses_bo=False)
-        )
+    name = _register_custom_age()
     campaign = build_campaign(
         tiny_config(max_evaluations=4,
                     search=SearchConfig(method=name, population_size=4,
@@ -639,3 +645,19 @@ def test_event_schema_lint_passes(capsys):
     assert module.main([]) == 0
     out = capsys.readouterr().out
     assert f"{len(EVENT_TYPES)} catalogued event types" in out
+
+
+def test_custom_search_method_with_only_build_resumes(tmp_path):
+    """Resume builds the search through the registered factory, so a
+    method that registers nothing but ``build`` resumes bit-identically."""
+    name = _register_custom_age()
+    search = SearchConfig(method=name, population_size=4, sample_size=2, seed=0)
+    path = tmp_path / "camp.ckpt"
+    full = build_campaign(tiny_config(max_evaluations=10, search=search)).run()
+    build_campaign(
+        tiny_config(max_evaluations=6, search=search,
+                    checkpoint=CheckpointConfig(path=str(path), every=1))
+    ).run()
+    history = resume_campaign(path, max_evaluations=10).run()
+    assert history.label == "custom"
+    assert history_to_dict(history) == history_to_dict(full)

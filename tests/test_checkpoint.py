@@ -10,11 +10,16 @@ rng) to round-trip through the checkpoint.
 
 from __future__ import annotations
 
+import io
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core import AgE, AgEBO, load_checkpoint, save_checkpoint
 from repro.core.serialization import (
     CHECKPOINT_VERSION,
@@ -25,6 +30,7 @@ from repro.core.serialization import (
 from repro.searchspace import ArchitectureSpace
 from repro.searchspace.hpspace import default_dataparallel_space
 from repro.workflow import (
+    EvaluationCache,
     EvaluationResult,
     FaultInjector,
     FaultPolicy,
@@ -83,6 +89,34 @@ def test_checkpoint_version_mismatch_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_version_1_checkpoint_gets_a_clear_error(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    path.write_text(json.dumps({"version": 1, "algorithm": "AgEBO", "search": {}}))
+    with pytest.raises(ValueError, match="version 1.*re-run the campaign"):
+        load_checkpoint(path)
+    with pytest.raises(SystemExit, match="version 1"):
+        main(["search", "--resume", str(path), "--max-evaluations", "4"], out=io.StringIO())
+
+
+def test_checkpoint_stores_each_evaluation_once(tmp_path):
+    """No history records, cache entries or BO observations: the
+    evaluator's job table is the one copy of every evaluation."""
+    search = build_agebo(fake_eval)
+    search.evaluator.cache = EvaluationCache()
+    search.search(max_evaluations=12)
+    path = tmp_path / "ck.json"
+    save_checkpoint(search, path)
+    state = load_checkpoint(path)["search"]
+    assert state["history"] == search._job_ids
+    assert all(isinstance(i, int) for i in state["population"])
+    assert state["pending_results"] == len(search._pending_results) > 0
+    assert set(state["optimizer"]) == {"rng_state"}
+    assert state["evaluator"]["cache"] == [search.evaluator.cache.hits,
+                                           search.evaluator.cache.misses,
+                                           search.evaluator.cache.stores]
+    assert len(state["evaluator"]["jobs"]) == search.evaluator._next_id
+
+
 def test_checkpoint_missing_search_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": CHECKPOINT_VERSION}))
@@ -129,9 +163,8 @@ def test_agebo_resume_is_bit_identical(tmp_path):
     interrupted = build_agebo(fake_eval)
     interrupted.search(max_evaluations=16, checkpoint_path=path, checkpoint_every=1)
 
-    space = ArchitectureSpace(num_nodes=3)
-    hp_space = default_dataparallel_space(max_ranks=4)
-    resumed = AgEBO.resume(path, space, hp_space, fake_eval)
+    resumed = build_agebo(fake_eval)
+    resumed.load_state(load_checkpoint(path)["search"])
     history = resumed.search(max_evaluations=32)
     assert_identical_history(full, history)
 
@@ -151,9 +184,8 @@ def test_agebo_resume_under_faults_is_bit_identical(tmp_path):
     interrupted = build_agebo(make_injector(), policy=policy)
     interrupted.search(max_evaluations=16, checkpoint_path=path, checkpoint_every=1)
 
-    space = ArchitectureSpace(num_nodes=3)
-    hp_space = default_dataparallel_space(max_ranks=4)
-    resumed = AgEBO.resume(path, space, hp_space, make_injector())
+    resumed = build_agebo(make_injector(), policy=policy)
+    resumed.load_state(load_checkpoint(path)["search"])
     history = resumed.search(max_evaluations=32)
     assert_identical_history(full, history)
     assert interrupted.evaluator.num_failures > 0  # faults actually fired
@@ -172,7 +204,8 @@ def test_age_resume_is_bit_identical(tmp_path):
 
     path = tmp_path / "ck.json"
     run().search(max_evaluations=12, checkpoint_path=path, checkpoint_every=1)
-    resumed = AgE.resume(path, space, fake_eval)
+    resumed = run()
+    resumed.load_state(load_checkpoint(path)["search"])
     history = resumed.search(max_evaluations=24)
     assert_identical_history(full, history)
 
@@ -184,9 +217,8 @@ def test_resume_restores_bo_observations(tmp_path):
     n_obs = interrupted.optimizer.num_observations
     rng_state = interrupted.optimizer._rng.bit_generator.state
 
-    space = ArchitectureSpace(num_nodes=3)
-    hp_space = default_dataparallel_space(max_ranks=4)
-    resumed = AgEBO.resume(path, space, hp_space, fake_eval)
+    resumed = build_agebo(fake_eval)
+    resumed.load_state(load_checkpoint(path)["search"])
     # The checkpoint is written at the last quiescent iteration boundary,
     # which may trail the in-memory search by at most one iteration.
     n_resumed = resumed.optimizer.num_observations
@@ -211,3 +243,103 @@ def test_checkpoint_every_throttles_writes(tmp_path, monkeypatch):
     search = build_agebo(fake_eval)
     search.search(max_evaluations=16, checkpoint_path=path, checkpoint_every=4)
     assert 0 < writes["n"] <= 4 + 1  # every 4th iteration (+ final)
+
+
+# --------------------------------------------------------------------- #
+# Resume gate: any kill point, replacement rule, cache mode, fault policy
+# and worker-failure schedule continues to the uninterrupted campaign
+# --------------------------------------------------------------------- #
+TOTAL_EVALUATIONS = 20
+FAULT_SEED_BASE = int(os.environ.get("FAULT_SEED", "0"))
+
+
+@st.composite
+def campaigns(draw):
+    manual = draw(st.booleans())
+    return {
+        "method": draw(st.sampled_from(["AgE", "AgEBO"])),
+        "replacement": draw(st.sampled_from(["aging", "elitist"])),
+        "cache": draw(st.booleans()),
+        "crash_prob": draw(st.sampled_from([0.0, 0.15, 0.3])),
+        "hang_prob": draw(st.sampled_from([0.0, 0.1, 0.2])),
+        "fault_seed": FAULT_SEED_BASE + draw(st.integers(0, 10_000)),
+        "max_retries": draw(st.integers(0, 2)),
+        "timeout": draw(st.sampled_from([None, 14.0, 40.0])),
+        "worker_failures": draw(
+            st.lists(
+                st.tuples(st.floats(0.0, 60.0), st.integers(0, 3)),
+                max_size=2,
+                unique_by=lambda failure: failure[1],
+            )
+        ),
+        "manual": manual,
+        # A periodic checkpoint needs one full iteration: the first gather
+        # returns at most the 4 initial jobs.
+        "kill": draw(st.integers(2 if manual else 5, TOTAL_EVALUATIONS - 1)),
+    }
+
+
+def build_campaign_search(c):
+    injector = FaultInjector(
+        fake_eval, crash_prob=c["crash_prob"], hang_prob=c["hang_prob"], seed=c["fault_seed"]
+    )
+    policy = FaultPolicy(on_error="retry", max_retries=c["max_retries"],
+                         retry_backoff=1.0, timeout=c["timeout"])
+    evaluator = SimulatedEvaluator(
+        injector, num_workers=4, fault_policy=policy,
+        worker_failures=c["worker_failures"],
+        cache=EvaluationCache() if c["cache"] else None,
+    )
+    space = ArchitectureSpace(num_nodes=2)
+    common = dict(population_size=6, sample_size=3, seed=11, replacement=c["replacement"])
+    if c["method"] == "AgE":
+        return AgE(space, evaluator, **common)
+    hp_space = default_dataparallel_space(max_ranks=4)
+    return AgEBO(space, hp_space, evaluator, n_initial_points=4, **common)
+
+
+def evaluator_counters(ev):
+    cache = ev.cache
+    return (
+        ev.now, ev.utilization(), ev.num_failures, ev.num_retries, ev.num_timeouts,
+        ev.num_worker_failures, None if cache is None else (cache.hits, cache.misses, cache.stores),
+    )
+
+
+def cache_entries(ev):
+    if ev.cache is None:
+        return None
+    return {
+        key: (r.objective, r.duration, json.dumps(r.metadata, sort_keys=True))
+        for key, r in ev.cache._entries.items()
+    }
+
+
+@given(c=campaigns())
+@settings(max_examples=settings.default.max_examples // 5, deadline=None)
+def test_resume_gate_matches_uninterrupted_campaign(tmp_path_factory, c):
+    full = build_campaign_search(c)
+    full.search(max_evaluations=TOTAL_EVALUATIONS)
+
+    path = tmp_path_factory.mktemp("resume") / "ck.json"
+    interrupted = build_campaign_search(c)
+    if c["manual"]:
+        # A budget stop leaves gathered results whose replacements were
+        # not submitted yet; the checkpoint must carry them.
+        interrupted.search(max_evaluations=c["kill"])
+        save_checkpoint(interrupted, path)
+        assert load_checkpoint(path)["search"]["pending_results"] > 0
+    else:
+        interrupted.search(max_evaluations=c["kill"], checkpoint_path=path)
+
+    resumed = build_campaign_search(c)
+    resumed.load_state(load_checkpoint(path)["search"])
+    resumed.search(max_evaluations=TOTAL_EVALUATIONS)
+
+    def rich(search):
+        return [record_to_dict(r, rich_metadata=True) for r in search.history]
+
+    assert resumed.history.label == full.history.label
+    assert rich(resumed) == rich(full)
+    assert evaluator_counters(resumed.evaluator) == evaluator_counters(full.evaluator)
+    assert cache_entries(resumed.evaluator) == cache_entries(full.evaluator)

@@ -13,6 +13,8 @@ production trainers' loops, once on the plan and once on the eager tape
 from __future__ import annotations
 
 import contextlib
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -119,6 +121,23 @@ def test_dataparallel_backend_parity():
 def test_plan_is_cached_and_retraceable():
     model = GraphNetwork(SPECS["plain_chain"], N_FEATURES, N_CLASSES, np.random.default_rng(0))
     assert model.compile() is model.compile()
+
+
+def test_compiled_network_is_freed_without_the_cycle_collector():
+    """Network and plan form no reference cycle: a compiled network that
+    ran a training step is freed by reference counting alone."""
+    model = GraphNetwork(SPECS["multi_skip"], N_FEATURES, N_CLASSES, np.random.default_rng(0))
+    X, y = _data(14, n=64)
+    model.compile().loss_and_grad(X, y)
+    ref = weakref.ref(model)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del model
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_compiled_predict_logits_matches_eager():
