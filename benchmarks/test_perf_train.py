@@ -2,8 +2,9 @@
 
 Times the training hot path at three granularities — single train step,
 full validation inference, and a whole :class:`ModelEvaluation` call —
-with the compiled plan against the eager reference (the whole evaluation
-runs on ``tests/reference/eager_trainer.py``), plus two kernels of
+with the compiled plan against the eager reference tape in
+``tests/reference/`` (the whole evaluation runs on
+``tests/reference/eager_trainer.py``), plus two kernels of
 the compiled step against their oracles in ``tests/reference/``: the
 flat-vector Adam update (``adam_step``) and the branchless activations
 (``activations``).  Writes the before/after medians to
@@ -26,8 +27,8 @@ import pytest
 from repro.core import ModelEvaluation
 from repro.core.config import ModelConfig
 from repro.datasets import load_dataset
-from repro.nn import Adam, GraphNetwork, Tensor, softmax_cross_entropy
-from repro.nn.compiled import _relu_into, _sigmoid_into, assert_plan_equivalence
+from repro.nn import Adam, GraphNetwork
+from repro.nn.compiled import _relu_into, _sigmoid_into
 from repro.perf import BenchEntry, median_time, write_bench_json
 from repro.searchspace import ArchitectureSpace
 
@@ -35,7 +36,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 from reference.activations import relu_masked_into, sigmoid_masked_into  # noqa: E402
 from reference.adam import ReferenceAdam  # noqa: E402
-from reference.eager_trainer import eager_training  # noqa: E402
+from reference.eager import assert_plan_equivalence, eager_predict_logits  # noqa: E402
+from reference.eager_trainer import EagerPlan, eager_training  # noqa: E402
 
 BATCH = 256
 N_FEATURES = 54
@@ -68,28 +70,17 @@ def test_perf_train_step_and_evaluation():
     assert diffs["loss_diff"] <= 1e-10 and diffs["grad_diff"] <= 1e-10
 
     # --- train step: eager tape vs compiled plan ----------------------- #
-    def eager_steps():
+    def steps(make_plan):
         m = _make_model()
-        opt = Adam(m.parameters(), lr=0.01)
-        for i in range(STEPS_PER_REP):
-            lo = (i * BATCH) % (X.shape[0] - BATCH)
-            logits = m.forward(Tensor(X[lo : lo + BATCH]))
-            loss = softmax_cross_entropy(logits, y[lo : lo + BATCH])
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-
-    def compiled_steps():
-        m = _make_model()
-        plan = m.compile()
+        plan = make_plan(m)
         opt = Adam(m.parameters(), lr=0.01)
         for i in range(STEPS_PER_REP):
             lo = (i * BATCH) % (X.shape[0] - BATCH)
             plan.loss_and_grad(X[lo : lo + BATCH], y[lo : lo + BATCH])
             opt.apply_gradients(plan.mean_grad_flat)
 
-    eager_s = median_time(eager_steps) / STEPS_PER_REP
-    compiled_s = median_time(compiled_steps) / STEPS_PER_REP
+    eager_s = median_time(lambda: steps(EagerPlan)) / STEPS_PER_REP
+    compiled_s = median_time(lambda: steps(GraphNetwork.compile)) / STEPS_PER_REP
     entries = [
         BenchEntry(
             "train_step",
@@ -105,7 +96,7 @@ def test_perf_train_step_and_evaluation():
     entries.append(
         BenchEntry(
             "predict_logits_4096",
-            median_time(lambda: model_inf.predict_logits(X)),
+            median_time(lambda: eager_predict_logits(model_inf, X)),
             median_time(lambda: plan_inf.predict_logits(X)),
             meta={"rows": X.shape[0]},
         )

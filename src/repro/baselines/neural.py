@@ -5,14 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import BaseClassifier, check_Xy
+from repro.dataparallel.trainer import DataParallelTrainer
 from repro.nn.graph_network import ArchitectureSpec, GraphNetwork, NodeOp
-from repro.nn.trainer import Trainer
 
 __all__ = ["MLPClassifier"]
 
 
 class MLPClassifier(BaseClassifier):
     """Fixed-shape MLP (no search) trained with the standard recipe.
+
+    Training is the single-rank data-parallel loop, which draws full
+    mini-batches only (a trailing partial batch is dropped each epoch).
 
     ``hidden`` is a tuple of layer widths; activations are all the same.
     Used as the neural base learner inside the AutoGluon-like ensemble and
@@ -62,7 +65,8 @@ class MLPClassifier(BaseClassifier):
             X_valid, y_valid = X[:n_val], y[:n_val]
             X, y = X[n_val:], y[n_val:]
         self._net = self._build(rng)
-        result = Trainer(
+        result = DataParallelTrainer(
+            num_ranks=1,
             epochs=self.epochs,
             batch_size=self.batch_size,
             learning_rate=self.learning_rate,

@@ -102,6 +102,10 @@ class SearchConfig:
             raise ValueError(f"unknown search.replacement {self.replacement!r}")
         if self.num_ranks < 1:
             raise ValueError("search.num_ranks must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("search.batch_size must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("search.learning_rate must be > 0")
         if self.kappa < 0:
             raise ValueError("search.kappa must be >= 0")
         if self.n_initial_points < 1:

@@ -3,7 +3,7 @@
 One campaign produces one stream of typed events: the evaluators emit job
 lifecycle events (submit / gather / retry / worker death), the search loop
 emits population and checkpoint events, the BO optimizer emits tell/ask
-events, the trainers emit per-epoch events and the fault injector reports
+events, the trainer emits per-epoch events and the fault injector reports
 injected faults.  Subscribers attach to an :class:`EventBus`; three
 built-ins cover the common needs:
 
@@ -16,7 +16,7 @@ built-ins cover the common needs:
   the event stream alone.
 
 This module deliberately imports nothing from the rest of ``repro`` so the
-low-level layers (trainers, evaluators) can emit events without import
+low-level layers (trainer, evaluators) can emit events without import
 cycles; they lazy-import the event types at the emission site.
 
 Every event class defined here must be listed in :data:`EVENT_TYPES` — the

@@ -15,7 +15,7 @@ analytic cost model in :mod:`repro.dataparallel.costmodel`.
 from repro.dataparallel.sharding import shard_indices
 from repro.dataparallel.allreduce import ring_transfer_stats
 from repro.dataparallel.scaling import linear_scaled_batch_size, linear_scaled_lr
-from repro.dataparallel.trainer import DataParallelTrainer
+from repro.dataparallel.trainer import DataParallelTrainer, TrainResult
 from repro.dataparallel.costmodel import TrainingCostModel
 from repro.dataparallel.multinode import MultiNodeCostModel
 
@@ -26,5 +26,6 @@ __all__ = [
     "linear_scaled_lr",
     "linear_scaled_batch_size",
     "DataParallelTrainer",
+    "TrainResult",
     "TrainingCostModel",
 ]

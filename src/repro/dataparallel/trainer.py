@@ -16,9 +16,14 @@ gradient buffer for Adam to consume directly.  The per-rank oracle (``n``
 separate passes averaged in float64) lives in ``tests/reference/`` and
 gates this step.  The ring's communication is not simulated; its byte
 count is reported analytically through ``EpochEnd.ring_bytes_per_rank``.
+
+This is the one training loop: with ``num_ranks=1`` it trains the MLP
+baseline (:class:`repro.baselines.MLPClassifier`) as well.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,9 +34,20 @@ from repro.nn.graph_network import GraphNetwork
 from repro.nn.metrics import accuracy
 from repro.nn.optimizers import Adam
 from repro.nn.schedules import GradualWarmup, ReduceLROnPlateau
-from repro.nn.trainer import TrainResult
 
-__all__ = ["DataParallelTrainer"]
+__all__ = ["DataParallelTrainer", "TrainResult"]
+
+
+@dataclass
+class TrainResult:
+    """Outcome of one training run."""
+
+    best_val_accuracy: float
+    final_val_accuracy: float
+    epoch_val_accuracies: list[float] = field(default_factory=list)
+    epoch_train_losses: list[float] = field(default_factory=list)
+    best_weights: list[np.ndarray] | None = None
+    diverged: bool = False  # training aborted on a non-finite loss
 
 
 class DataParallelTrainer:
@@ -65,6 +81,8 @@ class DataParallelTrainer:
             raise ValueError("num_ranks must be >= 1")
         if epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         self.num_ranks = num_ranks
         self.epochs = epochs
         self.batch_size = batch_size

@@ -1,48 +1,37 @@
 """From-scratch neural network substrate (paper substitute for TensorFlow).
 
-Provides a reverse-mode autograd engine over numpy arrays, dense layers,
-the activation set used by the AgEBO-Tabular search space (identity, swish,
-relu, tanh, sigmoid), Adam/SGD optimizers, the gradual-warmup and
-reduce-on-plateau schedules used in the paper's training recipe, and the
-skip-connection graph network builder that materializes an architecture
-sampled from :class:`repro.searchspace.ArchitectureSpace`.
+Provides dense layers and the skip-connection graph network builder that
+materializes an architecture sampled from
+:class:`repro.searchspace.ArchitectureSpace`, the compiled execution plan
+that trains and serves every network (fused kernels for the activation
+set of the AgEBO-Tabular search space: identity, swish, relu, tanh,
+sigmoid), the flat-vector Adam optimizer, and the gradual-warmup and
+reduce-on-plateau schedules used in the paper's training recipe.  The
+training loop is :class:`repro.dataparallel.DataParallelTrainer`; the
+reverse-mode differentiation tape the plan replays is a test oracle in
+``tests/reference/``.
 """
 
-from repro.nn.autograd import Tensor, is_grad_enabled, no_grad
-from repro.nn.activations import ACTIVATIONS, apply_activation
 from repro.nn.initializers import glorot_uniform, he_normal, zeros_init
-from repro.nn.layers import Dense, Layer
-from repro.nn.losses import l2_regularization, softmax_cross_entropy
+from repro.nn.layers import Dense, Parameter
 from repro.nn.metrics import accuracy, top_k_accuracy
-from repro.nn.optimizers import SGD, Adam, Optimizer
+from repro.nn.optimizers import Adam, Optimizer
 from repro.nn.schedules import GradualWarmup, ReduceLROnPlateau
 from repro.nn.graph_network import GraphNetwork
-from repro.nn.compiled import CompiledPlan, assert_plan_equivalence
-from repro.nn.trainer import Trainer, TrainResult
+from repro.nn.compiled import CompiledPlan
 
 __all__ = [
-    "Tensor",
-    "no_grad",
-    "is_grad_enabled",
-    "ACTIVATIONS",
-    "apply_activation",
     "glorot_uniform",
     "he_normal",
     "zeros_init",
     "Dense",
-    "Layer",
-    "softmax_cross_entropy",
-    "l2_regularization",
+    "Parameter",
     "accuracy",
     "top_k_accuracy",
     "Optimizer",
-    "SGD",
     "Adam",
     "GradualWarmup",
     "ReduceLROnPlateau",
     "GraphNetwork",
     "CompiledPlan",
-    "assert_plan_equivalence",
-    "Trainer",
-    "TrainResult",
 ]

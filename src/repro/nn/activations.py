@@ -1,47 +1,13 @@
 """The activation set of the AgEBO-Tabular architecture search space.
 
 The paper's dense-layer type is (units, activation) with activation drawn
-from {Identity, Swish, ReLU, Tanh, Sigmoid}.  Each entry maps a name to a
-function ``Tensor -> Tensor`` built on the autograd ops.
+from {Identity, Swish, ReLU, Tanh, Sigmoid}.  The compiled plan
+(:mod:`repro.nn.compiled`) implements each of them as a fused kernel.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.nn.autograd import Tensor
-
-__all__ = ["ACTIVATIONS", "ACTIVATION_NAMES", "apply_activation"]
-
-
-def _identity(x: Tensor) -> Tensor:
-    return x
-
-
-ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "identity": _identity,
-    "swish": Tensor.swish,
-    "relu": Tensor.relu,
-    "tanh": Tensor.tanh,
-    "sigmoid": Tensor.sigmoid,
-}
+__all__ = ["ACTIVATION_NAMES"]
 
 #: Canonical ordering used when enumerating layer types in the search space.
 ACTIVATION_NAMES: tuple[str, ...] = ("identity", "swish", "relu", "tanh", "sigmoid")
-
-
-def apply_activation(name: str, x: Tensor) -> Tensor:
-    """Apply the named activation to ``x``.
-
-    Raises
-    ------
-    KeyError
-        If ``name`` is not one of the five supported activations.
-    """
-    try:
-        fn = ACTIVATIONS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown activation {name!r}; expected one of {sorted(ACTIVATIONS)}"
-        ) from None
-    return fn(x)

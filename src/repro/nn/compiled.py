@@ -1,13 +1,10 @@
 """Compiled execution plans: trace a ``GraphNetwork`` into a flat op schedule.
 
-The eager engine (:mod:`repro.nn.autograd`) rebuilds a tape of ``Tensor``
-nodes and backward closures on *every* forward pass.  That is the right
-reference semantics, but for search workloads — thousands of 20-epoch
-trainings of small networks — tape construction and per-op temporary
-allocation dominate the step time.
-
-:class:`CompiledPlan` removes both costs.  ``GraphNetwork.compile()`` walks
-the architecture **once** and emits a flat schedule of fused ops:
+The plan is the one network engine: it computes every training step's
+loss and gradient and every prediction.  Search workloads run thousands
+of 20-epoch trainings of small networks, so a step must not rebuild a
+graph or allocate its temporaries.  ``GraphNetwork.compile()`` walks the
+architecture **once** and emits a flat schedule of fused ops:
 
 - ``_DenseOp`` — affine + activation in one step (``act(x @ W + b)``),
   with the activation's backward auxiliaries (ReLU mask, sigmoid/swish
@@ -22,15 +19,15 @@ the architecture **once** and emits a flat schedule of fused ops:
 Execution writes into per-batch-size buffer sets (allocated on first use,
 reused forever after), parameter gradients land in views of one flat
 gradient vector laid out like the model's flat parameter vector, and the
-steady-state train step does zero tape reconstruction and near-zero
+steady-state train step does zero graph construction and near-zero
 allocation.
 
 Numerical contract: the plan replays the *exact* operation order of the
-eager tape (same kernels, same association order for skip sums, the same
+eager reverse-mode tape kept as the oracle in ``tests/reference/``
+(same kernels, same association order for skip sums, the same
 stable-sigmoid formula), so forward values match the eager reference
-bitwise and losses and gradients to float round-off;
-:func:`assert_plan_equivalence` is the seeded gate the test-suite and the
-perf harness both call.
+bitwise and losses and gradients to float round-off; the gate that
+checks this is ``assert_plan_equivalence`` in ``tests/reference/eager.py``.
 
 The data-parallel trainer needs only ``loss_and_grad`` over the
 concatenated global batch.  A plan can also run in **multi-rank mode**:
@@ -54,22 +51,24 @@ Buffer-reuse invariants (see DESIGN.md §Performance):
 3. there is one flat gradient, ``mean_grad_flat``: every parameter's
    gradient is a view of it (``mean_grad_views``), and every view is fully
    overwritten each step (every parameter has exactly one consuming op),
-   so stale values can never leak between steps;
+   so stale values can never leak between steps; parameters carry no
+   gradient of their own;
 4. the activation auxiliaries are one ``bool`` mask per ReLU (``x > 0``)
    and one ``bool`` mask (``x >= 0``) plus one float scratch per
    sigmoid/swish; there are no negated-mask buffers;
-5. a plan is **not** thread-safe: concurrent evaluations must compile one
-   plan per model (which the evaluators do — one model per candidate).
+5. a plan is **not** thread-safe, and neither is
+   ``GraphNetwork.predict_logits``, which runs on the model's plan:
+   concurrent evaluations must use one model per thread (which the
+   evaluators do — one model per candidate).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
 from repro.nn.layers import Dense
 
-__all__ = ["CompiledPlan", "assert_plan_equivalence"]
+__all__ = ["CompiledPlan"]
 
 
 def _relu_into(x: np.ndarray, mask: np.ndarray) -> None:
@@ -137,7 +136,7 @@ class _DenseOp:
             sig = aux[(id(self), "sig")]
             _sigmoid_into(out, sig, aux[(id(self), "scr")], aux[(id(self), "pos")])
             np.multiply(out, sig, out=out)
-        else:  # pragma: no cover - trace time rejects unknown activations
+        else:  # pragma: no cover - Dense rejects unknown activations
             raise AssertionError(f"unknown activation {act!r}")
 
     def backward(self, vals: list[np.ndarray], grads: list[np.ndarray | None],
@@ -338,9 +337,9 @@ class CompiledPlan:
     """Flat, fused, buffer-reusing execution plan for one ``GraphNetwork``.
 
     Built by :meth:`repro.nn.graph_network.GraphNetwork.compile`.  The plan
-    holds references to the network's parameter :class:`Tensor` objects, so
-    in-place optimizer updates and ``set_weights`` are picked up without
-    re-tracing.
+    holds references to the network's layers and reads their parameter
+    arrays at every execution, so in-place optimizer updates and
+    ``set_weights`` are picked up without re-tracing.
     """
 
     def __init__(self, model) -> None:
@@ -408,11 +407,11 @@ class CompiledPlan:
         # Flat layout: each parameter occupies one contiguous
         # [offset, offset + size) span, in ``parameters()`` order — the
         # layout of the model's flat parameter vector.
-        self._params: list[Tensor] = model.parameters()
+        params = model.parameters()
         self.param_segments: list[tuple[int, int, tuple[int, ...]]] = []
         self._param_layout: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         offset = 0
-        for p in self._params:
+        for p in params:
             seg = (offset, p.data.size, p.data.shape)
             self.param_segments.append(seg)
             self._param_layout[id(p)] = seg
@@ -433,7 +432,7 @@ class CompiledPlan:
         # Per-layer (gW, gb) gradient views, in op order; each layer is
         # consumed by exactly one op, so every view is fully overwritten
         # each step.
-        grad_of = {id(p): g for p, g in zip(self._params, self.mean_grad_views)}
+        grad_of = {id(p): g for p, g in zip(params, self.mean_grad_views)}
         self._layers: list[Dense] = [
             layer
             for op in ops
@@ -480,9 +479,8 @@ class CompiledPlan:
         """Mean softmax cross-entropy and its gradients, in one fused pass.
 
         On return ``mean_grad_flat`` holds the fresh gradient, ready for
-        ``optimizer.apply_gradients``, and every model parameter's
-        ``.grad`` points at its view of it — no ``zero_grad`` is required
-        (the buffer is fully overwritten, never accumulated across steps).
+        ``optimizer.apply_gradients`` (the buffer is fully overwritten,
+        never accumulated across steps, so no zeroing is required).
         """
         X = np.ascontiguousarray(X, dtype=self.dtype)
         y = np.asarray(y)
@@ -517,7 +515,6 @@ class CompiledPlan:
                 op.backward(vals, grads, aux, gW, gb)
             else:
                 op.backward(vals, grads, aux, self.param_grads)
-        self.install_grads()
         return loss
 
     def loss_and_grads_ranked(
@@ -537,8 +534,7 @@ class CompiledPlan:
         Returns ``(losses, rank_grads)``: per-rank mean losses ``(n,)``
         (float64) and the plan's reused ``(n, P)`` flat gradient matrix in
         the ring-allreduce packing order.  The matrix is overwritten by the
-        next call; reduce it before then.  Parameter ``.grad`` pointers are
-        untouched — consumers install the reduced mean themselves.
+        next call; reduce it before then.  ``mean_grad_flat`` is untouched.
         """
         X = np.ascontiguousarray(X, dtype=self.dtype)
         y = np.asarray(y)
@@ -583,11 +579,6 @@ class CompiledPlan:
                 op.backward(vals, grads, aux, rank_bufs.layer_views, ranks=num_ranks)
         return losses, rank_bufs.flat
 
-    def install_grads(self) -> None:
-        """Point every parameter's ``.grad`` at its view of the flat gradient."""
-        for p, g in zip(self._params, self.mean_grad_views):
-            p.grad = g
-
     def predict_logits(self, X: np.ndarray, batch_size: int = 4096) -> np.ndarray:
         """Inference-mode logits, chunked to bound peak buffer memory."""
         X = np.ascontiguousarray(X, dtype=self.dtype)
@@ -602,43 +593,3 @@ class CompiledPlan:
             )
         return out
 
-
-def assert_plan_equivalence(
-    model,
-    X: np.ndarray,
-    y: np.ndarray,
-    tol: float = 1e-10,
-) -> dict[str, float]:
-    """Seeded equivalence gate: compiled plan vs. the eager tape.
-
-    Computes the loss and all parameter gradients along both paths on the
-    same inputs and raises ``AssertionError`` if any quantity differs by
-    more than ``tol``.  Returns the observed maximum deviations so callers
-    (tests, the perf harness) can report them.
-    """
-    from repro.nn.losses import softmax_cross_entropy
-
-    plan = model.compile()
-
-    # Eager reference.
-    params = model.parameters()
-    for p in params:
-        p.grad = None
-    loss_e = softmax_cross_entropy(model.forward(X), y)
-    loss_e.backward()
-    eager_loss = loss_e.item()
-    eager_grads = [np.array(p.grad, copy=True) for p in params]
-
-    compiled_loss = plan.loss_and_grad(X, y)
-
-    loss_diff = abs(eager_loss - compiled_loss)
-    grad_diff = 0.0
-    for ge, p in zip(eager_grads, params):
-        grad_diff = max(grad_diff, float(np.max(np.abs(ge - p.grad))))
-    report = {"loss_diff": loss_diff, "grad_diff": grad_diff}
-    if loss_diff > tol or grad_diff > tol or not np.isfinite(eager_loss):
-        raise AssertionError(
-            f"compiled/eager divergence: loss diff {loss_diff:.3e}, "
-            f"max grad diff {grad_diff:.3e} exceeds tol {tol:.1e}"
-        )
-    return report

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.autograd import Tensor, no_grad
-from repro.nn.layers import Dense
+from repro.nn.layers import Dense, Parameter
 from repro.nn.optimizers import flatten_parameters
 
 __all__ = ["NodeOp", "ArchitectureSpec", "GraphNetwork"]
@@ -87,6 +86,9 @@ class ArchitectureSpec:
 
 class GraphNetwork:
     """Trainable network built from an :class:`ArchitectureSpec`.
+
+    The network holds the layers and their parameters; its compiled plan
+    (:meth:`compile`) trains it and computes its predictions.
 
     Parameters
     ----------
@@ -164,13 +166,13 @@ class GraphNetwork:
     def __setstate__(self, state: dict) -> None:
         # Pickling and deep-copying give each parameter view its own
         # memory; lay the copies out in one vector again, or an optimizer
-        # would update a buffer that ``forward`` never reads.
+        # would update a buffer that the plan never reads.
         self.__dict__.update(state)
         self._flat = flatten_parameters(self.parameters())
 
     # ------------------------------------------------------------------ #
-    def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
+    def parameters(self) -> list[Parameter]:
+        params: list[Parameter] = []
         for layer in self._node_layers:
             if layer is not None:
                 params.extend(layer.parameters())
@@ -181,38 +183,14 @@ class GraphNetwork:
 
     def num_parameters(self) -> int:
         """Total scalar parameter count (drives the training-time model)."""
-        return sum(p.size for p in self.parameters())
+        return sum(p.data.size for p in self.parameters())
 
     # ------------------------------------------------------------------ #
-    def forward(self, x: np.ndarray | Tensor) -> Tensor:
-        """Compute logits for a ``(batch, input_dim)`` design matrix."""
-        h = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
-        if h.shape[-1] != self.input_dim:
-            raise ValueError(f"expected input width {self.input_dim}, got {h.shape[-1]}")
-        outputs: list[Tensor] = [h]  # outputs[i] is graph node i's output
-        m = self.spec.num_nodes
-        for i in range(1, m + 2):  # variable nodes then output node
-            incoming = outputs[i - 1]
-            skip_sources = [s for (s, d) in self._projections if d == i]
-            if skip_sources:
-                acc = incoming
-                for s in sorted(skip_sources):
-                    acc = acc + self._projections[(s, i)](outputs[s])
-                incoming = acc.relu()
-            if i <= m:
-                layer = self._node_layers[i - 1]
-                outputs.append(incoming if layer is None else layer(incoming))
-            else:
-                return self._output(incoming)
-        raise AssertionError("unreachable")
-
-    __call__ = forward
-
     def compile(self) -> "CompiledPlan":
         """Trace this architecture into a :class:`~repro.nn.compiled.CompiledPlan`.
 
         The plan is built once and cached; it shares this network's
-        parameter tensors, so optimizer updates (which mutate ``p.data``
+        parameters, so optimizer updates (which mutate ``p.data``
         in place) are visible to subsequent plan executions and
         :meth:`get_weights`/:meth:`set_weights` keep working.
         """
@@ -223,15 +201,16 @@ class GraphNetwork:
         return self._plan
 
     def predict_logits(self, x: np.ndarray, batch_size: int = 4096) -> np.ndarray:
-        """Inference-mode logits, batched to bound peak memory."""
-        with no_grad():
-            chunks = [
-                self.forward(x[i : i + batch_size]).data
-                for i in range(0, x.shape[0], batch_size)
-            ]
-        if not chunks:
-            return np.zeros((0, self.n_classes), dtype=self.dtype)
-        return np.concatenate(chunks, axis=0)
+        """Inference-mode logits from the compiled plan, batched to bound
+        peak memory.
+
+        The plan's buffers are reused, so concurrent calls on one model are
+        not thread-safe (see :mod:`repro.nn.compiled`).
+        """
+        x = np.asarray(x)
+        if x.shape[-1] != self.input_dim:
+            raise ValueError(f"expected input width {self.input_dim}, got {x.shape[-1]}")
+        return self.compile().predict_logits(x, batch_size)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predicted class indices."""

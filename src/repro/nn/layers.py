@@ -1,38 +1,40 @@
-"""Layer primitives: the base ``Layer`` protocol and ``Dense``.
+"""Parameter holders: ``Parameter`` and the ``Dense`` layer.
 
-A layer owns its parameters (as ``Tensor`` leaves with ``requires_grad``)
-and exposes ``__call__`` building the forward graph.  Layers are
-intentionally tiny; the architecture-level wiring (skip connections,
-projections, sums) lives in :mod:`repro.nn.graph_network`.
+A layer owns its parameters; it computes nothing itself.  The compiled plan
+(:mod:`repro.nn.compiled`) executes the layers, and the architecture-level
+wiring (skip connections, projections, sums) lives in
+:mod:`repro.nn.graph_network`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.activations import apply_activation
-from repro.nn.autograd import Tensor
+from repro.nn.activations import ACTIVATION_NAMES
 from repro.nn.initializers import glorot_uniform, he_normal, zeros_init
 
-__all__ = ["Layer", "Dense"]
+__all__ = ["Parameter", "Dense"]
 
 
-class Layer:
-    """Base class: parameter registry plus forward call."""
+class Parameter:
+    """A named trainable array.
 
-    def parameters(self) -> list[Tensor]:
-        """Return the trainable leaf tensors of this layer."""
-        raise NotImplementedError
+    ``data`` is updated in place by the optimizer; only
+    :func:`repro.nn.optimizers.flatten_parameters` rebinds it, to a view of
+    the one flat vector that holds every parameter of a model.
+    """
 
-    def num_parameters(self) -> int:
-        """Total number of scalar trainable parameters."""
-        return sum(p.size for p in self.parameters())
+    __slots__ = ("data", "name")
 
-    def __call__(self, x: Tensor) -> Tensor:
-        raise NotImplementedError
+    def __init__(self, data: np.ndarray, name: str = "") -> None:
+        self.data = data
+        self.name = name
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
-class Dense(Layer):
+class Dense:
     """Fully connected layer ``activation(x @ W + b)``.
 
     Parameters
@@ -63,6 +65,10 @@ class Dense(Layer):
     ) -> None:
         if fan_in <= 0 or units <= 0:
             raise ValueError(f"fan_in and units must be positive, got {fan_in}, {units}")
+        if activation is not None and activation not in ACTIVATION_NAMES:
+            raise ValueError(
+                f"unknown activation {activation!r}; expected one of {sorted(ACTIVATION_NAMES)}"
+            )
         self.fan_in = fan_in
         self.units = units
         self.activation = activation
@@ -71,22 +77,12 @@ class Dense(Layer):
             w = he_normal(fan_in, units, rng, dtype=self.dtype)
         else:
             w = glorot_uniform(fan_in, units, rng, dtype=self.dtype)
-        self.W = Tensor(w, requires_grad=True, name=f"{name}.W")
-        self.b = Tensor(zeros_init(units, dtype=self.dtype), requires_grad=True, name=f"{name}.b")
+        self.W = Parameter(w, name=f"{name}.W")
+        self.b = Parameter(zeros_init(units, dtype=self.dtype), name=f"{name}.b")
         self.name = name
 
-    def parameters(self) -> list[Tensor]:
+    def parameters(self) -> list[Parameter]:
         return [self.W, self.b]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.W + self.b
-        if self.activation is not None:
-            out = apply_activation(self.activation, out)
-        return out
-
-    def linear(self, x: Tensor) -> Tensor:
-        """Affine part only, ignoring the configured activation."""
-        return x @ self.W + self.b
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Dense({self.fan_in}->{self.units}, act={self.activation})"

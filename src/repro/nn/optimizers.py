@@ -1,18 +1,18 @@
 """Gradient-descent optimizers.
 
-The paper trains every candidate with Adam (Kingma & Ba); SGD with momentum
-is included for completeness and for baseline models.  Optimizers mutate
-parameter ``.data`` in place (guides: prefer in-place updates to avoid
-reallocating large buffers every step).
+The paper trains every candidate with Adam (Kingma & Ba).  An optimizer
+takes one flat gradient vector per step, the compiled plan's
+``mean_grad_flat``, and mutates parameter ``.data`` in place (guides:
+prefer in-place updates to avoid reallocating large buffers every step).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
+from repro.nn.layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "flatten_parameters"]
+__all__ = ["Optimizer", "Adam", "flatten_parameters"]
 
 
 def _tiled_base(arrays: list[np.ndarray]) -> np.ndarray | None:
@@ -33,7 +33,7 @@ def _tiled_base(arrays: list[np.ndarray]) -> np.ndarray | None:
     return base if addr == base.ctypes.data + base.nbytes else None
 
 
-def flatten_parameters(parameters: list[Tensor]) -> np.ndarray:
+def flatten_parameters(parameters: list[Parameter]) -> np.ndarray:
     """One contiguous vector whose consecutive segments are the parameters.
 
     Parameters that already tile one vector in order (a ``GraphNetwork``'s,
@@ -63,70 +63,27 @@ class Optimizer:
     """Base optimizer over a fixed parameter list.
 
     The learning rate is a mutable attribute so schedules
-    (:mod:`repro.nn.schedules`) can adjust it between steps.
+    (:mod:`repro.nn.schedules`) can adjust it between steps.  Subclasses
+    implement ``_step_flat``.
     """
 
-    def __init__(self, parameters: list[Tensor], lr: float) -> None:
+    def __init__(self, parameters: list[Parameter], lr: float) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.parameters = list(parameters)
         self.lr = float(lr)
 
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.grad = None
+    def apply_gradients(self, grad: np.ndarray) -> None:
+        """Take one step on ``grad``, the flat gradient of every parameter.
 
-    def step(self) -> None:
-        raise NotImplementedError
-
-    def apply_gradients(self, grads: list[np.ndarray] | np.ndarray) -> None:
-        """Install externally computed gradients then step.
-
-        Used by the trainers, whose compiled plan leaves the (rank-averaged)
-        gradient in its flat buffer outside the optimizer.  ``grads``
-        is one array per parameter, or one flat vector holding them all in
-        ``parameters()`` order.
+        ``grad`` holds the gradients back to back in ``parameters`` order:
+        the layout of the compiled plan's ``mean_grad_flat``, which the
+        trainer passes straight in.
         """
-        if isinstance(grads, np.ndarray):
-            self._step_flat(grads)
-            return
-        if len(grads) != len(self.parameters):
-            raise ValueError(
-                f"got {len(grads)} gradients for {len(self.parameters)} parameters"
-            )
-        for p, g in zip(self.parameters, grads):
-            p.grad = g
-        self.step()
+        self._step_flat(grad)
 
     def _step_flat(self, grad: np.ndarray) -> None:
-        """Step on a flat gradient; by default, installed per parameter."""
-        offset = 0
-        for p in self.parameters:
-            p.grad = grad[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
-        self.step()
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(self, parameters: list[Tensor], lr: float, momentum: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
+        raise NotImplementedError
 
 
 class Adam(Optimizer):
@@ -142,7 +99,7 @@ class Adam(Optimizer):
 
     def __init__(
         self,
-        parameters: list[Tensor],
+        parameters: list[Parameter],
         lr: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -157,27 +114,9 @@ class Adam(Optimizer):
         self._flat = flatten_parameters(self.parameters)
         self._m = np.zeros_like(self._flat)
         self._v = np.zeros_like(self._flat)
-        self._g = np.empty_like(self._flat)    # gathered per-tensor gradients
         self._scr = np.empty_like(self._flat)
         self._den = np.empty_like(self._flat)
         self._t = 0
-
-    def step(self) -> None:
-        """Update from the parameters' ``.grad`` arrays.
-
-        Like the per-tensor formula, a step where no parameter has a
-        gradient leaves the weights and moments alone; a partial set is
-        rejected, since the flat update cannot skip single tensors.
-        """
-        grads = [p.grad for p in self.parameters]
-        missing = sum(g is None for g in grads)
-        if missing == len(grads):
-            self._t += 1
-            return
-        if missing:
-            raise ValueError(f"{missing} of {len(grads)} parameters have no gradient")
-        np.concatenate([np.ravel(g) for g in grads], out=self._g)
-        self._step_flat(self._g)
 
     def _step_flat(self, g: np.ndarray) -> None:
         if g.shape != self._flat.shape:

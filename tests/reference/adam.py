@@ -10,8 +10,8 @@ from repro.nn.optimizers import Optimizer
 class ReferenceAdam(Optimizer):
     """Adam (Kingma & Ba, 2015) updating one parameter tensor at a time.
 
-    ``apply_gradients`` takes a flat gradient too (the base class splits it
-    per parameter), so it can be monkeypatched into the trainers.
+    It takes the same flat gradient as :class:`repro.nn.Adam` and splits it
+    into per-parameter views, so it can be monkeypatched into the trainer.
     """
 
     def __init__(self, parameters, lr: float, beta1: float = 0.9,
@@ -24,14 +24,14 @@ class ReferenceAdam(Optimizer):
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._t = 0
 
-    def step(self) -> None:
+    def _step_flat(self, grad: np.ndarray) -> None:
         self._t += 1
         b1t = 1.0 - self.beta1**self._t
         b2t = 1.0 - self.beta2**self._t
+        offset = 0
         for p, m, v in zip(self.parameters, self._m, self._v):
-            g = p.grad
-            if g is None:
-                continue
+            g = grad[offset : offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

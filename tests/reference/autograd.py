@@ -1,5 +1,8 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
+The oracle for the compiled plan (:mod:`repro.nn.compiled`), whose kernels
+replay this tape's op order; :mod:`reference.eager` runs a network on it.
+
 The engine implements exactly the operation set needed by the AgEBO-Tabular
 search space: affine transforms, elementwise activations, tensor addition
 (with broadcasting, for biases and skip-connection sums), and reductions

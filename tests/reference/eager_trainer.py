@@ -1,6 +1,6 @@
 """The eager-tape training path: the oracle for the compiled plan.
 
-Both trainers take every step through ``model.compile()``: one
+The trainer takes every step through ``model.compile()``: one
 ``loss_and_grad`` that leaves the gradient in ``mean_grad_flat``, then
 ``predict_logits`` for validation.  Within :func:`eager_training`,
 ``compile`` returns an :class:`EagerPlan` instead, which computes the same
@@ -17,7 +17,8 @@ from unittest import mock
 import numpy as np
 
 from repro.nn.graph_network import GraphNetwork
-from repro.nn.losses import softmax_cross_entropy
+
+from reference.eager import eager_loss_and_grads, eager_predict_logits
 
 
 class EagerPlan:
@@ -25,23 +26,15 @@ class EagerPlan:
 
     def __init__(self, model: GraphNetwork) -> None:
         self.model = model
-        self.params = model.parameters()
         self.mean_grad_flat = np.empty(model.num_parameters(), dtype=model.dtype)
 
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> float:
-        for p in self.params:
-            p.grad = None
-        loss = softmax_cross_entropy(self.model.forward(X), y)
-        loss.backward()
-        offset = 0
-        for p in self.params:
-            span = self.mean_grad_flat[offset : offset + p.data.size]
-            span[:] = 0.0 if p.grad is None else p.grad.ravel()
-            offset += p.data.size
-        return loss.item()
+        loss, grads = eager_loss_and_grads(self.model, X, y)
+        np.concatenate([g.ravel() for g in grads], out=self.mean_grad_flat)
+        return loss
 
-    def predict_logits(self, X: np.ndarray) -> np.ndarray:
-        return self.model.predict_logits(X)
+    def predict_logits(self, X: np.ndarray, batch_size: int = 4096) -> np.ndarray:
+        return eager_predict_logits(self.model, X, batch_size)
 
 
 @contextlib.contextmanager

@@ -1,10 +1,10 @@
-"""Loss functions used by the training recipe."""
+"""Loss functions on the reference tape (the compiled plan fuses its own)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
+from reference.autograd import Tensor
 
 __all__ = ["softmax_cross_entropy", "l2_regularization"]
 

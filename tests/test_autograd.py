@@ -1,4 +1,5 @@
-"""Unit tests for the reverse-mode autograd engine.
+"""Unit tests for the reverse-mode autograd engine (the test oracle in
+``tests/reference/autograd.py``).
 
 The load-bearing checks are gradient comparisons against central finite
 differences for every op, including broadcasting adjoints.
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.autograd import Tensor, _unbroadcast, is_grad_enabled, no_grad
+from reference.autograd import Tensor, _unbroadcast, is_grad_enabled, no_grad
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

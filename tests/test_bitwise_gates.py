@@ -3,7 +3,8 @@
 The branchless activation kernels and the flat-vector Adam must reproduce
 their references byte for byte, not to a tolerance:
 
-1. compiled ``predict_logits`` against the eager forward, on random
+1. ``GraphNetwork.predict_logits`` (the compiled plan) against the eager
+   forward on the reference tape, on random
    architectures in both dtypes, with inputs seeded with NaN, ±inf, ±0.0,
    subnormals and magnitudes past ``exp``'s overflow point;
 2. the flat Adam against the per-tensor oracle (``reference/adam.py``)
@@ -27,11 +28,13 @@ import repro.nn.compiled as compiled
 from repro.core import ModelEvaluation
 from repro.core.config import ModelConfig
 from repro.datasets import load_dataset
-from repro.nn import Adam, GraphNetwork, Tensor
+from repro.nn import Adam, GraphNetwork, Parameter
 from repro.searchspace import ArchitectureSpace
 
 from reference.activations import relu_masked_into, sigmoid_masked_into
 from reference.adam import ReferenceAdam
+from reference.autograd import Tensor
+from reference.eager import eager_forward
 
 DTYPES = [np.float32, np.float64]
 
@@ -109,7 +112,7 @@ def test_compiled_predict_matches_eager_forward_bitwise(seed, dtype, num_nodes, 
     model = GraphNetwork(spec, n_features, int(rng.integers(2, 6)), rng, dtype=dtype)
     X = _seeded_input(rng, (rows, n_features), dtype, special_share)
     with np.errstate(all="ignore"):  # inf - inf and 0 * inf are part of the point
-        assert _same_bytes(model.compile().predict_logits(X), model.forward(X).data)
+        assert _same_bytes(model.predict_logits(X), eager_forward(model, X).data)
 
 
 # --------------------------------------------------------------------- #
@@ -129,16 +132,14 @@ shapes = st.lists(
     shape_list=shapes,
     steps=st.integers(1, 30),
     dtype=st.sampled_from(DTYPES),
-    flat_grads=st.booleans(),
     seed=st.integers(0, 10_000),
 )
 @settings(deadline=None)
-def test_flat_adam_matches_per_tensor_oracle_bitwise(shape_list, steps, dtype,
-                                                     flat_grads, seed):
+def test_flat_adam_matches_per_tensor_oracle_bitwise(shape_list, steps, dtype, seed):
     rng = np.random.default_rng(seed)
     init = [rng.standard_normal(s).astype(dtype) for s in shape_list]
-    params = [Tensor(w.copy(), requires_grad=True) for w in init]
-    ref_params = [Tensor(w.copy(), requires_grad=True) for w in init]
+    params = [Parameter(w.copy()) for w in init]
+    ref_params = [Parameter(w.copy()) for w in init]
     opt = Adam(params, lr=0.01)
     ref = ReferenceAdam(ref_params, lr=0.01)
     for step in range(steps):
@@ -147,18 +148,16 @@ def test_flat_adam_matches_per_tensor_oracle_bitwise(shape_list, steps, dtype,
         opt.lr = ref.lr = lr
         grads = [(rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
                  for s in shape_list]
-        if flat_grads:
-            opt.apply_gradients(np.concatenate([g.ravel() for g in grads]))
-        else:
-            opt.apply_gradients(grads)
-        ref.apply_gradients(grads)
+        flat = np.concatenate([g.ravel() for g in grads])
+        opt.apply_gradients(flat)
+        ref.apply_gradients(flat)
         for p, q in zip(params, ref_params):
             assert _same_bytes(p.data, q.data)
 
 
 def test_adam_rehomes_a_plain_parameter_list_into_one_vector():
-    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    b = Tensor(np.array([1.0, -1.0]), requires_grad=True)
+    a = Parameter(np.arange(6.0).reshape(2, 3))
+    b = Parameter(np.array([1.0, -1.0]))
     opt = Adam([a, b], lr=0.1)
     assert np.shares_memory(a.data, opt._flat) and np.shares_memory(b.data, opt._flat)
     np.testing.assert_array_equal(a.data, np.arange(6.0).reshape(2, 3))
@@ -170,14 +169,17 @@ def test_adam_rehomes_a_plain_parameter_list_into_one_vector():
 
 
 def test_adam_rejects_partial_gradients_and_bad_flat_shape():
-    a = Tensor(np.ones(3), requires_grad=True)
-    b = Tensor(np.ones(2), requires_grad=True)
+    a = Parameter(np.ones(3))
+    b = Parameter(np.ones(2))
     opt = Adam([a, b], lr=0.1)
-    a.grad = np.ones(3)
     with pytest.raises(ValueError):
-        opt.step()
+        opt.apply_gradients(np.ones(3))  # a's gradient only
     with pytest.raises(ValueError):
         opt.apply_gradients(np.ones(4))
+    with pytest.raises(ValueError):
+        opt.apply_gradients(np.ones((1, 5)))
+    assert opt._t == 0
+    np.testing.assert_array_equal(opt._flat, np.ones(5))
 
 
 # --------------------------------------------------------------------- #

@@ -224,6 +224,13 @@ def test_from_dict_rejects_retired_training_values(key, value):
         lambda: CampaignConfig(max_evaluations=None, wall_time_minutes=None),
         lambda: SearchConfig(population_size=1),
         lambda: SearchConfig(replacement="oldest"),
+        # Untrainable statics: an AgE campaign would record every
+        # evaluation as a penalized failure.
+        lambda: SearchConfig(batch_size=0),
+        lambda: SearchConfig(batch_size=-3),
+        lambda: SearchConfig(learning_rate=0.0),
+        lambda: SearchConfig(learning_rate=-0.01),
+        lambda: SearchConfig(learning_rate=float("nan")),
         lambda: TrainingConfig(dtype="float16"),
         lambda: EvaluatorConfig(num_workers=0),
         lambda: FaultConfig(crash_prob=1.5),

@@ -6,7 +6,7 @@ kernels, so losses and gradients should agree to float64 round-off
 multi-epoch training runs, for architectures covering every structural
 feature the tracer handles: plain chains, identity ops (slot aliasing),
 multi-source skips and skips into the output node.  Whole runs take the
-production trainers' loops, once on the plan and once on the eager tape
+production trainer's loop, once on the plan and once on the eager tape
 (``reference/eager_trainer.py``).
 """
 
@@ -20,10 +20,11 @@ import numpy as np
 import pytest
 
 from repro.dataparallel import DataParallelTrainer
-from repro.nn import GraphNetwork, Trainer, assert_plan_equivalence
+from repro.nn import CompiledPlan, GraphNetwork
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
 from repro.searchspace import ArchitectureSpace
 
+from reference.eager import assert_plan_equivalence, eager_predict_logits
 from reference.eager_trainer import eager_training
 
 N_FEATURES = 10
@@ -77,6 +78,30 @@ def test_sampled_architecture_equivalence(seed):
     assert_plan_equivalence(model, X[:128], y[:128], tol=1e-10)
 
 
+@pytest.mark.parametrize("mutation", ["doubled", "one_entry", "nan"])
+def test_equivalence_gate_catches_a_wrong_plan_gradient(monkeypatch, mutation):
+    """The gate reads the gradient the optimizer reads: a plan whose
+    ``mean_grad_flat`` is off by more than the tolerance fails it."""
+    loss_and_grad = CompiledPlan.loss_and_grad
+
+    def perturbed(plan, X, y):
+        loss = loss_and_grad(plan, X, y)
+        if mutation == "doubled":
+            plan.mean_grad_flat *= 2.0
+        elif mutation == "one_entry":
+            plan.mean_grad_flat[-1] += 1e-8
+        else:
+            plan.mean_grad_flat[0] = np.nan
+        return loss
+
+    model = GraphNetwork(SPECS["multi_skip"], N_FEATURES, N_CLASSES, np.random.default_rng(1))
+    X, y = _data()
+    assert_plan_equivalence(model, X[:64], y[:64], tol=1e-10)
+    monkeypatch.setattr(CompiledPlan, "loss_and_grad", perturbed)
+    with pytest.raises(AssertionError, match="divergence"):
+        assert_plan_equivalence(model, X[:64], y[:64], tol=1e-10)
+
+
 @pytest.mark.parametrize("name", ["identity_ops", "multi_skip"])
 def test_five_epoch_training_equivalence(name):
     """Losses, per-epoch accuracies and final weights match over a full run."""
@@ -87,7 +112,7 @@ def test_five_epoch_training_equivalence(name):
     weights = {}
     for backend in ("eager", "compiled"):
         model = GraphNetwork(SPECS[name], N_FEATURES, N_CLASSES, np.random.default_rng(5))
-        trainer = Trainer(epochs=5, batch_size=64, learning_rate=0.01)
+        trainer = DataParallelTrainer(num_ranks=1, epochs=5, batch_size=64, learning_rate=0.01)
         with _backend(backend):
             results[backend] = trainer.fit(model, X, y, Xv, yv, np.random.default_rng(9))
         weights[backend] = model.get_weights()
@@ -143,5 +168,6 @@ def test_compiled_network_is_freed_without_the_cycle_collector():
 def test_compiled_predict_logits_matches_eager():
     model = GraphNetwork(SPECS["skip_to_output"], N_FEATURES, N_CLASSES, np.random.default_rng(4))
     X, _ = _data(13, n=500)
-    plan = model.compile()
-    np.testing.assert_array_equal(plan.predict_logits(X), model.predict_logits(X))
+    eager = eager_predict_logits(model, X, batch_size=128)
+    np.testing.assert_array_equal(model.compile().predict_logits(X), eager)
+    np.testing.assert_array_equal(model.predict_logits(X, batch_size=128), eager)

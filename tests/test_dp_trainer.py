@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import repro.dataparallel.trainer as dp_trainer
 from repro.campaign.events import EpochEnd, EventBus, MetricsAggregator
 from repro.dataparallel import DataParallelTrainer, ring_transfer_stats
-from repro.nn import Adam, GraphNetwork, Trainer
+from repro.nn import Adam, GraphNetwork
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
 from repro.searchspace import ArchitectureSpace
 
@@ -82,22 +82,6 @@ def test_fused_path_matches_per_rank(rng):
         np.testing.assert_allclose(x, z, rtol=0, atol=1e-10)
 
 
-def test_single_rank_matches_reference_trainer():
-    """n=1 data-parallel must reduce to the plain training loop."""
-    X, y = make_blobs(np.random.default_rng(2), n=300)
-    net_a = build(seed=7)
-    net_b = build(seed=7)
-    dp = DataParallelTrainer(num_ranks=1, epochs=3, batch_size=32, learning_rate=0.01).fit(
-        net_a, X[:240], y[:240], X[240:], y[240:], np.random.default_rng(11)
-    )
-    # The reference Trainer permutes all of X; the DP trainer with 1 rank has
-    # one shard = everything, so the dynamics are the same distributionally.
-    ref = Trainer(epochs=3, batch_size=32, learning_rate=0.01).fit(
-        net_b, X[:240], y[:240], X[240:], y[240:], np.random.default_rng(11)
-    )
-    assert abs(dp.best_val_accuracy - ref.best_val_accuracy) < 0.1
-
-
 def test_scaled_lr_applied():
     X, y = make_blobs(np.random.default_rng(3), n=200)
     net = build(seed=1)
@@ -144,6 +128,11 @@ def test_constructor_validation():
         DataParallelTrainer(num_ranks=0)
     with pytest.raises(ValueError):
         DataParallelTrainer(num_ranks=1, epochs=-1)
+    # 0 would divide by zero and a negative size would train on silently
+    # truncated slices.
+    for batch_size in (0, -3):
+        with pytest.raises(ValueError, match="batch_size"):
+            DataParallelTrainer(num_ranks=4, batch_size=batch_size)
 
 
 def test_epochs_zero_returns_zeroed_result(rng):

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from repro.dataparallel import DataParallelTrainer
-from repro.nn import GraphNetwork, Tensor
+from repro.nn import GraphNetwork
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
+
+from reference.autograd import Tensor
+from reference.eager import eager_forward
 
 
 def make_net(node_ops, skips=frozenset(), input_dim=6, n_classes=3, seed=0):
@@ -58,7 +61,7 @@ def test_spec_active_depth_counts_non_identity():
 # --------------------------------------------------------------------- #
 def test_forward_output_shape():
     net = make_net([NodeOp(16, "relu"), NodeOp(8, "tanh")])
-    out = net.forward(np.zeros((5, 6)))
+    out = net.predict_logits(np.zeros((5, 6)))
     assert out.shape == (5, 3)
 
 
@@ -66,9 +69,9 @@ def test_all_identity_network_is_affine():
     """Identity ops with no skips collapse to a single linear map."""
     net = make_net([NodeOp(None, None)] * 3)
     x = np.random.default_rng(1).normal(size=(10, 6))
-    a = net.forward(x).data
-    b = net.forward(2.0 * x).data
-    c = net.forward(np.zeros((10, 6))).data
+    a = net.predict_logits(x)
+    b = net.predict_logits(2.0 * x)
+    c = net.predict_logits(np.zeros((10, 6)))
     np.testing.assert_allclose(2.0 * (a - c), b - c, rtol=1e-10)
 
 
@@ -90,10 +93,10 @@ def test_param_count_with_skip_projection():
 def test_skip_changes_output():
     """An active skip must alter the function computed."""
     x = np.random.default_rng(2).normal(size=(4, 6))
-    plain = make_net([NodeOp(16, "relu"), NodeOp(8, "tanh")], seed=3).forward(x).data
+    plain = make_net([NodeOp(16, "relu"), NodeOp(8, "tanh")], seed=3).predict_logits(x)
     skipped = make_net(
         [NodeOp(16, "relu"), NodeOp(8, "tanh")], skips={(0, 2)}, seed=3
-    ).forward(x).data
+    ).predict_logits(x)
     assert not np.allclose(plain, skipped)
 
 
@@ -103,19 +106,19 @@ def test_skip_through_identity_node_width_propagates():
         [NodeOp(16, "relu"), NodeOp(None, None), NodeOp(8, "swish")],
         skips={(0, 3), (1, 4)},
     )
-    out = net.forward(np.zeros((2, 6)))
+    out = net.predict_logits(np.zeros((2, 6)))
     assert out.shape == (2, 3)
 
 
 def test_skip_into_output_node():
     net = make_net([NodeOp(12, "relu"), NodeOp(12, "relu"), NodeOp(12, "relu")], skips={(1, 4)})
-    assert net.forward(np.zeros((2, 6))).shape == (2, 3)
+    assert net.predict_logits(np.zeros((2, 6))).shape == (2, 3)
 
 
 def test_input_width_mismatch_raises():
     net = make_net([NodeOp(8, "relu")])
-    with pytest.raises(ValueError):
-        net.forward(np.zeros((3, 7)))
+    with pytest.raises(ValueError, match="input width"):
+        net.predict_logits(np.zeros((3, 7)))
 
 
 def test_invalid_dims_raise():
@@ -134,12 +137,14 @@ def test_all_parameters_receive_gradients():
         [NodeOp(16, "relu"), NodeOp(None, None), NodeOp(8, "swish")],
         skips={(0, 2), (0, 3), (1, 4)},
     )
-    x = np.random.default_rng(0).normal(size=(8, 6))
-    out = net.forward(x)
-    out.sum().backward()
-    for p in net.parameters():
-        assert p.grad is not None, f"parameter {p.name} got no gradient"
-        assert np.isfinite(p.grad).all()
+    rng = np.random.default_rng(0)
+    plan = net.compile()
+    plan.loss_and_grad(rng.normal(size=(8, 6)), rng.integers(0, 3, size=8))
+    assert len(plan.mean_grad_views) == len(net.parameters())
+    for p, g in zip(net.parameters(), plan.mean_grad_views):
+        assert g.shape == p.data.shape
+        assert np.isfinite(g).all()
+        assert np.any(g != 0.0), f"parameter {p.name} got no gradient"
 
 
 def test_deterministic_build_per_seed():
@@ -155,7 +160,7 @@ def test_deterministic_build_per_seed():
 def test_predict_logits_batched_matches_full():
     net = make_net([NodeOp(16, "relu")])
     x = np.random.default_rng(4).normal(size=(50, 6))
-    full = net.forward(x).data
+    full = eager_forward(net, x).data
     batched = net.predict_logits(x, batch_size=7)
     np.testing.assert_allclose(full, batched, rtol=1e-12)
 
@@ -176,13 +181,13 @@ def test_predict_returns_class_indices():
 def test_get_set_weights_roundtrip():
     net = make_net([NodeOp(16, "relu"), NodeOp(8, "tanh")], skips={(0, 2)})
     x = np.random.default_rng(6).normal(size=(4, 6))
-    before = net.forward(x).data.copy()
+    before = net.predict_logits(x)
     weights = net.get_weights()
     for p in net.parameters():
         p.data += 1.0
-    assert not np.allclose(net.forward(x).data, before)
+    assert not np.allclose(net.predict_logits(x), before)
     net.set_weights(weights)
-    np.testing.assert_allclose(net.forward(x).data, before)
+    np.testing.assert_allclose(net.predict_logits(x), before)
 
 
 def test_set_weights_shape_mismatch():
@@ -200,8 +205,9 @@ def test_set_weights_length_mismatch():
 
 
 def test_forward_accepts_tensor_input():
+    """The reference forward also runs on a tape-built input."""
     net = make_net([NodeOp(8, "relu")])
-    out = net.forward(Tensor(np.zeros((2, 6))))
+    out = eager_forward(net, Tensor(np.zeros((2, 6))))
     assert out.shape == (2, 3)
 
 
@@ -221,12 +227,12 @@ def test_predict_logits_zero_rows_keep_model_dtype(dtype):
 # --------------------------------------------------------------------- #
 def _assert_params_tile_flat(net):
     params = net.parameters()
-    assert net._flat.size == sum(p.size for p in params)
+    assert net._flat.size == sum(p.data.size for p in params)
     offset = 0
     for p in params:
         assert np.shares_memory(p.data, net._flat)
-        np.testing.assert_array_equal(p.data.ravel(), net._flat[offset : offset + p.size])
-        offset += p.size
+        np.testing.assert_array_equal(p.data.ravel(), net._flat[offset : offset + p.data.size])
+        offset += p.data.size
 
 
 def _skip_net(seed=0):

@@ -1,4 +1,8 @@
-"""Unit tests for activations, initializers, layers, losses and metrics."""
+"""Unit tests for activations, initializers, layers, losses and metrics.
+
+Activations, the dense layer's forward pass and the losses are computed on
+the reference tape (``tests/reference/``), which the compiled plan replays.
+"""
 
 from __future__ import annotations
 
@@ -7,21 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import (
-    ACTIVATIONS,
-    Dense,
-    Tensor,
-    accuracy,
-    apply_activation,
-    glorot_uniform,
-    he_normal,
-    l2_regularization,
-    softmax_cross_entropy,
-    top_k_accuracy,
-    zeros_init,
-)
+from repro.nn import Dense, accuracy, glorot_uniform, he_normal, top_k_accuracy, zeros_init
 from repro.nn.activations import ACTIVATION_NAMES
 from repro.nn.metrics import confusion_counts
+
+from reference.autograd import Tensor
+from reference.eager import ACTIVATIONS, EagerNetwork, apply_activation
+from reference.losses import l2_regularization, softmax_cross_entropy
 
 
 # --------------------------------------------------------------------- #
@@ -88,7 +84,7 @@ def test_initializers_deterministic_per_seed():
 def test_dense_forward_shape_and_activation():
     rng = np.random.default_rng(0)
     layer = Dense(5, 3, "relu", rng)
-    out = layer(Tensor(rng.normal(size=(7, 5))))
+    out = EagerNetwork(layer).dense(layer, Tensor(rng.normal(size=(7, 5))))
     assert out.shape == (7, 3)
     assert np.all(out.data >= 0.0)  # relu applied
 
@@ -97,18 +93,23 @@ def test_dense_linear_ignores_activation():
     rng = np.random.default_rng(0)
     layer = Dense(4, 2, "relu", rng)
     x = Tensor(rng.normal(size=(3, 4)))
-    lin = layer.linear(x).data
+    lin = EagerNetwork(layer).linear(layer, x).data
     assert (lin < 0).any()  # raw affine output can be negative
 
 
 def test_dense_parameter_count():
     layer = Dense(10, 6, None, np.random.default_rng(0))
-    assert layer.num_parameters() == 10 * 6 + 6
+    assert sum(p.data.size for p in layer.parameters()) == 10 * 6 + 6
 
 
 def test_dense_invalid_dims():
     with pytest.raises(ValueError):
         Dense(0, 4, None, np.random.default_rng(0))
+
+
+def test_dense_rejects_unknown_activation():
+    with pytest.raises(ValueError, match="unknown activation"):
+        Dense(4, 2, "gelu", np.random.default_rng(0))
 
 
 def test_dense_uses_he_for_relu_family():

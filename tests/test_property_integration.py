@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import GraphNetwork
-from repro.nn.losses import softmax_cross_entropy
-from repro.nn.autograd import Tensor
 from repro.searchspace import ArchitectureSpace, mutate_architecture
+
+from reference.autograd import Tensor
+from reference.eager import EagerNetwork
+from reference.losses import softmax_cross_entropy
 
 
 @given(seed=st.integers(0, 2_000))
@@ -22,9 +24,9 @@ def test_any_sampled_architecture_builds_and_runs(seed):
     vec = space.random_sample(rng)
     net = GraphNetwork(space.decode(vec), input_dim=7, n_classes=3, rng=rng)
     x = rng.normal(size=(6, 7))
-    out = net.forward(x)
+    out = net.predict_logits(x)
     assert out.shape == (6, 3)
-    assert np.isfinite(out.data).all()
+    assert np.isfinite(out).all()
     assert net.num_parameters() >= 7 * 3 + 3  # at least the output layer
 
 
@@ -37,23 +39,18 @@ def test_any_sampled_architecture_has_trainable_loss(seed):
     net = GraphNetwork(space.decode(space.random_sample(rng)), 5, 3, rng)
     x = rng.normal(size=(16, 5))
     y = rng.integers(0, 3, size=16)
-    loss0 = softmax_cross_entropy(net.forward(x), y)
-    loss0.backward()
+    plan = net.compile()
+    loss0 = plan.loss_and_grad(x, y)
     # Step small enough for the first-order decrease to dominate the
     # curvature term regardless of the sampled architecture.
-    grad_scale = max(
-        (np.abs(p.grad).max() for p in net.parameters() if p.grad is not None),
-        default=0.0,
-    )
-    step = 1e-3 / max(1.0, grad_scale)
-    for p in net.parameters():
-        if p.grad is not None:
-            p.data -= step * p.grad
-    loss1 = softmax_cross_entropy(net.forward(x), y)
+    step = 1e-3 / max(1.0, float(np.abs(plan.mean_grad_flat).max()))
+    for p, g in zip(net.parameters(), plan.mean_grad_views):
+        p.data -= step * g
+    loss1 = plan.loss_and_grad(x, y)
     # Gradient descent with a sufficiently small step cannot increase the
     # loss beyond float noise (identity-only networks may have zero grad
     # for some parameters, but the output layer always learns).
-    assert loss1.item() <= loss0.item() + 1e-9
+    assert loss1 <= loss0 + 1e-9
 
 
 def test_every_op_index_builds(small_space, rng):
@@ -62,7 +59,7 @@ def test_every_op_index_builds(small_space, rng):
         vec = np.zeros(small_space.num_variables, dtype=np.int64)
         vec[0] = idx
         net = GraphNetwork(small_space.decode(vec), 4, 2, rng)
-        out = net.forward(np.zeros((2, 4)))
+        out = net.predict_logits(np.zeros((2, 4)))
         assert out.shape == (2, 2)
 
 
@@ -99,7 +96,8 @@ def test_skip_heavy_architecture_gradient_flow(rng):
     vec[: space.num_nodes] = rng.integers(0, space.num_ops - 1, size=space.num_nodes)
     net = GraphNetwork(space.decode(vec), 9, 4, rng)
     x = rng.normal(size=(8, 9))
-    loss = softmax_cross_entropy(net.forward(x), rng.integers(0, 4, size=8))
+    eager = EagerNetwork(net)
+    loss = softmax_cross_entropy(eager(x), rng.integers(0, 4, size=8))
     loss.backward()
-    missing = [p.name for p in net.parameters() if p.grad is None]
+    missing = [p.name for p in eager.parameters() if p.grad is None]
     assert not missing, f"parameters without gradient: {missing}"

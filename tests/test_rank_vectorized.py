@@ -11,13 +11,16 @@ per-rank oracle in ``tests/test_dp_trainer.py``); it stays while
 from __future__ import annotations
 
 import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.dataparallel.trainer as dp_trainer
 from repro.dataparallel import DataParallelTrainer
+from repro.nn import Adam
 from repro.nn.graph_network import GraphNetwork
 from repro.searchspace import ArchitectureSpace
 
@@ -25,11 +28,12 @@ from conftest import make_blobs
 from reference.dataparallel import per_rank_training
 
 
-def random_model(seed: int, d: int = 10, classes: int = 4, num_nodes: int = 4) -> GraphNetwork:
+def random_model(seed: int, d: int = 10, classes: int = 4, num_nodes: int = 4,
+                 dtype=np.float64) -> GraphNetwork:
     rng = np.random.default_rng(seed)
     space = ArchitectureSpace(num_nodes=num_nodes)
     spec = space.decode(space.random_sample(rng))
-    return GraphNetwork(spec, d, classes, np.random.default_rng(seed))
+    return GraphNetwork(spec, d, classes, np.random.default_rng(seed), dtype=dtype)
 
 
 # --------------------------------------------------------------------- #
@@ -102,12 +106,19 @@ def test_trainer_float32_keeps_adam_dtype_stable(rank_mode):
     per-rank reference step, whose float64 mean is cast back on write.
     """
     X, y = make_blobs(np.random.default_rng(7), n=200)
-    model = random_model(3, d=8, classes=3)
+    model = random_model(3, d=8, classes=3, dtype=np.float32)
     trainer = DataParallelTrainer(
         num_ranks=2, epochs=2, batch_size=16, learning_rate=0.005, dtype=np.float32
     )
+    dtypes = set()
+
+    class RecordingAdam(Adam):
+        def apply_gradients(self, grad):
+            dtypes.add(grad.dtype)
+            super().apply_gradients(grad)
+
     step = per_rank_training(2) if rank_mode == "loop" else contextlib.nullcontext()
-    with step:
+    with step, mock.patch.object(dp_trainer, "Adam", RecordingAdam):
         trainer.fit(model, X[:160], y[:160], X[160:], y[160:], np.random.default_rng(8))
-    for p in model.parameters():
-        assert p.grad is None or p.grad.dtype == model.dtype
+    assert dtypes == {np.dtype(np.float32)}
+    assert all(p.data.dtype == np.float32 for p in model.parameters())

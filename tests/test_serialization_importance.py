@@ -99,10 +99,10 @@ def test_model_weights_roundtrip(tmp_path):
     a = GraphNetwork(spec, 6, 3, np.random.default_rng(0))
     b = GraphNetwork(spec, 6, 3, np.random.default_rng(99))  # different init
     x = np.random.default_rng(1).normal(size=(5, 6))
-    assert not np.allclose(a.forward(x).data, b.forward(x).data)
+    assert not np.allclose(a.predict_logits(x), b.predict_logits(x))
     path = save_model_weights(a, tmp_path / "weights.npz")
     load_model_weights(b, path)
-    np.testing.assert_allclose(a.forward(x).data, b.forward(x).data)
+    np.testing.assert_allclose(a.predict_logits(x), b.predict_logits(x))
 
 
 def test_model_weights_structure_mismatch(tmp_path):

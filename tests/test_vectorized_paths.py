@@ -3,8 +3,8 @@
 Covers the three satellite guarantees of the perf work: the level-
 synchronous forest grower and the batched forest walks are bit-identical
 to the per-node oracle in ``forest_oracle.py`` (node tables and (μ, σ)),
-``no_grad`` stays thread-local so a concurrent inference pass cannot
-disable taping on another thread, and float32 survives end-to-end
+the reference tape's ``no_grad`` stays thread-local so a concurrent
+inference pass cannot disable taping on another thread, and float32 survives end-to-end
 through tensors, networks and compiled plans (no silent float64
 upcasts on the training path).
 """
@@ -21,9 +21,12 @@ from hypothesis import strategies as st
 from forest_oracle import ReferenceForest, grow_reference, predict_recursive, predict_reference
 from repro.bo import BayesianOptimizer
 from repro.bo.forest import RandomForestRegressor, RegressionTree
-from repro.nn import GraphNetwork, Tensor, is_grad_enabled, no_grad, softmax_cross_entropy
+from repro.nn import GraphNetwork
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
 from repro.searchspace import default_dataparallel_space
+
+from reference.autograd import Tensor, is_grad_enabled, no_grad
+from reference.eager import eager_forward, eager_loss_and_grads
 
 
 def _forest_data(seed: int = 0, n: int = 250, d: int = 3):
@@ -186,16 +189,15 @@ def test_network_and_plan_preserve_float32():
     X = rng.standard_normal((32, 8)).astype(np.float32)
     y = rng.integers(0, 3, size=32)
 
-    logits = model.forward(X)
-    assert logits.data.dtype == np.float32
-    loss = softmax_cross_entropy(logits, y)
-    loss.backward()
-    assert all(p.grad.dtype == np.float32 for p in model.parameters())
+    assert eager_forward(model, X).data.dtype == np.float32
+    _, grads = eager_loss_and_grads(model, X, y)
+    assert all(g.dtype == np.float32 for g in grads)
 
     plan = model.compile()
     plan.loss_and_grad(X, y)
     assert all(g.dtype == np.float32 for g in plan.mean_grad_views)
     assert plan.predict_logits(X).dtype == np.float32
+    assert model.predict_logits(X.astype(np.float64)).dtype == np.float32
 
 
 def test_float32_initializers_match_float64_draws():
