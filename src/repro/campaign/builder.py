@@ -2,8 +2,8 @@
 
 :func:`build_campaign` is the single wiring layer: it constructs the
 dataset, the architecture / hyperparameter spaces, the evaluation
-function, the (optional) fault injector, the evaluator backend and the
-search method — all from one typed config — threads a shared
+function, the evaluator backend with its fault policy and the search
+method — all from one typed config — threads a shared
 :class:`~repro.campaign.events.EventBus` through every layer, and returns
 a :class:`Campaign` whose :meth:`Campaign.run` executes the search.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.bo.forest import RandomForestRegressor
 from repro.bo.surrogate import KNNSurrogate
@@ -53,7 +53,6 @@ from repro.workflow.evaluator import (
     SimulatedEvaluator,
     ThreadedEvaluator,
 )
-from repro.workflow.faults import FaultInjector, FaultPolicy
 
 __all__ = ["Campaign", "build_campaign", "resume_campaign"]
 
@@ -154,14 +153,9 @@ class Campaign:
     space: ArchitectureSpace
     hp_space: Any  # HyperparameterSpace for BO methods, None for AgE
     evaluation: ModelEvaluation
-    run_function: Callable  # evaluation, possibly wrapped by a FaultInjector
     evaluator: Any
     search: Any
     event_bus: EventBus
-
-    @property
-    def fault_injector(self) -> FaultInjector | None:
-        return self.run_function if isinstance(self.run_function, FaultInjector) else None
 
     def subscribe(self, callback, event_type=None):
         """Shorthand for ``campaign.event_bus.subscribe``."""
@@ -204,7 +198,7 @@ class Campaign:
 
 
 # --------------------------------------------------------------------- #
-def _build_run_function(config: CampaignConfig, dataset, space, event_bus):
+def _build_evaluation(config: CampaignConfig, dataset, space, event_bus) -> ModelEvaluation:
     t = config.training
     evaluation = ModelEvaluation(
         dataset,
@@ -219,31 +213,7 @@ def _build_run_function(config: CampaignConfig, dataset, space, event_bus):
         dtype=t.dtype,
     )
     evaluation.event_bus = event_bus
-    f = config.faults
-    run_function: Callable = evaluation
-    if f.injects:
-        run_function = FaultInjector(
-            evaluation,
-            crash_prob=f.crash_prob,
-            hang_prob=f.hang_prob,
-            corrupt_prob=f.corrupt_prob,
-            hang_factor=f.hang_factor,
-            seed=f.fault_seed,
-        )
-        run_function.event_bus = event_bus
-    return evaluation, run_function
-
-
-def _fault_policy(config: CampaignConfig) -> FaultPolicy:
-    f = config.faults
-    return FaultPolicy(
-        on_error=f.on_error,
-        max_retries=f.max_retries,
-        retry_backoff=f.retry_backoff,
-        timeout=f.timeout,
-        failure_objective=f.failure_objective,
-        failure_duration=f.failure_duration,
-    )
+    return evaluation
 
 
 def _validate_names(config: CampaignConfig) -> None:
@@ -271,10 +241,10 @@ def build_campaign(
 
     dataset = load_dataset(config.dataset, size=config.size)
     space = ArchitectureSpace(num_nodes=config.num_nodes)
-    evaluation, run_function = _build_run_function(config, dataset, space, bus)
+    evaluation = _build_evaluation(config, dataset, space, bus)
 
     evaluator = EVALUATORS.get(config.evaluator.backend)(
-        run_function, config.evaluator, _fault_policy(config)
+        evaluation, config.evaluator, config.faults.policy()
     )
     evaluator.event_bus = bus
 
@@ -296,7 +266,6 @@ def build_campaign(
         space=space,
         hp_space=hp_space,
         evaluation=evaluation,
-        run_function=run_function,
         evaluator=evaluator,
         search=search,
         event_bus=bus,

@@ -20,6 +20,8 @@ import dataclasses
 from dataclasses import dataclass, field, fields
 from typing import Any
 
+from repro.workflow.faults import FaultPolicy
+
 __all__ = [
     "CONFIG_VERSION",
     "SearchConfig",
@@ -162,9 +164,9 @@ class EvaluatorConfig:
 
 @dataclass(frozen=True)
 class FaultConfig:
-    """Failure handling (the FaultPolicy fields) plus deterministic fault
-    injection (the FaultInjector knobs; all-zero probabilities disable the
-    injector entirely)."""
+    """Failure handling and seeded fault injection: the
+    :class:`~repro.workflow.faults.FaultPolicy` fields with campaign
+    defaults (all-zero probabilities inject nothing)."""
 
     on_error: str = "penalize"
     max_retries: int = 2
@@ -179,31 +181,14 @@ class FaultConfig:
     fault_seed: int = 0
 
     def __post_init__(self) -> None:
-        # FaultPolicy / FaultInjector re-validate on construction; checking
-        # here too means a bad config fails at definition time, not launch.
-        from repro.workflow.faults import ON_ERROR_POLICIES
+        self.policy()  # a bad config fails at definition time, not launch
 
-        if self.on_error not in ON_ERROR_POLICIES:
-            raise ValueError(f"unknown faults.on_error policy {self.on_error!r}")
-        if self.max_retries < 0:
-            raise ValueError("faults.max_retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ValueError("faults.retry_backoff must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("faults.timeout must be > 0 when set")
-        for name in ("crash_prob", "hang_prob", "corrupt_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"faults.{name} must be in [0, 1], got {p}")
-        if self.crash_prob + self.hang_prob + self.corrupt_prob > 1.0:
-            raise ValueError("faults crash/hang/corrupt probabilities must sum to <= 1")
-        if self.hang_factor < 1.0:
-            raise ValueError("faults.hang_factor must be >= 1")
-
-    @property
-    def injects(self) -> bool:
-        """Whether any fault injection is enabled."""
-        return bool(self.crash_prob or self.hang_prob or self.corrupt_prob)
+    def policy(self) -> FaultPolicy:
+        """The evaluators' :class:`~repro.workflow.faults.FaultPolicy`."""
+        try:
+            return FaultPolicy(**dataclasses.asdict(self))
+        except ValueError as exc:
+            raise ValueError(f"faults: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 One campaign produces one stream of typed events: the evaluators emit job
 lifecycle events (submit / gather / retry / worker death), the search loop
 emits population and checkpoint events, the BO optimizer emits tell/ask
-events, the trainer emits per-epoch events and the fault injector reports
-injected faults.  Subscribers attach to an :class:`EventBus`; three
+events, the trainer emits per-epoch events and the evaluators report the
+faults they inject.  Subscribers attach to an :class:`EventBus`; three
 built-ins cover the common needs:
 
 - :class:`JsonlEventLog` — append every event to a JSONL file that
@@ -172,10 +172,12 @@ class EpochEnd(CampaignEvent):
 
 @dataclass(frozen=True)
 class FaultInjected(CampaignEvent):
-    """The fault injector perturbed an evaluation."""
+    """An evaluator injected a fault into attempt ``retries`` of a job,
+    as the attempt started (on the manager)."""
 
     kind: str  # "crash" | "hang" | "corrupt"
-    call_index: int
+    job_id: int
+    retries: int
 
 
 @dataclass(frozen=True)
@@ -279,7 +281,8 @@ class JsonlEventLog:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._fh = open(self.path, "w")
+        # Line-buffered: a killed campaign's log holds every emitted event.
+        self._fh = open(self.path, "w", buffering=1)
         self.num_events = 0
 
     def __call__(self, event: CampaignEvent) -> None:
@@ -303,8 +306,8 @@ class JsonlEventLog:
 def load_events(path: str | Path) -> list[CampaignEvent]:
     """Replay a :class:`JsonlEventLog` file into typed events.
 
-    The log is block-buffered, so a killed campaign can leave a final line
-    with no newline; such a line is skipped when it does not parse.  A
+    The log is line-buffered, but a write cut short can still leave a final
+    line with no newline; such a line is skipped when it does not parse.  A
     malformed complete line still raises.
     """
     events: list[CampaignEvent] = []

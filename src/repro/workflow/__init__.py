@@ -19,7 +19,7 @@ duplicate configurations from memo instead of re-training them.
 
 from repro.workflow.events import EventQueue
 from repro.workflow.jobs import EvaluationResult, Job, JobState
-from repro.workflow.faults import FaultInjector, FaultPolicy, InjectedCrash
+from repro.workflow.faults import FaultPolicy, InjectedCrash
 from repro.workflow.cache import CACHE_MODES, EvaluationCache, canonical_config_key
 from repro.workflow.evaluator import (
     Evaluator,
@@ -41,6 +41,5 @@ __all__ = [
     "canonical_config_key",
     "CACHE_MODES",
     "FaultPolicy",
-    "FaultInjector",
     "InjectedCrash",
 ]

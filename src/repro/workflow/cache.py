@@ -13,27 +13,26 @@ Semantics (kept deliberately uniform across backends):
 - A *hit* returns the memoized result verbatim — objective, declared
   duration and metadata — so gathered records are indistinguishable from a
   recomputation of a deterministic run function.
-- The job that hit is credited **zero busy time** ("finalized with
-  ``duration=0``"): no compute happened, so ``utilization()`` stays honest.
+- A hit is an ordinary attempt in every other respect: it draws its
+  injected fault (:meth:`~repro.workflow.faults.FaultPolicy.fault`) and
+  passes the same timeout and classify checks as computed work; only the
+  compute is skipped.
+- The job that hit is credited **zero busy time**: no compute happened, so
+  ``utilization()`` stays honest.
 - The :class:`~repro.workflow.evaluator.SimulatedEvaluator` replays the
   memoized duration on the simulated clock (the worker stays reserved until
   ``start + duration``), which keeps the campaign timeline — and therefore
-  the search history — bit-identical with the cache on or off.  The
-  wall-clock backends short-circuit instead: a hit finishes at submit time.
-- Only successful (non-penalized) results are stored; failures always
-  re-run.
+  the search history — bit-identical with the cache on or off, faults
+  included.  On the wall-clock backends a hit ends where it starts.
+- Only successful results of clean attempts are stored; failures always
+  re-run, and a hang or a corruption changes that attempt's result but
+  never the cache entry.
 
 The cache is manipulated exclusively from the manager thread (``submit`` /
 ``gather``), so it needs no locking.  Simulated-evaluator checkpoints keep
 only its hit/miss/store counters: on load the entries are rebuilt from the
-checkpointed jobs, since every job with a non-failed result holds its
-key's memoized entry.
-
-Determinism caveat: a hit skips the run-function call, so *stateful* run
-functions (e.g. a :class:`~repro.workflow.faults.FaultInjector`, whose RNG
-advances per call) observe a shorter call sequence than a cache-off run.
-Bit-identical cache-on/off histories are guaranteed for deterministic run
-functions only.
+checkpointed jobs, since every job with a non-failed result from a clean
+attempt holds its key's memoized entry.
 """
 
 from __future__ import annotations

@@ -11,23 +11,27 @@ mirroring DeepHyper/Balsam.  Every backend here exposes exactly that:
 - :class:`ThreadedEvaluator` and :class:`ProcessPoolEvaluator` run
   evaluation functions concurrently on a thread / process pool.  Both
   are thin shells over :class:`_WallClockEvaluator`, which owns submit,
-  the cache short-circuit and the whole of ``gather``: collect finished
-  futures, reap attempts past the policy deadline, reclaim the pool when
-  it broke or holds a hung worker, then route every outcome through the
+  dispatch and the whole of ``gather``: collect finished futures, reap
+  attempts past the policy deadline, reclaim the pool when it broke or
+  holds a hung worker, then route every outcome through the
   :class:`~repro.workflow.faults.FaultPolicy`.  A backend supplies only
-  ``_make_pool``, ``_dispatch`` (a future resolving to ``(result,
+  ``_make_pool``, ``_submit_attempt`` (a future resolving to ``(result,
   elapsed_min)``), ``_kill_workers`` (threads can only abandon a
   straggler; processes are terminated and the pool rebuilt) and the
   ``_busy_in_worker`` flag saying where busy time is measured.
 
 All backends honor the same :class:`~repro.workflow.faults.FaultPolicy`
-(retries with exponential backoff, per-job timeouts, penalized results)
-and the same optional :class:`~repro.workflow.cache.EvaluationCache`
-(duplicate configurations are served from memo without re-training).  The
-simulated backend additionally models worker failures — a worker dies at
-a scheduled time, its in-flight job is rescheduled on a surviving worker —
-and is checkpointable via ``state_dict`` / ``load_state`` so a killed
-campaign resumes bit-identically.  Its job table is the one stored copy of
+(retries with exponential backoff, per-job timeouts, penalized results,
+seeded fault injection) and the same optional
+:class:`~repro.workflow.cache.EvaluationCache` (duplicate configurations
+are served from memo without re-training).  Every attempt starts on the
+manager: it draws its injected fault from ``(fault_seed, job_id,
+retries)`` and then consults the cache, so the fault sequence is the same
+on every backend and with the cache on or off.  The simulated backend
+additionally models worker failures — a worker dies at a scheduled time,
+its in-flight job is rescheduled on a surviving worker — and is
+checkpointable via ``state_dict`` / ``load_state`` so a killed campaign
+resumes bit-identically.  Its job table is the one stored copy of
 every evaluation: the search history and the cache entries are rebuilt
 from it on load.
 """
@@ -51,7 +55,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.workflow.cache import EvaluationCache
 from repro.workflow.events import EventQueue
-from repro.workflow.faults import FaultPolicy
+from repro.workflow.faults import FaultPolicy, InjectedCrash
 from repro.workflow.jobs import EvaluationResult, Job, JobState, job_from_dict, job_to_dict
 
 __all__ = [
@@ -87,25 +91,21 @@ def _process_worker_call(config: Any) -> tuple[EvaluationResult, float]:
 
 
 def _strip_event_bus(fn: Any) -> Any:
-    """A shallow copy of a run-function chain with event buses detached.
+    """A shallow copy of a run function with its event bus detached.
 
     Campaign buses hold arbitrary subscribers (open JSONL files, stdout
     reporters) that cannot cross a process boundary; worker-side emissions
-    could not reach the manager's bus anyway.  Wrappers exposing a
-    ``run_function`` attribute (e.g. FaultInjector) are stripped through.
+    could not reach the manager's bus anyway.
     """
-    clone = fn
-    if getattr(fn, "event_bus", None) is not None:
-        clone = copy.copy(fn)
-        clone.event_bus = None
-    inner = getattr(clone, "run_function", None)
-    if inner is not None:
-        stripped = _strip_event_bus(inner)
-        if stripped is not inner:
-            if clone is fn:
-                clone = copy.copy(fn)
-            clone.run_function = stripped
+    if getattr(fn, "event_bus", None) is None:
+        return fn
+    clone = copy.copy(fn)
+    clone.event_bus = None
     return clone
+
+
+def _injected_crash(job: Job) -> InjectedCrash:
+    return InjectedCrash(f"injected crash: job {job.job_id}, retry {job.retries}")
 
 
 class Evaluator:
@@ -114,10 +114,10 @@ class Evaluator:
     ``event_bus`` is an optional campaign event bus (attached by
     :func:`repro.campaign.build_campaign`); backends emit job lifecycle
     events (:class:`~repro.campaign.events.JobSubmitted`, ``JobGathered``,
-    ``JobRetried``, ``WorkerDied``, ``CacheHit``, ``CacheStore``) through
-    it when set.  ``cache`` is an optional
-    :class:`~repro.workflow.cache.EvaluationCache` consulted at submit
-    time and filled at completion time by every backend.
+    ``JobRetried``, ``WorkerDied``, ``FaultInjected``, ``CacheHit``,
+    ``CacheStore``) through it when set.  ``cache`` is an optional
+    :class:`~repro.workflow.cache.EvaluationCache` consulted as each
+    attempt starts and filled by clean successful attempts.
     """
 
     event_bus = None
@@ -177,8 +177,34 @@ class Evaluator:
                 CacheStore(job_id=job.job_id, key=self.cache.key(job.config), time=self.now)
             )
 
+    def _begin_attempt(self, job: Job) -> tuple[str | None, EvaluationResult | None]:
+        """Draw the injected fault of the attempt starting now, then look
+        up the cache (a crash skips the lookup).
+
+        Returns ``(kind, cached)``: the fault kind (None when clean) and the
+        memoized result when the attempt is a cache hit.  Runs on the
+        manager, so the counter and the events stay manager-side.
+        """
+        kind = self.fault_policy.fault(job.job_id, job.retries)
+        if kind is not None:
+            self.num_faults_injected += 1
+            if self.event_bus is not None:
+                from repro.campaign.events import FaultInjected
+
+                self.event_bus.emit(
+                    FaultInjected(kind=kind, job_id=job.job_id, retries=job.retries)
+                )
+        cached = None
+        if kind != "crash" and self.cache is not None:
+            cached = self.cache.lookup(job.config)
+        job.cache_hit = cached is not None
+        if job.cache_hit:
+            self._emit_cache_hit(job)
+        return kind, cached
+
     def _cache_store(self, job: Job) -> None:
-        """Memoize a successfully finished, freshly computed result."""
+        """Memoize a successful, freshly computed result of a clean attempt
+        (a hang or a corruption never reaches the cache)."""
         if self.cache is None or job.cache_hit or job.result is None:
             return
         if self.cache.store(job.config, job.result):
@@ -228,12 +254,14 @@ class SimulatedEvaluator(Evaluator):
         rescheduled (front of the queue) on a surviving worker.
     cache:
         Optional :class:`~repro.workflow.cache.EvaluationCache`.  A hit
-        skips the run-function call (no re-training) but *replays the
-        memoized duration on the simulated clock* — the worker stays
-        reserved until ``start + duration`` — so the campaign timeline
-        (and the search history) is bit-identical with the cache on or
-        off.  Hits are credited zero busy time, keeping ``utilization()``
-        honest about compute that never happened.
+        skips the run-function call (no re-training) but is otherwise an
+        ordinary attempt: it draws its fault, passes the timeout and
+        classify checks, and *replays the memoized duration on the
+        simulated clock* — the worker stays reserved until ``start +
+        duration`` — so the campaign timeline (and the search history) is
+        bit-identical with the cache on or off.  Hits are credited zero
+        busy time, keeping ``utilization()`` honest about compute that
+        never happened.
 
     Notes
     -----
@@ -260,6 +288,7 @@ class SimulatedEvaluator(Evaluator):
         self.cache = cache
         self.fault_policy = fault_policy or FaultPolicy()
         self.num_failures = 0
+        self.num_faults_injected = 0
         self.num_retries = 0
         self.num_timeouts = 0
         self.num_worker_failures = 0
@@ -327,28 +356,21 @@ class SimulatedEvaluator(Evaluator):
         job.start_time = self._clock
         job.attempt += 1
         self._running[worker] = job
-        if self.cache is not None:
-            cached = self.cache.lookup(job.config)
-            if cached is not None:
-                # Memoized duplicate: skip the run function entirely but
-                # replay the memoized duration on the simulated clock so
-                # the campaign timeline matches a cache-off run exactly.
-                job.cache_hit = True
-                job.result = cached
-                job.end_time = self._clock + cached.duration
-                self._events.push(job.end_time, ("finish", job, job.attempt))
-                self._emit_cache_hit(job)
-                return
+        kind, cached = self._begin_attempt(job)
         failure: str | None = None
         attempt_duration = policy.failure_duration
-        result: EvaluationResult | None = None
         try:
-            result = self.run_function(job.config)
+            if kind == "crash":
+                raise _injected_crash(job)
+            # A memoized duplicate skips the run function; its duration is
+            # replayed on the simulated clock, as a recomputation would be.
+            result = cached if cached is not None else self.run_function(job.config)
         except Exception as exc:
             if policy.on_error == "raise":
                 raise
             failure = repr(exc)
         else:
+            result = policy.inject(kind, result)
             if policy.timeout is not None and result.duration > policy.timeout:
                 failure = f"timeout after {policy.timeout} min (duration {result.duration:.2f})"
                 attempt_duration = policy.timeout
@@ -360,11 +382,11 @@ class SimulatedEvaluator(Evaluator):
                 if failure is not None and policy.on_error == "raise":
                     raise RuntimeError(f"job {job.job_id}: {failure}")
         if failure is None:
-            assert result is not None
             job.result = result
             job.end_time = self._clock + result.duration
             self._events.push(job.end_time, ("finish", job, job.attempt))
-            self._cache_store(job)
+            if kind is None:
+                self._cache_store(job)
             return
         # Failed attempt: the worker is occupied for the attempt duration.
         job.error = failure
@@ -438,7 +460,8 @@ class SimulatedEvaluator(Evaluator):
                     self._in_flight -= 1
                     finished.append(job)
                 elif kind == "fail":
-                    self._busy_time += end_time - job.start_time
+                    if not job.cache_hit:
+                        self._busy_time += end_time - job.start_time
                     self._release_worker(job.worker)
                     job.retries += 1
                     self.num_retries += 1
@@ -475,7 +498,7 @@ class SimulatedEvaluator(Evaluator):
         def encode_ref(kind: str, ref: Any) -> Any:
             return ref if kind == "worker_fail" else ref.job_id
 
-        state = {
+        return {
             "num_workers": self.num_workers,
             "clock": self._clock,
             "busy_time": self._busy_time,
@@ -483,6 +506,7 @@ class SimulatedEvaluator(Evaluator):
             "next_id": self._next_id,
             "in_flight": self._in_flight,
             "num_failures": self.num_failures,
+            "num_faults_injected": self.num_faults_injected,
             "num_retries": self.num_retries,
             "num_timeouts": self.num_timeouts,
             "num_worker_failures": self.num_worker_failures,
@@ -501,9 +525,6 @@ class SimulatedEvaluator(Evaluator):
             if self.cache is None
             else [self.cache.hits, self.cache.misses, self.cache.stores],
         }
-        if hasattr(self.run_function, "getstate"):
-            state["run_function_state"] = self.run_function.getstate()
-        return state
 
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore a snapshot taken by :meth:`state_dict` into an evaluator
@@ -519,6 +540,7 @@ class SimulatedEvaluator(Evaluator):
         self._next_id = int(state["next_id"])
         self._in_flight = int(state["in_flight"])
         self.num_failures = int(state["num_failures"])
+        self.num_faults_injected = int(state.get("num_faults_injected", 0))
         self.num_retries = int(state["num_retries"])
         self.num_timeouts = int(state["num_timeouts"])
         self.num_worker_failures = int(state["num_worker_failures"])
@@ -538,29 +560,33 @@ class SimulatedEvaluator(Evaluator):
         if state["cache"] is not None:
             # A checkpoint written with caching on restores the cache even
             # when this evaluator was constructed without one.  Every job
-            # with a non-failed result holds its key's memoized entry: the
-            # first success is stored at start and every later job with that
-            # key replays it (a restart after a worker death included).
+            # with a non-failed result from a clean attempt holds its key's
+            # memoized entry: the first clean success is stored at start and
+            # every later job with that key replays it (a restart after a
+            # worker death included).  The fault draw is pure, so the
+            # attempt that produced a job's result is known again here.
             if self.cache is None:
                 self.cache = EvaluationCache()
             for job in self.jobs:
-                if job.result is not None and not job.result.metadata.get("failed"):
+                if (
+                    job.result is not None
+                    and not job.result.metadata.get("failed")
+                    and self.fault_policy.fault(job.job_id, job.retries) is None
+                ):
                     self.cache.store(job.config, job.result)
             self.cache.hits, self.cache.misses, self.cache.stores = state["cache"]
-        if "run_function_state" in state and hasattr(self.run_function, "setstate"):
-            self.run_function.setstate(state["run_function_state"])
 
 
 class _WallClockEvaluator(Evaluator):
     """Shared machinery for the wall-clock (thread / process) backends.
 
     Time is wall-clock minutes since construction.  This class owns submit
-    bookkeeping, the cache-hit short-circuit, the deadline scan and the
-    whole of :meth:`gather`; a backend supplies only
+    bookkeeping, :meth:`_dispatch`, the deadline scan and the whole of
+    :meth:`gather`; a backend supplies only
 
     - ``_make_pool()``: a fresh executor with ``num_workers`` workers;
-    - ``_dispatch(job)``: queue one attempt and track its future, which
-      resolves to ``(result, elapsed_min)``;
+    - ``_submit_attempt(job)``: queue one attempt on a worker and track its
+      future, which resolves to ``(result, elapsed_min)``;
     - ``_kill_workers()``: reclaim every worker of a broken or hung pool
       and return the innocent in-flight jobs to re-dispatch;
     - ``_busy_in_worker``: ``True`` when attempts stamp ``start_time`` and
@@ -587,6 +613,7 @@ class _WallClockEvaluator(Evaluator):
         self.cache = cache
         self.fault_policy = fault_policy or FaultPolicy()
         self.num_failures = 0
+        self.num_faults_injected = 0
         self.num_retries = 0
         self.num_timeouts = 0
         self.num_worker_crashes = 0
@@ -625,32 +652,35 @@ class _WallClockEvaluator(Evaluator):
                 self._next_id += 1
                 self.jobs.append(job)
             self._emit_submitted(job)
-            if not self._submit_cache_hit(job):
-                self._dispatch(job)
+            self._dispatch(job)
             out.append(job)
         return out
 
-    def _submit_cache_hit(self, job: Job) -> bool:
-        """Serve a duplicate from the cache: finalized at submit time with
-        the memoized result, zero busy credit, delivered by next gather."""
-        if self.cache is None:
-            return False
-        cached = self.cache.lookup(job.config)
+    def _dispatch(self, job: Job) -> None:
+        """Start one attempt of ``job``.
+
+        A crash or a cache hit never reaches a worker: its future is
+        already resolved (to :class:`InjectedCrash`, or to the memoized
+        result with zero elapsed time), so the next gather routes it
+        through the same policy checks as computed work.
+        """
+        kind, cached = self._begin_attempt(job)
+        if kind != "crash" and cached is None:
+            self._submit_attempt(job)
+            return
+        future: Future = Future()
         if cached is None:
-            return False
-        job.cache_hit = True
-        job.result = cached
-        job.start_time = job.end_time = self.now
-        job.state = JobState.DONE
+            future.set_exception(_injected_crash(job))
+        else:
+            future.set_result((cached, 0.0))
         with self._lock:
-            self._completed.append(job)
-        self._emit_cache_hit(job)
-        return True
+            self._start_attempt(job)
+            self._futures[future] = job
 
     def _make_pool(self) -> Any:
         raise NotImplementedError
 
-    def _dispatch(self, job: Job) -> None:
+    def _submit_attempt(self, job: Job) -> None:
         raise NotImplementedError
 
     def _kill_workers(self) -> list[Job]:
@@ -679,8 +709,9 @@ class _WallClockEvaluator(Evaluator):
         self._credit(sum(max(0.0, now - job.start_time) for job in oldest))
 
     def _finalize(self, job: Job, state: JobState) -> None:
-        # Busy time is credited per attempt as attempts end, not here.
-        job.end_time = self.now
+        # Busy time is credited per attempt as attempts end, not here.  A
+        # cache hit computed nothing: it ends where it started.
+        job.end_time = job.start_time if job.cache_hit else self.now
         job.state = state
 
     def _handle_failure(self, job: Job, error: str, finished: list[Job]) -> None:
@@ -725,13 +756,13 @@ class _WallClockEvaluator(Evaluator):
         """Block until at least one job finishes; return all finished jobs.
 
         Jobs already buffered in ``_completed`` — siblings collected before
-        a prior ``on_error="raise"`` exception, or cache hits finalized at
-        submit — are returned immediately, never blocking on unrelated
-        pending futures.  Outcomes are collected *before* any failure
-        routing so that retries triggered by a crash or a kill are
-        dispatched to the reclaimed pool, never to the broken one.  Only
-        tracked futures deliver results: an attempt abandoned by a timeout
-        was untracked when it was reaped, so its late return is dropped.
+        a prior ``on_error="raise"`` exception — are returned immediately,
+        never blocking on unrelated pending futures.  Outcomes are
+        collected *before* any failure routing so that retries triggered
+        by a crash or a kill are dispatched to the reclaimed pool, never
+        to the broken one.  Only tracked futures deliver results: an
+        attempt abandoned by a timeout was untracked when it was reaped, so
+        its late return is dropped.
         """
         policy = self.fault_policy
         while True:
@@ -764,7 +795,11 @@ class _WallClockEvaluator(Evaluator):
             # still queued are cancelled in place; attempts already running
             # in a worker force a kill (an abandon, for threads).
             overdue: list[Job] = []
-            unmeasured = [job for job, exc, _ in outcomes if exc is not None]
+            unmeasured = [
+                job
+                for job, exc, _ in outcomes
+                if exc is not None and not isinstance(exc, InjectedCrash)
+            ]
             must_kill = False
             if policy.timeout is not None:
                 now = self.now
@@ -793,15 +828,17 @@ class _WallClockEvaluator(Evaluator):
                     result, elapsed_min = payload
                     if not self._busy_in_worker:
                         self._credit(elapsed_min)
-                    if self.measure_wall_time:
+                    if self.measure_wall_time and not job.cache_hit:
                         result = EvaluationResult(
                             result.objective, elapsed_min, result.metadata
                         )
-                    job.result = result
-                    error = policy.classify(result)
+                    kind = policy.fault(job.job_id, job.retries)
+                    job.result = policy.inject(kind, result)
+                    error = policy.classify(job.result)
                     if error is None:
                         self._finalize(job, JobState.DONE)
-                        self._cache_store(job)
+                        if kind is None:
+                            self._cache_store(job)
                         finished.append(job)
                         continue
                     exc = RuntimeError(f"job {job.job_id}: {error}")
@@ -862,9 +899,9 @@ class ThreadedEvaluator(_WallClockEvaluator):
     Worker busy time is accumulated *per attempt* as each attempt's thread
     returns (a retried job credits every attempt, not just the last, and
     an abandoned attempt credits its time when its thread finally
-    returns), and an optional ``cache`` serves duplicate configurations at
-    submit time: a hit is finalized instantly with the memoized result,
-    zero busy-time credit, and no dispatch.
+    returns), and an optional ``cache`` serves duplicate configurations
+    without a worker: a hit ends where it starts, with the memoized
+    result and zero busy-time credit.
     """
 
     _busy_in_worker = True
@@ -872,7 +909,7 @@ class ThreadedEvaluator(_WallClockEvaluator):
     def _make_pool(self) -> ThreadPoolExecutor:
         return ThreadPoolExecutor(max_workers=self.num_workers)
 
-    def _dispatch(self, job: Job) -> None:
+    def _submit_attempt(self, job: Job) -> None:
         def attempt() -> tuple[EvaluationResult, float]:
             with self._lock:
                 self._start_attempt(job)
@@ -927,6 +964,8 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
     measured in-worker wall time; crashed/timed-out/failed attempts are
     credited manager-observed wall time since dispatch, and only the
     ``num_workers`` oldest of them, since younger ones were still queued.
+    Injected crashes and cache hits never reach a worker and are credited
+    nothing.
     """
 
     def __init__(
@@ -961,7 +1000,7 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
             initargs=(self._payload,),
         )
 
-    def _dispatch(self, job: Job) -> None:
+    def _submit_attempt(self, job: Job) -> None:
         with self._lock:
             self._start_attempt(job)
             future = self._pool.submit(_process_worker_call, job.config)

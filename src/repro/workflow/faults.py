@@ -3,41 +3,45 @@
 The paper's 3-hour, 129-node campaigns survive stragglers and diverged
 trainings because the manager treats evaluation failure as data, not as a
 fatal error (§III-C: failed evaluations are penalized with a low objective).
-This module makes that behaviour a first-class, testable subsystem:
+:class:`FaultPolicy` makes that behaviour a first-class, testable contract,
+honored by every evaluator backend:
 
-- :class:`FaultPolicy` — the uniform failure-handling contract honored by
-  both evaluator backends: what counts as a failure (exceptions, per-job
+- failure handling: what counts as a failure (exceptions, per-job
   timeouts, non-finite objectives), how often to retry, how long to back
   off between attempts (exponential, in evaluator minutes), and what a
-  penalized result looks like.
-- :class:`FaultInjector` — a seeded, deterministic wrapper around any run
-  function that injects crashes (raised exceptions), hangs/stragglers
-  (inflated durations, to be caught by the policy timeout) and corrupted
-  results (non-finite objectives).  Used by the fault-injection test
-  harness and the CLI's ``--crash-prob``/``--hang-prob`` knobs.
+  penalized result looks like;
+- fault injection: seeded crashes (the run function is never called),
+  hangs/stragglers (inflated durations, to be caught by the timeout) and
+  corrupted results (NaN objectives).  :meth:`FaultPolicy.fault` is a pure
+  function of ``(fault_seed, job_id, retries)``, so every backend, a cache
+  hit and a resumed campaign all see the same fault on the same attempt.
+  The evaluators draw on the manager side when an attempt starts, emit
+  ``FaultInjected`` and count ``num_faults_injected``.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Any, Callable
+
+import numpy as np
 
 from repro.workflow.jobs import EvaluationResult
 
-__all__ = ["FaultPolicy", "FaultInjector", "InjectedCrash", "ON_ERROR_POLICIES"]
+__all__ = ["FaultPolicy", "InjectedCrash", "ON_ERROR_POLICIES"]
 
 ON_ERROR_POLICIES = ("raise", "penalize", "retry")
+_FAULT_KINDS = ("crash", "hang", "corrupt")
 
 
 class InjectedCrash(RuntimeError):
-    """Raised by :class:`FaultInjector` to simulate a crashing worker."""
+    """The failure of an attempt that drew an injected crash."""
 
 
 @dataclass(frozen=True)
 class FaultPolicy:
-    """How an evaluator reacts when a run function misbehaves.
+    """How an evaluator reacts when a run function misbehaves, and which
+    faults it injects.
 
     Parameters
     ----------
@@ -63,6 +67,15 @@ class FaultPolicy:
     reject_invalid:
         Treat non-finite objectives (NaN/inf — corrupted or diverged
         results) as failures.
+    crash_prob, hang_prob, corrupt_prob:
+        Probability that an attempt crashes (fails without calling the run
+        function — a worker that died before reporting), hangs (its
+        duration is multiplied by ``hang_factor``) or returns a NaN
+        objective.  All zero (the default) injects nothing.
+    hang_factor:
+        Duration multiplier of a hung attempt.
+    fault_seed:
+        Seed of the injected faults (see :meth:`fault`).
     """
 
     on_error: str = "raise"
@@ -72,6 +85,11 @@ class FaultPolicy:
     failure_objective: float = 0.0
     failure_duration: float = 1.0
     reject_invalid: bool = True
+    crash_prob: float = 0.0
+    hang_prob: float = 0.0
+    corrupt_prob: float = 0.0
+    hang_factor: float = 20.0
+    fault_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.on_error not in ON_ERROR_POLICIES:
@@ -84,6 +102,16 @@ class FaultPolicy:
             raise ValueError("timeout must be > 0 when set")
         if self.failure_duration < 0:
             raise ValueError("failure_duration must be >= 0")
+        for kind in _FAULT_KINDS:
+            p = getattr(self, f"{kind}_prob")
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{kind}_prob must be in [0, 1], got {p}")
+        if self.crash_prob + self.hang_prob + self.corrupt_prob > 1.0:
+            raise ValueError("crash_prob + hang_prob + corrupt_prob must be <= 1")
+        if self.hang_factor < 1.0:
+            raise ValueError("hang_factor must be >= 1")
+        if self.fault_seed < 0:
+            raise ValueError("fault_seed must be >= 0")
 
     # ------------------------------------------------------------------ #
     def backoff_minutes(self, retries: int) -> float:
@@ -109,113 +137,35 @@ class FaultPolicy:
             return f"invalid objective {result.objective!r}"
         return None
 
-
-class FaultInjector:
-    """Deterministically inject faults into a run function.
-
-    One uniform draw is made per call and partitioned into crash / hang /
-    corrupt / clean bands, so the wrapped run function sees an unmodified
-    call sequence and whole campaigns stay reproducible for a given seed.
-
-    Parameters
-    ----------
-    run_function:
-        The wrapped evaluation function.
-    crash_prob:
-        Probability the call raises :class:`InjectedCrash` (the run
-        function is *not* invoked — a worker that died before reporting).
-    hang_prob:
-        Probability the reported duration is inflated by ``hang_factor``
-        (a straggler; rely on :attr:`FaultPolicy.timeout` to reap it).
-    corrupt_prob:
-        Probability the objective is replaced with NaN (a diverged or
-        corrupted result; caught by ``FaultPolicy.reject_invalid``).
-    """
-
-    def __init__(
-        self,
-        run_function: Callable[[Any], EvaluationResult],
-        crash_prob: float = 0.0,
-        hang_prob: float = 0.0,
-        corrupt_prob: float = 0.0,
-        hang_factor: float = 20.0,
-        seed: int = 0,
-    ) -> None:
-        for name, p in (
-            ("crash_prob", crash_prob),
-            ("hang_prob", hang_prob),
-            ("corrupt_prob", corrupt_prob),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        if crash_prob + hang_prob + corrupt_prob > 1.0:
-            raise ValueError("crash_prob + hang_prob + corrupt_prob must be <= 1")
-        if hang_factor < 1.0:
-            raise ValueError("hang_factor must be >= 1")
-        self.run_function = run_function
-        self.crash_prob = crash_prob
-        self.hang_prob = hang_prob
-        self.corrupt_prob = corrupt_prob
-        self.hang_factor = hang_factor
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self.num_calls = 0
-        self.num_crashes = 0
-        self.num_hangs = 0
-        self.num_corruptions = 0
-        # Optional campaign event bus (attached by repro.campaign.builder).
-        self.event_bus = None
-
-    def _emit(self, kind: str) -> None:
-        if self.event_bus is not None:
-            from repro.campaign.events import FaultInjected
-
-            self.event_bus.emit(FaultInjected(kind=kind, call_index=self.num_calls))
-
     # ------------------------------------------------------------------ #
-    def __call__(self, config: Any) -> EvaluationResult:
-        self.num_calls += 1
-        draw = self._rng.random()
-        if draw < self.crash_prob:
-            self.num_crashes += 1
-            self._emit("crash")
-            raise InjectedCrash(f"injected crash on call {self.num_calls}")
-        result = self.run_function(config)
-        if draw < self.crash_prob + self.hang_prob:
-            self.num_hangs += 1
-            self._emit("hang")
+    def fault(self, job_id: int, retries: int) -> str | None:
+        """The fault injected into attempt ``retries`` of job ``job_id``.
+
+        One uniform draw from ``(fault_seed, job_id, retries)`` is split
+        into crash / hang / corrupt / clean bands.  The draw has no state,
+        so it does not depend on call order, backend or cache; with every
+        probability zero nothing is drawn.
+        """
+        if not (self.crash_prob or self.hang_prob or self.corrupt_prob):
+            return None
+        draw = np.random.default_rng([self.fault_seed, job_id, retries]).random()
+        edge = 0.0
+        for kind in _FAULT_KINDS:
+            edge += getattr(self, f"{kind}_prob")
+            if draw < edge:
+                return kind
+        return None
+
+    def inject(self, kind: str | None, result: EvaluationResult) -> EvaluationResult:
+        """``result`` as a hung or corrupted attempt reports it."""
+        if kind == "hang":
             return EvaluationResult(
-                objective=result.objective,
-                duration=result.duration * self.hang_factor,
-                metadata={**result.metadata, "injected_hang": True},
+                result.objective,
+                result.duration * self.hang_factor,
+                {**result.metadata, "injected_hang": True},
             )
-        if draw < self.crash_prob + self.hang_prob + self.corrupt_prob:
-            self.num_corruptions += 1
-            self._emit("corrupt")
+        if kind == "corrupt":
             return EvaluationResult(
-                objective=float("nan"),
-                duration=result.duration,
-                metadata={**result.metadata, "injected_corruption": True},
+                float("nan"), result.duration, {**result.metadata, "injected_corruption": True}
             )
         return result
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint support: evaluators snapshot any run function exposing
-    # getstate/setstate so resumed campaigns replay the same fault sequence.
-    def getstate(self) -> dict[str, Any]:
-        version, internal, gauss = self._rng.getstate()
-        return {
-            "rng": [version, list(internal), gauss],
-            "num_calls": self.num_calls,
-            "num_crashes": self.num_crashes,
-            "num_hangs": self.num_hangs,
-            "num_corruptions": self.num_corruptions,
-        }
-
-    def setstate(self, state: dict[str, Any]) -> None:
-        version, internal, gauss = state["rng"]
-        self._rng.setstate((version, tuple(internal), gauss))
-        self.num_calls = int(state["num_calls"])
-        self.num_crashes = int(state["num_crashes"])
-        self.num_hangs = int(state["num_hangs"])
-        self.num_corruptions = int(state["num_corruptions"])

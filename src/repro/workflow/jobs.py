@@ -54,9 +54,9 @@ class Job:
     retry fault policy; ``attempt`` is a monotonically increasing scheduling
     epoch (bumped on every start and on worker-failure rescheduling) used to
     invalidate stale completion events; ``error`` holds the most recent
-    failure description, if any.  ``cache_hit`` marks a job whose result was
-    served from an :class:`~repro.workflow.cache.EvaluationCache` without
-    re-running the evaluation (such jobs are credited zero busy time).
+    failure description, if any.  ``cache_hit`` marks a job whose latest
+    attempt was served from an :class:`~repro.workflow.cache.EvaluationCache`
+    without re-running the evaluation (credited zero busy time).
     """
 
     job_id: int

@@ -4,10 +4,14 @@ The headline acceptance criterion: a seeded AgE campaign with
 ``cache="exact"`` reproduces the cache-off search history *bit-identically*
 (the simulated backend replays memoized durations on the simulated clock)
 while reporting a nonzero hit-rate — duplicates cost zero busy time but the
-timeline is unchanged.
+timeline is unchanged, with and without injected faults.  ``FAULT_SEED``
+in the environment sets the fault seed (used by the CI fault-injection
+job).
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from repro.searchspace import ArchitectureSpace
 from repro.workflow import (
     EvaluationCache,
     EvaluationResult,
+    FaultPolicy,
     ProcessPoolEvaluator,
     SimulatedEvaluator,
     ThreadedEvaluator,
@@ -142,13 +147,24 @@ def test_sim_cache_state_roundtrips_through_evaluator_checkpoint():
     assert jobs[0].cache_hit
 
 
-def test_sim_cache_on_off_histories_bit_identical_with_nonzero_hits():
+FAULTY_RETRY_POLICY = FaultPolicy(
+    on_error="retry", max_retries=2, retry_backoff=1.0, timeout=10.0,
+    crash_prob=0.15, hang_prob=0.1, corrupt_prob=0.1, hang_factor=3.0,  # some hangs time out
+    fault_seed=int(os.environ.get("FAULT_SEED") or 0),
+)
+
+
+@pytest.mark.parametrize(
+    "policy", [None, FAULTY_RETRY_POLICY], ids=["faults-off", "faults-on"]
+)
+def test_sim_cache_on_off_histories_bit_identical_with_nonzero_hits(policy):
     """Acceptance: seeded AgE, cache on vs off -> identical history; the
-    cached run reports hits and strictly less busy time."""
+    cached run reports hits and strictly less busy time.  Under injected
+    faults a hit draws the same fault a recomputation would."""
     space = ArchitectureSpace(num_nodes=2)
 
     def run_search(cache):
-        ev = SimulatedEvaluator(arch_eval, num_workers=3, cache=cache)
+        ev = SimulatedEvaluator(arch_eval, num_workers=3, fault_policy=policy, cache=cache)
         search = AgE(space, ev, population_size=4, sample_size=2, seed=13)
         history = search.search(max_evaluations=60)
         return history, ev
@@ -163,17 +179,20 @@ def test_sim_cache_on_off_histories_bit_identical_with_nonzero_hits():
     assert da == db  # bit-identical: configs, objectives, timestamps
     assert ev_on.now == ev_off.now  # same simulated timeline
     assert ev_on._busy_time < ev_off._busy_time  # hits cost no compute
+    assert ev_on.num_faults_injected == ev_off.num_faults_injected
+    if policy is not None:
+        assert ev_on.num_faults_injected > 0 and ev_on.num_failures > 0
 
 
 # --------------------------------------------------------------------- #
-# Wall-clock backends: hits finalized at submit with zero duration
+# Wall-clock backends: hits resolved at submit with zero duration
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize(
     "backend", [ThreadedEvaluator, ProcessPoolEvaluator], ids=["threaded", "process"]
 )
 def test_wallclock_cache_hit_finalized_at_submit(backend):
-    """Both wall-clock backends serve a duplicate at submit: no dispatch,
-    zero wall duration, zero busy credit."""
+    """Both wall-clock backends serve a duplicate at submit without a
+    worker: zero wall duration, zero busy credit."""
     cache = EvaluationCache()
     with backend(int_eval, num_workers=2, cache=cache) as ev:
         ev.submit([5])

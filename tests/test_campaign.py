@@ -35,6 +35,7 @@ from repro.campaign import (
     EvaluatorConfig,
     EventBus,
     FaultConfig,
+    FaultInjected,
     JobGathered,
     JsonlEventLog,
     MetricsAggregator,
@@ -237,6 +238,8 @@ def test_from_dict_rejects_retired_training_values(key, value):
         lambda: FaultConfig(on_error="ignore"),
         lambda: CheckpointConfig(every=0),
         lambda: CampaignConfig(search="AgEBO"),  # sub-config must be typed
+        lambda: FaultConfig(hang_factor=0.5),
+        lambda: FaultConfig(crash_prob=0.6, hang_prob=0.6),
     ],
 )
 def test_invalid_configs_fail_at_definition_time(make):
@@ -306,13 +309,16 @@ def test_build_campaign_rejects_unknown_names():
 
 
 def test_campaign_wires_fault_injector_only_when_configured():
+    """The evaluator injects faults through its policy, built from the
+    config; the run function is the evaluation itself, never a wrapper."""
     campaign = build_campaign(tiny_config())
-    assert campaign.fault_injector is None
-    campaign = build_campaign(
-        tiny_config(faults=FaultConfig(on_error="retry", crash_prob=0.2))
-    )
-    assert campaign.fault_injector is not None
-    assert campaign.fault_injector.event_bus is campaign.event_bus
+    assert campaign.evaluator.fault_policy == FaultConfig().policy()
+    assert all(campaign.evaluator.fault_policy.fault(j, 0) is None for j in range(50))
+    faults = FaultConfig(on_error="retry", crash_prob=0.2, fault_seed=4)
+    campaign = build_campaign(tiny_config(faults=faults))
+    assert campaign.evaluator.fault_policy == faults.policy()
+    assert campaign.evaluator.fault_policy.crash_prob == 0.2
+    assert campaign.evaluator.run_function is campaign.evaluation
 
 
 # --------------------------------------------------------------------- #
@@ -351,6 +357,20 @@ def test_event_round_trip_through_jsonl(tmp_path):
         for event in events:
             log(event)
     assert load_events(path) == events
+
+
+def test_jsonl_log_holds_every_event_without_flush(tmp_path):
+    """The log is line-buffered: a campaign killed before flush or close
+    leaves every emitted event on disk as a whole line."""
+    path = tmp_path / "events.jsonl"
+    log = JsonlEventLog(path)
+    events = [
+        FaultInjected(kind="crash", job_id=i, retries=i % 3) for i in range(40)
+    ]
+    for event in events:
+        log(event)
+    assert load_events(path) == events
+    log.close()
 
 
 def test_import_campaign_leaves_scipy_stats_unloaded():

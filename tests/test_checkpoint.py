@@ -4,8 +4,9 @@ The headline guarantee (ISSUE acceptance criterion): a campaign killed at
 evaluation N and resumed from its checkpoint produces a final history
 *identical* to the uninterrupted run — same configs, same objectives, same
 timestamps.  That requires every stochastic component (search rng, BO
-tell-history + rng, evaluator clock/queues/event counters, fault-injector
-rng) to round-trip through the checkpoint.
+tell-history + rng, evaluator clock/queues/event counters) to round-trip
+through the checkpoint; injected faults are drawn from (fault_seed, job_id,
+retries) and need no state.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.searchspace.hpspace import default_dataparallel_space
 from repro.workflow import (
     EvaluationCache,
     EvaluationResult,
-    FaultInjector,
     FaultPolicy,
     SimulatedEvaluator,
 )
@@ -170,21 +170,20 @@ def test_agebo_resume_is_bit_identical(tmp_path):
 
 
 def test_agebo_resume_under_faults_is_bit_identical(tmp_path):
-    """Resume replays the injector's rng too, so the same faults recur."""
+    """Injected faults are a pure function of the attempt, so the same
+    faults recur after resume."""
     policy = FaultPolicy(
-        on_error="retry", max_retries=2, retry_backoff=1.0, timeout=60.0
-    )
-    make_injector = lambda: FaultInjector(
-        fake_eval, crash_prob=0.2, hang_prob=0.1, seed=3
+        on_error="retry", max_retries=2, retry_backoff=1.0, timeout=60.0,
+        crash_prob=0.2, hang_prob=0.1, fault_seed=3,
     )
 
-    full = build_agebo(make_injector(), policy=policy).search(max_evaluations=32)
+    full = build_agebo(fake_eval, policy=policy).search(max_evaluations=32)
 
     path = tmp_path / "ck.json"
-    interrupted = build_agebo(make_injector(), policy=policy)
+    interrupted = build_agebo(fake_eval, policy=policy)
     interrupted.search(max_evaluations=16, checkpoint_path=path, checkpoint_every=1)
 
-    resumed = build_agebo(make_injector(), policy=policy)
+    resumed = build_agebo(fake_eval, policy=policy)
     resumed.load_state(load_checkpoint(path)["search"])
     history = resumed.search(max_evaluations=32)
     assert_identical_history(full, history)
@@ -262,6 +261,7 @@ def campaigns(draw):
         "cache": draw(st.booleans()),
         "crash_prob": draw(st.sampled_from([0.0, 0.15, 0.3])),
         "hang_prob": draw(st.sampled_from([0.0, 0.1, 0.2])),
+        "corrupt_prob": draw(st.sampled_from([0.0, 0.1])),
         "fault_seed": FAULT_SEED_BASE + draw(st.integers(0, 10_000)),
         "max_retries": draw(st.integers(0, 2)),
         "timeout": draw(st.sampled_from([None, 14.0, 40.0])),
@@ -280,13 +280,13 @@ def campaigns(draw):
 
 
 def build_campaign_search(c):
-    injector = FaultInjector(
-        fake_eval, crash_prob=c["crash_prob"], hang_prob=c["hang_prob"], seed=c["fault_seed"]
+    policy = FaultPolicy(
+        on_error="retry", max_retries=c["max_retries"], retry_backoff=1.0,
+        timeout=c["timeout"], crash_prob=c["crash_prob"], hang_prob=c["hang_prob"],
+        corrupt_prob=c["corrupt_prob"], fault_seed=c["fault_seed"],
     )
-    policy = FaultPolicy(on_error="retry", max_retries=c["max_retries"],
-                         retry_backoff=1.0, timeout=c["timeout"])
     evaluator = SimulatedEvaluator(
-        injector, num_workers=4, fault_policy=policy,
+        fake_eval, num_workers=4, fault_policy=policy,
         worker_failures=c["worker_failures"],
         cache=EvaluationCache() if c["cache"] else None,
     )
@@ -301,8 +301,8 @@ def build_campaign_search(c):
 def evaluator_counters(ev):
     cache = ev.cache
     return (
-        ev.now, ev.utilization(), ev.num_failures, ev.num_retries, ev.num_timeouts,
-        ev.num_worker_failures, None if cache is None else (cache.hits, cache.misses, cache.stores),
+        ev.now, ev.utilization(), ev.num_failures, ev.num_faults_injected, ev.num_retries,
+        ev.num_timeouts, ev.num_worker_failures, None if cache is None else (cache.hits, cache.misses, cache.stores),
     )
 
 

@@ -1,12 +1,14 @@
-"""Fault-injection test harness: policies, injector, worker failures.
+"""Fault-injection test harness: policies, seeded faults, worker failures.
 
 Proves the fault-tolerance layer works under deterministically injected
 crashes, hangs/stragglers and corrupted results — the §III-C requirement
-that a diverged or dead evaluation must never kill a campaign.  The
-acceptance scenario at the bottom runs a full 64-evaluation AgEBO campaign
-through an injector and checks it completes with full history and high
-utilization.  ``FAULT_SEED`` in the environment adds an extra injector
-seed (used by the CI fault-injection job).
+that a diverged or dead evaluation must never kill a campaign.  A
+differential test runs one fixed, fault-injected job list on all three
+backends and demands identical outcomes.  The acceptance scenario at the
+bottom runs a full 64-evaluation AgEBO campaign under injected faults and
+checks it completes with full history and high utilization.
+``FAULT_SEED`` in the environment adds an extra fault seed (used by the CI
+fault-injection job).
 """
 
 from __future__ import annotations
@@ -14,19 +16,22 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.campaign import EventBus, FaultInjected, MetricsAggregator
 from repro.core.agebo import AgEBO
 from repro.searchspace import ArchitectureSpace
 from repro.searchspace.hpspace import default_dataparallel_space
 from repro.workflow import (
+    EvaluationCache,
     EvaluationResult,
-    FaultInjector,
     FaultPolicy,
     InjectedCrash,
     JobState,
+    ProcessPoolEvaluator,
     SimulatedEvaluator,
     ThreadedEvaluator,
 )
@@ -84,79 +89,66 @@ def test_policy_failure_result_and_classify():
 
 
 # --------------------------------------------------------------------- #
-# FaultInjector
+# Fault injection: the policy's stateless draw
 # --------------------------------------------------------------------- #
 def test_injector_validation():
-    run = constant_run()
-    with pytest.raises(ValueError):
-        FaultInjector(run, crash_prob=1.5)
-    with pytest.raises(ValueError):
-        FaultInjector(run, crash_prob=0.6, hang_prob=0.6)
-    with pytest.raises(ValueError):
-        FaultInjector(run, hang_factor=0.5)
+    for kwargs in (
+        dict(crash_prob=1.5),
+        dict(crash_prob=0.6, hang_prob=0.6),
+        dict(hang_factor=0.5),
+        dict(fault_seed=-1),
+    ):
+        with pytest.raises(ValueError):
+            FaultPolicy(**kwargs)
 
 
 @pytest.mark.parametrize("seed", INJECTOR_SEEDS)
 def test_injector_is_deterministic(seed):
-    def outcomes(inj):
-        out = []
-        for _ in range(50):
-            try:
-                r = inj(None)
-                if r.metadata.get("injected_hang"):
-                    out.append("hang")
-                elif r.metadata.get("injected_corruption"):
-                    out.append("corrupt")
-                else:
-                    out.append("ok")
-            except InjectedCrash:
-                out.append("crash")
-        return out
-
-    make = lambda: FaultInjector(
-        constant_run(), crash_prob=0.3, hang_prob=0.2, corrupt_prob=0.1, seed=seed
-    )
-    a, b = make(), make()
-    assert outcomes(a) == outcomes(b)
-    assert a.num_crashes == b.num_crashes > 0
-    assert a.num_hangs == b.num_hangs
-    assert a.num_corruptions == b.num_corruptions
+    """An attempt's fault is a pure function of (fault_seed, job_id,
+    retries): the order and number of draws never matter."""
+    make = lambda s: FaultPolicy(crash_prob=0.3, hang_prob=0.2, corrupt_prob=0.1, fault_seed=s)
+    attempts = [(job_id, retries) for job_id in range(60) for retries in range(3)]
+    forward = [make(seed).fault(*a) for a in attempts]
+    backward = [make(seed).fault(*a) for a in reversed(attempts)][::-1]
+    assert forward == backward
+    assert set(Counter(forward)) == {"crash", "hang", "corrupt", None}
+    assert [make(seed + 1).fault(*a) for a in attempts] != forward
+    assert all(FaultPolicy(fault_seed=seed).fault(*a) is None for a in attempts)
 
 
 def test_injector_fault_shapes():
-    inj = FaultInjector(constant_run(duration=2.0), hang_prob=1.0, hang_factor=10.0)
-    result = inj(None)
-    assert result.duration == 20.0 and result.metadata["injected_hang"]
+    policy = FaultPolicy(hang_factor=10.0)
+    clean = EvaluationResult(objective=0.5, duration=2.0, metadata={"k": 1})
+    assert policy.inject(None, clean) is clean
+    hung = policy.inject("hang", clean)
+    assert hung.objective == 0.5 and hung.duration == 20.0
+    assert hung.metadata == {"k": 1, "injected_hang": True}
+    corrupted = policy.inject("corrupt", clean)
+    assert math.isnan(corrupted.objective) and corrupted.duration == 2.0
+    assert corrupted.metadata["injected_corruption"]
+    for kind in ("crash", "hang", "corrupt"):
+        assert FaultPolicy(**{f"{kind}_prob": 1.0}).fault(3, 1) == kind
 
-    inj = FaultInjector(constant_run(), corrupt_prob=1.0)
-    result = inj(None)
-    assert math.isnan(result.objective) and result.metadata["injected_corruption"]
+    # A crash never calls the run function.
+    calls = []
 
-    inj = FaultInjector(constant_run(), crash_prob=1.0)
+    def run(config):
+        calls.append(config)
+        return clean
+
+    ev = SimulatedEvaluator(
+        run, num_workers=1, fault_policy=FaultPolicy(on_error="penalize", crash_prob=1.0)
+    )
+    ev.submit(["a"])
+    (job,) = drain(ev)
+    assert job.state is JobState.FAILED and "InjectedCrash" in job.result.metadata["error"]
+    assert calls == [] and ev.num_faults_injected == 1
+    ev = SimulatedEvaluator(
+        run, num_workers=1, fault_policy=FaultPolicy(on_error="raise", crash_prob=1.0)
+    )
     with pytest.raises(InjectedCrash):
-        inj(None)
-
-
-def test_injector_state_round_trips():
-    inj = FaultInjector(constant_run(), crash_prob=0.5, seed=11)
-    for _ in range(7):
-        try:
-            inj(None)
-        except InjectedCrash:
-            pass
-    state = inj.getstate()
-    fresh = FaultInjector(constant_run(), crash_prob=0.5, seed=11)
-    fresh.setstate(state)
-    follow = lambda i: ["crash" if _crashes(i) else "ok" for _ in range(20)]
-
-    def _crashes(i):
-        try:
-            i(None)
-            return False
-        except InjectedCrash:
-            return True
-
-    assert follow(inj) == follow(fresh)
+        ev.submit(["a"])
+    assert calls == []
 
 
 # --------------------------------------------------------------------- #
@@ -169,6 +161,55 @@ def drain(ev):
         if not batch:
             return done
         done.extend(batch)
+
+
+# --------------------------------------------------------------------- #
+# Cross-backend differential: the same seeded faults everywhere
+# --------------------------------------------------------------------- #
+def _differential_eval(config):
+    """Deterministic, instant, picklable stand-in for an evaluation."""
+    h = (int(config) * 2654435761) % 997
+    return EvaluationResult(objective=(h % 100) / 100.0, duration=1.0 + (h % 7))
+
+
+@pytest.mark.parametrize("cache", [False, True], ids=["cache-off", "cache-on"])
+@pytest.mark.parametrize("seed", INJECTOR_SEEDS)
+def test_backends_agree_under_seeded_faults(seed, cache):
+    """One fixed job list with seeded crashes, hangs and corruptions gives
+    the same per-job outcome on every backend and on every repeat, and
+    every backend counts its injected faults on the manager."""
+    configs = [i % 13 for i in range(24)]  # duplicates exercise the cache
+    policy = FaultPolicy(
+        on_error="retry", max_retries=2, failure_objective=-1.0,
+        crash_prob=0.2, hang_prob=0.15, corrupt_prob=0.15, fault_seed=seed,
+    )
+    outcomes, faults = {}, {}
+    for backend in (SimulatedEvaluator, ThreadedEvaluator, ProcessPoolEvaluator):
+        for repeat in range(3):
+            bus, metrics, events = EventBus(), MetricsAggregator(), []
+            bus.subscribe(metrics)
+            bus.subscribe(events.append, FaultInjected)
+            ev = backend(
+                _differential_eval, num_workers=2, fault_policy=policy,
+                cache=EvaluationCache() if cache else None,
+            )
+            ev.event_bus = bus
+            try:
+                ev.submit(configs)
+                jobs = drain(ev)
+            finally:
+                if hasattr(ev, "shutdown"):
+                    ev.shutdown()
+            assert ev.num_faults_injected == len(events) == metrics.num_faults_injected
+            key = (backend.__name__, repeat)
+            outcomes[key] = sorted((j.job_id, j.retries, j.state, j.objective) for j in jobs)
+            faults[key] = sorted((e.job_id, e.retries, e.kind) for e in events)
+    reference = outcomes["SimulatedEvaluator", 0]
+    assert len(reference) == len(configs)
+    assert all(outcome == reference for outcome in outcomes.values())
+    assert all(f == faults["SimulatedEvaluator", 0] for f in faults.values())
+    assert faults["SimulatedEvaluator", 0]  # faults actually fired
+    assert any(retries > 0 for _, retries, _, _ in reference)
 
 
 def fails_n_times(n, duration=1.0):
@@ -442,14 +483,12 @@ def _bench_eval(config):
 def test_faulty_agebo_campaign_completes(seed):
     space = ArchitectureSpace(num_nodes=3)
     hp_space = default_dataparallel_space(max_ranks=4)
-    injector = FaultInjector(
-        _bench_eval, crash_prob=0.2, hang_prob=0.1, hang_factor=50.0, seed=seed
-    )
     policy = FaultPolicy(
         on_error="retry", max_retries=2, retry_backoff=1.0, timeout=30.0,
-        failure_duration=1.0,
+        failure_duration=1.0, crash_prob=0.2, hang_prob=0.1, hang_factor=50.0,
+        fault_seed=seed,
     )
-    evaluator = SimulatedEvaluator(injector, num_workers=8, fault_policy=policy)
+    evaluator = SimulatedEvaluator(_bench_eval, num_workers=8, fault_policy=policy)
     search = AgEBO(
         space, hp_space, evaluator,
         population_size=10, sample_size=3, n_initial_points=5, seed=seed,
@@ -457,6 +496,6 @@ def test_faulty_agebo_campaign_completes(seed):
     history = search.search(max_evaluations=64)
     assert len(history) >= 64  # full-length history despite injected faults
     assert evaluator.utilization() > 0.5
-    assert injector.num_crashes + injector.num_hangs > 0  # faults actually fired
+    assert evaluator.num_faults_injected > 0  # faults actually fired
     # Penalized records (if any) never win the campaign.
     assert history.best().objective > 0.0
