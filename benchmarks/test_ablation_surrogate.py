@@ -9,13 +9,12 @@ forest is the strongest (it handles the mixed categorical/log-real space).
 from __future__ import annotations
 
 from common import format_table, report
+from repro.bo import SURROGATES
 from repro.core import AgEBO, ModelEvaluation
 from repro.searchspace import default_dataparallel_space
 from repro.workflow import SimulatedEvaluator
 
 import common
-
-SURROGATES = ("forest", "knn", "random")
 
 
 def run_experiment():

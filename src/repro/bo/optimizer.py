@@ -19,11 +19,17 @@ import numpy as np
 
 from repro.bo.acquisition import upper_confidence_bound
 from repro.bo.forest import RandomForestRegressor
-from repro.bo.liar import constant_lie
+from repro.bo.liar import LIE_STRATEGIES, constant_lie
 from repro.bo.surrogate import KNNSurrogate
 from repro.searchspace.hpspace import HyperparameterSpace
 
-__all__ = ["BayesianOptimizer"]
+__all__ = ["BayesianOptimizer", "SURROGATES"]
+
+#: Surrogate models :class:`BayesianOptimizer` accepts by name.
+SURROGATES = ("forest", "knn", "random")
+
+#: Random candidates scored per selection.
+CANDIDATE_POOL_SIZE = 500
 
 
 class BayesianOptimizer:
@@ -38,13 +44,9 @@ class BayesianOptimizer:
         (strong exploitation), with {1.96, 19.6} studied in Fig. 8.
     n_initial_points:
         Observations required before the surrogate is trusted.
-    candidate_pool_size:
-        Random candidates scored per selection.
     lie_strategy:
-        Constant-liar dummy value policy (paper: ``"mean"``).
-    refit_every_lie:
-        If True (paper behaviour) the surrogate is refit after each lie;
-        False refits once per :meth:`ask` batch (cheaper, less diverse).
+        Constant-liar dummy value policy (paper: ``"mean"``); the
+        surrogate is refit after each lie, as in the paper.
     surrogate:
         ``"forest"`` (paper), ``"knn"`` (ablation) or ``"random"``
         (ablation baseline: :meth:`ask` always samples uniformly).
@@ -55,9 +57,7 @@ class BayesianOptimizer:
         space: HyperparameterSpace,
         kappa: float = 0.001,
         n_initial_points: int = 10,
-        candidate_pool_size: int = 500,
         lie_strategy: str = "mean",
-        refit_every_lie: bool = True,
         surrogate: str = "forest",
         forest: RandomForestRegressor | None = None,
         seed: int | np.random.Generator = 0,
@@ -66,24 +66,16 @@ class BayesianOptimizer:
             raise ValueError("kappa must be >= 0")
         if n_initial_points < 1:
             raise ValueError("n_initial_points must be >= 1")
-        if candidate_pool_size < 1:
-            raise ValueError("candidate_pool_size must be >= 1")
-        if surrogate not in ("forest", "knn", "random"):
-            # Extension point: the campaign layer's surrogate registry can
-            # supply additional surrogates by name.
-            from repro.campaign.registry import SURROGATES
-
-            if surrogate not in SURROGATES:
-                raise ValueError(
-                    f"unknown surrogate {surrogate!r}; built-in: 'forest', 'knn', "
-                    f"'random'; registered: {SURROGATES.names()}"
-                )
+        if lie_strategy not in LIE_STRATEGIES:
+            raise ValueError(
+                f"unknown lie strategy {lie_strategy!r}; expected one of {LIE_STRATEGIES}"
+            )
+        if surrogate not in SURROGATES:
+            raise ValueError(f"unknown surrogate {surrogate!r}; expected one of {SURROGATES}")
         self.space = space
         self.kappa = kappa
         self.n_initial_points = n_initial_points
-        self.candidate_pool_size = candidate_pool_size
         self.lie_strategy = lie_strategy
-        self.refit_every_lie = refit_every_lie
         self.surrogate = surrogate
         self._forest_proto = forest or RandomForestRegressor(n_trees=25, max_depth=10)
         self._rng = (
@@ -128,24 +120,20 @@ class BayesianOptimizer:
         batch: list[dict[str, Any]] = []
         model = self._fit_surrogate(X[:n], y[:n])
         for j in range(k):
-            candidates = self.space.sample_array(self._rng, self.candidate_pool_size)
+            candidates = self.space.sample_array(self._rng, CANDIDATE_POOL_SIZE)
             mu, sigma = model.predict(candidates)
             scores = upper_confidence_bound(mu, sigma, self.kappa)
             best = candidates[int(np.argmax(scores))]
             batch.append(self.space.from_array(best))
             X[n + j] = best
             y[n + j] = lie
-            if self.refit_every_lie and len(batch) < k:
+            if len(batch) < k:
                 model = self._fit_surrogate(X[: n + j + 1], y[: n + j + 1])
         return batch
 
     def _fit_surrogate(self, X: np.ndarray, y: np.ndarray):
         if self.surrogate == "knn":
             return KNNSurrogate().fit(X, y, self._rng)
-        if self.surrogate != "forest":
-            from repro.campaign.registry import SURROGATES
-
-            return SURROGATES.get(self.surrogate)().fit(X, y, self._rng)
         forest = RandomForestRegressor(
             n_trees=self._forest_proto.n_trees,
             max_depth=self._forest_proto.max_depth,

@@ -8,12 +8,10 @@ keep working unchanged):
   (:class:`CampaignConfig` composing search / training / evaluator /
   fault / checkpoint configs) with validation and lossless
   ``to_dict``/``from_dict``;
-- :mod:`repro.campaign.registry` — registries for evaluator backends,
-  search methods and BO surrogates, so new backends plug in without
-  touching the CLI;
 - :mod:`repro.campaign.builder` — :func:`build_campaign` /
-  :func:`resume_campaign`, constructing every component from the config
-  and threading one :class:`EventBus` through all layers;
+  :func:`resume_campaign`, constructing the evaluator backend, the search
+  (AgE or an AgEBO variant) and every other component directly from the
+  config, and threading one :class:`EventBus` through all layers;
 - :mod:`repro.campaign.events` — the typed lifecycle events, the bus and
   the built-in subscribers (JSONL log, progress reporter, metrics
   aggregator).
@@ -60,13 +58,6 @@ from repro.campaign.events import (
     load_events,
     replay_metrics,
 )
-from repro.campaign.registry import (
-    EVALUATORS,
-    SEARCH_METHODS,
-    SURROGATES,
-    Registry,
-    SearchMethod,
-)
 from repro.campaign.builder import Campaign, build_campaign, resume_campaign
 
 __all__ = [
@@ -82,12 +73,6 @@ __all__ = [
     "Campaign",
     "build_campaign",
     "resume_campaign",
-    # registries
-    "Registry",
-    "SearchMethod",
-    "EVALUATORS",
-    "SEARCH_METHODS",
-    "SURROGATES",
     # events
     "CampaignEvent",
     "CampaignStarted",

@@ -1,11 +1,12 @@
 """Build a complete campaign from a :class:`CampaignConfig`.
 
 :func:`build_campaign` is the single wiring layer: it constructs the
-dataset, the architecture / hyperparameter spaces, the evaluation
-function, the evaluator backend with its fault policy and the search
-method — all from one typed config — threads a shared
-:class:`~repro.campaign.events.EventBus` through every layer, and returns
-a :class:`Campaign` whose :meth:`Campaign.run` executes the search.
+dataset, the architecture space, the evaluation function, the evaluator
+backend with its fault policy and the search method (AgE or an AgEBO
+variant, through :mod:`repro.core.variants`) — all from one typed config
+— threads a shared :class:`~repro.campaign.events.EventBus` through every
+layer, and returns a :class:`Campaign` whose :meth:`Campaign.run`
+executes the search.
 
 Construction is intentionally *identical* to hand-wiring the raw classes
 (same defaults, same seed flow), so a campaign built here produces a
@@ -16,7 +17,7 @@ run through the class API directly.
 from the ``CampaignConfig`` a checkpoint embeds (written by
 ``Campaign.run`` / ``search.checkpoint``) and loads the search state into
 it, so every knob — including ones added later — is restored without a
-pinned key list, and any registered search method resumes.
+pinned key list.
 """
 
 from __future__ import annotations
@@ -26,121 +27,27 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.bo.forest import RandomForestRegressor
-from repro.bo.surrogate import KNNSurrogate
-from repro.campaign.config import CONFIG_VERSION, CampaignConfig
+from repro.campaign.config import CampaignConfig, EvaluatorConfig
 from repro.campaign.events import (
     CampaignFinished,
     CampaignStarted,
     EventBus,
 )
-from repro.campaign.registry import (
-    EVALUATORS,
-    SEARCH_METHODS,
-    SURROGATES,
-    SearchMethod,
-)
-from repro.core.age import AgE
-from repro.core.agebo import AgEBO
 from repro.core.evaluation import ModelEvaluation
 from repro.core.results import SearchHistory
-from repro.core.variants import AGEBO_VARIANTS, variant_hp_space
+from repro.core.variants import make_age_variant, make_agebo_variant
 from repro.datasets import dataset_names, load_dataset
 from repro.searchspace.archspace import ArchitectureSpace
 from repro.workflow.cache import EvaluationCache
 from repro.workflow.evaluator import (
+    Evaluator,
     ProcessPoolEvaluator,
     SimulatedEvaluator,
     ThreadedEvaluator,
 )
+from repro.workflow.faults import FaultPolicy
 
 __all__ = ["Campaign", "build_campaign", "resume_campaign"]
-
-
-# --------------------------------------------------------------------- #
-# Built-in registry entries
-# --------------------------------------------------------------------- #
-def _make_cache(cfg) -> EvaluationCache | None:
-    """The evaluator's memoization cache, or None when ``cache="off"``."""
-    return EvaluationCache() if cfg.cache == "exact" else None
-
-
-EVALUATORS.register(
-    "simulated",
-    lambda run_function, cfg, policy: SimulatedEvaluator(
-        run_function,
-        num_workers=cfg.num_workers,
-        fault_policy=policy,
-        cache=_make_cache(cfg),
-    ),
-)
-EVALUATORS.register(
-    "threaded",
-    lambda run_function, cfg, policy: ThreadedEvaluator(
-        run_function,
-        num_workers=cfg.num_workers,
-        measure_wall_time=cfg.measure_wall_time,
-        fault_policy=policy,
-        cache=_make_cache(cfg),
-    ),
-)
-EVALUATORS.register(
-    "process",
-    lambda run_function, cfg, policy: ProcessPoolEvaluator(
-        run_function,
-        num_workers=cfg.num_workers,
-        measure_wall_time=cfg.measure_wall_time,
-        fault_policy=policy,
-        cache=_make_cache(cfg),
-    ),
-)
-
-SURROGATES.register("forest", lambda: RandomForestRegressor(n_trees=25, max_depth=10))
-SURROGATES.register("knn", lambda: KNNSurrogate())
-SURROGATES.register("random", lambda: None)  # handled natively by the optimizer
-
-
-def _build_age(config: CampaignConfig, space, hp_space, evaluator) -> AgE:
-    s = config.search
-    return AgE(
-        space,
-        evaluator,
-        hyperparameters={
-            "batch_size": s.batch_size,
-            "learning_rate": s.learning_rate,
-            "num_ranks": s.num_ranks,
-        },
-        population_size=s.population_size,
-        sample_size=s.sample_size,
-        seed=s.seed,
-        mutate_skips=s.mutate_skips,
-        replacement=s.replacement,
-        label=f"AgE-{s.num_ranks}",
-    )
-
-
-def _build_agebo(config: CampaignConfig, space, hp_space, evaluator) -> AgEBO:
-    s = config.search
-    return AgEBO(
-        space,
-        hp_space,
-        evaluator,
-        population_size=s.population_size,
-        sample_size=s.sample_size,
-        kappa=s.kappa,
-        n_initial_points=s.n_initial_points,
-        lie_strategy=s.lie_strategy,
-        surrogate=s.surrogate,
-        seed=s.seed,
-        mutate_skips=s.mutate_skips,
-        replacement=s.replacement,
-        label=s.method,
-    )
-
-
-SEARCH_METHODS.register("AgE", SearchMethod("AgE", build=_build_age, uses_bo=False))
-for _variant in AGEBO_VARIANTS:
-    SEARCH_METHODS.register(_variant, SearchMethod(_variant, build=_build_agebo, uses_bo=True))
 
 
 # --------------------------------------------------------------------- #
@@ -151,11 +58,15 @@ class Campaign:
     config: CampaignConfig
     dataset: Any
     space: ArchitectureSpace
-    hp_space: Any  # HyperparameterSpace for BO methods, None for AgE
     evaluation: ModelEvaluation
-    evaluator: Any
+    evaluator: Evaluator
     search: Any
     event_bus: EventBus
+
+    @property
+    def hp_space(self):
+        """The search's HyperparameterSpace for AgEBO variants, None for AgE."""
+        return getattr(self.search, "hp_space", None)
 
     def subscribe(self, callback, event_type=None):
         """Shorthand for ``campaign.event_bus.subscribe``."""
@@ -216,14 +127,51 @@ def _build_evaluation(config: CampaignConfig, dataset, space, event_bus) -> Mode
     return evaluation
 
 
-def _validate_names(config: CampaignConfig) -> None:
-    if config.dataset not in dataset_names():
-        raise ValueError(
-            f"unknown dataset {config.dataset!r}; available: {dataset_names()}"
+def _make_evaluator(
+    config: EvaluatorConfig, run_function: ModelEvaluation, policy: FaultPolicy
+) -> Evaluator:
+    """The evaluator backend ``config.backend`` names."""
+    kwargs = dict(
+        num_workers=config.num_workers,
+        fault_policy=policy,
+        cache=EvaluationCache() if config.cache == "exact" else None,
+    )
+    if config.backend == "simulated":
+        return SimulatedEvaluator(run_function, **kwargs)
+    cls = ThreadedEvaluator if config.backend == "threaded" else ProcessPoolEvaluator
+    return cls(run_function, measure_wall_time=config.measure_wall_time, **kwargs)
+
+
+def _make_search(config: CampaignConfig, space: ArchitectureSpace, evaluator: Evaluator):
+    """AgE with the config's statics, or the AgEBO variant it names."""
+    s = config.search
+    common = dict(
+        population_size=s.population_size,
+        sample_size=s.sample_size,
+        seed=s.seed,
+        mutate_skips=s.mutate_skips,
+        replacement=s.replacement,
+    )
+    if s.method == "AgE":
+        return make_age_variant(
+            space,
+            evaluator,
+            num_ranks=s.num_ranks,
+            batch_size=s.batch_size,
+            learning_rate=s.learning_rate,
+            **common,
         )
-    SEARCH_METHODS.get(config.search.method)  # raises with known names
-    EVALUATORS.get(config.evaluator.backend)
-    SURROGATES.get(config.search.surrogate)
+    return make_agebo_variant(
+        s.method,
+        space,
+        evaluator,
+        max_ranks=s.max_ranks,
+        kappa=s.kappa,
+        n_initial_points=s.n_initial_points,
+        lie_strategy=s.lie_strategy,
+        surrogate=s.surrogate,
+        **common,
+    )
 
 
 def build_campaign(
@@ -234,27 +182,24 @@ def build_campaign(
     Every component comes from the config (datasets, spaces, evaluation,
     fault handling, evaluator backend, search method); a shared event bus
     is threaded through all of them.  Pass an existing ``event_bus`` to
-    attach subscribers before any construction-time events fire.
+    attach subscribers before any construction-time events fire.  The
+    config checked its own method, backend and surrogate names when it
+    was defined; only the dataset name is checked here.
     """
-    _validate_names(config)
+    if config.dataset not in dataset_names():
+        raise ValueError(
+            f"unknown dataset {config.dataset!r}; available: {dataset_names()}"
+        )
     bus = event_bus if event_bus is not None else EventBus()
 
     dataset = load_dataset(config.dataset, size=config.size)
     space = ArchitectureSpace(num_nodes=config.num_nodes)
     evaluation = _build_evaluation(config, dataset, space, bus)
 
-    evaluator = EVALUATORS.get(config.evaluator.backend)(
-        evaluation, config.evaluator, config.faults.policy()
-    )
+    evaluator = _make_evaluator(config.evaluator, evaluation, config.faults.policy())
     evaluator.event_bus = bus
 
-    method = SEARCH_METHODS.get(config.search.method)
-    hp_space = (
-        variant_hp_space(config.search.method, max_ranks=config.search.max_ranks)
-        if method.uses_bo
-        else None
-    )
-    search = method.build(config, space, hp_space, evaluator)
+    search = _make_search(config, space, evaluator)
     search.event_bus = bus
     # Checkpoints carry the full campaign config; resume_campaign rebuilds
     # everything from it — no pinned argument list anywhere.
@@ -264,7 +209,6 @@ def build_campaign(
         config=config,
         dataset=dataset,
         space=space,
-        hp_space=hp_space,
         evaluation=evaluation,
         evaluator=evaluator,
         search=search,
@@ -291,13 +235,6 @@ def resume_campaign(
     data = load_checkpoint(path)
     extra = data.get("extra", {})
     if "campaign" not in extra:
-        if "cli" in extra:
-            raise ValueError(
-                f"checkpoint {path} was written by the pre-campaign CLI "
-                "(pinned argparse keys under extra['cli']); that layout is no "
-                "longer supported — re-run the campaign to produce a "
-                f"config-version-{CONFIG_VERSION} checkpoint"
-            )
         raise ValueError(
             f"checkpoint {path} does not embed a campaign config; "
             "it was not written through the campaign layer"

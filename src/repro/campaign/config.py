@@ -20,6 +20,11 @@ import dataclasses
 from dataclasses import dataclass, field, fields
 from typing import Any
 
+from repro.bo.liar import LIE_STRATEGIES
+from repro.bo.optimizer import SURROGATES
+from repro.core.variants import AGEBO_VARIANTS
+from repro.workflow.cache import CACHE_MODES
+from repro.workflow.evaluator import EVALUATOR_BACKENDS
 from repro.workflow.faults import FaultPolicy
 
 __all__ = [
@@ -67,15 +72,20 @@ def _from_dict(cls, data: Any, context: str):
     return cls(**data)
 
 
+def _check_name(kind: str, name: str, known: tuple[str, ...]) -> None:
+    if name not in known:
+        raise ValueError(f"unknown {kind} {name!r}; known: {list(known)}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """The search method and its evolution / BO parameters.
 
-    ``method`` names an entry of the search-method registry
-    (:data:`repro.campaign.registry.SEARCH_METHODS`): ``"AgE"`` or one of
-    the AgEBO variants.  The ``num_ranks`` / ``batch_size`` /
-    ``learning_rate`` statics apply to AgE only; the BO fields
-    (``kappa`` …) apply to the AgEBO variants only.
+    ``method`` is ``"AgE"`` or one of the AgEBO variants
+    (:data:`repro.core.variants.AGEBO_VARIANTS`).  The ``num_ranks`` /
+    ``batch_size`` / ``learning_rate`` statics apply to AgE only; the BO
+    fields (``kappa`` …) apply to the AgEBO variants only, whose
+    ``surrogate`` is one of :data:`repro.bo.SURROGATES`.
     """
 
     method: str = "AgEBO"
@@ -96,12 +106,14 @@ class SearchConfig:
     surrogate: str = "forest"
 
     def __post_init__(self) -> None:
+        _check_name("search method", self.method, ("AgE",) + AGEBO_VARIANTS)
+        _check_name("search.surrogate", self.surrogate, SURROGATES)
+        _check_name("search.lie_strategy", self.lie_strategy, LIE_STRATEGIES)
         if self.population_size < 2:
             raise ValueError("search.population_size must be >= 2")
         if not 1 <= self.sample_size <= self.population_size:
             raise ValueError("search.sample_size must be in [1, population_size]")
-        if self.replacement not in ("aging", "elitist"):
-            raise ValueError(f"unknown search.replacement {self.replacement!r}")
+        _check_name("search.replacement", self.replacement, ("aging", "elitist"))
         if self.num_ranks < 1:
             raise ValueError("search.num_ranks must be >= 1")
         if self.batch_size < 1:
@@ -140,10 +152,11 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class EvaluatorConfig:
-    """The cluster backend: ``backend`` names an entry of the evaluator
-    registry (``"simulated"``, ``"threaded"`` or ``"process"``); ``cache``
-    enables evaluation memoization (``"off"`` or ``"exact"`` — exact-match
-    canonical-hash lookup of already-evaluated configurations)."""
+    """The cluster backend: ``backend`` is one of
+    :data:`~repro.workflow.evaluator.EVALUATOR_BACKENDS` (``"simulated"``,
+    ``"threaded"`` or ``"process"``); ``cache`` enables evaluation
+    memoization (``"off"`` or ``"exact"`` — exact-match canonical-hash
+    lookup of already-evaluated configurations)."""
 
     backend: str = "simulated"
     num_workers: int = 8
@@ -151,15 +164,10 @@ class EvaluatorConfig:
     cache: str = "off"
 
     def __post_init__(self) -> None:
-        from repro.workflow.cache import CACHE_MODES
-
+        _check_name("evaluator backend", self.backend, EVALUATOR_BACKENDS)
         if self.num_workers < 1:
             raise ValueError("evaluator.num_workers must be >= 1")
-        if self.cache not in CACHE_MODES:
-            raise ValueError(
-                f"unknown evaluator.cache mode {self.cache!r}; known modes are "
-                f"{list(CACHE_MODES)}"
-            )
+        _check_name("evaluator.cache mode", self.cache, CACHE_MODES)
 
 
 @dataclass(frozen=True)

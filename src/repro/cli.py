@@ -56,10 +56,10 @@ from repro.campaign import (
     build_campaign,
     resume_campaign,
 )
-from repro.campaign.registry import EVALUATORS
 from repro.core.variants import AGEBO_VARIANTS
 from repro.datasets import DATASET_SPECS, dataset_names
 from repro.workflow.cache import CACHE_MODES
+from repro.workflow.evaluator import EVALUATOR_BACKENDS
 
 __all__ = ["main", "build_parser", "config_from_args"]
 
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--dtype", choices=("float32", "float64"), default="float64",
                           help="training precision (float32 halves memory traffic)")
-    p_search.add_argument("--backend", choices=tuple(EVALUATORS.names()),
+    p_search.add_argument("--backend", choices=EVALUATOR_BACKENDS,
                           default="simulated",
                           help="evaluator backend (simulated clock, thread pool, "
                                "or true multi-core process pool)")

@@ -21,8 +21,7 @@ AGEBO_VARIANTS = ("AgEBO", "AgEBO-8-LR", "AgEBO-8-LR-BS")
 
 
 def variant_hp_space(variant: str, max_ranks: int = 8):
-    """The hyperparameter space of a named AgEBO variant (also used by
-    ``--resume``, which must rebuild the space a checkpoint was run with)."""
+    """The hyperparameter space of a named AgEBO variant."""
     if variant == "AgEBO":
         return default_dataparallel_space(max_ranks=max_ranks)
     if variant == "AgEBO-8-LR":

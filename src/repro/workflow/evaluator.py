@@ -59,6 +59,7 @@ from repro.workflow.faults import FaultPolicy, InjectedCrash
 from repro.workflow.jobs import EvaluationResult, Job, JobState, job_from_dict, job_to_dict
 
 __all__ = [
+    "EVALUATOR_BACKENDS",
     "Evaluator",
     "SimulatedEvaluator",
     "ThreadedEvaluator",
@@ -66,6 +67,9 @@ __all__ = [
 ]
 
 RunFunction = Callable[[Any], EvaluationResult]
+
+#: Backend names a campaign selects with ``EvaluatorConfig.backend``.
+EVALUATOR_BACKENDS = ("simulated", "threaded", "process")
 
 
 # --------------------------------------------------------------------- #

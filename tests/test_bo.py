@@ -254,6 +254,11 @@ def test_optimizer_parameter_validation():
         BayesianOptimizer(space, kappa=-0.1)
     with pytest.raises(ValueError):
         BayesianOptimizer(space, n_initial_points=0)
+    # Names fail at construction, not at the first model-based ask.
+    with pytest.raises(ValueError, match="unknown lie strategy 'median'"):
+        BayesianOptimizer(space, lie_strategy="median")
+    with pytest.raises(ValueError, match="unknown surrogate 'gp'"):
+        BayesianOptimizer(space, surrogate="gp")
     opt = BayesianOptimizer(space)
     with pytest.raises(ValueError):
         opt.ask(0)

@@ -1,16 +1,19 @@
-"""The campaign layer: typed config tree, builder/registries, event bus.
+"""The campaign layer: typed config tree, builder, event bus.
 
 Covers the PR's acceptance criteria:
 
 - ``CampaignConfig.from_dict(cfg.to_dict()) == cfg`` for randomized
   configs (property-style, via hypothesis);
 - a campaign built by :func:`build_campaign` produces a *bit-identical*
-  ``SearchHistory`` to hand-wiring the raw classes with the same seeds;
+  ``SearchHistory`` to hand-wiring the raw classes with the same seeds,
+  for AgE and every AgEBO variant;
+- unknown method, backend, surrogate and lie-strategy names fail when
+  their config is defined, not at launch;
 - replaying the JSONL event log reproduces the utilization / retry
   accounting of :func:`repro.analysis.utilization_summary`;
 - ``--resume`` works from a checkpoint that embeds the campaign config
-  (kill-and-resume continues bit-identically), and the pre-refactor
-  checkpoint layout is rejected with a clear versioned error;
+  (kill-and-resume continues bit-identically), and a checkpoint without
+  one is rejected with a clear error;
 - explicit ``num_workers=0`` raises instead of silently falling back to
   the evaluator default.
 """
@@ -25,10 +28,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import utilization_summary
 from repro.campaign import (
-    EVALUATORS,
     EVENT_TYPES,
-    SEARCH_METHODS,
-    SURROGATES,
     CampaignConfig,
     CampaignStarted,
     CheckpointConfig,
@@ -47,10 +47,10 @@ from repro.campaign import (
     replay_metrics,
     resume_campaign,
 )
-from repro.campaign.registry import Registry, SearchMethod
+from repro.core import AgE, AgEBO
 from repro.core.evaluation import ModelEvaluation
 from repro.core.serialization import history_to_dict, save_checkpoint
-from repro.core.variants import make_agebo_variant
+from repro.core.variants import variant_hp_space
 from repro.datasets import load_dataset
 from repro.searchspace import ArchitectureSpace
 from repro.workflow import FaultPolicy, SimulatedEvaluator
@@ -125,9 +125,10 @@ campaign_configs = st.builds(
     training=training_configs,
     evaluator=st.builds(
         EvaluatorConfig,
-        backend=st.sampled_from(("simulated", "threaded")),
+        backend=st.sampled_from(("simulated", "threaded", "process")),
         num_workers=st.integers(1, 64),
         measure_wall_time=st.booleans(),
+        cache=st.sampled_from(("off", "exact")),
     ),
     faults=fault_configs,
     checkpoint=st.builds(
@@ -138,7 +139,7 @@ campaign_configs = st.builds(
 )
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=settings.default.max_examples // 2, deadline=None)
 @given(config=campaign_configs)
 def test_config_round_trip_is_lossless(config):
     data = config.to_dict()
@@ -240,6 +241,10 @@ def test_from_dict_rejects_retired_training_values(key, value):
         lambda: CampaignConfig(search="AgEBO"),  # sub-config must be typed
         lambda: FaultConfig(hang_factor=0.5),
         lambda: FaultConfig(crash_prob=0.6, hang_prob=0.6),
+        lambda: SearchConfig(lie_strategy="median"),
+        lambda: SearchConfig(method="RandomSearch"),
+        lambda: SearchConfig(surrogate="gp"),
+        lambda: EvaluatorConfig(backend="slurm"),
     ],
 )
 def test_invalid_configs_fail_at_definition_time(make):
@@ -259,8 +264,6 @@ def test_replace_returns_modified_copy():
 # Satellite: explicit num_workers=0 must raise, not fall back
 # --------------------------------------------------------------------- #
 def test_search_rejects_explicit_zero_workers():
-    from repro.core import AgE
-
     space = ArchitectureSpace(num_nodes=2)
     ev = SimulatedEvaluator(lambda c: None, num_workers=4)
     with pytest.raises(ValueError, match="num_workers"):
@@ -278,9 +281,12 @@ def test_search_rejects_explicit_zero_workers():
 # --------------------------------------------------------------------- #
 # Builder: bit-identical to hand-wiring the raw classes
 # --------------------------------------------------------------------- #
-def test_build_campaign_matches_legacy_wiring():
-    config = tiny_config()
-    history = build_campaign(config).run()
+@pytest.mark.parametrize("method", ["AgE", "AgEBO", "AgEBO-8-LR", "AgEBO-8-LR-BS"])
+def test_build_campaign_matches_legacy_wiring(method):
+    search = SearchConfig(method=method, population_size=4, sample_size=2, seed=3,
+                          n_initial_points=3)
+    campaign = build_campaign(tiny_config(search=search))
+    history = campaign.run()
 
     dataset = load_dataset("covertype", size=300)
     space = ArchitectureSpace(num_nodes=2)
@@ -289,23 +295,34 @@ def test_build_campaign_matches_legacy_wiring():
         evaluation, num_workers=3,
         fault_policy=FaultPolicy(on_error="penalize", max_retries=2),
     )
-    legacy = make_agebo_variant(
-        "AgEBO", space, evaluator,
-        population_size=4, sample_size=2, seed=3, n_initial_points=3,
-    ).search(max_evaluations=8)
+    if method == "AgE":
+        legacy = AgE(space, evaluator, population_size=4, sample_size=2, seed=3)
+        assert campaign.hp_space is None
+    else:
+        legacy = AgEBO(space, variant_hp_space(method), evaluator, population_size=4,
+                       sample_size=2, seed=3, n_initial_points=3, label=method)
+        assert campaign.hp_space is campaign.search.hp_space
+        for attr in ("names", "defaults"):
+            assert getattr(campaign.hp_space, attr) == getattr(legacy.hp_space, attr)
+    legacy_history = legacy.search(max_evaluations=8)
 
-    assert history_to_dict(history) == history_to_dict(legacy)
+    assert history.label == legacy_history.label
+    assert history_to_dict(history) == history_to_dict(legacy_history)
 
 
 def test_build_campaign_rejects_unknown_names():
+    """The dataset is checked at build time; every other name when its
+    config is defined."""
     with pytest.raises(ValueError, match="dataset"):
         build_campaign(tiny_config(dataset="imagenet"))
-    with pytest.raises(ValueError, match="search method"):
-        build_campaign(tiny_config(search=SearchConfig(method="RandomSearch")))
-    with pytest.raises(ValueError, match="evaluator backend"):
-        build_campaign(
-            tiny_config(evaluator=EvaluatorConfig(backend="slurm"))
-        )
+    with pytest.raises(ValueError, match="unknown search method"):
+        SearchConfig(method="RandomSearch")
+    with pytest.raises(ValueError, match="unknown search.surrogate"):
+        SearchConfig(surrogate="gp")
+    with pytest.raises(ValueError, match="unknown search.lie_strategy"):
+        SearchConfig(lie_strategy="median")
+    with pytest.raises(ValueError, match="unknown evaluator backend"):
+        EvaluatorConfig(backend="slurm")
 
 
 def test_campaign_wires_fault_injector_only_when_configured():
@@ -319,6 +336,27 @@ def test_campaign_wires_fault_injector_only_when_configured():
     assert campaign.evaluator.fault_policy == faults.policy()
     assert campaign.evaluator.fault_policy.crash_prob == 0.2
     assert campaign.evaluator.run_function is campaign.evaluation
+
+
+def test_custom_surrogate_reaches_the_optimizer():
+    """Each configured surrogate name is the one the AgEBO optimizer uses,
+    and a name outside ``SURROGATES`` fails when the optimizer is built."""
+    import numpy as np
+
+    from repro.bo import SURROGATES, BayesianOptimizer
+
+    for surrogate in SURROGATES:
+        search = SearchConfig(method="AgEBO", population_size=4, sample_size=2, seed=3,
+                              n_initial_points=2, surrogate=surrogate)
+        campaign = build_campaign(tiny_config(search=search))
+        opt = campaign.search.optimizer
+        assert opt.surrogate == surrogate
+        space = campaign.hp_space
+        opt.tell([space.sample(np.random.default_rng(0)) for _ in range(3)],
+                 [0.1, 0.2, 0.3])
+        assert len(opt.ask(2)) == 2
+    with pytest.raises(ValueError, match="unknown surrogate"):
+        BayesianOptimizer(space, surrogate="gp")
 
 
 # --------------------------------------------------------------------- #
@@ -542,15 +580,10 @@ def test_resume_missing_file_raises_file_not_found(tmp_path):
 
 
 def test_resume_rejects_pre_campaign_checkpoint_layout(tmp_path):
-    """The legacy extra['cli'] pinned-key layout gets a clear error."""
+    """A checkpoint with no campaign metadata gets a clear error."""
     campaign = build_campaign(tiny_config())
     campaign.run()
     path = tmp_path / "old.ckpt"
-    save_checkpoint(campaign.search, path,
-                    extra={"cli": {"dataset": "covertype", "epochs": 1}})
-    with pytest.raises(ValueError, match="pre-campaign"):
-        resume_campaign(path)
-    # And a checkpoint with no campaign metadata at all:
     save_checkpoint(campaign.search, path, extra={})
     with pytest.raises(ValueError, match="campaign config"):
         resume_campaign(path)
@@ -567,98 +600,6 @@ def test_checkpoint_embeds_versioned_campaign_config(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Registries
-# --------------------------------------------------------------------- #
-def test_registry_register_get_and_errors():
-    reg = Registry("thing")
-    reg.register("a", 1)
-    assert reg.get("a") == 1
-    assert "a" in reg and len(reg) == 1 and list(reg) == ["a"]
-    with pytest.raises(ValueError, match="already registered"):
-        reg.register("a", 2)
-    with pytest.raises(ValueError, match="unknown thing"):
-        reg.get("b")
-
-    @reg.register("decorated")
-    def factory():
-        return 42
-
-    assert reg.get("decorated") is factory
-
-
-def test_builtin_registries_are_populated():
-    assert set(EVALUATORS.names()) >= {"simulated", "threaded"}
-    assert set(SURROGATES.names()) >= {"forest", "knn", "random"}
-    assert set(SEARCH_METHODS.names()) >= {"AgE", "AgEBO", "AgEBO-8-LR",
-                                           "AgEBO-8-LR-BS"}
-    assert not SEARCH_METHODS.get("AgE").uses_bo
-    assert SEARCH_METHODS.get("AgEBO").uses_bo
-
-
-def _build_custom_age(config, space, hp_space, evaluator):
-    from repro.core import AgE
-
-    return AgE(space, evaluator,
-               hyperparameters={"batch_size": 32, "learning_rate": 0.02,
-                                "num_ranks": 1},
-               population_size=config.search.population_size,
-               sample_size=config.search.sample_size,
-               seed=config.search.seed, label="custom")
-
-
-def _register_custom_age() -> str:
-    name = "test-custom-age"
-    if name not in SEARCH_METHODS:
-        SEARCH_METHODS.register(
-            name, SearchMethod(name, build=_build_custom_age, uses_bo=False)
-        )
-    return name
-
-
-def test_custom_search_method_runs_through_builder():
-    """A user-registered method is a first-class campaign citizen."""
-    from repro.core.search import AgingEvolutionBase
-
-    name = _register_custom_age()
-    campaign = build_campaign(
-        tiny_config(max_evaluations=4,
-                    search=SearchConfig(method=name, population_size=4,
-                                        sample_size=2, seed=0))
-    )
-    assert isinstance(campaign.search, AgingEvolutionBase)
-    assert campaign.hp_space is None
-    history = campaign.run()
-    assert len(history) == 4
-    assert history.label == "custom"
-
-
-def test_custom_surrogate_reaches_the_optimizer():
-    import numpy as np
-
-    from repro.bo import BayesianOptimizer
-    from repro.searchspace.hpspace import default_dataparallel_space
-
-    class MeanSurrogate:
-        def fit(self, X, y, rng):
-            self._mu = float(np.mean(y))
-            return self
-
-        def predict(self, X):
-            n = len(X)
-            return np.full(n, self._mu), np.ones(n)
-
-    if "test-mean" not in SURROGATES:
-        SURROGATES.register("test-mean", MeanSurrogate)
-    space = default_dataparallel_space(max_ranks=4)
-    opt = BayesianOptimizer(space, surrogate="test-mean", n_initial_points=2)
-    opt.tell([space.sample(np.random.default_rng(0)) for _ in range(3)],
-             [0.1, 0.2, 0.3])
-    assert len(opt.ask(2)) == 2
-    with pytest.raises(ValueError, match="unknown surrogate"):
-        BayesianOptimizer(space, surrogate="gp")
-
-
-# --------------------------------------------------------------------- #
 # Event-schema lint (tools/check_events.py)
 # --------------------------------------------------------------------- #
 def test_event_schema_lint_passes(capsys):
@@ -672,19 +613,3 @@ def test_event_schema_lint_passes(capsys):
     assert module.main([]) == 0
     out = capsys.readouterr().out
     assert f"{len(EVENT_TYPES)} catalogued event types" in out
-
-
-def test_custom_search_method_with_only_build_resumes(tmp_path):
-    """Resume builds the search through the registered factory, so a
-    method that registers nothing but ``build`` resumes bit-identically."""
-    name = _register_custom_age()
-    search = SearchConfig(method=name, population_size=4, sample_size=2, seed=0)
-    path = tmp_path / "camp.ckpt"
-    full = build_campaign(tiny_config(max_evaluations=10, search=search)).run()
-    build_campaign(
-        tiny_config(max_evaluations=6, search=search,
-                    checkpoint=CheckpointConfig(path=str(path), every=1))
-    ).run()
-    history = resume_campaign(path, max_evaluations=10).run()
-    assert history.label == "custom"
-    assert history_to_dict(history) == history_to_dict(full)
