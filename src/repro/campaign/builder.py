@@ -136,10 +136,12 @@ def _make_evaluator(
         fault_policy=policy,
         cache=EvaluationCache() if config.cache == "exact" else None,
     )
-    if config.backend == "simulated":
-        return SimulatedEvaluator(run_function, **kwargs)
-    cls = ThreadedEvaluator if config.backend == "threaded" else ProcessPoolEvaluator
-    return cls(run_function, measure_wall_time=config.measure_wall_time, **kwargs)
+    cls = {
+        "simulated": SimulatedEvaluator,
+        "threaded": ThreadedEvaluator,
+        "process": ProcessPoolEvaluator,
+    }[config.backend]
+    return cls(run_function, **kwargs)
 
 
 def _make_search(config: CampaignConfig, space: ArchitectureSpace, evaluator: Evaluator):

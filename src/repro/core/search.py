@@ -198,9 +198,13 @@ class AgingEvolutionBase:
             self.evaluator.submit(initial)
             self._initialized = True
         elif self._pending_results:
-            # A previous call stopped on a budget after recording a batch;
-            # submit its replacements first so continuation is identical to
-            # an uninterrupted run with the larger budget.
+            # A previous call stopped on a budget after recording a batch.
+            # An uninterrupted run with this budget stopped at the same
+            # point if the batch meets it too; otherwise submit the batch's
+            # replacements first, so continuation is identical to an
+            # uninterrupted run with the larger budget.
+            if self._budget_met(max_evaluations, wall_time_minutes):
+                return self.history
             self._resubmit(self._pending_results)
             self._pending_results = []
 
@@ -210,10 +214,7 @@ class AgingEvolutionBase:
                 break  # nothing in flight: budget exhausted below or drained
             results = [self._record(job) for job in jobs]
 
-            if max_evaluations is not None and len(self.history) >= max_evaluations:
-                self._pending_results = results
-                break
-            if wall_time_minutes is not None and self.evaluator.now >= wall_time_minutes:
+            if self._budget_met(max_evaluations, wall_time_minutes):
                 self._pending_results = results
                 break
 
@@ -233,6 +234,11 @@ class AgingEvolutionBase:
                     )
 
         return self.history
+
+    def _budget_met(self, max_evaluations: int | None, wall_time_minutes: float | None) -> bool:
+        if max_evaluations is not None and len(self.history) >= max_evaluations:
+            return True
+        return wall_time_minutes is not None and self.evaluator.now >= wall_time_minutes
 
     def _resubmit(self, results: list[EvaluationRecord]) -> None:
         """Generate and submit |results| replacement configurations (lines 12-23)."""

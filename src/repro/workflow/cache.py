@@ -15,8 +15,8 @@ Semantics (kept deliberately uniform across backends):
   recomputation of a deterministic run function.
 - A hit is an ordinary attempt in every other respect: it draws its
   injected fault (:meth:`~repro.workflow.faults.FaultPolicy.fault`) and
-  passes the same timeout and classify checks as computed work; only the
-  compute is skipped.
+  is settled by :meth:`~repro.workflow.faults.FaultPolicy.settle` like
+  computed work; only the compute is skipped.
 - The job that hit is credited **zero busy time**: no compute happened, so
   ``utilization()`` stays honest.
 - The :class:`~repro.workflow.evaluator.SimulatedEvaluator` replays the

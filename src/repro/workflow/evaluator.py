@@ -8,32 +8,25 @@ mirroring DeepHyper/Balsam.  Every backend here exposes exactly that:
   completion; the *results* are computed by genuinely running the
   evaluation function at submit time, while the *completion time* comes
   from the ``duration`` the function reports (the training-cost model).
+  It also models worker deaths and is checkpointable (``state_dict`` /
+  ``load_state``): its job table is the one stored copy of every
+  evaluation, and the search history and the cache are rebuilt from it.
 - :class:`ThreadedEvaluator` and :class:`ProcessPoolEvaluator` run
-  evaluation functions concurrently on a thread / process pool.  Both
-  are thin shells over :class:`_WallClockEvaluator`, which owns submit,
-  dispatch and the whole of ``gather``: collect finished futures, reap
-  attempts past the policy deadline, reclaim the pool when it broke or
-  holds a hung worker, then route every outcome through the
-  :class:`~repro.workflow.faults.FaultPolicy`.  A backend supplies only
-  ``_make_pool``, ``_submit_attempt`` (a future resolving to ``(result,
-  elapsed_min)``), ``_kill_workers`` (threads can only abandon a
-  straggler; processes are terminated and the pool rebuilt) and the
-  ``_busy_in_worker`` flag saying where busy time is measured.
+  evaluation functions concurrently on a thread / process pool, as thin
+  shells over :class:`_WallClockEvaluator`, which owns dispatch and
+  ``gather``.
 
-All backends honor the same :class:`~repro.workflow.faults.FaultPolicy`
-(retries with exponential backoff, per-job timeouts, penalized results,
-seeded fault injection) and the same optional
-:class:`~repro.workflow.cache.EvaluationCache` (duplicate configurations
-are served from memo without re-training).  Every attempt starts on the
-manager: it draws its injected fault from ``(fault_seed, job_id,
-retries)`` and then consults the cache, so the fault sequence is the same
-on every backend and with the cache on or off.  The simulated backend
-additionally models worker failures — a worker dies at a scheduled time,
-its in-flight job is rescheduled on a surviving worker — and is
-checkpointable via ``state_dict`` / ``load_state`` so a killed campaign
-resumes bit-identically.  Its job table is the one stored copy of
-every evaluation: the search history and the cache entries are rebuilt
-from it on load.
+One job lifecycle serves every backend.  :class:`Evaluator` creates the
+jobs and holds the run function, the
+:class:`~repro.workflow.faults.FaultPolicy`, the optional
+:class:`~repro.workflow.cache.EvaluationCache` and the failure counters.
+Every attempt starts on the manager, which draws its injected fault from
+``(fault_seed, job_id, retries)`` and then consults the cache, and ends in
+:meth:`FaultPolicy.settle <repro.workflow.faults.FaultPolicy.settle>`,
+which decides accept, retry, penalize or raise.  The backends keep only
+their clocks, pools, queues and busy-time accounting; each clock decides
+which attempts time out (the declared duration on the simulated clock,
+the reap deadline on the wall clock).
 """
 
 from __future__ import annotations
@@ -55,7 +48,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.workflow.cache import EvaluationCache
 from repro.workflow.events import EventQueue
-from repro.workflow.faults import FaultPolicy, InjectedCrash
+from repro.workflow.faults import FaultPolicy, InjectedCrash, Settlement
 from repro.workflow.jobs import EvaluationResult, Job, JobState, job_from_dict, job_to_dict
 
 __all__ = [
@@ -70,6 +63,11 @@ RunFunction = Callable[[Any], EvaluationResult]
 
 #: Backend names a campaign selects with ``EvaluatorConfig.backend``.
 EVALUATOR_BACKENDS = ("simulated", "threaded", "process")
+
+#: The simulated evaluator's checkpointed counters.
+_COUNTERS = (
+    "num_failures", "num_faults_injected", "num_retries", "num_timeouts", "num_worker_failures"
+)
 
 
 # --------------------------------------------------------------------- #
@@ -115,23 +113,43 @@ def _injected_crash(job: Job) -> InjectedCrash:
 class Evaluator:
     """Abstract manager-worker evaluator.
 
+    ``run_function`` is called once per attempt with the job's config and
+    returns an :class:`EvaluationResult`; ``num_workers`` is W in the paper
+    (128 on Theta; scaled down in the benches); ``fault_policy`` settles
+    every attempt (:meth:`FaultPolicy.settle`); ``cache`` is an optional
+    :class:`~repro.workflow.cache.EvaluationCache` consulted as each
+    attempt starts and filled by clean successful attempts.
+
     ``event_bus`` is an optional campaign event bus (attached by
     :func:`repro.campaign.build_campaign`); backends emit job lifecycle
     events (:class:`~repro.campaign.events.JobSubmitted`, ``JobGathered``,
     ``JobRetried``, ``WorkerDied``, ``FaultInjected``, ``CacheHit``,
-    ``CacheStore``) through it when set.  ``cache`` is an optional
-    :class:`~repro.workflow.cache.EvaluationCache` consulted as each
-    attempt starts and filled by clean successful attempts.
+    ``CacheStore``) through it when set.  ``num_failures`` counts failed
+    attempts, ``num_retries`` re-runs, ``num_timeouts`` attempts past the
+    policy timeout and ``num_faults_injected`` injected faults.
     """
 
     event_bus = None
-    cache: EvaluationCache | None = None
 
-    def _emit_submitted(self, job: Job) -> None:
-        if self.event_bus is not None:
-            from repro.campaign.events import JobSubmitted
-
-            self.event_bus.emit(JobSubmitted(job_id=job.job_id, time=job.submit_time))
+    def __init__(
+        self,
+        run_function: RunFunction,
+        num_workers: int,
+        fault_policy: FaultPolicy | None = None,
+        cache: EvaluationCache | None = None,
+    ) -> None:
+        if num_workers < 1:
+            raise ValueError("num_workers must be >= 1")
+        self.run_function = run_function
+        self.num_workers = num_workers
+        self.cache = cache
+        self.fault_policy = fault_policy or FaultPolicy()
+        self.num_failures = 0
+        self.num_faults_injected = 0
+        self.num_retries = 0
+        self.num_timeouts = 0
+        self._next_id = 0
+        self.jobs: list[Job] = []
 
     def _emit_gathered(self, job: Job) -> None:
         if self.event_bus is not None:
@@ -150,35 +168,6 @@ class Evaluator:
                     failed=job.state is JobState.FAILED,
                     retries=job.retries,
                 )
-            )
-
-    def _emit_retried(self, job: Job) -> None:
-        if self.event_bus is not None:
-            from repro.campaign.events import JobRetried
-
-            self.event_bus.emit(
-                JobRetried(
-                    job_id=job.job_id,
-                    time=self.now,
-                    retries=job.retries,
-                    error=job.error,
-                )
-            )
-
-    def _emit_cache_hit(self, job: Job) -> None:
-        if self.event_bus is not None and self.cache is not None:
-            from repro.campaign.events import CacheHit
-
-            self.event_bus.emit(
-                CacheHit(job_id=job.job_id, key=self.cache.key(job.config), time=self.now)
-            )
-
-    def _emit_cache_store(self, job: Job) -> None:
-        if self.event_bus is not None and self.cache is not None:
-            from repro.campaign.events import CacheStore
-
-            self.event_bus.emit(
-                CacheStore(job_id=job.job_id, key=self.cache.key(job.config), time=self.now)
             )
 
     def _begin_attempt(self, job: Job) -> tuple[str | None, EvaluationResult | None]:
@@ -202,20 +191,68 @@ class Evaluator:
         if kind != "crash" and self.cache is not None:
             cached = self.cache.lookup(job.config)
         job.cache_hit = cached is not None
-        if job.cache_hit:
-            self._emit_cache_hit(job)
+        if job.cache_hit and self.event_bus is not None:
+            from repro.campaign.events import CacheHit
+
+            key = self.cache.key(job.config)
+            self.event_bus.emit(CacheHit(job_id=job.job_id, key=key, time=self.now))
         return kind, cached
 
-    def _cache_store(self, job: Job) -> None:
-        """Memoize a successful, freshly computed result of a clean attempt
-        (a hang or a corruption never reaches the cache)."""
-        if self.cache is None or job.cache_hit or job.result is None:
-            return
-        if self.cache.store(job.config, job.result):
-            self._emit_cache_store(job)
+    def _settle(
+        self, job: Job, kind: str | None, outcome: Any, simulated_clock: bool = False
+    ) -> Settlement:
+        """Settle the attempt of ``job`` that just ended (see
+        :meth:`FaultPolicy.settle`) and record it: the counters, the job's
+        error and result, and the cache for a freshly computed success of
+        a clean attempt (a hang or a corruption never reaches the cache)."""
+        settlement = self.fault_policy.settle(
+            kind, outcome, job.job_id, job.retries, simulated_clock=simulated_clock
+        )
+        self.num_timeouts += settlement.timed_out
+        if settlement.error is not None:
+            job.error = settlement.error
+            self.num_failures += 1
+        if settlement.result is not None:
+            job.result = settlement.result
+        fresh = settlement.error is None and kind is None and not job.cache_hit
+        if fresh and self.cache is not None and self.cache.store(job.config, job.result):
+            if self.event_bus is not None:
+                from repro.campaign.events import CacheStore
+
+                key = self.cache.key(job.config)
+                self.event_bus.emit(CacheStore(job_id=job.job_id, key=key, time=self.now))
+        return settlement
+
+    def _count_retry(self, job: Job) -> None:
+        """Book a failed attempt that will be re-run."""
+        job.retries += 1
+        self.num_retries += 1
+        job.state = JobState.RETRYING
+        job.worker = -1
+        if self.event_bus is not None:
+            from repro.campaign.events import JobRetried
+
+            self.event_bus.emit(
+                JobRetried(job_id=job.job_id, time=self.now, retries=job.retries, error=job.error)
+            )
 
     def submit(self, configs: Sequence[Any]) -> list[Job]:
         """Queue configurations for evaluation; returns the job records."""
+        out = []
+        for config in configs:
+            job = Job(job_id=self._next_id, config=config, submit_time=self.now)
+            self._next_id += 1
+            self.jobs.append(job)
+            if self.event_bus is not None:
+                from repro.campaign.events import JobSubmitted
+
+                self.event_bus.emit(JobSubmitted(job_id=job.job_id, time=job.submit_time))
+            self._dispatch(job)
+            out.append(job)
+        return out
+
+    def _dispatch(self, job: Job) -> None:
+        """Start an attempt of ``job``, or queue it for a worker."""
         raise NotImplementedError
 
     def gather(self) -> list[Job]:
@@ -242,33 +279,27 @@ class Evaluator:
 class SimulatedEvaluator(Evaluator):
     """Event-driven simulation of a ``num_workers``-node cluster.
 
-    Parameters
-    ----------
-    run_function:
-        Called once per attempt (at start time); must return an
-        :class:`EvaluationResult` whose ``duration`` is in simulated
-        minutes.
-    num_workers:
-        W in the paper (128 on Theta; scaled down in the benches).
-    fault_policy:
-        Uniform failure handling (see :class:`FaultPolicy`).
-    worker_failures:
-        Optional ``(time_minutes, worker_id)`` pairs: the worker dies
-        permanently at that simulated time; a job running on it is
-        rescheduled (front of the queue) on a surviving worker.
-    cache:
-        Optional :class:`~repro.workflow.cache.EvaluationCache`.  A hit
-        skips the run-function call (no re-training) but is otherwise an
-        ordinary attempt: it draws its fault, passes the timeout and
-        classify checks, and *replays the memoized duration on the
-        simulated clock* — the worker stays reserved until ``start +
-        duration`` — so the campaign timeline (and the search history) is
-        bit-identical with the cache on or off.  Hits are credited zero
-        busy time, keeping ``utilization()`` honest about compute that
-        never happened.
+    ``run_function`` is called once per attempt (at start time) and must
+    return an :class:`EvaluationResult` whose ``duration`` is in simulated
+    minutes; ``num_workers``, ``fault_policy`` and ``cache`` are as in
+    :class:`Evaluator`.  ``worker_failures`` lists optional ``(time_minutes,
+    worker_id)`` pairs: the worker dies permanently at that simulated
+    time; a job running on it is rescheduled (front of the queue) on a
+    surviving worker.
 
     Notes
     -----
+    An attempt lasts its declared duration on the simulated clock, so it
+    is settled as it starts: one that fails holds its worker for the
+    settlement's minutes before being retried or penalized.  A cache hit
+    skips the run-function call (no re-training) but is otherwise an
+    ordinary attempt: it draws its fault, is settled like computed work
+    and *replays the memoized duration on the simulated clock* — the
+    worker stays reserved until ``start + duration`` — so the campaign
+    timeline (and the search history) is bit-identical with the cache on
+    or off.  Hits are credited zero busy time, keeping ``utilization()``
+    honest about compute that never happened.
+
     Jobs submitted while all workers are busy wait in a FIFO queue and are
     started when a worker frees — their results are computed lazily at
     start so the run function observes correct ordering.  Worker busy time
@@ -285,16 +316,7 @@ class SimulatedEvaluator(Evaluator):
         worker_failures: Iterable[tuple[float, int]] | None = None,
         cache: EvaluationCache | None = None,
     ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self.run_function = run_function
-        self.num_workers = num_workers
-        self.cache = cache
-        self.fault_policy = fault_policy or FaultPolicy()
-        self.num_failures = 0
-        self.num_faults_injected = 0
-        self.num_retries = 0
-        self.num_timeouts = 0
+        super().__init__(run_function, num_workers, fault_policy=fault_policy, cache=cache)
         self.num_worker_failures = 0
         self._clock = 0.0
         self._events = EventQueue()  # payload: (kind, ref, attempt)
@@ -302,11 +324,9 @@ class SimulatedEvaluator(Evaluator):
         self._dead_workers: set[int] = set()
         self._running: dict[int, Job] = {}  # worker -> job
         self._waiting: collections.deque[Job] = collections.deque()
-        self._next_id = 0
         self._in_flight = 0
         self._busy_time = 0.0
         self._capacity_time = 0.0  # integral of alive workers over time
-        self.jobs: list[Job] = []
         for fail_time, worker in worker_failures or ():
             if not 0 <= worker < num_workers:
                 raise ValueError(f"worker_failures names unknown worker {worker}")
@@ -336,24 +356,15 @@ class SimulatedEvaluator(Evaluator):
         return self._busy_time / self._capacity_time
 
     # ------------------------------------------------------------------ #
-    def submit(self, configs: Sequence[Any]) -> list[Job]:
-        out = []
-        for config in configs:
-            job = Job(job_id=self._next_id, config=config, submit_time=self._clock)
-            self._next_id += 1
-            self.jobs.append(job)
-            self._in_flight += 1
-            self._emit_submitted(job)
-            if self._free_workers:
-                self._start(job)
-            else:
-                self._waiting.append(job)
-            out.append(job)
-        return out
+    def _dispatch(self, job: Job) -> None:
+        self._in_flight += 1
+        if self._free_workers:
+            self._start(job)
+        else:
+            self._waiting.append(job)
 
     def _start(self, job: Job) -> None:
-        """Run one attempt of ``job`` on a free worker."""
-        policy = self.fault_policy
+        """Run one attempt of ``job`` on a free worker and settle it."""
         worker = self._free_workers.pop()
         job.worker = worker
         job.state = JobState.RUNNING
@@ -361,46 +372,23 @@ class SimulatedEvaluator(Evaluator):
         job.attempt += 1
         self._running[worker] = job
         kind, cached = self._begin_attempt(job)
-        failure: str | None = None
-        attempt_duration = policy.failure_duration
         try:
             if kind == "crash":
                 raise _injected_crash(job)
             # A memoized duplicate skips the run function; its duration is
             # replayed on the simulated clock, as a recomputation would be.
-            result = cached if cached is not None else self.run_function(job.config)
+            outcome = cached if cached is not None else self.run_function(job.config)
         except Exception as exc:
-            if policy.on_error == "raise":
-                raise
-            failure = repr(exc)
+            outcome = exc
+        settlement = self._settle(job, kind, outcome, simulated_clock=True)
+        if settlement.exception is not None:
+            raise settlement.exception
+        end_time = self._clock + settlement.minutes
+        if settlement.retry:
+            self._events.push(end_time, ("fail", job, job.attempt))
         else:
-            result = policy.inject(kind, result)
-            if policy.timeout is not None and result.duration > policy.timeout:
-                failure = f"timeout after {policy.timeout} min (duration {result.duration:.2f})"
-                attempt_duration = policy.timeout
-                self.num_timeouts += 1
-            else:
-                failure = policy.classify(result)
-                if failure is not None:
-                    attempt_duration = result.duration
-                if failure is not None and policy.on_error == "raise":
-                    raise RuntimeError(f"job {job.job_id}: {failure}")
-        if failure is None:
-            job.result = result
-            job.end_time = self._clock + result.duration
-            self._events.push(job.end_time, ("finish", job, job.attempt))
-            if kind is None:
-                self._cache_store(job)
-            return
-        # Failed attempt: the worker is occupied for the attempt duration.
-        job.error = failure
-        self.num_failures += 1
-        if policy.should_retry(job.retries):
-            self._events.push(self._clock + attempt_duration, ("fail", job, job.attempt))
-        else:
-            job.result = policy.failure_result(failure, attempt_duration)
-            job.end_time = self._clock + attempt_duration
-            self._events.push(job.end_time, ("finish", job, job.attempt))
+            job.end_time = end_time
+            self._events.push(end_time, ("finish", job, job.attempt))
 
     # ------------------------------------------------------------------ #
     def _advance(self, t: float) -> None:
@@ -452,32 +440,25 @@ class SimulatedEvaluator(Evaluator):
                 job = ref
                 if job.attempt != attempt:
                     continue  # stale event from a dead worker's attempt
+                if kind == "retry":
+                    self._waiting.append(job)
+                    continue
+                if not job.cache_hit:
+                    # Cache hits reserved the worker for the memoized
+                    # duration but computed nothing: zero busy credit.
+                    self._busy_time += end_time - job.start_time
+                self._release_worker(job.worker)
                 if kind == "finish":
-                    job.state = (
-                        JobState.FAILED if job.result.metadata.get("failed") else JobState.DONE
-                    )
-                    if not job.cache_hit:
-                        # Cache hits reserved the worker for the memoized
-                        # duration but computed nothing: zero busy credit.
-                        self._busy_time += end_time - job.start_time
-                    self._release_worker(job.worker)
+                    failed = job.result.metadata.get("failed")
+                    job.state = JobState.FAILED if failed else JobState.DONE
                     self._in_flight -= 1
                     finished.append(job)
-                elif kind == "fail":
-                    if not job.cache_hit:
-                        self._busy_time += end_time - job.start_time
-                    self._release_worker(job.worker)
-                    job.retries += 1
-                    self.num_retries += 1
-                    job.state = JobState.RETRYING
-                    job.worker = -1
-                    self._emit_retried(job)
-                    delay = self.fault_policy.backoff_minutes(job.retries)
-                    if delay > 0:
-                        self._events.push(self._clock + delay, ("retry", job, job.attempt))
-                    else:
-                        self._waiting.append(job)
-                elif kind == "retry":
+                    continue
+                self._count_retry(job)
+                delay = self.fault_policy.backoff_minutes(job.retries)
+                if delay > 0:
+                    self._events.push(self._clock + delay, ("retry", job, job.attempt))
+                else:
                     self._waiting.append(job)
             # Start queued jobs on the workers that just freed.
             self._fill_workers()
@@ -509,11 +490,7 @@ class SimulatedEvaluator(Evaluator):
             "capacity_time": self._capacity_time,
             "next_id": self._next_id,
             "in_flight": self._in_flight,
-            "num_failures": self.num_failures,
-            "num_faults_injected": self.num_faults_injected,
-            "num_retries": self.num_retries,
-            "num_timeouts": self.num_timeouts,
-            "num_worker_failures": self.num_worker_failures,
+            **{name: getattr(self, name) for name in _COUNTERS},
             "free_workers": list(self._free_workers),
             "dead_workers": sorted(self._dead_workers),
             "running": {str(w): job.job_id for w, job in self._running.items()},
@@ -543,11 +520,8 @@ class SimulatedEvaluator(Evaluator):
         self._capacity_time = float(state["capacity_time"])
         self._next_id = int(state["next_id"])
         self._in_flight = int(state["in_flight"])
-        self.num_failures = int(state["num_failures"])
-        self.num_faults_injected = int(state.get("num_faults_injected", 0))
-        self.num_retries = int(state["num_retries"])
-        self.num_timeouts = int(state["num_timeouts"])
-        self.num_worker_failures = int(state["num_worker_failures"])
+        for name in _COUNTERS:
+            setattr(self, name, int(state.get(name, 0)))
         self._free_workers = [int(w) for w in state["free_workers"]]
         self._dead_workers = {int(w) for w in state["dead_workers"]}
         self.jobs = [job_from_dict(row) for row in state["jobs"]]
@@ -584,50 +558,35 @@ class SimulatedEvaluator(Evaluator):
 class _WallClockEvaluator(Evaluator):
     """Shared machinery for the wall-clock (thread / process) backends.
 
-    Time is wall-clock minutes since construction.  This class owns submit
-    bookkeeping, :meth:`_dispatch`, the deadline scan and the whole of
-    :meth:`gather`; a backend supplies only
+    Time is wall-clock minutes since construction.  This class owns
+    :meth:`_dispatch`, the deadline scan and the whole of :meth:`gather`;
+    a backend supplies only
 
     - ``_make_pool()``: a fresh executor with ``num_workers`` workers;
-    - ``_submit_attempt(job)``: queue one attempt on a worker and track its
-      future, which resolves to ``(result, elapsed_min)``;
+    - ``_submit_attempt(job)``: queue one attempt on a worker and return
+      its future, which resolves to ``(result, elapsed_min)``;
     - ``_kill_workers()``: reclaim every worker of a broken or hung pool
       and return the innocent in-flight jobs to re-dispatch;
     - ``_busy_in_worker``: ``True`` when attempts stamp ``start_time`` and
       credit busy time inside the worker (threads), ``False`` when a job
       is ``RUNNING`` from dispatch and gather credits busy time
       (processes).
+
+    Each tracked future maps to its job and the fault kind drawn when the
+    attempt started, so gather settles the attempt with the kind it ran
+    under.
     """
 
     _busy_in_worker = False
 
-    def __init__(
-        self,
-        run_function: RunFunction,
-        num_workers: int,
-        measure_wall_time: bool = False,
-        fault_policy: FaultPolicy | None = None,
-        cache: EvaluationCache | None = None,
-    ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self.run_function = run_function
-        self.num_workers = num_workers
-        self.measure_wall_time = measure_wall_time
-        self.cache = cache
-        self.fault_policy = fault_policy or FaultPolicy()
-        self.num_failures = 0
-        self.num_faults_injected = 0
-        self.num_retries = 0
-        self.num_timeouts = 0
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self.num_worker_crashes = 0
         self._t0 = _time.perf_counter()
-        self._futures: dict[Future, Job] = {}
+        self._futures: dict[Future, tuple[Job, str | None]] = {}
         self._completed: collections.deque[Job] = collections.deque()
         self._busy_time = 0.0
         self._lock = threading.Lock()
-        self._next_id = 0
-        self.jobs: list[Job] = []
         self._pool = self._make_pool()
 
     # ------------------------------------------------------------------ #
@@ -648,43 +607,32 @@ class _WallClockEvaluator(Evaluator):
         return self._busy_time / (self.num_workers * elapsed)
 
     # ------------------------------------------------------------------ #
-    def submit(self, configs: Sequence[Any]) -> list[Job]:
-        out = []
-        for config in configs:
-            with self._lock:
-                job = Job(job_id=self._next_id, config=config, submit_time=self.now)
-                self._next_id += 1
-                self.jobs.append(job)
-            self._emit_submitted(job)
-            self._dispatch(job)
-            out.append(job)
-        return out
-
     def _dispatch(self, job: Job) -> None:
         """Start one attempt of ``job``.
 
         A crash or a cache hit never reaches a worker: its future is
         already resolved (to :class:`InjectedCrash`, or to the memoized
-        result with zero elapsed time), so the next gather routes it
-        through the same policy checks as computed work.
+        result with zero elapsed time), so the next gather settles it like
+        computed work.
         """
         kind, cached = self._begin_attempt(job)
         if kind != "crash" and cached is None:
-            self._submit_attempt(job)
-            return
-        future: Future = Future()
-        if cached is None:
-            future.set_exception(_injected_crash(job))
+            future = self._submit_attempt(job)
         else:
-            future.set_result((cached, 0.0))
+            future = Future()
+            if cached is None:
+                future.set_exception(_injected_crash(job))
+            else:
+                future.set_result((cached, 0.0))
+            with self._lock:
+                self._start_attempt(job)
         with self._lock:
-            self._start_attempt(job)
-            self._futures[future] = job
+            self._futures[future] = (job, kind)
 
     def _make_pool(self) -> Any:
         raise NotImplementedError
 
-    def _submit_attempt(self, job: Job) -> None:
+    def _submit_attempt(self, job: Job) -> Future:
         raise NotImplementedError
 
     def _kill_workers(self) -> list[Job]:
@@ -718,22 +666,6 @@ class _WallClockEvaluator(Evaluator):
         job.end_time = job.start_time if job.cache_hit else self.now
         job.state = state
 
-    def _handle_failure(self, job: Job, error: str, finished: list[Job]) -> None:
-        """Penalize or retry one failed attempt (policy is not 'raise')."""
-        policy = self.fault_policy
-        job.error = error
-        self.num_failures += 1
-        if policy.should_retry(job.retries):
-            job.retries += 1
-            self.num_retries += 1
-            job.state = JobState.RETRYING
-            self._emit_retried(job)
-            self._dispatch(job)
-        else:
-            job.result = policy.failure_result(error)
-            self._finalize(job, JobState.FAILED)
-            finished.append(job)
-
     def _wait_timeout(self, pending_jobs: Iterable[Job]) -> float | None:
         """Seconds to block in ``wait`` before the earliest policy deadline.
 
@@ -761,14 +693,14 @@ class _WallClockEvaluator(Evaluator):
 
         Jobs already buffered in ``_completed`` — siblings collected before
         a prior ``on_error="raise"`` exception — are returned immediately,
-        never blocking on unrelated pending futures.  Outcomes are
-        collected *before* any failure routing so that retries triggered
-        by a crash or a kill are dispatched to the reclaimed pool, never
-        to the broken one.  Only tracked futures deliver results: an
-        attempt abandoned by a timeout was untracked when it was reaped, so
-        its late return is dropped.
+        never blocking on unrelated pending futures.  Ended attempts are
+        collected *before* any are settled so that retries triggered by a
+        crash or a kill are dispatched to the reclaimed pool, never to the
+        broken one.  Only tracked futures deliver results: an attempt
+        abandoned by a timeout was untracked when it was reaped, so its
+        late return is dropped.
         """
-        policy = self.fault_policy
+        timeout = self.fault_policy.timeout
         while True:
             with self._lock:
                 finished = list(self._completed)
@@ -782,42 +714,51 @@ class _WallClockEvaluator(Evaluator):
                 return []
             done, _ = wait(
                 pending.keys(),
-                timeout=self._wait_timeout(pending.values()),
+                timeout=self._wait_timeout(job for job, _ in pending.values()),
                 return_when=FIRST_COMPLETED,
             )
-            # Phase 1: collect outcomes without touching the pool.
-            outcomes: list[tuple[Job, BaseException | None, Any]] = []
+            # Phase 1: collect each ended attempt's outcome without touching
+            # the pool: a result, an exception, or None for a timeout.
+            ended: list[tuple[Job, str | None, Any]] = []
+            unmeasured: list[Job] = []
+            pool_broken = False
             for future in done:
                 with self._lock:
-                    job = self._futures.pop(future, None)
-                if job is None:
+                    tracked = self._futures.pop(future, None)
+                if tracked is None:
                     continue  # already reaped by a timeout
+                job, kind = tracked
                 exc = future.exception()
-                outcomes.append((job, exc, None if exc is not None else future.result()))
-            pool_broken = any(isinstance(exc, BrokenExecutor) for _, exc, _ in outcomes)
+                if exc is None:
+                    outcome, elapsed_min = future.result()
+                    if not self._busy_in_worker:
+                        self._credit(elapsed_min)
+                elif isinstance(exc, BrokenExecutor):
+                    pool_broken = True
+                    self.num_worker_crashes += 1
+                    outcome = RuntimeError(f"job {job.job_id}: worker process crashed ({exc!r})")
+                    unmeasured.append(job)
+                else:
+                    outcome = exc
+                    if not isinstance(exc, InjectedCrash):
+                        unmeasured.append(job)
+                ended.append((job, kind, outcome))
             # Phase 2: reap attempts past the policy deadline.  Attempts
             # still queued are cancelled in place; attempts already running
             # in a worker force a kill (an abandon, for threads).
-            overdue: list[Job] = []
-            unmeasured = [
-                job
-                for job, exc, _ in outcomes
-                if exc is not None and not isinstance(exc, InjectedCrash)
-            ]
             must_kill = False
-            if policy.timeout is not None:
+            if timeout is not None:
                 now = self.now
-                for future, job in pending.items():
+                for future, (job, kind) in pending.items():
                     if future in done or job.state is not JobState.RUNNING:
                         continue
-                    if now >= job.start_time + policy.timeout:
+                    if now >= job.start_time + timeout:
                         with self._lock:
                             self._futures.pop(future, None)
-                            self.num_timeouts += 1
                         if not future.cancel():
                             must_kill = True
                             unmeasured.append(job)
-                        overdue.append(job)
+                        ended.append((job, kind, None))
             # Phase 3: reclaim the pool if it is broken or holds hung
             # workers; innocent in-flight jobs are re-dispatched uncharged.
             victims = self._kill_workers() if pool_broken or must_kill else []
@@ -825,42 +766,19 @@ class _WallClockEvaluator(Evaluator):
                 self._credit_unmeasured(unmeasured + victims)
             for job in victims:
                 self._dispatch(job)
-            # Phase 4: route outcomes through the policy (pool is healthy).
-            failures: list[tuple[Job, str, BaseException]] = []
-            for job, exc, payload in outcomes:
-                if exc is None:
-                    result, elapsed_min = payload
-                    if not self._busy_in_worker:
-                        self._credit(elapsed_min)
-                    if self.measure_wall_time and not job.cache_hit:
-                        result = EvaluationResult(
-                            result.objective, elapsed_min, result.metadata
-                        )
-                    kind = policy.fault(job.job_id, job.retries)
-                    job.result = policy.inject(kind, result)
-                    error = policy.classify(job.result)
-                    if error is None:
-                        self._finalize(job, JobState.DONE)
-                        if kind is None:
-                            self._cache_store(job)
-                        finished.append(job)
-                        continue
-                    exc = RuntimeError(f"job {job.job_id}: {error}")
-                elif isinstance(exc, BrokenExecutor):
-                    self.num_worker_crashes += 1
-                    exc = RuntimeError(f"job {job.job_id}: worker process crashed ({exc!r})")
-                failures.append((job, repr(exc), exc))
-            for job in overdue:
-                error = f"timeout after {policy.timeout} min"
-                failures.append((job, error, TimeoutError(f"job {job.job_id}: {error}")))
+            # Phase 4: settle every ended attempt (the pool is healthy).
             first_error: BaseException | None = None
-            for job, error, exc in failures:
-                if policy.on_error == "raise":
-                    job.error = error
-                    self._finalize(job, JobState.FAILED)
-                    first_error = first_error or exc
+            for job, kind, outcome in ended:
+                settlement = self._settle(job, kind, outcome)
+                if settlement.retry:
+                    self._count_retry(job)
+                    self._dispatch(job)
+                    continue
+                self._finalize(job, JobState.DONE if settlement.error is None else JobState.FAILED)
+                if settlement.exception is not None:
+                    first_error = first_error or settlement.exception
                 else:
-                    self._handle_failure(job, error, finished)
+                    finished.append(job)
             if first_error is not None:
                 with self._lock:
                     self._completed.extend(finished)
@@ -873,9 +791,7 @@ class _WallClockEvaluator(Evaluator):
     def shutdown(self) -> None:
         self._pool.shutdown(wait=True, cancel_futures=True)
 
-    def close(self) -> None:
-        """Alias for :meth:`shutdown` (context-manager parity)."""
-        self.shutdown()
+    close = shutdown  # context-manager parity
 
     def __enter__(self):
         return self
@@ -887,18 +803,16 @@ class _WallClockEvaluator(Evaluator):
 class ThreadedEvaluator(_WallClockEvaluator):
     """Real concurrent evaluation on a thread pool.
 
-    Time is wall-clock minutes since construction.  The reported job
-    duration is the run function's declared duration unless
-    ``measure_wall_time=True``, in which case the measured elapsed time
-    (in minutes) replaces it.
-
-    The :class:`FaultPolicy` surface matches :class:`SimulatedEvaluator`
-    (API parity): exceptions and invalid objectives are raised, penalized
-    or retried; ``timeout`` (wall-clock minutes) abandons stragglers — the
-    worker thread keeps running but the job is finalized with a penalized
-    result so the campaign never blocks on a hung evaluation.  Retries are
-    resubmitted immediately (exponential backoff is a simulated-minutes
-    concept; sleeping real minutes would stall the pool).
+    Time is wall-clock minutes since construction; a job's result keeps
+    the duration the run function declared.  Every attempt is settled by
+    the same :meth:`FaultPolicy.settle` as on :class:`SimulatedEvaluator`,
+    so exceptions and invalid objectives are raised, penalized or retried
+    with the same errors and penalized durations.  ``timeout`` (wall-clock
+    minutes) abandons stragglers — the worker thread keeps running but the
+    attempt is settled as timed out so the campaign never blocks on a hung
+    evaluation.  Retries are resubmitted immediately (exponential backoff
+    is a simulated-minutes concept; sleeping real minutes would stall the
+    pool).
 
     Worker busy time is accumulated *per attempt* as each attempt's thread
     returns (a retried job credits every attempt, not just the last, and
@@ -913,7 +827,7 @@ class ThreadedEvaluator(_WallClockEvaluator):
     def _make_pool(self) -> ThreadPoolExecutor:
         return ThreadPoolExecutor(max_workers=self.num_workers)
 
-    def _submit_attempt(self, job: Job) -> None:
+    def _submit_attempt(self, job: Job) -> Future:
         def attempt() -> tuple[EvaluationResult, float]:
             with self._lock:
                 self._start_attempt(job)
@@ -927,9 +841,7 @@ class ThreadedEvaluator(_WallClockEvaluator):
                 self._credit(elapsed_min)
             return result, elapsed_min
 
-        future = self._pool.submit(attempt)
-        with self._lock:
-            self._futures[future] = job
+        return self._pool.submit(attempt)
 
     def _kill_workers(self) -> list[Job]:
         return []  # threads cannot be killed; a hung attempt is abandoned
@@ -953,11 +865,10 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
       the policy ``timeout`` covers queue delay + execution;
     - worker crashes (abnormal exit, killed process) surface as
       :class:`concurrent.futures.BrokenExecutor`; the pool is rebuilt
-      *before* any failure routing, and every attempt in flight at the
-      moment of the break is routed through the :class:`FaultPolicy` as a
-      failed attempt (the executor cannot attribute the crash to a single
-      job).  ``num_worker_crashes`` counts the affected attempts,
-      ``num_pool_rebuilds`` the rebuilds;
+      *before* any attempt is settled, and every attempt in flight at the
+      moment of the break is settled as a failed attempt (the executor
+      cannot attribute the crash to a single job).  ``num_worker_crashes``
+      counts the affected attempts, ``num_pool_rebuilds`` the rebuilds;
     - timeouts are *real cancellations*: a hung attempt that cannot be
       cancelled from the queue gets the worker processes terminated and
       the pool rebuilt, reclaiming the slot (threads can only abandon).
@@ -972,14 +883,7 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
     nothing.
     """
 
-    def __init__(
-        self,
-        run_function: RunFunction,
-        num_workers: int,
-        measure_wall_time: bool = False,
-        fault_policy: FaultPolicy | None = None,
-        cache: EvaluationCache | None = None,
-    ) -> None:
+    def __init__(self, run_function: RunFunction, *args: Any, **kwargs: Any) -> None:
         try:
             self._payload = pickle.dumps(_strip_event_bus(run_function))
         except Exception as exc:
@@ -989,13 +893,7 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
                 f"pickling failed with: {exc!r}"
             ) from exc
         self.num_pool_rebuilds = 0
-        super().__init__(
-            run_function,
-            num_workers,
-            measure_wall_time=measure_wall_time,
-            fault_policy=fault_policy,
-            cache=cache,
-        )
+        super().__init__(run_function, *args, **kwargs)
 
     def _make_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
@@ -1004,11 +902,10 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
             initargs=(self._payload,),
         )
 
-    def _submit_attempt(self, job: Job) -> None:
+    def _submit_attempt(self, job: Job) -> Future:
         with self._lock:
             self._start_attempt(job)
-            future = self._pool.submit(_process_worker_call, job.config)
-            self._futures[future] = job
+        return self._pool.submit(_process_worker_call, job.config)
 
     def _kill_workers(self) -> list[Job]:
         """Terminate every worker process and build a fresh pool.
@@ -1018,7 +915,7 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
         are not charged a retry — the fault was not theirs.
         """
         with self._lock:
-            victims = list(self._futures.values())
+            victims = [job for job, _ in self._futures.values()]
             self._futures.clear()
         for proc in list(getattr(self._pool, "_processes", {}).values()):
             proc.terminate()

@@ -4,12 +4,15 @@ The paper's 3-hour, 129-node campaigns survive stragglers and diverged
 trainings because the manager treats evaluation failure as data, not as a
 fatal error (§III-C: failed evaluations are penalized with a low objective).
 :class:`FaultPolicy` makes that behaviour a first-class, testable contract,
-honored by every evaluator backend:
+honored identically by every evaluator backend:
 
 - failure handling: what counts as a failure (exceptions, per-job
   timeouts, non-finite objectives), how often to retry, how long to back
   off between attempts (exponential, in evaluator minutes), and what a
-  penalized result looks like;
+  penalized result looks like.  :meth:`FaultPolicy.settle` is the one
+  place these rules are applied: every backend hands it each attempt's
+  fault kind and outcome and gets back a :class:`Settlement` (accept,
+  retry, penalize, or the exception to raise);
 - fault injection: seeded crashes (the run function is never called),
   hangs/stragglers (inflated durations, to be caught by the timeout) and
   corrupted results (NaN objectives).  :meth:`FaultPolicy.fault` is a pure
@@ -28,7 +31,7 @@ import numpy as np
 
 from repro.workflow.jobs import EvaluationResult
 
-__all__ = ["FaultPolicy", "InjectedCrash", "ON_ERROR_POLICIES"]
+__all__ = ["FaultPolicy", "InjectedCrash", "ON_ERROR_POLICIES", "Settlement"]
 
 ON_ERROR_POLICIES = ("raise", "penalize", "retry")
 _FAULT_KINDS = ("crash", "hang", "corrupt")
@@ -36,6 +39,27 @@ _FAULT_KINDS = ("crash", "hang", "corrupt")
 
 class InjectedCrash(RuntimeError):
     """The failure of an attempt that drew an injected crash."""
+
+
+@dataclass(frozen=True)
+class Settlement:
+    """How one attempt ends under a :class:`FaultPolicy`.
+
+    ``result`` is the accepted result, or the penalized one of a job that
+    exhausted the policy (None when the attempt is retried or raised);
+    ``error`` describes the failure (None when accepted); ``minutes`` is
+    how long the attempt held its worker on the simulated clock, which is
+    also the penalized result's duration; ``retry`` re-runs the job;
+    ``timed_out`` marks an attempt past the policy timeout; ``exception``
+    is what an evaluator raises under ``on_error="raise"``.
+    """
+
+    result: EvaluationResult | None
+    error: str | None
+    minutes: float
+    retry: bool = False
+    timed_out: bool = False
+    exception: BaseException | None = None
 
 
 @dataclass(frozen=True)
@@ -169,3 +193,47 @@ class FaultPolicy:
                 float("nan"), result.duration, {**result.metadata, "injected_corruption": True}
             )
         return result
+
+    # ------------------------------------------------------------------ #
+    def settle(
+        self,
+        kind: str | None,
+        outcome: EvaluationResult | BaseException | None,
+        job_id: int,
+        retries: int,
+        simulated_clock: bool = False,
+    ) -> Settlement:
+        """Apply the policy to one attempt of job ``job_id``.
+
+        ``kind`` is the fault drawn for the attempt (:meth:`fault`) and
+        ``retries`` the failed attempts before it.  ``outcome`` is the
+        result the run function (or the cache) returned, the exception the
+        attempt raised, or ``None`` when the backend's clock reaped it at
+        the timeout.  On the simulated clock (``simulated_clock=True``) an
+        attempt lasts its declared duration, so a returned result whose
+        injected duration exceeds the timeout times out here instead.
+        """
+        timed_out = outcome is None
+        if isinstance(outcome, EvaluationResult):
+            result = self.inject(kind, outcome)
+            timed_out = (
+                simulated_clock and self.timeout is not None and result.duration > self.timeout
+            )
+        exception: BaseException
+        if timed_out:
+            error = f"timeout after {self.timeout} min"
+            if outcome is not None:  # the simulated clock saw the declared duration
+                error += f" (duration {result.duration:.2f})"
+            minutes, exception = self.timeout, TimeoutError(f"job {job_id}: {error}")
+        elif isinstance(outcome, BaseException):
+            error, minutes, exception = repr(outcome), self.failure_duration, outcome
+        else:
+            error = self.classify(result)
+            if error is None:
+                return Settlement(result, None, result.duration)
+            minutes, exception = result.duration, RuntimeError(f"job {job_id}: {error}")
+        if self.on_error == "raise":
+            return Settlement(None, error, minutes, timed_out=timed_out, exception=exception)
+        if self.should_retry(retries):
+            return Settlement(None, error, minutes, retry=True, timed_out=timed_out)
+        return Settlement(self.failure_result(error, minutes), error, minutes, timed_out=timed_out)

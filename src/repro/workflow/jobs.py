@@ -30,9 +30,8 @@ class EvaluationResult:
     objective:
         The scalar to maximize (validation accuracy in the paper).
     duration:
-        Evaluation duration in simulated minutes.  The
-        :class:`~repro.workflow.evaluator.ThreadedEvaluator` overrides this
-        with measured wall-clock when asked to.
+        Evaluation duration in simulated minutes, as the run function
+        declares it (every backend keeps it).
     metadata:
         Free-form extras (parameter count, epoch histories, ...).
     """

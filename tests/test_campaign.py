@@ -127,7 +127,6 @@ campaign_configs = st.builds(
         EvaluatorConfig,
         backend=st.sampled_from(("simulated", "threaded", "process")),
         num_workers=st.integers(1, 64),
-        measure_wall_time=st.booleans(),
         cache=st.sampled_from(("off", "exact")),
     ),
     faults=fault_configs,
@@ -216,6 +215,16 @@ def test_from_dict_rejects_retired_training_values(key, value):
     data = json.loads(json.dumps(LEGACY_TINY_CONFIG))
     data["training"][key] = value
     with pytest.raises(ValueError, match=f"training.{key}='{value}' was removed"):
+        CampaignConfig.from_dict(data)
+
+
+def test_from_dict_drops_measure_wall_time_only_when_off():
+    """Wall-clock backends always report the declared duration: a config
+    written with ``measure_wall_time=False`` loads, ``True`` is refused."""
+    assert "measure_wall_time" not in tiny_config().to_dict()["evaluator"]
+    data = json.loads(json.dumps(LEGACY_TINY_CONFIG))
+    data["evaluator"]["measure_wall_time"] = True
+    with pytest.raises(ValueError, match="evaluator.measure_wall_time=True was removed"):
         CampaignConfig.from_dict(data)
 
 
@@ -548,7 +557,7 @@ def test_kill_and_resume_is_bit_identical(tmp_path):
 
 def test_resume_from_checkpoint_with_retired_training_keys(tmp_path):
     """A checkpoint whose embedded config still names allreduce/backend
-    resumes bit-identically to the straight run."""
+    and measure_wall_time resumes bit-identically to the straight run."""
     path = tmp_path / "camp.ckpt"
     full = build_campaign(tiny_config(max_evaluations=16)).run()
     build_campaign(
@@ -556,6 +565,7 @@ def test_resume_from_checkpoint_with_retired_training_keys(tmp_path):
     ).run()
     data = json.loads(path.read_text())
     data["extra"]["campaign"]["training"].update(allreduce="fused", backend="compiled")
+    data["extra"]["campaign"]["evaluator"]["measure_wall_time"] = False
     path.write_text(json.dumps(data))
 
     history = resume_campaign(path, max_evaluations=16).run()

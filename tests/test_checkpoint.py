@@ -343,3 +343,28 @@ def test_resume_gate_matches_uninterrupted_campaign(tmp_path_factory, c):
     assert rich(resumed) == rich(full)
     assert evaluator_counters(resumed.evaluator) == evaluator_counters(full.evaluator)
     assert cache_entries(resumed.evaluator) == cache_entries(full.evaluator)
+
+
+def test_resume_with_a_budget_the_last_batch_already_met(tmp_path):
+    """A budget stop at 19 whose last gather brought the history to 20
+    resumes to 20 without running more: the uninterrupted 20-evaluation
+    campaign stopped at that same batch (pre-fix the resumed history had
+    21 records)."""
+    c = {
+        "method": "AgE", "replacement": "aging", "cache": False, "crash_prob": 0.0,
+        "hang_prob": 0.0, "corrupt_prob": 0.0, "fault_seed": 0, "max_retries": 1,
+        "timeout": 14.0, "worker_failures": [],
+    }
+    full = build_campaign_search(c)
+    full.search(max_evaluations=TOTAL_EVALUATIONS)
+    interrupted = build_campaign_search(c)
+    interrupted.search(max_evaluations=TOTAL_EVALUATIONS - 1)
+    assert len(interrupted.history) == TOTAL_EVALUATIONS  # the batch overshot
+    path = tmp_path / "ck.json"
+    save_checkpoint(interrupted, path)
+    resumed = build_campaign_search(c)
+    resumed.load_state(load_checkpoint(path)["search"])
+    resumed.search(max_evaluations=TOTAL_EVALUATIONS)
+    rich = lambda search: [record_to_dict(r, rich_metadata=True) for r in search.history]
+    assert rich(resumed) == rich(full)
+    assert evaluator_counters(resumed.evaluator) == evaluator_counters(full.evaluator)

@@ -89,6 +89,82 @@ def test_policy_failure_result_and_classify():
 
 
 # --------------------------------------------------------------------- #
+# FaultPolicy.settle: the one settlement step, as a pure function
+# --------------------------------------------------------------------- #
+_BOOM = RuntimeError("boom")
+_CRASH = InjectedCrash("injected crash: job 7, retry 0")
+_OK = EvaluationResult(objective=0.5, duration=4.0)
+_TIMEOUT = "timeout after 10.0 min"
+
+# (kind, outcome, retries, on_error, simulated_clock) ->
+# (verdict, error, minutes, timed_out, raised); verdict is "accept",
+# "retry", "penalize" or "raise"; ``raised`` is (type, message) of the
+# exception to raise, or None.  outcome None means "reaped at the timeout".
+SETTLE_TABLE = [
+    # Clean and hung attempts.
+    (None, _OK, 0, "penalize", True, ("accept", None, 4.0, False, None)),
+    (None, _OK, 0, "raise", True, ("accept", None, 4.0, False, None)),
+    ("hang", _OK, 0, "penalize", False, ("accept", None, 20.0, False, None)),
+    ("hang", _OK, 0, "penalize", True,
+     ("penalize", f"{_TIMEOUT} (duration 20.00)", 10.0, True, None)),
+    ("hang", _OK, 0, "retry", True,
+     ("retry", f"{_TIMEOUT} (duration 20.00)", 10.0, True, None)),
+    ("hang", _OK, 0, "raise", True,
+     ("raise", f"{_TIMEOUT} (duration 20.00)", 10.0, True,
+      (TimeoutError, f"job 7: {_TIMEOUT} (duration 20.00)"))),
+    # Corrupted results: the attempt held its worker for its duration.
+    ("corrupt", _OK, 0, "penalize", True, ("penalize", "invalid objective nan", 4.0, False, None)),
+    ("corrupt", _OK, 0, "penalize", False,
+     ("penalize", "invalid objective nan", 4.0, False, None)),
+    ("corrupt", _OK, 0, "retry", True, ("retry", "invalid objective nan", 4.0, False, None)),
+    ("corrupt", _OK, 1, "retry", True, ("penalize", "invalid objective nan", 4.0, False, None)),
+    ("corrupt", _OK, 0, "raise", False,
+     ("raise", "invalid objective nan", 4.0, False,
+      (RuntimeError, "job 7: invalid objective nan"))),
+    # Raised exceptions (an injected crash is one): failure_duration.
+    (None, _BOOM, 0, "penalize", True, ("penalize", "RuntimeError('boom')", 1.0, False, None)),
+    (None, _BOOM, 0, "retry", False, ("retry", "RuntimeError('boom')", 1.0, False, None)),
+    (None, _BOOM, 0, "raise", True,
+     ("raise", "RuntimeError('boom')", 1.0, False, (RuntimeError, "boom"))),
+    ("crash", _CRASH, 0, "retry", True, ("retry", repr(_CRASH), 1.0, False, None)),
+    ("crash", _CRASH, 1, "retry", False, ("penalize", repr(_CRASH), 1.0, False, None)),
+    # Reaped by a wall clock at the timeout.
+    (None, None, 0, "penalize", False, ("penalize", _TIMEOUT, 10.0, True, None)),
+    ("hang", None, 1, "retry", False, ("penalize", _TIMEOUT, 10.0, True, None)),
+    (None, None, 0, "raise", False,
+     ("raise", _TIMEOUT, 10.0, True, (TimeoutError, f"job 7: {_TIMEOUT}"))),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("kind,outcome,retries,on_error,simulated_clock,expected", SETTLE_TABLE)
+def test_settle_table(kind, outcome, retries, on_error, simulated_clock, expected):
+    verdict, error, minutes, timed_out, raised = expected
+    policy = FaultPolicy(
+        on_error=on_error, max_retries=1, timeout=10.0, failure_objective=-1.0,
+        failure_duration=1.0, hang_factor=5.0,
+    )
+    settle = lambda: policy.settle(kind, outcome, 7, retries, simulated_clock=simulated_clock)
+    s = settle()
+    assert (s.error, s.minutes, s.timed_out) == (error, minutes, timed_out)
+    assert s.retry == (verdict == "retry")
+    if raised is None:
+        assert s.exception is None
+    else:
+        assert type(s.exception) is raised[0] and str(s.exception) == raised[1]
+    if verdict == "accept":
+        assert s.result == policy.inject(kind, outcome) and s.result.duration == minutes
+    elif verdict == "penalize":
+        assert s.result == policy.failure_result(error, minutes)
+    else:
+        assert s.result is None
+    # Pure: settling the same attempt again gives the same settlement.
+    again = settle()
+    assert (again.result, again.error, again.minutes, again.retry, again.timed_out) == (
+        s.result, s.error, s.minutes, s.retry, s.timed_out
+    )
+
+
+# --------------------------------------------------------------------- #
 # Fault injection: the policy's stateless draw
 # --------------------------------------------------------------------- #
 def test_injector_validation():
@@ -176,13 +252,25 @@ def _differential_eval(config):
 @pytest.mark.parametrize("seed", INJECTOR_SEEDS)
 def test_backends_agree_under_seeded_faults(seed, cache):
     """One fixed job list with seeded crashes, hangs and corruptions gives
-    the same per-job outcome on every backend and on every repeat, and
-    every backend counts its injected faults on the manager."""
-    configs = [i % 13 for i in range(24)]  # duplicates exercise the cache
-    policy = FaultPolicy(
+    the same per-job outcome — state, objective, error and result
+    duration — on every backend and on every repeat, under a retry policy
+    and under a penalize policy, and every backend counts its injected
+    faults on the manager."""
+    retry = FaultPolicy(
         on_error="retry", max_retries=2, failure_objective=-1.0,
         crash_prob=0.2, hang_prob=0.15, corrupt_prob=0.15, fault_seed=seed,
     )
+    penalize = FaultPolicy(
+        on_error="penalize", reject_invalid=True, failure_objective=-1.0,
+        failure_duration=0.5, crash_prob=0.15, hang_prob=0.1, corrupt_prob=0.3,
+        fault_seed=seed,
+    )
+    for policy in (retry, penalize):
+        _assert_backends_agree(policy, cache)
+
+
+def _assert_backends_agree(policy, cache):
+    configs = [i % 13 for i in range(24)]  # duplicates exercise the cache
     outcomes, faults = {}, {}
     for backend in (SimulatedEvaluator, ThreadedEvaluator, ProcessPoolEvaluator):
         for repeat in range(3):
@@ -202,14 +290,22 @@ def test_backends_agree_under_seeded_faults(seed, cache):
                     ev.shutdown()
             assert ev.num_faults_injected == len(events) == metrics.num_faults_injected
             key = (backend.__name__, repeat)
-            outcomes[key] = sorted((j.job_id, j.retries, j.state, j.objective) for j in jobs)
+            outcomes[key] = sorted(
+                (j.job_id, j.retries, j.state, j.objective, j.error, j.result.duration)
+                for j in jobs
+            )
             faults[key] = sorted((e.job_id, e.retries, e.kind) for e in events)
     reference = outcomes["SimulatedEvaluator", 0]
     assert len(reference) == len(configs)
-    assert all(outcome == reference for outcome in outcomes.values())
+    for key, outcome in outcomes.items():
+        assert outcome == reference, key
     assert all(f == faults["SimulatedEvaluator", 0] for f in faults.values())
     assert faults["SimulatedEvaluator", 0]  # faults actually fired
-    assert any(retries > 0 for _, retries, _, _ in reference)
+    errors = {error for _, _, _, _, error, _ in reference if error is not None}
+    if policy.on_error == "retry":
+        assert any(row[1] > 0 for row in reference)
+    else:  # corrupted results were penalized, not accepted
+        assert "invalid objective nan" in errors
 
 
 def fails_n_times(n, duration=1.0):
@@ -273,6 +369,16 @@ def test_sim_timeout_reaps_straggler():
     assert job.state is JobState.FAILED
     assert "timeout" in job.result.metadata["error"]
     assert job.end_time == pytest.approx(5.0)  # reaped at the deadline, not at 100
+    assert ev.num_timeouts == 1
+
+
+def test_sim_timeout_raises_under_raise_policy():
+    """A simulated straggler past the timeout raises under on_error='raise',
+    as a reaped attempt does on the wall-clock backends."""
+    policy = FaultPolicy(on_error="raise", timeout=5.0)
+    ev = SimulatedEvaluator(constant_run(duration=10.0), num_workers=1, fault_policy=policy)
+    with pytest.raises(TimeoutError, match=r"job 0: timeout after 5\.0 min \(duration 10\.00\)"):
+        ev.submit(["a"])
     assert ev.num_timeouts == 1
 
 

@@ -14,7 +14,6 @@ from repro.workflow import (
     EventQueue,
     Job,
     JobState,
-    ProcessPoolEvaluator,
     SimulatedEvaluator,
     ThreadedEvaluator,
 )
@@ -200,23 +199,6 @@ def test_threaded_evaluator_runs_concurrently():
         assert sorted(j.result.objective for j in results) == [2.0, 4.0, 6.0, 8.0]
     finally:
         ev.shutdown()
-
-
-def sleepy_run(config):
-    """Module-level (picklable) run function declaring a bogus duration."""
-    time.sleep(0.02)
-    return EvaluationResult(objective=1.0, duration=999.0)
-
-
-@pytest.mark.parametrize(
-    "backend", [ThreadedEvaluator, ProcessPoolEvaluator], ids=["threaded", "process"]
-)
-def test_wallclock_evaluator_measures_wall_time(backend):
-    with backend(sleepy_run, num_workers=1, measure_wall_time=True) as ev:
-        ev.submit([0])
-        (job,) = ev.gather()
-    # Measured minutes, not the declared 999.
-    assert 0.0 < job.result.duration < 0.1
 
 
 def test_threaded_evaluator_propagates_exceptions():
