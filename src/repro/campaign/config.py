@@ -140,7 +140,7 @@ class TrainingConfig:
     warmup_epochs: int = 5
     plateau_patience: int = 5
     objective: str = "best"
-    dtype: str = "float64"
+    dtype: str = "float32"  # the paper's TensorFlow/Horovod precision; float64 is the oracle
     apply_linear_scaling: bool = True
     base_seed: int = 0
 

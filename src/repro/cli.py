@@ -92,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--sample", type=int, default=3)
     p_search.add_argument("--kappa", type=float, default=0.001)
     p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--dtype", choices=("float32", "float64"), default="float64",
-                          help="training precision (float32 halves memory traffic)")
+    p_search.add_argument("--dtype", choices=("float32", "float64"), default=TrainingConfig.dtype,
+                          help="training precision (default: %(default)s; float64 is the oracle)")
     p_search.add_argument("--backend", choices=EVALUATOR_BACKENDS,
                           default="simulated",
                           help="evaluator backend (simulated clock, thread pool, "

@@ -54,8 +54,9 @@ class ModelEvaluation:
         ``"best"`` (max epoch validation accuracy, DeepHyper's default) or
         ``"final"`` (last epoch).
     dtype:
-        Model/array precision, e.g. ``"float32"`` to halve memory traffic
-        (default ``"float64"``).
+        Model/array precision (default ``"float32"``, the precision the
+        paper's TensorFlow/Horovod training runs at); ``"float64"`` is the
+        oracle precision.
     """
 
     def __init__(
@@ -71,7 +72,7 @@ class ModelEvaluation:
         keep_best_weights: bool = False,
         nominal_epochs: int | None = None,
         apply_linear_scaling: bool = True,
-        dtype="float64",
+        dtype="float32",
     ) -> None:
         if objective not in ("best", "final"):
             raise ValueError(f"objective must be 'best' or 'final', got {objective!r}")
@@ -115,7 +116,6 @@ class ModelEvaluation:
             plateau_patience=self.plateau_patience,
             keep_best_weights=self.keep_best_weights,
             apply_linear_scaling=self.apply_linear_scaling,
-            dtype=self.dtype,
         )
         trainer.event_bus = self.event_bus
         result = trainer.fit(

@@ -60,9 +60,9 @@ class DataParallelTrainer:
     batch_size, learning_rate:
         *Per-rank* micro-batch size ``bs_1`` and *base* learning rate
         ``lr_1``; the trainer applies the linear scaling rule internally.
-    dtype:
-        Optional precision override for the training arrays (``None``
-        keeps the model's dtype).
+
+    The model is the one source of precision: :meth:`fit` casts the data
+    to ``model.dtype``.
     """
 
     def __init__(
@@ -75,7 +75,6 @@ class DataParallelTrainer:
         plateau_patience: int = 5,
         apply_linear_scaling: bool = True,
         keep_best_weights: bool = False,
-        dtype=None,
     ) -> None:
         if num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
@@ -91,7 +90,6 @@ class DataParallelTrainer:
         self.plateau_patience = plateau_patience
         self.apply_linear_scaling = apply_linear_scaling
         self.keep_best_weights = keep_best_weights
-        self.dtype = None if dtype is None else np.dtype(dtype)
         # Optional campaign event bus; when set, fit emits one
         # repro.campaign.events.EpochEnd per epoch.
         self.event_bus = None
@@ -133,9 +131,8 @@ class DataParallelTrainer:
             raise ValueError(
                 f"cannot run {n} ranks on {X_train.shape[0]} training samples"
             )
-        dtype = self.dtype or model.dtype
-        X_train = np.ascontiguousarray(X_train, dtype=dtype)
-        X_valid = np.ascontiguousarray(X_valid, dtype=dtype)
+        X_train = np.ascontiguousarray(X_train, dtype=model.dtype)
+        X_valid = np.ascontiguousarray(X_valid, dtype=model.dtype)
         plan = model.compile()
         shards = shard_indices(X_train.shape[0], n, rng)
         min_shard = min(len(s) for s in shards)

@@ -99,9 +99,9 @@ class GraphNetwork:
     rng:
         Generator for all weight initialization, making a build reproducible.
     dtype:
-        Parameter/activation precision (float64 default, float32 optional).
-        Weights are drawn in float64 and cast, so the same seed produces
-        the same network at either precision.
+        Parameter/activation precision (float64 default, the oracles'; campaigns
+        train at float32).  Weights are drawn in float64 and cast, so the same
+        seed produces the same network at either precision.
     """
 
     def __init__(

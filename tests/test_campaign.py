@@ -205,7 +205,9 @@ LEGACY_TINY_CONFIG = {
 
 
 def test_from_dict_drops_retired_training_keys_at_their_only_value():
-    assert CampaignConfig.from_dict(LEGACY_TINY_CONFIG) == tiny_config()
+    # The legacy dict was written when float64 was the default precision.
+    legacy = tiny_config(training=TrainingConfig(epochs=1, nominal_epochs=20, dtype="float64"))
+    assert CampaignConfig.from_dict(LEGACY_TINY_CONFIG) == legacy
     assert "allreduce" not in tiny_config().to_dict()["training"]
 
 
@@ -551,6 +553,23 @@ def test_kill_and_resume_is_bit_identical(tmp_path):
     resumed = resume_campaign(path, max_evaluations=16)
     assert resumed.config.search == interrupted.config.search
     assert resumed.config.training == interrupted.config.training
+    history = resumed.run()
+    assert history_to_dict(history) == history_to_dict(full)
+
+
+def test_float64_checkpoint_resumes_at_float64(tmp_path):
+    """A checkpoint embeds its config, so a campaign written at the oracle
+    precision resumes at it, bit-identically to the straight float64 run."""
+    path = tmp_path / "camp.ckpt"
+    float64 = TrainingConfig(epochs=1, nominal_epochs=20, dtype="float64")
+    full = build_campaign(tiny_config(max_evaluations=16, training=float64)).run()
+    build_campaign(
+        tiny_config(training=float64, checkpoint=CheckpointConfig(path=str(path), every=1))
+    ).run()
+
+    resumed = resume_campaign(path, max_evaluations=16)
+    assert resumed.config.training.dtype == "float64"
+    assert resumed.evaluation.dtype == "float64"
     history = resumed.run()
     assert history_to_dict(history) == history_to_dict(full)
 

@@ -107,9 +107,7 @@ def test_trainer_float32_keeps_adam_dtype_stable(rank_mode):
     """
     X, y = make_blobs(np.random.default_rng(7), n=200)
     model = random_model(3, d=8, classes=3, dtype=np.float32)
-    trainer = DataParallelTrainer(
-        num_ranks=2, epochs=2, batch_size=16, learning_rate=0.005, dtype=np.float32
-    )
+    trainer = DataParallelTrainer(num_ranks=2, epochs=2, batch_size=16, learning_rate=0.005)
     dtypes = set()
 
     class RecordingAdam(Adam):
