@@ -10,14 +10,23 @@ Search runs are memoized per (dataset, variant, seed, ...) within a pytest
 session so benches that share runs (Table I ↔ Fig. 3, Fig. 6 ↔ Tables II/III
 ↔ Fig. 7) do not retrain.  Results are also appended to
 ``benchmarks/results/*.txt`` so the printed rows survive output capture.
+
+The perf benches (``test_perf_*.py``) share the timing harness at the end
+of this module: seeded median-of-k timing and the ``BENCH_*.json`` report
+format.  Timings are recorded, never asserted — only numerical-equivalence
+gates can fail those benches, so they stay meaningful on noisy CI machines.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass
+import platform
+import statistics
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -206,3 +215,65 @@ def mean_std(values) -> tuple[float, float]:
     if arr.size == 0:
         return float("nan"), float("nan")
     return float(arr.mean()), float(arr.std())
+
+
+# --------------------------------------------------------------------- #
+# Perf-bench timing harness
+# --------------------------------------------------------------------- #
+def median_time(fn: Callable[[], Any], repeats: int = 5, warmup: int = 1) -> float:
+    """Median wall-clock seconds of ``repeats`` calls after ``warmup``.
+
+    Warming up lets page faults, allocator pools and branch predictors
+    settle; the median resists the one-off scheduler hiccup that poisons
+    means on shared CI runners.  The callable must be self-contained
+    (re-seed inside if it consumes randomness) so every repetition
+    measures identical work.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    for _ in range(warmup):
+        fn()
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - start)
+    return float(statistics.median(samples))
+
+
+@dataclass
+class BenchEntry:
+    """One before/after measurement: a reference path vs its optimized twin."""
+
+    name: str
+    reference_s: float
+    optimized_s: float
+    meta: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def speedup(self) -> float:
+        return self.reference_s / self.optimized_s if self.optimized_s > 0 else float("inf")
+
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            "name": self.name,
+            "reference_s": self.reference_s,
+            "optimized_s": self.optimized_s,
+            "speedup": round(self.speedup, 2),
+            **({"meta": self.meta} if self.meta else {}),
+        }
+
+
+def write_bench_json(path: str | Path, bench: str, entries: list[BenchEntry]) -> Path:
+    """Write a ``BENCH_*.json`` report, so the before/after evidence for an
+    optimization lives in the repo next to the code; returns the path."""
+    path = Path(path)
+    report = {
+        "bench": bench,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "entries": [e.as_dict() for e in entries],
+    }
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    return path

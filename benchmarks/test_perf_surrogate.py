@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from common import BenchEntry, median_time, write_bench_json
 from repro.bo import BayesianOptimizer
 from repro.bo.forest import RandomForestRegressor
-from repro.perf import BenchEntry, median_time, write_bench_json
 from repro.searchspace import default_dataparallel_space
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -24,12 +24,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from common import BenchEntry, median_time, write_bench_json
 from repro.core import ModelEvaluation
 from repro.core.config import ModelConfig
 from repro.datasets import load_dataset
 from repro.nn import Adam, GraphNetwork
 from repro.nn.compiled import _relu_into, _sigmoid_into
-from repro.perf import BenchEntry, median_time, write_bench_json
 from repro.searchspace import ArchitectureSpace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "top_k_accuracy", "confusion_counts"]
+__all__ = ["accuracy", "top_k_accuracy"]
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -25,12 +25,3 @@ def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
     k = min(k, logits.shape[1])
     topk = np.argpartition(-logits, kth=k - 1, axis=1)[:, :k]
     return float((topk == labels[:, None]).any(axis=1).mean())
-
-
-def confusion_counts(logits: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Return the ``(n_classes, n_classes)`` confusion matrix of counts."""
-    preds = np.asarray(logits).argmax(axis=1)
-    labels = np.asarray(labels)
-    mat = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(mat, (labels, preds), 1)
-    return mat

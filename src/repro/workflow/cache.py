@@ -17,13 +17,12 @@ Semantics (kept deliberately uniform across backends):
   injected fault (:meth:`~repro.workflow.faults.FaultPolicy.fault`) and
   is settled by :meth:`~repro.workflow.faults.FaultPolicy.settle` like
   computed work; only the compute is skipped.
-- The job that hit is credited **zero busy time**: no compute happened, so
-  ``utilization()`` stays honest.
 - The :class:`~repro.workflow.evaluator.SimulatedEvaluator` replays the
   memoized duration on the simulated clock (the worker stays reserved until
   ``start + duration``), which keeps the campaign timeline — and therefore
   the search history — bit-identical with the cache on or off, faults
-  included.  On the wall-clock backends a hit ends where it starts.
+  included; the utilization account counts those reserved minutes.  On the
+  wall-clock backends a hit ends where it starts and counts nothing.
 - Only successful results of clean attempts are stored; failures always
   re-run, and a hang or a corruption changes that attempt's result but
   never the cache entry.

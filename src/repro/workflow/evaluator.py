@@ -24,9 +24,15 @@ Every attempt starts on the manager, which draws its injected fault from
 ``(fault_seed, job_id, retries)`` and then consults the cache, and ends in
 :meth:`FaultPolicy.settle <repro.workflow.faults.FaultPolicy.settle>`,
 which decides accept, retry, penalize or raise.  The backends keep only
-their clocks, pools, queues and busy-time accounting; each clock decides
-which attempts time out (the declared duration on the simulated clock,
-the reap deadline on the wall clock).
+their clocks, pools and queues; each clock decides which attempts time out
+(the declared duration on the simulated clock, the reap deadline on the
+wall clock).
+
+Utilization is read off the job table
+(:func:`repro.analysis.utilization_summary`) or the ``JobGathered`` stream
+(:class:`repro.campaign.MetricsAggregator`), never kept by a backend: a
+job's ``start_time`` and ``end_time`` bound its last attempt, stamped when
+that attempt reaches a worker and when the backend sees it end.
 """
 
 from __future__ import annotations
@@ -84,12 +90,10 @@ def _process_worker_init(payload: bytes) -> None:
     _WORKER_RUN_FUNCTION = pickle.loads(payload)
 
 
-def _process_worker_call(config: Any) -> tuple[EvaluationResult, float]:
-    """Run one evaluation in a worker; returns (result, elapsed minutes)."""
+def _process_worker_call(config: Any) -> EvaluationResult:
+    """Run one evaluation in a worker."""
     assert _WORKER_RUN_FUNCTION is not None, "worker pool not initialized"
-    t0 = _time.perf_counter()
-    result = _WORKER_RUN_FUNCTION(config)
-    return result, (_time.perf_counter() - t0) / 60.0
+    return _WORKER_RUN_FUNCTION(config)
 
 
 def _strip_event_bus(fn: Any) -> Any:
@@ -297,15 +301,12 @@ class SimulatedEvaluator(Evaluator):
     and *replays the memoized duration on the simulated clock* — the
     worker stays reserved until ``start + duration`` — so the campaign
     timeline (and the search history) is bit-identical with the cache on
-    or off.  Hits are credited zero busy time, keeping ``utilization()``
-    honest about compute that never happened.
+    or off.  A hit therefore counts its reserved minutes in the
+    utilization account, as the recomputation it replays would.
 
     Jobs submitted while all workers are busy wait in a FIFO queue and are
     started when a worker frees — their results are computed lazily at
-    start so the run function observes correct ordering.  Worker busy time
-    is tracked for the node-utilization analysis (§IV-C, ≈94%);
-    ``utilization()`` is busy worker-minutes over *alive* worker-minutes,
-    so dead workers stop counting against the denominator.
+    start so the run function observes correct ordering.
     """
 
     def __init__(
@@ -325,8 +326,6 @@ class SimulatedEvaluator(Evaluator):
         self._running: dict[int, Job] = {}  # worker -> job
         self._waiting: collections.deque[Job] = collections.deque()
         self._in_flight = 0
-        self._busy_time = 0.0
-        self._capacity_time = 0.0  # integral of alive workers over time
         for fail_time, worker in worker_failures or ():
             if not 0 <= worker < num_workers:
                 raise ValueError(f"worker_failures names unknown worker {worker}")
@@ -342,18 +341,8 @@ class SimulatedEvaluator(Evaluator):
         return self._in_flight
 
     @property
-    def num_free_workers(self) -> int:
-        return len(self._free_workers)
-
-    @property
     def num_alive_workers(self) -> int:
         return self.num_workers - len(self._dead_workers)
-
-    def utilization(self) -> float:
-        """Busy worker-minutes over available (alive) worker-minutes so far."""
-        if self._capacity_time == 0.0:
-            return 0.0
-        return self._busy_time / self._capacity_time
 
     # ------------------------------------------------------------------ #
     def _dispatch(self, job: Job) -> None:
@@ -391,11 +380,6 @@ class SimulatedEvaluator(Evaluator):
             self._events.push(end_time, ("finish", job, job.attempt))
 
     # ------------------------------------------------------------------ #
-    def _advance(self, t: float) -> None:
-        if t > self._clock:
-            self._capacity_time += self.num_alive_workers * (t - self._clock)
-            self._clock = t
-
     def _release_worker(self, worker: int) -> None:
         self._running.pop(worker, None)
         if worker not in self._dead_workers:
@@ -420,8 +404,6 @@ class SimulatedEvaluator(Evaluator):
         if job is not None:
             # The in-flight job is rescheduled at the front of the queue;
             # bumping ``attempt`` invalidates its pending completion event.
-            if not job.cache_hit:
-                self._busy_time += self._clock - job.start_time
             job.attempt += 1
             job.worker = -1
             job.state = JobState.PENDING
@@ -433,7 +415,7 @@ class SimulatedEvaluator(Evaluator):
             next_time = self._events.peek_time()
             finished: list[Job] = []
             for end_time, (kind, ref, attempt) in self._events.drain_until(next_time):
-                self._advance(end_time)
+                self._clock = max(self._clock, end_time)
                 if kind == "worker_fail":
                     self._on_worker_fail(ref)
                     continue
@@ -443,10 +425,6 @@ class SimulatedEvaluator(Evaluator):
                 if kind == "retry":
                     self._waiting.append(job)
                     continue
-                if not job.cache_hit:
-                    # Cache hits reserved the worker for the memoized
-                    # duration but computed nothing: zero busy credit.
-                    self._busy_time += end_time - job.start_time
                 self._release_worker(job.worker)
                 if kind == "finish":
                     failed = job.result.metadata.get("failed")
@@ -486,8 +464,6 @@ class SimulatedEvaluator(Evaluator):
         return {
             "num_workers": self.num_workers,
             "clock": self._clock,
-            "busy_time": self._busy_time,
-            "capacity_time": self._capacity_time,
             "next_id": self._next_id,
             "in_flight": self._in_flight,
             **{name: getattr(self, name) for name in _COUNTERS},
@@ -515,9 +491,9 @@ class SimulatedEvaluator(Evaluator):
                 f"checkpoint has {state['num_workers']} workers, evaluator has "
                 f"{self.num_workers}"
             )
+        # Older checkpoints also hold ``busy_time`` and ``capacity_time``
+        # (a busy-time ledger this evaluator no longer keeps); ignored.
         self._clock = float(state["clock"])
-        self._busy_time = float(state["busy_time"])
-        self._capacity_time = float(state["capacity_time"])
         self._next_id = int(state["next_id"])
         self._in_flight = int(state["in_flight"])
         for name in _COUNTERS:
@@ -563,29 +539,28 @@ class _WallClockEvaluator(Evaluator):
     a backend supplies only
 
     - ``_make_pool()``: a fresh executor with ``num_workers`` workers;
-    - ``_submit_attempt(job)``: queue one attempt on a worker and return
-      its future, which resolves to ``(result, elapsed_min)``;
+    - ``_submit_attempt(job)``: hand one attempt to a free worker and
+      return its future, which resolves to the run function's result;
     - ``_kill_workers()``: reclaim every worker of a broken or hung pool
-      and return the innocent in-flight jobs to re-dispatch;
-    - ``_busy_in_worker``: ``True`` when attempts stamp ``start_time`` and
-      credit busy time inside the worker (threads), ``False`` when a job
-      is ``RUNNING`` from dispatch and gather credits busy time
-      (processes).
+      and return the innocent in-flight jobs to re-dispatch.
 
-    Each tracked future maps to its job and the fault kind drawn when the
-    attempt started, so gather settles the attempt with the kind it ran
-    under.
+    At most ``num_workers`` attempts are tracked at once; the rest wait in
+    a manager-side FIFO and start as gather collects tracked ones.  The
+    executor therefore never queues work behind a busy worker: an
+    attempt's ``start_time`` holds no queue wait, a kill or a crash ends
+    only running attempts, and no more than ``num_workers`` job spans are
+    ever open together.  Each tracked future maps to its job and the fault
+    kind drawn when the attempt started, so gather settles the attempt
+    with the kind it ran under.
     """
-
-    _busy_in_worker = False
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.num_worker_crashes = 0
         self._t0 = _time.perf_counter()
         self._futures: dict[Future, tuple[Job, str | None]] = {}
+        self._held: collections.deque[Job] = collections.deque()
         self._completed: collections.deque[Job] = collections.deque()
-        self._busy_time = 0.0
         self._lock = threading.Lock()
         self._pool = self._make_pool()
 
@@ -597,37 +572,37 @@ class _WallClockEvaluator(Evaluator):
     @property
     def num_in_flight(self) -> int:
         with self._lock:
-            return len(self._futures) + len(self._completed)
-
-    def utilization(self) -> float:
-        """Measured busy worker-minutes over elapsed worker-minutes."""
-        elapsed = self.now
-        if elapsed == 0.0:
-            return 0.0
-        return self._busy_time / (self.num_workers * elapsed)
+            return len(self._futures) + len(self._held) + len(self._completed)
 
     # ------------------------------------------------------------------ #
     def _dispatch(self, job: Job) -> None:
-        """Start one attempt of ``job``.
+        """Queue an attempt of ``job`` for the next free worker."""
+        self._held.append(job)
+        self._fill_workers()
+
+    def _fill_workers(self) -> None:
+        """Start held attempts, oldest first, while a worker is free.
 
         A crash or a cache hit never reaches a worker: its future is
         already resolved (to :class:`InjectedCrash`, or to the memoized
-        result with zero elapsed time), so the next gather settles it like
-        computed work.
+        result), and the next gather settles it like computed work.  Until
+        then it holds its slot, as a simulated hit holds its worker.
         """
-        kind, cached = self._begin_attempt(job)
-        if kind != "crash" and cached is None:
-            future = self._submit_attempt(job)
-        else:
-            future = Future()
-            if cached is None:
-                future.set_exception(_injected_crash(job))
+        while self._held and len(self._futures) < self.num_workers:
+            job = self._held.popleft()
+            kind, cached = self._begin_attempt(job)
+            if kind != "crash" and cached is None:
+                future = self._submit_attempt(job)
             else:
-                future.set_result((cached, 0.0))
+                future = Future()
+                if cached is None:
+                    future.set_exception(_injected_crash(job))
+                else:
+                    future.set_result(cached)
+                with self._lock:
+                    self._start_attempt(job)
             with self._lock:
-                self._start_attempt(job)
-        with self._lock:
-            self._futures[future] = (job, kind)
+                self._futures[future] = (job, kind)
 
     def _make_pool(self) -> Any:
         raise NotImplementedError
@@ -644,37 +619,16 @@ class _WallClockEvaluator(Evaluator):
         job.start_time = self.now
         job.attempt += 1
 
-    def _credit(self, minutes: float) -> None:
-        with self._lock:
-            self._busy_time += minutes
-
-    def _credit_unmeasured(self, jobs: list[Job]) -> None:
-        """Credit attempts that ended with no in-worker timing.
-
-        Crashed, raising, reaped and killed attempts are credited wall time
-        since dispatch — but executors start work in FIFO order, so only
-        the ``num_workers`` oldest dispatches can have been running; the
-        younger ones were still queued and are credited nothing.
-        """
-        now = self.now
-        oldest = sorted(jobs, key=lambda job: job.start_time)[: self.num_workers]
-        self._credit(sum(max(0.0, now - job.start_time) for job in oldest))
-
-    def _finalize(self, job: Job, state: JobState) -> None:
-        # Busy time is credited per attempt as attempts end, not here.  A
-        # cache hit computed nothing: it ends where it started.
-        job.end_time = job.start_time if job.cache_hit else self.now
-        job.state = state
-
     def _wait_timeout(self, pending_jobs: Iterable[Job]) -> float | None:
         """Seconds to block in ``wait`` before the earliest policy deadline.
 
-        Jobs that are dispatched but not yet started (``RETRYING`` retries
-        queued behind busy workers, fresh ``PENDING`` dispatches) carry a
-        stale or zero ``start_time``; their deadline cannot be earlier than
-        ``now + timeout``, so that bound keeps the wait finite — a retry
-        that starts and then hangs is re-examined (and reaped) instead of
-        blocking gather forever on a wait with no timeout.
+        A thread attempt queued behind an abandoned straggler (a
+        ``RETRYING`` retry or a fresh ``PENDING`` job) has not stamped its
+        start yet and carries a stale or zero ``start_time``; its deadline
+        cannot be earlier than ``now + timeout``, so that bound keeps the
+        wait finite — a retry that starts and then hangs is re-examined
+        (and reaped) instead of blocking gather forever on a wait with no
+        timeout.
         """
         policy = self.fault_policy
         if policy.timeout is None:
@@ -717,10 +671,12 @@ class _WallClockEvaluator(Evaluator):
                 timeout=self._wait_timeout(job for job, _ in pending.values()),
                 return_when=FIRST_COMPLETED,
             )
+            # Every attempt collected this round ended by ``now``, before the
+            # pool is reclaimed or refilled.
+            now = self.now
             # Phase 1: collect each ended attempt's outcome without touching
             # the pool: a result, an exception, or None for a timeout.
             ended: list[tuple[Job, str | None, Any]] = []
-            unmeasured: list[Job] = []
             pool_broken = False
             for future in done:
                 with self._lock:
@@ -728,27 +684,21 @@ class _WallClockEvaluator(Evaluator):
                 if tracked is None:
                     continue  # already reaped by a timeout
                 job, kind = tracked
-                exc = future.exception()
-                if exc is None:
-                    outcome, elapsed_min = future.result()
-                    if not self._busy_in_worker:
-                        self._credit(elapsed_min)
-                elif isinstance(exc, BrokenExecutor):
+                outcome = future.exception()
+                if isinstance(outcome, BrokenExecutor):
                     pool_broken = True
                     self.num_worker_crashes += 1
-                    outcome = RuntimeError(f"job {job.job_id}: worker process crashed ({exc!r})")
-                    unmeasured.append(job)
-                else:
-                    outcome = exc
-                    if not isinstance(exc, InjectedCrash):
-                        unmeasured.append(job)
+                    outcome = RuntimeError(
+                        f"job {job.job_id}: worker process crashed ({outcome!r})"
+                    )
+                elif outcome is None:
+                    outcome = future.result()
                 ended.append((job, kind, outcome))
-            # Phase 2: reap attempts past the policy deadline.  Attempts
-            # still queued are cancelled in place; attempts already running
-            # in a worker force a kill (an abandon, for threads).
+            # Phase 2: reap attempts past the policy deadline.  An attempt
+            # the executor has not started yet is cancelled in place; one
+            # running in a worker forces a kill (an abandon, for threads).
             must_kill = False
             if timeout is not None:
-                now = self.now
                 for future, (job, kind) in pending.items():
                     if future in done or job.state is not JobState.RUNNING:
                         continue
@@ -757,15 +707,13 @@ class _WallClockEvaluator(Evaluator):
                             self._futures.pop(future, None)
                         if not future.cancel():
                             must_kill = True
-                            unmeasured.append(job)
                         ended.append((job, kind, None))
             # Phase 3: reclaim the pool if it is broken or holds hung
-            # workers; innocent in-flight jobs are re-dispatched uncharged.
-            victims = self._kill_workers() if pool_broken or must_kill else []
-            if not self._busy_in_worker:
-                self._credit_unmeasured(unmeasured + victims)
-            for job in victims:
-                self._dispatch(job)
+            # workers; innocent in-flight jobs restart first, uncharged,
+            # and held attempts take the workers that are free.
+            if pool_broken or must_kill:
+                self._held.extendleft(reversed(self._kill_workers()))
+            self._fill_workers()
             # Phase 4: settle every ended attempt (the pool is healthy).
             first_error: BaseException | None = None
             for job, kind, outcome in ended:
@@ -774,7 +722,9 @@ class _WallClockEvaluator(Evaluator):
                     self._count_retry(job)
                     self._dispatch(job)
                     continue
-                self._finalize(job, JobState.DONE if settlement.error is None else JobState.FAILED)
+                job.state = JobState.DONE if settlement.error is None else JobState.FAILED
+                # A cache hit computed nothing: it ends where it started.
+                job.end_time = job.start_time if job.cache_hit else now
                 if settlement.exception is not None:
                     first_error = first_error or settlement.exception
                 else:
@@ -814,32 +764,21 @@ class ThreadedEvaluator(_WallClockEvaluator):
     is a simulated-minutes concept; sleeping real minutes would stall the
     pool).
 
-    Worker busy time is accumulated *per attempt* as each attempt's thread
-    returns (a retried job credits every attempt, not just the last, and
-    an abandoned attempt credits its time when its thread finally
-    returns), and an optional ``cache`` serves duplicate configurations
-    without a worker: a hit ends where it starts, with the memoized
-    result and zero busy-time credit.
+    An abandoned straggler still holds its thread, so an attempt handed to
+    the pool may wait behind it: each attempt stamps its own
+    ``start_time`` when its thread picks it up.  An optional ``cache``
+    serves duplicate configurations without a worker: a hit ends where it
+    starts, with the memoized result.
     """
-
-    _busy_in_worker = True
 
     def _make_pool(self) -> ThreadPoolExecutor:
         return ThreadPoolExecutor(max_workers=self.num_workers)
 
     def _submit_attempt(self, job: Job) -> Future:
-        def attempt() -> tuple[EvaluationResult, float]:
+        def attempt() -> EvaluationResult:
             with self._lock:
                 self._start_attempt(job)
-            t0 = _time.perf_counter()
-            try:
-                result = self.run_function(job.config)
-            finally:
-                # Every attempt that ran credits its own elapsed time,
-                # including failed ones and abandoned ones that return late.
-                elapsed_min = (_time.perf_counter() - t0) / 60.0
-                self._credit(elapsed_min)
-            return result, elapsed_min
+            return self.run_function(job.config)
 
         return self._pool.submit(attempt)
 
@@ -860,27 +799,20 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
 
     Semantics beyond :class:`ThreadedEvaluator` parity:
 
-    - a job is marked ``RUNNING`` when its attempt is *dispatched* (the
-      manager cannot observe the exact moment a worker picks it up), so
-      the policy ``timeout`` covers queue delay + execution;
+    - a job is marked ``RUNNING`` when its attempt is handed to the pool,
+      which happens only when a worker is free, so the policy ``timeout``
+      covers the attempt's execution (and any worker start-up);
     - worker crashes (abnormal exit, killed process) surface as
       :class:`concurrent.futures.BrokenExecutor`; the pool is rebuilt
-      *before* any attempt is settled, and every attempt in flight at the
+      *before* any attempt is settled, and every attempt running at the
       moment of the break is settled as a failed attempt (the executor
       cannot attribute the crash to a single job).  ``num_worker_crashes``
       counts the affected attempts, ``num_pool_rebuilds`` the rebuilds;
-    - timeouts are *real cancellations*: a hung attempt that cannot be
-      cancelled from the queue gets the worker processes terminated and
-      the pool rebuilt, reclaiming the slot (threads can only abandon).
-      Innocent in-flight jobs caught in the kill are re-dispatched on the
-      fresh pool without being charged a retry.
-
-    Busy time is credited per attempt: successful attempts report their
-    measured in-worker wall time; crashed/timed-out/failed attempts are
-    credited manager-observed wall time since dispatch, and only the
-    ``num_workers`` oldest of them, since younger ones were still queued.
-    Injected crashes and cache hits never reach a worker and are credited
-    nothing.
+    - timeouts are *real cancellations*: a hung attempt gets the worker
+      processes terminated and the pool rebuilt, reclaiming the slot
+      (threads can only abandon).  Innocent running jobs caught in the
+      kill restart first on the fresh pool without being charged a retry;
+      held attempts are untouched.
     """
 
     def __init__(self, run_function: RunFunction, *args: Any, **kwargs: Any) -> None:

@@ -55,7 +55,7 @@ class Job:
     invalidate stale completion events; ``error`` holds the most recent
     failure description, if any.  ``cache_hit`` marks a job whose latest
     attempt was served from an :class:`~repro.workflow.cache.EvaluationCache`
-    without re-running the evaluation (credited zero busy time).
+    without re-running the evaluation.
     """
 
     job_id: int

@@ -3,8 +3,8 @@
 The headline acceptance criterion: a seeded AgE campaign with
 ``cache="exact"`` reproduces the cache-off search history *bit-identically*
 (the simulated backend replays memoized durations on the simulated clock)
-while reporting a nonzero hit-rate — duplicates cost zero busy time but the
-timeline is unchanged, with and without injected faults.  ``FAULT_SEED``
+while reporting a nonzero hit-rate — duplicates never call the run function
+but the timeline is unchanged, with and without injected faults.  ``FAULT_SEED``
 in the environment sets the fault seed (used by the CI fault-injection
 job).
 """
@@ -16,6 +16,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.analysis import utilization_summary
 from repro.core import AgE
 from repro.core.config import ModelConfig
 from repro.core.serialization import history_to_dict
@@ -45,6 +46,17 @@ def arch_eval(config):
 def int_eval(config):
     h = (int(config) * 2654435761) % 997
     return EvaluationResult(objective=(h % 100) / 100.0, duration=1.0 + (h % 7))
+
+
+def counting(run):
+    """``run`` plus the list of configs it was called with."""
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return run(config)
+
+    return counted, calls
 
 
 # --------------------------------------------------------------------- #
@@ -106,11 +118,12 @@ def test_cache_returns_fresh_copies():
 
 
 # --------------------------------------------------------------------- #
-# Simulated backend: timeline replay, zero busy credit, checkpointing
+# Simulated backend: timeline replay, no recomputation, checkpointing
 # --------------------------------------------------------------------- #
 def test_sim_cache_replays_duration_on_simulated_clock():
     cache = EvaluationCache()
-    ev = SimulatedEvaluator(int_eval, num_workers=1, cache=cache)
+    run, calls = counting(int_eval)
+    ev = SimulatedEvaluator(run, num_workers=1, cache=cache)
     ev.submit([3, 3])
     finished = []
     while ev.num_in_flight:
@@ -123,8 +136,8 @@ def test_sim_cache_replays_duration_on_simulated_clock():
     assert dup.result.duration == first.result.duration
     assert dup.start_time == first.end_time
     assert dup.end_time == first.end_time + first.result.duration
-    # ...but only the real evaluation counts as busy time.
-    assert ev._busy_time == first.result.duration
+    # ...but only the real evaluation ran the run function.
+    assert calls == [3]
     assert cache.hits == 1 and cache.stores == 1
 
 
@@ -159,26 +172,28 @@ FAULTY_RETRY_POLICY = FaultPolicy(
 )
 def test_sim_cache_on_off_histories_bit_identical_with_nonzero_hits(policy):
     """Acceptance: seeded AgE, cache on vs off -> identical history; the
-    cached run reports hits and strictly less busy time.  Under injected
-    faults a hit draws the same fault a recomputation would."""
+    cached run reports hits and calls the run function once per miss, so
+    strictly less often.  Under injected faults a hit draws the same fault
+    a recomputation would."""
     space = ArchitectureSpace(num_nodes=2)
 
     def run_search(cache):
-        ev = SimulatedEvaluator(arch_eval, num_workers=3, fault_policy=policy, cache=cache)
+        run, calls = counting(arch_eval)
+        ev = SimulatedEvaluator(run, num_workers=3, fault_policy=policy, cache=cache)
         search = AgE(space, ev, population_size=4, sample_size=2, seed=13)
         history = search.search(max_evaluations=60)
-        return history, ev
+        return history, ev, calls
 
-    history_off, ev_off = run_search(cache=None)
+    history_off, ev_off, calls_off = run_search(cache=None)
     cache = EvaluationCache()
-    history_on, ev_on = run_search(cache=cache)
+    history_on, ev_on, calls_on = run_search(cache=cache)
 
     assert cache.hits > 0, "tiny space must produce duplicate candidates"
     da, db = history_to_dict(history_off), history_to_dict(history_on)
     assert len(da["records"]) == len(db["records"]) >= 60
     assert da == db  # bit-identical: configs, objectives, timestamps
     assert ev_on.now == ev_off.now  # same simulated timeline
-    assert ev_on._busy_time < ev_off._busy_time  # hits cost no compute
+    assert len(calls_on) == cache.misses < len(calls_off)  # hits cost no compute
     assert ev_on.num_faults_injected == ev_off.num_faults_injected
     if policy is not None:
         assert ev_on.num_faults_injected > 0 and ev_on.num_failures > 0
@@ -192,13 +207,13 @@ def test_sim_cache_on_off_histories_bit_identical_with_nonzero_hits(policy):
 )
 def test_wallclock_cache_hit_finalized_at_submit(backend):
     """Both wall-clock backends serve a duplicate at submit without a
-    worker: zero wall duration, zero busy credit."""
+    worker: zero wall duration, so it adds nothing to the busy time."""
     cache = EvaluationCache()
     with backend(int_eval, num_workers=2, cache=cache) as ev:
         ev.submit([5])
         while ev.num_in_flight:
             ev.gather()
-        busy_before = ev._busy_time
+        busy_before = utilization_summary(ev).busy_worker_minutes
         jobs = ev.submit([5])
         finished = []
         while ev.num_in_flight:
@@ -207,7 +222,7 @@ def test_wallclock_cache_hit_finalized_at_submit(backend):
     assert finished[0].job_id == jobs[0].job_id
     assert finished[0].objective == int_eval(5).objective
     assert finished[0].start_time == finished[0].end_time  # zero wall time
-    assert ev._busy_time == busy_before  # zero busy credit
+    assert utilization_summary(ev).busy_worker_minutes == busy_before
     assert cache.hits == 1 and cache.stores == 1
 
 

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import utilization_summary
 from repro.cli import main
 from repro.core import AgE, AgEBO, load_checkpoint, save_checkpoint
 from repro.core.serialization import (
@@ -209,6 +210,26 @@ def test_age_resume_is_bit_identical(tmp_path):
     assert_identical_history(full, history)
 
 
+def test_checkpoint_with_busy_time_fields_resumes_bit_identical(tmp_path):
+    """Checkpoints written while the evaluators kept a private busy-time
+    ledger also hold ``busy_time`` and ``capacity_time``; such a checkpoint
+    still resumes to the uninterrupted history."""
+    full = build_agebo(fake_eval).search(max_evaluations=32)
+
+    path = tmp_path / "ck.json"
+    build_agebo(fake_eval).search(max_evaluations=16, checkpoint_path=path, checkpoint_every=1)
+    data = json.loads(path.read_text())
+    evaluator_state = data["search"]["evaluator"]
+    assert "busy_time" not in evaluator_state and "capacity_time" not in evaluator_state
+    evaluator_state.update(busy_time=123.25, capacity_time=456.5)
+    path.write_text(json.dumps(data))
+
+    resumed = build_agebo(fake_eval)
+    resumed.load_state(load_checkpoint(path)["search"])
+    history = resumed.search(max_evaluations=32)
+    assert_identical_history(full, history)
+
+
 def test_resume_restores_bo_observations(tmp_path):
     path = tmp_path / "ck.json"
     interrupted = build_agebo(fake_eval)
@@ -301,7 +322,7 @@ def build_campaign_search(c):
 def evaluator_counters(ev):
     cache = ev.cache
     return (
-        ev.now, ev.utilization(), ev.num_failures, ev.num_faults_injected, ev.num_retries,
+        ev.now, utilization_summary(ev), ev.num_failures, ev.num_faults_injected, ev.num_retries,
         ev.num_timeouts, ev.num_worker_failures, None if cache is None else (cache.hits, cache.misses, cache.stores),
     )
 

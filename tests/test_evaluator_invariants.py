@@ -8,16 +8,18 @@ invariants that must hold for *any* schedule:
 - jobs start in FIFO submission order (absent faults),
 - ``num_in_flight`` always equals submitted-minus-finished,
 - workers are conserved: free + busy + dead == num_workers,
-- ``utilization() <= 1.0`` at every quiescent point.
+- utilization (:func:`repro.analysis.utilization_summary`) stays within
+  [0, 1] at every quiescent point.
 
 The wall-clock schedule, retry and raise checks run on both the thread
 and the process backend, which share one ``gather``.  Plus targeted
 regressions: gather blocking on pending futures while holding buffered
-finished jobs, per-attempt busy-time under-accounting on retries, the
-timeout deadline scan skipping dispatched-but-unstarted (RETRYING) jobs,
-queued process attempts credited busy time when a kill or crash ends
-them, and a late-returning abandoned thread attempt clobbering its
-retry's result.
+finished jobs, the timeout deadline scan skipping dispatched-but-unstarted
+(RETRYING) jobs, process attempts queued behind a busy worker carrying
+their queue wait in ``start_time`` and failing with a crash, attempts
+starting while finished ones were not gathered yet (more than
+``num_workers`` open spans), and a late-returning abandoned thread attempt
+clobbering its retry's result.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import time
 
 import pytest
 
+from repro.analysis import utilization_summary
 from repro.workflow import (
     EvaluationResult,
     FaultPolicy,
@@ -138,7 +141,7 @@ def test_sim_worker_conservation_and_utilization(seed):
         busy = len(ev._running)
         dead = len(ev._dead_workers)
         assert free + busy + dead == num_workers
-        assert 0.0 <= ev.utilization() <= 1.0
+        assert 0.0 <= utilization_summary(ev).utilization <= 1.0
 
 
 @pytest.mark.parametrize("seed", SCHEDULE_SEEDS)
@@ -175,7 +178,7 @@ def test_sim_invariants_hold_under_faults(seed):
     assert all(j.state in (JobState.DONE, JobState.FAILED) for j in finished)
     free = len(ev._free_workers)
     assert free + len(ev._running) + len(ev._dead_workers) == num_workers
-    assert 0.0 <= ev.utilization() <= 1.0
+    assert 0.0 <= utilization_summary(ev).utilization <= 1.0
 
 
 # --------------------------------------------------------------------- #
@@ -195,8 +198,27 @@ def test_wallclock_schedule_invariants(backend, seed):
         assert len(finished) == 10
         assert all(j.state is JobState.DONE for j in finished)
         assert sorted(j.job_id for j in finished) == list(range(10))
-        assert 0.0 <= ev.utilization() <= 1.0
+        assert 0.0 <= utilization_summary(ev).utilization <= 1.0
         assert ev.num_in_flight == 0
+
+
+@pytest.mark.parametrize("backend", WALL_CLOCK)
+def test_wallclock_spans_never_outnumber_workers(backend):
+    """Attempts that finished but were not gathered yet still hold their
+    workers: jobs submitted meanwhile wait, so the job table never has more
+    than ``num_workers`` open spans and utilization stays <= 1 (pre-fix
+    the late submissions started at once and utilization read ~2)."""
+    with WALL_CLOCK[backend](hashed_run, num_workers=2) as ev:
+        ev.submit([0, 1])
+        deadline = time.monotonic() + 30
+        while not all(future.done() for future in list(ev._futures)):
+            assert time.monotonic() < deadline, "first batch did not finish"
+            time.sleep(0.005)
+        ev.submit([2, 3])
+        time.sleep(0.3)
+        finished = drain(ev)
+        assert sorted(job.job_id for job in finished) == [0, 1, 2, 3]
+        assert 0.0 <= utilization_summary(ev).utilization <= 1.0
 
 
 @pytest.mark.parametrize("backend", WALL_CLOCK)
@@ -279,16 +301,20 @@ def test_process_timeout_kills_hung_worker_and_reclaims_slot():
 
 @pytest.mark.parametrize("run", [hang_on_negative, crash_on_negative])
 def test_process_reclaim_credits_only_running_attempts(run):
-    """A kill (timeout) or crash ends every in-flight attempt, but with one
-    worker only the oldest was running: the queued ones must not be
-    credited busy time (pre-fix utilization reached ~3 on this schedule)."""
+    """With one worker, jobs 5 and 6 wait on the manager until the hung or
+    crashing job -1 ends: their spans hold no queue wait, so utilization
+    stays <= 1, and the kill or crash fails only -1 (pre-fix the executor
+    queued 5 and 6, which started their clocks at dispatch — utilization
+    read up to ~1.9 — and a crash failed them along with -1)."""
     policy = FaultPolicy(on_error="penalize", timeout=0.02)
     with ProcessPoolEvaluator(run, num_workers=1, fault_policy=policy) as ev:
         ev.submit([-1, 5, 6])
         finished = drain(ev)
         assert len(finished) == 3
         assert ev.num_pool_rebuilds >= 1
-        assert 0.0 <= ev.utilization() <= 1.0
+        assert 0.0 <= utilization_summary(ev).utilization <= 1.0
+    states = {job.job_id: job.state for job in finished}
+    assert states == {0: JobState.FAILED, 1: JobState.DONE, 2: JobState.DONE}
 
 
 def test_process_rejects_unpicklable_run_function():
@@ -369,34 +395,6 @@ def test_threaded_raise_buffers_siblings_for_next_gather():
 
 
 # --------------------------------------------------------------------- #
-# Regression: busy time accumulates per attempt, not final-attempt-only
-# --------------------------------------------------------------------- #
-def test_threaded_retry_busy_time_accumulates_per_attempt():
-    attempt_s = 0.05
-    state = {"n": 0}
-
-    def flaky(config):
-        time.sleep(attempt_s)
-        state["n"] += 1
-        if state["n"] < 3:
-            raise RuntimeError("boom")
-        return EvaluationResult(objective=0.5, duration=0.0)
-
-    policy = FaultPolicy(on_error="retry", max_retries=2)
-    ev = ThreadedEvaluator(flaky, num_workers=1, fault_policy=policy)
-    try:
-        ev.submit([0])
-        finished = drain(ev)
-        assert len(finished) == 1 and finished[0].state is JobState.DONE
-        assert finished[0].retries == 2
-        # Three attempts ran ~attempt_s each; the pre-fix accounting
-        # credited only the final one (~1x attempt_s).
-        assert ev._busy_time >= 2.5 * attempt_s / 60.0
-    finally:
-        ev.shutdown()
-
-
-# --------------------------------------------------------------------- #
 # Regression: deadline scan covers dispatched-but-unstarted jobs
 # --------------------------------------------------------------------- #
 def test_wait_timeout_covers_unstarted_jobs():
@@ -459,8 +457,7 @@ def test_threaded_hung_retry_does_not_deadlock_gather():
 def test_threaded_abandoned_attempt_late_return_is_dropped():
     """The first attempt hangs past the timeout and then returns 0.1; the
     retry (on the second worker) returns 0.9 first.  Only the tracked
-    (retry) future may set the result — the late 0.1 must not clobber it
-    — and both attempts credit the busy time they actually ran."""
+    (retry) future may set the result — the late 0.1 must not clobber it."""
     hang_s = 0.4
     state = {"n": 0}
 
@@ -485,4 +482,3 @@ def test_threaded_abandoned_attempt_late_return_is_dropped():
     assert ev.num_timeouts == 1
     assert state["n"] == 2
     assert job.result.objective == 0.9  # the late 0.1 never lands
-    assert ev._busy_time >= hang_s / 60.0  # the abandoned attempt credits

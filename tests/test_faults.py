@@ -21,6 +21,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.analysis import utilization_summary
 from repro.campaign import EventBus, FaultInjected, MetricsAggregator
 from repro.core.agebo import AgEBO
 from repro.searchspace import ArchitectureSpace
@@ -428,17 +429,6 @@ def test_worker_failure_of_idle_worker():
     assert all(j.worker == 0 for j in done)
 
 
-def test_worker_failure_utilization_uses_alive_capacity():
-    # One worker, saturated, dies after its job completes: utilization
-    # stays 1.0 because capacity stops accruing for dead workers.
-    ev = SimulatedEvaluator(
-        constant_run(duration=4.0), num_workers=2, worker_failures=[(4.0, 1)]
-    )
-    ev.submit([0.1, 0.2])
-    drain(ev)
-    assert ev.utilization() == pytest.approx(1.0)
-
-
 def test_all_workers_dead_raises_deadlock():
     ev = SimulatedEvaluator(
         constant_run(duration=10.0), num_workers=1, worker_failures=[(5.0, 0)]
@@ -601,7 +591,7 @@ def test_faulty_agebo_campaign_completes(seed):
     )
     history = search.search(max_evaluations=64)
     assert len(history) >= 64  # full-length history despite injected faults
-    assert evaluator.utilization() > 0.5
+    assert utilization_summary(evaluator).utilization > 0.5
     assert evaluator.num_faults_injected > 0  # faults actually fired
     # Penalized records (if any) never win the campaign.
     assert history.best().objective > 0.0

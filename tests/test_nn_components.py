@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.nn import Dense, accuracy, glorot_uniform, he_normal, top_k_accuracy, zeros_init
 from repro.nn.activations import ACTIVATION_NAMES
-from repro.nn.metrics import confusion_counts
 
 from reference.autograd import Tensor
 from reference.eager import ACTIVATIONS, EagerNetwork, apply_activation
@@ -189,15 +188,6 @@ def test_top_k_accuracy():
 def test_top_k_clamps_to_n_classes():
     logits = np.array([[1.0, 0.0]])
     assert top_k_accuracy(logits, np.array([1]), 10) == 1.0
-
-
-def test_confusion_counts_sums_to_n():
-    rng = np.random.default_rng(0)
-    logits = rng.normal(size=(50, 4))
-    labels = rng.integers(0, 4, size=50)
-    mat = confusion_counts(logits, labels, 4)
-    assert mat.sum() == 50
-    assert mat.shape == (4, 4)
 
 
 @given(st.integers(2, 6), st.integers(1, 40))

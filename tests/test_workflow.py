@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import utilization_summary
 from repro.workflow import (
     EvaluationResult,
     EventQueue,
@@ -135,14 +136,14 @@ def test_sim_utilization_full_on_saturated_worker():
     ev.submit([1, 2, 3, 4])
     while ev.gather():
         pass
-    assert ev.utilization() == pytest.approx(1.0)
+    assert utilization_summary(ev).utilization == pytest.approx(1.0)
 
 
 def test_sim_utilization_half_when_one_of_two_busy():
     ev = SimulatedEvaluator(constant_run(4.0), num_workers=2)
     ev.submit([1])
     ev.gather()
-    assert ev.utilization() == pytest.approx(0.5)
+    assert utilization_summary(ev).utilization == pytest.approx(0.5)
 
 
 def test_sim_gather_empty_when_idle():
@@ -166,7 +167,7 @@ def test_sim_resubmission_keeps_workers_busy():
         done = ev.gather()
         ev.submit([0] * len(done))
     assert ev.num_in_flight == 2
-    assert ev.utilization() > 0.9
+    assert utilization_summary(ev).utilization > 0.9
 
 
 def test_sim_worker_validation():
