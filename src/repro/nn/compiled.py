@@ -30,14 +30,9 @@ bitwise and losses and gradients to float round-off; the gate that
 checks this is ``assert_plan_equivalence`` in ``tests/reference/eager.py``.
 
 The data-parallel trainer needs only ``loss_and_grad`` over the
-concatenated global batch.  A plan can also run in **multi-rank mode**:
-:meth:`CompiledPlan.loss_and_grads_ranked` runs ``n`` stacked
-micro-batches through one fused forward/backward and recovers the *per
-rank* parameter gradients — batched ``(n, bs, ·)`` matmuls writing
-through column-slice views into one ``(n, P)`` flat matrix
-(:class:`_RankGradBuffers`).  Each rank's gradients are bitwise identical
-to ``n`` separate ``loss_and_grad`` calls (gated in
-``tests/test_rank_vectorized.py``).  No trainer calls it; it stays while
+concatenated global batch.  :meth:`CompiledPlan.loss_and_grads_ranked`
+returns per-rank losses and gradients of ``n`` stacked micro-batches as a
+loop of ``loss_and_grad`` calls.  No trainer calls it; it stays while
 ``perfbench/spans.py`` names it as a tracer target.
 
 Buffer-reuse invariants (see DESIGN.md §Performance):
@@ -140,16 +135,7 @@ class _DenseOp:
             raise AssertionError(f"unknown activation {act!r}")
 
     def backward(self, vals: list[np.ndarray], grads: list[np.ndarray | None],
-                 aux: dict, gW: np.ndarray, gb: np.ndarray,
-                 ranks: int = 0) -> None:
-        """Backward step; ``ranks > 0`` switches to rank-batched param grads.
-
-        In rank mode the batch axis is ``ranks`` stacked micro-batches and
-        ``gW``/``gb`` are ``(ranks, ...)`` buffers: the parameter gradients
-        are reduced per micro-batch segment via one batched matmul instead
-        of the full-batch reduction.  The activation backward and the
-        input-gradient chain are row-wise and shared by both modes.
-        """
+                 aux: dict, gW: np.ndarray, gb: np.ndarray) -> None:
         dout = grads[self.out_slot]
         act = self.activation
         if act == "relu":
@@ -175,15 +161,8 @@ class _DenseOp:
             scr += sig
             dout *= scr
         h = vals[self.in_slot]
-        if ranks:
-            bs = h.shape[0] // ranks
-            h3 = h.reshape(ranks, bs, h.shape[1])
-            d3 = dout.reshape(ranks, bs, dout.shape[1])
-            np.matmul(h3.transpose(0, 2, 1), d3, out=gW)
-            np.sum(d3, axis=1, out=gb)
-        else:
-            np.matmul(h.T, dout, out=gW)
-            np.sum(dout, axis=0, out=gb)
+        np.matmul(h.T, dout, out=gW)
+        np.sum(dout, axis=0, out=gb)
         if self.in_needs_grad:
             din = grads[self.in_slot]
             if self.first_touch:
@@ -227,7 +206,7 @@ class _SkipOp:
         _relu_into(acc, aux[(id(self), "mask")])
 
     def backward(self, vals: list[np.ndarray], grads: list[np.ndarray | None],
-                 aux: dict, param_grads: dict, ranks: int = 0) -> None:
+                 aux: dict, param_grads: dict) -> None:
         dacc = grads[self.out_slot]
         dacc *= aux[(id(self), "mask")]
         if self.base_needs_grad:
@@ -243,15 +222,8 @@ class _SkipOp:
             needs_grad, first = self.source_flags[k]
             gW, gb = param_grads[id(proj)]
             h = vals[slot]
-            if ranks:
-                bs = h.shape[0] // ranks
-                h3 = h.reshape(ranks, bs, h.shape[1])
-                d3 = dacc.reshape(ranks, bs, dacc.shape[1])
-                np.matmul(h3.transpose(0, 2, 1), d3, out=gW)
-                np.sum(d3, axis=1, out=gb)
-            else:
-                np.matmul(h.T, dacc, out=gW)
-                np.sum(dacc, axis=0, out=gb)
+            np.matmul(h.T, dacc, out=gW)
+            np.sum(dacc, axis=0, out=gb)
             if needs_grad:
                 dsrc = grads[slot]
                 if first:
@@ -306,31 +278,6 @@ class _BufferSet:
         n_classes = widths[plan.logits_slot]
         self.probs = np.empty((n, n_classes), dtype=dt)
         self.rowred = np.empty((n, 1), dtype=dt)
-
-
-class _RankGradBuffers:
-    """One flat ``(num_ranks, P)`` per-rank gradient matrix with views.
-
-    Every layer's batched gradients (``(n, d_in, d_out)`` for weights,
-    ``(n, d_out)`` for biases) are reshaped column-slice *views* into the
-    flat matrix, so the backward pass writes per-rank gradients directly
-    into allreduce-ready layout — no packing pass, no per-rank copies.
-    """
-
-    __slots__ = ("flat", "layer_views")
-
-    def __init__(self, plan: "CompiledPlan", num_ranks: int) -> None:
-        n = num_ranks
-        self.flat = np.empty((n, plan.num_flat_params), dtype=plan.dtype)
-        self.layer_views: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for layer in plan._layers:
-            oW, sW, shW = plan._param_layout[id(layer.W)]
-            ob, sb, shb = plan._param_layout[id(layer.b)]
-            gW = self.flat[:, oW : oW + sW].reshape((n,) + shW)
-            gb = self.flat[:, ob : ob + sb].reshape((n,) + shb)
-            if not (np.shares_memory(gW, self.flat) and np.shares_memory(gb, self.flat)):
-                raise AssertionError("rank gradient views must alias the flat matrix")
-            self.layer_views[id(layer)] = (gW, gb)
 
 
 class CompiledPlan:
@@ -409,20 +356,15 @@ class CompiledPlan:
         # layout of the model's flat parameter vector.
         params = model.parameters()
         self.param_segments: list[tuple[int, int, tuple[int, ...]]] = []
-        self._param_layout: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         offset = 0
         for p in params:
-            seg = (offset, p.data.size, p.data.shape)
-            self.param_segments.append(seg)
-            self._param_layout[id(p)] = seg
+            self.param_segments.append((offset, p.data.size, p.data.shape))
             offset += p.data.size
         self.num_flat_params = offset
 
         # The one flat gradient Adam reads.  ``loss_and_grad`` writes its
-        # per-parameter gradients straight into these views; the
-        # rank-batched path writes per-rank gradients into a
-        # _RankGradBuffers (n, P) matrix (the producer side) and reduces
-        # the mean into it, so neither path needs a defensive copy.
+        # per-parameter gradients straight into these views, so no
+        # defensive copy is needed.
         self.mean_grad_flat = np.empty(self.num_flat_params, dtype=self.dtype)
         self.mean_grad_views: list[np.ndarray] = [
             self.mean_grad_flat[o : o + s].reshape(shape)
@@ -433,7 +375,7 @@ class CompiledPlan:
         # consumed by exactly one op, so every view is fully overwritten
         # each step.
         grad_of = {id(p): g for p, g in zip(params, self.mean_grad_views)}
-        self._layers: list[Dense] = [
+        layers: list[Dense] = [
             layer
             for op in ops
             for layer in ([op.layer] if isinstance(op, _DenseOp)
@@ -441,11 +383,10 @@ class CompiledPlan:
         ]
         self.param_grads: dict[int, tuple[np.ndarray, np.ndarray]] = {
             id(layer): (grad_of[id(layer.W)], grad_of[id(layer.b)])
-            for layer in self._layers
+            for layer in layers
         }
 
         self._buffers: dict[int, _BufferSet] = {}
-        self._rank_buffers: dict[int, _RankGradBuffers] = {}
 
     # ------------------------------------------------------------------ #
     def buffers_for(self, n: int) -> _BufferSet:
@@ -453,13 +394,6 @@ class CompiledPlan:
         if bufs is None:
             bufs = _BufferSet(self, n)
             self._buffers[n] = bufs
-        return bufs
-
-    def rank_buffers_for(self, num_ranks: int) -> _RankGradBuffers:
-        bufs = self._rank_buffers.get(num_ranks)
-        if bufs is None:
-            bufs = _RankGradBuffers(self, num_ranks)
-            self._rank_buffers[num_ranks] = bufs
         return bufs
 
     @property
@@ -520,21 +454,14 @@ class CompiledPlan:
     def loss_and_grads_ranked(
         self, X: np.ndarray, y: np.ndarray, num_ranks: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-rank losses and gradients in one fused pass.
+        """Per-rank losses and gradients of stacked micro-batches.
 
         ``X``/``y`` hold ``num_ranks`` stacked equal-size micro-batches
-        (rank ``r`` owns rows ``[r·bs, (r+1)·bs)``).  One forward/backward
-        runs over all ``n·bs`` rows — forward values and the activation /
-        input-gradient chain are row-wise, hence identical to the per-rank
-        loop — while each rank's *own* mean-loss gradient is recovered by
-        batched segment reduction: ``dlogits`` rows are scaled by
-        ``1/bs`` (not ``1/(n·bs)``) and every parameter gradient reduces
-        its ``(n, bs, ·)`` reshape over the micro-batch axis only.
-
-        Returns ``(losses, rank_grads)``: per-rank mean losses ``(n,)``
-        (float64) and the plan's reused ``(n, P)`` flat gradient matrix in
-        the ring-allreduce packing order.  The matrix is overwritten by the
-        next call; reduce it before then.  ``mean_grad_flat`` is untouched.
+        (rank ``r`` owns rows ``[r·bs, (r+1)·bs)``); each runs through
+        :meth:`loss_and_grad` in turn.  Returns ``(losses, rank_grads)``:
+        per-rank mean losses ``(n,)`` (float64) and a fresh ``(n, P)``
+        flat gradient matrix in the model's flat parameter order.
+        ``mean_grad_flat`` is left holding the last rank's gradient.
         """
         X = np.ascontiguousarray(X, dtype=self.dtype)
         y = np.asarray(y)
@@ -545,39 +472,13 @@ class CompiledPlan:
                 f"{num_ranks} equal micro-batches"
             )
         bs = n_rows // num_ranks
-        bufs = self.buffers_for(n_rows)
-        logits = self._forward(X, bufs)
-
-        # Softmax cross-entropy, replaying the eager op order exactly; the
-        # only departure from loss_and_grad is the per-rank loss reduction
-        # and the 1/bs gradient scale.
-        shifted = bufs.probs
-        rowred = bufs.rowred
-        np.max(logits, axis=1, keepdims=True, out=rowred)
-        np.subtract(logits, rowred, out=shifted)
-        dlogits = bufs.grads[self.logits_slot]
-        np.exp(shifted, out=dlogits)
-        np.sum(dlogits, axis=1, keepdims=True, out=rowred)
-        np.log(rowred, out=rowred)
-        shifted -= rowred                                  # log-probs
-        labels = y.astype(np.intp, copy=False)
-        picked = shifted[bufs.rows, labels]
-        losses = -picked.reshape(num_ranks, bs).mean(axis=1).astype(np.float64)
-
-        c = 1.0 / bs
-        np.exp(shifted, out=dlogits)                       # softmax
-        dlogits *= c
-        dlogits[bufs.rows, labels] -= c
-
-        rank_bufs = self.rank_buffers_for(num_ranks)
-        vals, grads, aux = bufs.vals, bufs.grads, bufs.aux
-        for op in reversed(self.ops):
-            if isinstance(op, _DenseOp):
-                gW, gb = rank_bufs.layer_views[id(op.layer)]
-                op.backward(vals, grads, aux, gW, gb, ranks=num_ranks)
-            else:
-                op.backward(vals, grads, aux, rank_bufs.layer_views, ranks=num_ranks)
-        return losses, rank_bufs.flat
+        losses = np.empty(num_ranks)
+        rank_grads = np.empty((num_ranks, self.num_flat_params), dtype=self.dtype)
+        for r in range(num_ranks):
+            rows = slice(r * bs, (r + 1) * bs)
+            losses[r] = self.loss_and_grad(X[rows], y[rows])
+            rank_grads[r] = self.mean_grad_flat
+        return losses, rank_grads
 
     def predict_logits(self, X: np.ndarray, batch_size: int = 4096) -> np.ndarray:
         """Inference-mode logits, chunked to bound peak buffer memory."""

@@ -1,7 +1,7 @@
 """Workflow substrate (paper substitute for the Balsam workflow system).
 
 Provides the non-blocking ``submit`` / ``gather`` manager-worker interface
-of Algorithm 1 with two interchangeable backends:
+of Algorithm 1 with three interchangeable backends:
 
 - :class:`SimulatedEvaluator` — an event-driven simulation of a W-worker
   cluster with a simulated wall clock in minutes.  Evaluation *results* are
@@ -9,10 +9,15 @@ of Algorithm 1 with two interchangeable backends:
   *durations* are supplied by the function (typically from
   :class:`repro.dataparallel.TrainingCostModel`).
 - :class:`ThreadedEvaluator` — real concurrent execution on a thread pool,
-  used to validate that the search loops are genuinely asynchronous.
+  used to validate that the search loops are genuinely asynchronous.  A
+  timeout abandons a straggler and replaces the pool, so every worker
+  stays available.
 - :class:`ProcessPoolEvaluator` — true multi-core execution on a process
   pool with worker-crash detection and real timeout cancellation.
 
+The base :class:`Evaluator` owns the one job lifecycle they share: the
+wait queue, attempt start on the manager (fault draw and cache lookup)
+and delivery (``DONE`` or ``FAILED`` by the result's ``failed`` flag).
 All backends accept an optional :class:`EvaluationCache` that serves
 duplicate configurations from memo instead of re-training them.
 """

@@ -13,26 +13,30 @@ mirroring DeepHyper/Balsam.  Every backend here exposes exactly that:
   evaluation, and the search history and the cache are rebuilt from it.
 - :class:`ThreadedEvaluator` and :class:`ProcessPoolEvaluator` run
   evaluation functions concurrently on a thread / process pool, as thin
-  shells over :class:`_WallClockEvaluator`, which owns dispatch and
+  shells over :class:`_WallClockEvaluator`, which owns the futures and
   ``gather``.
 
-One job lifecycle serves every backend.  :class:`Evaluator` creates the
-jobs and holds the run function, the
-:class:`~repro.workflow.faults.FaultPolicy`, the optional
-:class:`~repro.workflow.cache.EvaluationCache` and the failure counters.
-Every attempt starts on the manager, which draws its injected fault from
-``(fault_seed, job_id, retries)`` and then consults the cache, and ends in
-:meth:`FaultPolicy.settle <repro.workflow.faults.FaultPolicy.settle>`,
-which decides accept, retry, penalize or raise.  The backends keep only
-their clocks, pools and queues; each clock decides which attempts time out
-(the declared duration on the simulated clock, the reap deadline on the
-wall clock).
+One job lifecycle serves every backend, and :class:`Evaluator` owns it:
+the job table, the one FIFO of jobs waiting for a worker, the in-flight
+count, the run function, the :class:`~repro.workflow.faults.FaultPolicy`,
+the optional :class:`~repro.workflow.cache.EvaluationCache` and the
+failure counters.  Every attempt starts on the manager, which stamps it
+``RUNNING``, draws its injected fault from ``(fault_seed, job_id,
+retries)``, consults the cache and hands it to the backend's ``_launch``;
+it ends in :meth:`FaultPolicy.settle
+<repro.workflow.faults.FaultPolicy.settle>`, which decides accept, retry,
+penalize or raise; and a finished job is delivered by one ``_deliver``,
+which ends it ``DONE`` or ``FAILED`` by its result's ``failed`` flag.
+The backends keep only their clocks, pools and ``gather`` scans; each
+clock decides which attempts time out (the declared duration on the
+simulated clock, the reap deadline on the wall clock).  No worker thread
+touches a job.
 
 Utilization is read off the job table
 (:func:`repro.analysis.utilization_summary`) or the ``JobGathered`` stream
 (:class:`repro.campaign.MetricsAggregator`), never kept by a backend: a
 job's ``start_time`` and ``end_time`` bound its last attempt, stamped when
-that attempt reaches a worker and when the backend sees it end.
+the manager starts that attempt and when the backend sees it end.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from __future__ import annotations
 import collections
 import copy
 import pickle
-import threading
 import time as _time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -131,6 +134,18 @@ class Evaluator:
     ``CacheStore``) through it when set.  ``num_failures`` counts failed
     attempts, ``num_retries`` re-runs, ``num_timeouts`` attempts past the
     policy timeout and ``num_faults_injected`` injected faults.
+
+    The lifecycle lives here.  :meth:`submit` counts a job in flight and
+    :meth:`_dispatch` queues it; :meth:`_fill_workers` starts queued
+    attempts, oldest first, while the backend reports a free worker
+    (``_has_free_worker``), stamping each ``RUNNING`` and handing it to
+    the backend's ``_launch(job, kind, cached)``.  A backend's ``gather``
+    puts the jobs whose attempts ended for good on ``_completed`` (or back
+    on the queue, for a retry) and returns :meth:`_deliver`, which takes
+    them out of flight.  An attempt whose settlement raises
+    (``on_error="raise"``) ends its job ``FAILED`` and out of flight
+    before the exception propagates, and jobs finished in the same round
+    come back from the next ``gather``.
     """
 
     event_bus = None
@@ -154,25 +169,64 @@ class Evaluator:
         self.num_timeouts = 0
         self._next_id = 0
         self.jobs: list[Job] = []
+        self._queue: collections.deque[Job] = collections.deque()
+        self._completed: collections.deque[Job] = collections.deque()
+        self._in_flight = 0
 
-    def _emit_gathered(self, job: Job) -> None:
-        if self.event_bus is not None:
-            from repro.campaign.events import JobGathered
+    @property
+    def num_in_flight(self) -> int:
+        """Jobs submitted and not delivered yet (queued, running or finished)."""
+        return self._in_flight
 
-            self.event_bus.emit(
-                JobGathered(
-                    job_id=job.job_id,
-                    time=self.now,
-                    objective=job.result.objective,
-                    duration=job.result.duration,
-                    submit_time=job.submit_time,
-                    start_time=job.start_time,
-                    end_time=job.end_time,
-                    worker=job.worker,
-                    failed=job.state is JobState.FAILED,
-                    retries=job.retries,
+    def _dispatch(self, job: Job) -> None:
+        """Queue an attempt of ``job`` and start queued attempts."""
+        self._queue.append(job)
+        self._fill_workers()
+
+    def _fill_workers(self) -> None:
+        """Start queued attempts, oldest first, while a worker is free."""
+        while self._queue and self._has_free_worker():
+            job = self._queue.popleft()
+            job.state = JobState.RUNNING
+            job.start_time = self.now
+            job.attempt += 1
+            kind, cached = self._begin_attempt(job)
+            self._launch(job, kind, cached)
+
+    def _has_free_worker(self) -> bool:
+        raise NotImplementedError
+
+    def _launch(self, job: Job, kind: str | None, cached: EvaluationResult | None) -> None:
+        """Run the attempt of ``job`` just started under fault ``kind``
+        (``cached`` is the memoized result of a cache hit)."""
+        raise NotImplementedError
+
+    def _deliver(self) -> list[Job]:
+        """Hand the completed jobs to the caller: each leaves flight and
+        ends ``FAILED`` if its result is marked failed, ``DONE`` otherwise."""
+        finished = list(self._completed)
+        self._completed.clear()
+        for job in finished:
+            self._in_flight -= 1
+            job.state = JobState.FAILED if job.result.metadata.get("failed") else JobState.DONE
+            if self.event_bus is not None:
+                from repro.campaign.events import JobGathered
+
+                self.event_bus.emit(
+                    JobGathered(
+                        job_id=job.job_id,
+                        time=self.now,
+                        objective=job.result.objective,
+                        duration=job.result.duration,
+                        submit_time=job.submit_time,
+                        start_time=job.start_time,
+                        end_time=job.end_time,
+                        worker=job.worker,
+                        failed=job.state is JobState.FAILED,
+                        retries=job.retries,
+                    )
                 )
-            )
+        return finished
 
     def _begin_attempt(self, job: Job) -> tuple[str | None, EvaluationResult | None]:
         """Draw the injected fault of the attempt starting now, then look
@@ -218,6 +272,10 @@ class Evaluator:
             self.num_failures += 1
         if settlement.result is not None:
             job.result = settlement.result
+        if settlement.exception is not None:
+            # The attempt raises to the caller: its job ends here, undelivered.
+            self._in_flight -= 1
+            job.state = JobState.FAILED
         fresh = settlement.error is None and kind is None and not job.cache_hit
         if fresh and self.cache is not None and self.cache.store(job.config, job.result):
             if self.event_bus is not None:
@@ -251,13 +309,10 @@ class Evaluator:
                 from repro.campaign.events import JobSubmitted
 
                 self.event_bus.emit(JobSubmitted(job_id=job.job_id, time=job.submit_time))
+            self._in_flight += 1
             self._dispatch(job)
             out.append(job)
         return out
-
-    def _dispatch(self, job: Job) -> None:
-        """Start an attempt of ``job``, or queue it for a worker."""
-        raise NotImplementedError
 
     def gather(self) -> list[Job]:
         """Return at least one finished job (empty only if none in flight)."""
@@ -266,10 +321,6 @@ class Evaluator:
     @property
     def now(self) -> float:
         """Current time in minutes (simulated or wall-clock)."""
-        raise NotImplementedError
-
-    @property
-    def num_in_flight(self) -> int:
         raise NotImplementedError
 
     # -- checkpointing (optional per backend) -------------------------- #
@@ -295,17 +346,18 @@ class SimulatedEvaluator(Evaluator):
     -----
     An attempt lasts its declared duration on the simulated clock, so it
     is settled as it starts: one that fails holds its worker for the
-    settlement's minutes before being retried or penalized.  A cache hit
-    skips the run-function call (no re-training) but is otherwise an
-    ordinary attempt: it draws its fault, is settled like computed work
-    and *replays the memoized duration on the simulated clock* — the
-    worker stays reserved until ``start + duration`` — so the campaign
-    timeline (and the search history) is bit-identical with the cache on
-    or off.  A hit therefore counts its reserved minutes in the
-    utilization account, as the recomputation it replays would.
+    settlement's minutes before being retried or penalized, and one whose
+    settlement raises frees its worker at once.  A cache hit skips the
+    run-function call (no re-training) but is otherwise an ordinary
+    attempt: it draws its fault, is settled like computed work and
+    *replays the memoized duration on the simulated clock* — the worker
+    stays reserved until ``start + duration`` — so the campaign timeline
+    (and the search history) is bit-identical with the cache on or off.  A
+    hit therefore counts its reserved minutes in the utilization account,
+    as the recomputation it replays would.
 
-    Jobs submitted while all workers are busy wait in a FIFO queue and are
-    started when a worker frees — their results are computed lazily at
+    Jobs submitted while all workers are busy wait in the FIFO queue and
+    are started when a worker frees — their results are computed lazily at
     start so the run function observes correct ordering.
     """
 
@@ -324,8 +376,6 @@ class SimulatedEvaluator(Evaluator):
         self._free_workers = list(range(num_workers - 1, -1, -1))
         self._dead_workers: set[int] = set()
         self._running: dict[int, Job] = {}  # worker -> job
-        self._waiting: collections.deque[Job] = collections.deque()
-        self._in_flight = 0
         for fail_time, worker in worker_failures or ():
             if not 0 <= worker < num_workers:
                 raise ValueError(f"worker_failures names unknown worker {worker}")
@@ -337,30 +387,18 @@ class SimulatedEvaluator(Evaluator):
         return self._clock
 
     @property
-    def num_in_flight(self) -> int:
-        return self._in_flight
-
-    @property
     def num_alive_workers(self) -> int:
         return self.num_workers - len(self._dead_workers)
 
     # ------------------------------------------------------------------ #
-    def _dispatch(self, job: Job) -> None:
-        self._in_flight += 1
-        if self._free_workers:
-            self._start(job)
-        else:
-            self._waiting.append(job)
+    def _has_free_worker(self) -> bool:
+        return bool(self._free_workers)
 
-    def _start(self, job: Job) -> None:
-        """Run one attempt of ``job`` on a free worker and settle it."""
+    def _launch(self, job: Job, kind: str | None, cached: EvaluationResult | None) -> None:
+        """Run the attempt on a free worker and settle it now."""
         worker = self._free_workers.pop()
         job.worker = worker
-        job.state = JobState.RUNNING
-        job.start_time = self._clock
-        job.attempt += 1
         self._running[worker] = job
-        kind, cached = self._begin_attempt(job)
         try:
             if kind == "crash":
                 raise _injected_crash(job)
@@ -371,6 +409,8 @@ class SimulatedEvaluator(Evaluator):
             outcome = exc
         settlement = self._settle(job, kind, outcome, simulated_clock=True)
         if settlement.exception is not None:
+            job.end_time = self._clock
+            self._release_worker(worker)
             raise settlement.exception
         end_time = self._clock + settlement.minutes
         if settlement.retry:
@@ -379,15 +419,10 @@ class SimulatedEvaluator(Evaluator):
             job.end_time = end_time
             self._events.push(end_time, ("finish", job, job.attempt))
 
-    # ------------------------------------------------------------------ #
     def _release_worker(self, worker: int) -> None:
         self._running.pop(worker, None)
         if worker not in self._dead_workers:
             self._free_workers.append(worker)
-
-    def _fill_workers(self) -> None:
-        while self._waiting and self._free_workers:
-            self._start(self._waiting.popleft())
 
     def _on_worker_fail(self, worker: int) -> None:
         if worker in self._dead_workers:
@@ -407,13 +442,12 @@ class SimulatedEvaluator(Evaluator):
             job.attempt += 1
             job.worker = -1
             job.state = JobState.PENDING
-            self._waiting.appendleft(job)
+            self._queue.appendleft(job)
 
     def gather(self) -> list[Job]:
         """Advance the clock until at least one job finishes; return them."""
-        while self._events:
+        while not self._completed and self._events:
             next_time = self._events.peek_time()
-            finished: list[Job] = []
             for end_time, (kind, ref, attempt) in self._events.drain_until(next_time):
                 self._clock = max(self._clock, end_time)
                 if kind == "worker_fail":
@@ -423,33 +457,26 @@ class SimulatedEvaluator(Evaluator):
                 if job.attempt != attempt:
                     continue  # stale event from a dead worker's attempt
                 if kind == "retry":
-                    self._waiting.append(job)
+                    self._queue.append(job)
                     continue
                 self._release_worker(job.worker)
                 if kind == "finish":
-                    failed = job.result.metadata.get("failed")
-                    job.state = JobState.FAILED if failed else JobState.DONE
-                    self._in_flight -= 1
-                    finished.append(job)
+                    self._completed.append(job)
                     continue
                 self._count_retry(job)
                 delay = self.fault_policy.backoff_minutes(job.retries)
                 if delay > 0:
                     self._events.push(self._clock + delay, ("retry", job, job.attempt))
                 else:
-                    self._waiting.append(job)
+                    self._queue.append(job)
             # Start queued jobs on the workers that just freed.
             self._fill_workers()
-            if finished:
-                for job in finished:
-                    self._emit_gathered(job)
-                return finished
-        if self._in_flight:
+        if not self._completed and self._in_flight:
             raise RuntimeError(
                 f"evaluator deadlocked: {self._in_flight} job(s) in flight but all "
                 f"{self.num_workers} workers are dead"
             )
-        return []
+        return self._deliver()
 
     # ------------------------------------------------------------------ #
     # Checkpointing
@@ -470,7 +497,7 @@ class SimulatedEvaluator(Evaluator):
             "free_workers": list(self._free_workers),
             "dead_workers": sorted(self._dead_workers),
             "running": {str(w): job.job_id for w, job in self._running.items()},
-            "waiting": [job.job_id for job in self._waiting],
+            "waiting": [job.job_id for job in self._queue],
             "events": [
                 [t, c, kind, encode_ref(kind, ref), attempt]
                 for t, c, (kind, ref, attempt) in entries
@@ -503,7 +530,7 @@ class SimulatedEvaluator(Evaluator):
         self.jobs = [job_from_dict(row) for row in state["jobs"]]
         by_id = {job.job_id: job for job in self.jobs}
         self._running = {int(w): by_id[jid] for w, jid in state["running"].items()}
-        self._waiting = collections.deque(by_id[jid] for jid in state["waiting"])
+        self._queue = collections.deque(by_id[jid] for jid in state["waiting"])
         self._events.restore(
             [
                 (t, c, (kind, ref if kind == "worker_fail" else by_id[ref], attempt))
@@ -534,24 +561,24 @@ class SimulatedEvaluator(Evaluator):
 class _WallClockEvaluator(Evaluator):
     """Shared machinery for the wall-clock (thread / process) backends.
 
-    Time is wall-clock minutes since construction.  This class owns
-    :meth:`_dispatch`, the deadline scan and the whole of :meth:`gather`;
-    a backend supplies only
+    Time is wall-clock minutes since construction.  This class owns the
+    tracked futures, the deadline scan and the whole of :meth:`gather`; a
+    backend supplies only
 
     - ``_make_pool()``: a fresh executor with ``num_workers`` workers;
-    - ``_submit_attempt(job)``: hand one attempt to a free worker and
-      return its future, which resolves to the run function's result;
-    - ``_kill_workers()``: reclaim every worker of a broken or hung pool
-      and return the innocent in-flight jobs to re-dispatch.
+    - ``_worker_call``: the callable a worker runs on a job's config,
+      which returns the run function's result;
+    - ``_kill_workers()``: reclaim the workers of a broken or hung pool
+      and return the innocent tracked jobs to restart.
 
-    At most ``num_workers`` attempts are tracked at once; the rest wait in
-    a manager-side FIFO and start as gather collects tracked ones.  The
-    executor therefore never queues work behind a busy worker: an
-    attempt's ``start_time`` holds no queue wait, a kill or a crash ends
-    only running attempts, and no more than ``num_workers`` job spans are
-    ever open together.  Each tracked future maps to its job and the fault
-    kind drawn when the attempt started, so gather settles the attempt
-    with the kind it ran under.
+    At most ``num_workers`` attempts are tracked at once and each has a
+    worker of the current or an abandoned pool, so the executor never
+    queues work behind a busy worker: an attempt's ``start_time`` (stamped
+    on the manager as it is handed over) holds no queue wait, a kill or a
+    crash ends only running attempts, and no more than ``num_workers`` job
+    spans are ever open together.  Each tracked future maps to its job and
+    the fault kind drawn when the attempt started, so gather settles the
+    attempt with the kind it ran under.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -559,9 +586,6 @@ class _WallClockEvaluator(Evaluator):
         self.num_worker_crashes = 0
         self._t0 = _time.perf_counter()
         self._futures: dict[Future, tuple[Job, str | None]] = {}
-        self._held: collections.deque[Job] = collections.deque()
-        self._completed: collections.deque[Job] = collections.deque()
-        self._lock = threading.Lock()
         self._pool = self._make_pool()
 
     # ------------------------------------------------------------------ #
@@ -569,85 +593,52 @@ class _WallClockEvaluator(Evaluator):
     def now(self) -> float:
         return (_time.perf_counter() - self._t0) / 60.0
 
-    @property
-    def num_in_flight(self) -> int:
-        with self._lock:
-            return len(self._futures) + len(self._held) + len(self._completed)
-
     # ------------------------------------------------------------------ #
-    def _dispatch(self, job: Job) -> None:
-        """Queue an attempt of ``job`` for the next free worker."""
-        self._held.append(job)
-        self._fill_workers()
+    def _has_free_worker(self) -> bool:
+        return len(self._futures) < self.num_workers
 
-    def _fill_workers(self) -> None:
-        """Start held attempts, oldest first, while a worker is free.
+    def _launch(self, job: Job, kind: str | None, cached: EvaluationResult | None) -> None:
+        """Hand the attempt to the pool and track its future.
 
         A crash or a cache hit never reaches a worker: its future is
         already resolved (to :class:`InjectedCrash`, or to the memoized
         result), and the next gather settles it like computed work.  Until
         then it holds its slot, as a simulated hit holds its worker.
         """
-        while self._held and len(self._futures) < self.num_workers:
-            job = self._held.popleft()
-            kind, cached = self._begin_attempt(job)
-            if kind != "crash" and cached is None:
-                future = self._submit_attempt(job)
+        if kind != "crash" and cached is None:
+            future = self._pool.submit(self._worker_call, job.config)
+        else:
+            future = Future()
+            if cached is None:
+                future.set_exception(_injected_crash(job))
             else:
-                future = Future()
-                if cached is None:
-                    future.set_exception(_injected_crash(job))
-                else:
-                    future.set_result(cached)
-                with self._lock:
-                    self._start_attempt(job)
-            with self._lock:
-                self._futures[future] = (job, kind)
+                future.set_result(cached)
+        self._futures[future] = (job, kind)
 
     def _make_pool(self) -> Any:
         raise NotImplementedError
 
-    def _submit_attempt(self, job: Job) -> Future:
+    def _worker_call(self, config: Any) -> EvaluationResult:
         raise NotImplementedError
 
     def _kill_workers(self) -> list[Job]:
         raise NotImplementedError
 
-    def _start_attempt(self, job: Job) -> None:
-        """Mark a new attempt of ``job`` as running (caller holds the lock)."""
-        job.state = JobState.RUNNING
-        job.start_time = self.now
-        job.attempt += 1
-
-    def _wait_timeout(self, pending_jobs: Iterable[Job]) -> float | None:
-        """Seconds to block in ``wait`` before the earliest policy deadline.
-
-        A thread attempt queued behind an abandoned straggler (a
-        ``RETRYING`` retry or a fresh ``PENDING`` job) has not stamped its
-        start yet and carries a stale or zero ``start_time``; its deadline
-        cannot be earlier than ``now + timeout``, so that bound keeps the
-        wait finite — a retry that starts and then hangs is re-examined
-        (and reaped) instead of blocking gather forever on a wait with no
-        timeout.
-        """
-        policy = self.fault_policy
-        if policy.timeout is None:
+    def _wait_timeout(self) -> float | None:
+        """Seconds to block in ``wait`` before the earliest policy deadline
+        of a tracked attempt (None: no timeout, wait for a completion)."""
+        timeout = self.fault_policy.timeout
+        if timeout is None or not self._futures:
             return None
-        now = self.now
-        deadlines = [
-            (job.start_time if job.state is JobState.RUNNING else now) + policy.timeout
-            for job in pending_jobs
-        ]
-        if not deadlines:
-            return None
-        return max(0.0, (min(deadlines) - now) * 60.0) + 1e-3
+        start = min(job.start_time for job, _ in self._futures.values())
+        return max(0.0, (start + timeout - self.now) * 60.0) + 1e-3
 
     def gather(self) -> list[Job]:
         """Block until at least one job finishes; return all finished jobs.
 
-        Jobs already buffered in ``_completed`` — siblings collected before
-        a prior ``on_error="raise"`` exception — are returned immediately,
-        never blocking on unrelated pending futures.  Ended attempts are
+        Jobs already completed — siblings collected before a prior
+        ``on_error="raise"`` exception — are returned immediately, never
+        blocking on unrelated pending futures.  Ended attempts are
         collected *before* any are settled so that retries triggered by a
         crash or a kill are dispatched to the reclaimed pool, never to the
         broken one.  Only tracked futures deliver results: an attempt
@@ -655,22 +646,8 @@ class _WallClockEvaluator(Evaluator):
         late return is dropped.
         """
         timeout = self.fault_policy.timeout
-        while True:
-            with self._lock:
-                finished = list(self._completed)
-                self._completed.clear()
-                pending = dict(self._futures)
-            if finished:
-                for job in finished:
-                    self._emit_gathered(job)
-                return finished
-            if not pending:
-                return []
-            done, _ = wait(
-                pending.keys(),
-                timeout=self._wait_timeout(job for job, _ in pending.values()),
-                return_when=FIRST_COMPLETED,
-            )
+        while not self._completed and self._futures:
+            done, _ = wait(self._futures, timeout=self._wait_timeout(), return_when=FIRST_COMPLETED)
             # Every attempt collected this round ended by ``now``, before the
             # pool is reclaimed or refilled.
             now = self.now
@@ -679,11 +656,7 @@ class _WallClockEvaluator(Evaluator):
             ended: list[tuple[Job, str | None, Any]] = []
             pool_broken = False
             for future in done:
-                with self._lock:
-                    tracked = self._futures.pop(future, None)
-                if tracked is None:
-                    continue  # already reaped by a timeout
-                job, kind = tracked
+                job, kind = self._futures.pop(future)
                 outcome = future.exception()
                 if isinstance(outcome, BrokenExecutor):
                     pool_broken = True
@@ -694,25 +667,21 @@ class _WallClockEvaluator(Evaluator):
                 elif outcome is None:
                     outcome = future.result()
                 ended.append((job, kind, outcome))
-            # Phase 2: reap attempts past the policy deadline.  An attempt
-            # the executor has not started yet is cancelled in place; one
-            # running in a worker forces a kill (an abandon, for threads).
+            # Phase 2: reap attempts past the policy deadline; a running one
+            # forces a kill (an abandon, for threads).
             must_kill = False
             if timeout is not None:
-                for future, (job, kind) in pending.items():
-                    if future in done or job.state is not JobState.RUNNING:
-                        continue
+                for future, (job, kind) in list(self._futures.items()):
                     if now >= job.start_time + timeout:
-                        with self._lock:
-                            self._futures.pop(future, None)
+                        del self._futures[future]
                         if not future.cancel():
                             must_kill = True
                         ended.append((job, kind, None))
             # Phase 3: reclaim the pool if it is broken or holds hung
-            # workers; innocent in-flight jobs restart first, uncharged,
-            # and held attempts take the workers that are free.
+            # workers; innocent tracked jobs restart first, uncharged, and
+            # queued attempts take the workers that are free.
             if pool_broken or must_kill:
-                self._held.extendleft(reversed(self._kill_workers()))
+                self._queue.extendleft(reversed(self._kill_workers()))
             self._fill_workers()
             # Phase 4: settle every ended attempt (the pool is healthy).
             first_error: BaseException | None = None
@@ -722,21 +691,15 @@ class _WallClockEvaluator(Evaluator):
                     self._count_retry(job)
                     self._dispatch(job)
                     continue
-                job.state = JobState.DONE if settlement.error is None else JobState.FAILED
                 # A cache hit computed nothing: it ends where it started.
                 job.end_time = job.start_time if job.cache_hit else now
                 if settlement.exception is not None:
                     first_error = first_error or settlement.exception
                 else:
-                    finished.append(job)
+                    self._completed.append(job)
             if first_error is not None:
-                with self._lock:
-                    self._completed.extend(finished)
                 raise first_error
-            if finished:
-                for job in finished:
-                    self._emit_gathered(job)
-                return finished
+        return self._deliver()
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=True, cancel_futures=True)
@@ -758,32 +721,29 @@ class ThreadedEvaluator(_WallClockEvaluator):
     the same :meth:`FaultPolicy.settle` as on :class:`SimulatedEvaluator`,
     so exceptions and invalid objectives are raised, penalized or retried
     with the same errors and penalized durations.  ``timeout`` (wall-clock
-    minutes) abandons stragglers — the worker thread keeps running but the
-    attempt is settled as timed out so the campaign never blocks on a hung
-    evaluation.  Retries are resubmitted immediately (exponential backoff
-    is a simulated-minutes concept; sleeping real minutes would stall the
-    pool).
-
-    An abandoned straggler still holds its thread, so an attempt handed to
-    the pool may wait behind it: each attempt stamps its own
-    ``start_time`` when its thread picks it up.  An optional ``cache``
-    serves duplicate configurations without a worker: a hit ends where it
-    starts, with the memoized result.
+    minutes) abandons stragglers: a thread cannot be killed, so the pool
+    that holds one is replaced by a fresh pool of ``num_workers`` threads
+    and the straggler finishes untracked, its result dropped.  Attempts
+    still running on the old pool stay tracked and finish there, and
+    every tracked attempt keeps a thread of its own.  Retries are
+    resubmitted immediately (exponential backoff is a simulated-minutes
+    concept; sleeping real minutes would stall the pool).  An optional
+    ``cache`` serves duplicate configurations without a worker: a hit
+    ends where it starts, with the memoized result.
     """
 
     def _make_pool(self) -> ThreadPoolExecutor:
         return ThreadPoolExecutor(max_workers=self.num_workers)
 
-    def _submit_attempt(self, job: Job) -> Future:
-        def attempt() -> EvaluationResult:
-            with self._lock:
-                self._start_attempt(job)
-            return self.run_function(job.config)
-
-        return self._pool.submit(attempt)
+    def _worker_call(self, config: Any) -> EvaluationResult:
+        return self.run_function(config)
 
     def _kill_workers(self) -> list[Job]:
-        return []  # threads cannot be killed; a hung attempt is abandoned
+        """Replace the pool; the hung thread and the running attempts of
+        the old pool finish on their own threads."""
+        self._pool.shutdown(wait=False)
+        self._pool = self._make_pool()
+        return []
 
 
 class ProcessPoolEvaluator(_WallClockEvaluator):
@@ -799,9 +759,6 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
 
     Semantics beyond :class:`ThreadedEvaluator` parity:
 
-    - a job is marked ``RUNNING`` when its attempt is handed to the pool,
-      which happens only when a worker is free, so the policy ``timeout``
-      covers the attempt's execution (and any worker start-up);
     - worker crashes (abnormal exit, killed process) surface as
       :class:`concurrent.futures.BrokenExecutor`; the pool is rebuilt
       *before* any attempt is settled, and every attempt running at the
@@ -809,11 +766,12 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
       cannot attribute the crash to a single job).  ``num_worker_crashes``
       counts the affected attempts, ``num_pool_rebuilds`` the rebuilds;
     - timeouts are *real cancellations*: a hung attempt gets the worker
-      processes terminated and the pool rebuilt, reclaiming the slot
-      (threads can only abandon).  Innocent running jobs caught in the
-      kill restart first on the fresh pool without being charged a retry;
-      held attempts are untouched.
+      processes terminated and the pool rebuilt, reclaiming the slot.
+      Innocent running jobs caught in the kill restart first on the fresh
+      pool without being charged a retry; queued attempts are untouched.
     """
+
+    _worker_call = staticmethod(_process_worker_call)
 
     def __init__(self, run_function: RunFunction, *args: Any, **kwargs: Any) -> None:
         try:
@@ -834,21 +792,15 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
             initargs=(self._payload,),
         )
 
-    def _submit_attempt(self, job: Job) -> Future:
-        with self._lock:
-            self._start_attempt(job)
-        return self._pool.submit(_process_worker_call, job.config)
-
     def _kill_workers(self) -> list[Job]:
         """Terminate every worker process and build a fresh pool.
 
         Returns the innocent in-flight jobs (futures still tracked when the
-        pool went down) that must be re-dispatched on the new pool; they
-        are not charged a retry — the fault was not theirs.
+        pool went down) that must be restarted on the new pool; they are
+        not charged a retry — the fault was not theirs.
         """
-        with self._lock:
-            victims = [job for job, _ in self._futures.values()]
-            self._futures.clear()
+        victims = [job for job, _ in self._futures.values()]
+        self._futures.clear()
         for proc in list(getattr(self._pool, "_processes", {}).values()):
             proc.terminate()
         self._pool.shutdown(wait=False, cancel_futures=True)

@@ -12,14 +12,17 @@ invariants that must hold for *any* schedule:
   [0, 1] at every quiescent point.
 
 The wall-clock schedule, retry and raise checks run on both the thread
-and the process backend, which share one ``gather``.  Plus targeted
-regressions: gather blocking on pending futures while holding buffered
-finished jobs, the timeout deadline scan skipping dispatched-but-unstarted
-(RETRYING) jobs, process attempts queued behind a busy worker carrying
-their queue wait in ``start_time`` and failing with a crash, attempts
-starting while finished ones were not gathered yet (more than
-``num_workers`` open spans), and a late-returning abandoned thread attempt
-clobbering its retry's result.
+and the process backend, which share one ``gather``; a result marked
+``failed`` ends ``FAILED`` on all three backends, which share one
+delivery.  Plus targeted regressions: gather blocking on pending futures
+while holding buffered finished jobs, a tracked attempt without a running
+start stamped by the manager (or a queued job that is tracked), a
+simulated ``on_error="raise"`` leaving a phantom in-flight job on a held
+worker, a thread pool that lost a worker to an abandoned straggler,
+process attempts queued behind a busy worker carrying their queue wait in
+``start_time`` and failing with a crash, attempts starting while finished
+ones were not gathered yet (more than ``num_workers`` open spans), and a
+late-returning abandoned thread attempt clobbering its retry's result.
 """
 
 from __future__ import annotations
@@ -69,6 +72,11 @@ def hang_on_negative(config):
     if int(config) < 0:
         time.sleep(300)
     return hashed_run(config)
+
+
+def marked_failed(config):
+    """A result the run function itself marks as failed."""
+    return EvaluationResult(objective=0.0, duration=1.0, metadata={"failed": True})
 
 
 def drain(ev, wall_limit_s=60.0):
@@ -181,10 +189,48 @@ def test_sim_invariants_hold_under_faults(seed):
     assert 0.0 <= utilization_summary(ev).utilization <= 1.0
 
 
+def test_sim_raise_releases_worker_and_leaves_flight():
+    """An attempt settled with ``on_error="raise"`` ends its job before the
+    exception propagates: its worker is free and nothing stays in flight
+    (pre-fix the job held its worker, and the next gather raised "all 2
+    workers are dead")."""
+    ev = SimulatedEvaluator(
+        flaky_every_fourth, num_workers=2, fault_policy=FaultPolicy(on_error="raise")
+    )
+    with pytest.raises(RuntimeError, match="injected"):
+        ev.submit([4])
+    assert ev.gather() == []
+    assert ev.num_in_flight == 0
+    assert ev.jobs[0].state is JobState.FAILED
+    jobs = ev.submit([1, 2])
+    assert {job.worker for job in jobs} == {0, 1}
+    assert {job.start_time for job in jobs} == {0.0}
+    finished = drain(ev)
+    assert sorted(job.job_id for job in finished) == [1, 2]
+    assert all(job.state is JobState.DONE for job in finished)
+
+
 # --------------------------------------------------------------------- #
 # Wall-clock backends: one shared gather, one parametrized parity suite
 # --------------------------------------------------------------------- #
 WALL_CLOCK = {"threaded": ThreadedEvaluator, "process": ProcessPoolEvaluator}
+BACKENDS = {"simulated": SimulatedEvaluator, **WALL_CLOCK}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_result_marked_failed_ends_failed_on_every_backend(backend):
+    """One delivery sets the final state from the result's ``failed`` flag
+    (pre-fix the wall-clock backends ended such a job ``DONE``)."""
+    ev = BACKENDS[backend](marked_failed, num_workers=2)
+    try:
+        ev.submit([0, 1])
+        finished = drain(ev)
+    finally:
+        if backend in WALL_CLOCK:
+            ev.shutdown()
+    assert sorted(job.job_id for job in finished) == [0, 1]
+    assert all(job.state is JobState.FAILED for job in finished)
+    assert ev.num_failures == 0  # the run function succeeded; no attempt failed
 
 
 @pytest.mark.parametrize("seed", SCHEDULE_SEEDS[:2])
@@ -343,6 +389,7 @@ def test_threaded_gather_returns_buffered_without_blocking():
             result=EvaluationResult(objective=0.9, duration=0.0),
         )
         ev._completed.append(buffered)
+        ev._in_flight += 1  # the buffered job counts as in flight
         out: list[Job] = []
         t = threading.Thread(target=lambda: out.extend(ev.gather()))
         t.start()
@@ -395,29 +442,77 @@ def test_threaded_raise_buffers_siblings_for_next_gather():
 
 
 # --------------------------------------------------------------------- #
-# Regression: deadline scan covers dispatched-but-unstarted jobs
+# Every tracked attempt runs; every queued job waits untracked
 # --------------------------------------------------------------------- #
-def test_wait_timeout_covers_unstarted_jobs():
-    """A RETRYING (dispatched, not yet started) job must yield a finite
-    wait bound of at most ``timeout`` — pre-fix the scan skipped it and
-    gather blocked forever on a hung retry."""
+def test_tracked_attempts_run_and_queued_jobs_are_untracked():
+    """The manager stamps each attempt ``RUNNING`` as it hands it to a
+    worker, so every tracked future's job has a start by the time
+    ``submit`` returns, the queued jobs are not tracked, and the wait
+    bound is the earliest tracked deadline (no stale-start fallback)."""
+    release = threading.Event()
+
+    def blocked(config):
+        release.wait(30)
+        return EvaluationResult(objective=0.5, duration=0.0)
+
     ev = ThreadedEvaluator(
-        lambda c: EvaluationResult(0.5, 0.0),
-        num_workers=1,
-        fault_policy=FaultPolicy(on_error="retry", max_retries=1, timeout=2.0),
+        blocked, num_workers=2, fault_policy=FaultPolicy(on_error="penalize", timeout=2.0)
     )
     try:
-        retrying = Job(job_id=0, config=0, state=JobState.RETRYING, start_time=0.0)
-        bound = ev._wait_timeout([retrying])
-        assert bound is not None
-        assert bound <= 2.0 * 60.0 + 1.0  # now + timeout, in seconds
-        # A RUNNING job keeps its start-based (tighter or equal) deadline.
-        running = Job(job_id=1, config=1, state=JobState.RUNNING, start_time=ev.now)
-        assert ev._wait_timeout([running]) <= bound + 1.0
-        # No policy timeout -> unbounded wait is correct.
-        ev.fault_policy = FaultPolicy(on_error="retry", max_retries=1, timeout=None)
-        assert ev._wait_timeout([retrying]) is None
+        before = ev.now
+        ev.submit([0, 1, 2, 3])
+        after = ev.now
+        tracked = [job for job, _ in ev._futures.values()]
+        assert sorted(job.job_id for job in tracked) == [0, 1]
+        for job in tracked:
+            assert job.state is JobState.RUNNING
+            assert job.attempt == 1
+            assert before <= job.start_time <= after
+        queued = list(ev._queue)
+        assert [job.job_id for job in queued] == [2, 3]
+        assert all(job.state is JobState.PENDING and job.attempt == 0 for job in queued)
+        assert not {job.job_id for job in queued} & {job.job_id for job in tracked}
+        bound = ev._wait_timeout()
+        earliest = min(job.start_time for job in tracked)
+        assert bound == pytest.approx((earliest + 2.0 - ev.now) * 60.0, abs=0.5)
+        # No policy timeout -> wait for a completion, unbounded.
+        ev.fault_policy = FaultPolicy(on_error="penalize", timeout=None)
+        assert ev._wait_timeout() is None
     finally:
+        release.set()
+        drain(ev)
+        ev.shutdown()
+
+
+def test_threaded_abandon_keeps_every_worker():
+    """After a timeout abandons a straggler, both workers are available:
+    two jobs meet at a barrier only if they run at the same time (pre-fix
+    the straggler kept one of the two threads, so the barrier broke)."""
+    release = threading.Event()
+    barrier = threading.Barrier(2, timeout=5)
+
+    def run(config):
+        if config < 0:
+            release.wait(30)
+        else:
+            barrier.wait()
+        return EvaluationResult(objective=0.5, duration=0.0)
+
+    policy = FaultPolicy(on_error="penalize", timeout=0.05 / 60.0)  # 50 ms
+    ev = ThreadedEvaluator(run, num_workers=2, fault_policy=policy)
+    try:
+        ev.submit([-1])
+        (straggler,) = drain(ev, wall_limit_s=30.0)
+        assert straggler.state is JobState.FAILED
+        assert ev.num_timeouts == 1
+        # The pair must not be reaped while it gathers at the barrier.
+        ev.fault_policy = FaultPolicy(on_error="penalize")
+        ev.submit([1, 2])
+        finished = drain(ev, wall_limit_s=30.0)
+        assert sorted(job.job_id for job in finished) == [1, 2]
+        assert all(job.state is JobState.DONE for job in finished)
+    finally:
+        release.set()
         ev.shutdown()
 
 
@@ -460,11 +555,13 @@ def test_threaded_abandoned_attempt_late_return_is_dropped():
     (retry) future may set the result — the late 0.1 must not clobber it."""
     hang_s = 0.4
     state = {"n": 0}
+    returned = threading.Event()
 
     def hang_then_recover(config):
         state["n"] += 1
         if state["n"] == 1:
             time.sleep(hang_s)
+            returned.set()
             return EvaluationResult(objective=0.1, duration=0.0)
         return EvaluationResult(objective=0.9, duration=0.0)
 
@@ -473,8 +570,9 @@ def test_threaded_abandoned_attempt_late_return_is_dropped():
     try:
         ev.submit([0])
         finished = drain(ev, wall_limit_s=30.0)
+        returned.wait(30)  # the abandoned thread has returned its 0.1
     finally:
-        ev.shutdown()  # waits for the abandoned thread to return
+        ev.shutdown()
     assert len(finished) == 1
     job = finished[0]
     assert job.state is JobState.DONE

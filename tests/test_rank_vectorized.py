@@ -1,8 +1,7 @@
-"""Equivalence gates for the rank-vectorized compiled-plan kernel.
+"""Gates for the per-rank surface of the compiled plan.
 
-:meth:`CompiledPlan.loss_and_grads_ranked` (one fused multi-rank pass)
-must match a loop of per-rank :meth:`CompiledPlan.loss_and_grad` calls to
-1e-10; in practice they agree bitwise.  No trainer calls the kernel (the
+:meth:`CompiledPlan.loss_and_grads_ranked` must match separate per-rank
+:meth:`CompiledPlan.loss_and_grad` calls.  No trainer calls it (the
 data-parallel step is one pass over the global batch, gated against the
 per-rank oracle in ``tests/test_dp_trainer.py``); it stays while
 ``perfbench/spans.py`` names it as a tracer target.
@@ -37,12 +36,12 @@ def random_model(seed: int, d: int = 10, classes: int = 4, num_nodes: int = 4,
 
 
 # --------------------------------------------------------------------- #
-# 1. Batched multi-rank kernels vs the per-rank loop
+# 1. Per-rank losses and gradients vs separate plan calls
 # --------------------------------------------------------------------- #
 @given(seed=st.integers(0, 50), num_ranks=st.sampled_from([1, 2, 3, 4, 8]))
 @settings(max_examples=25, deadline=None)
 def test_ranked_gradients_match_per_rank_loop(seed, num_ranks):
-    """One fused multi-rank pass == n separate plan calls, per rank."""
+    """Per-rank results == n separate plan calls, per rank."""
     model = random_model(seed)
     plan = model.compile()
     rng = np.random.default_rng(seed + 1)
@@ -73,26 +72,12 @@ def test_ranked_rejects_indivisible_batch():
         plan.loss_and_grads_ranked(X, y, 0)
 
 
-def test_rank_grad_views_alias_flat_matrix():
-    """Per-layer batched gradients are views into one (n, P) matrix."""
-    plan = random_model(1).compile()
-    bufs = plan.rank_buffers_for(4)
-    assert bufs.flat.shape == (4, plan.num_flat_params)
-    for gW, gb in bufs.layer_views.values():
-        assert np.shares_memory(gW, bufs.flat)
-        assert np.shares_memory(gb, bufs.flat)
-    # Cached per rank count.
-    assert plan.rank_buffers_for(4) is bufs
-
-
 def test_mean_grad_views_are_double_buffer():
-    """The reduced-mean views alias mean_grad_flat, not the rank matrix."""
+    """Every parameter's gradient view aliases mean_grad_flat."""
     plan = random_model(2).compile()
-    rank_bufs = plan.rank_buffers_for(2)
     for view, (o, s, shape) in zip(plan.mean_grad_views, plan.param_segments):
         assert view.shape == shape
         assert np.shares_memory(view, plan.mean_grad_flat)
-        assert not np.shares_memory(view, rank_bufs.flat)
 
 
 # --------------------------------------------------------------------- #
