@@ -7,7 +7,9 @@ One call = one worker node evaluating one :class:`ModelConfig`:
    linearly scaled learning rate, 20-epoch recipe (warmup + plateau);
 3. return the validation accuracy as the objective, and the simulated
    training duration from :class:`~repro.dataparallel.TrainingCostModel`
-   evaluated at the data set's *nominal* (paper-scale) size.
+   evaluated at the data set's *nominal* (paper-scale) size.  The duration
+   depends on the architecture's size alone, so
+   :meth:`ModelEvaluation.duration` gives it without training.
 
 Training runs on the reduced synthetic data, so results are real; only the
 clock is modelled.  Per-config seeds are derived deterministically from the
@@ -103,12 +105,27 @@ class ModelEvaluation:
             spec, self.dataset.n_features, self.dataset.n_classes, rng, dtype=self.dtype
         )
 
+    def duration(self, config: ModelConfig) -> float:
+        """Simulated training minutes of ``config``, known without training:
+        the cost model at the data set's nominal size and ``nominal_epochs``,
+        driven by the decoded architecture's parameter count.  A call on
+        ``config`` reports exactly this duration, which lets
+        :class:`~repro.workflow.SimulatedEvaluator` schedule an attempt's
+        completion before training it."""
+        spec = self.space.decode(config.arch)
+        return self.cost_model.training_minutes(
+            num_params=spec.num_parameters(self.dataset.n_features, self.dataset.n_classes),
+            train_size=self.dataset.nominal_train_size,
+            batch_size=config.batch_size,
+            num_ranks=config.num_ranks,
+            epochs=self.nominal_epochs,
+        )
+
     def __call__(self, config: ModelConfig) -> EvaluationResult:
         rng = np.random.default_rng(_config_seed(config, self.base_seed))
         model = self.build_model(config, rng)
-        num_ranks = config.num_ranks
         trainer = DataParallelTrainer(
-            num_ranks=num_ranks,
+            num_ranks=config.num_ranks,
             epochs=self.epochs,
             batch_size=config.batch_size,
             learning_rate=config.learning_rate,
@@ -129,13 +146,6 @@ class ModelEvaluation:
         objective = (
             result.best_val_accuracy if self.objective == "best" else result.final_val_accuracy
         )
-        duration = self.cost_model.training_minutes(
-            num_params=model.num_parameters(),
-            train_size=self.dataset.nominal_train_size,
-            batch_size=config.batch_size,
-            num_ranks=num_ranks,
-            epochs=self.nominal_epochs,
-        )
         metadata = {
             "num_params": model.num_parameters(),
             "epoch_val_accuracies": result.epoch_val_accuracies,
@@ -143,4 +153,6 @@ class ModelEvaluation:
         }
         if self.keep_best_weights:
             metadata["best_weights"] = result.best_weights
-        return EvaluationResult(objective=float(objective), duration=duration, metadata=metadata)
+        return EvaluationResult(
+            objective=float(objective), duration=self.duration(config), metadata=metadata
+        )

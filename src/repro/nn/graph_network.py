@@ -83,6 +83,29 @@ class ArchitectureSpec:
         """Number of non-identity dense layers."""
         return sum(0 if op.is_identity else 1 for op in self.node_ops)
 
+    def node_widths(self, input_dim: int) -> list[int]:
+        """Output width of every graph node before the output node (index
+        0 is the input); an identity op passes its input width through."""
+        widths = [input_dim]
+        for op in self.node_ops:
+            widths.append(widths[-1] if op.is_identity else op.units)
+        return widths
+
+    def num_parameters(self, input_dim: int, n_classes: int) -> int:
+        """Scalar parameter count of the network built from this spec —
+        each dense layer, skip projection and the output layer holds a
+        ``fan_in x units`` weight and a ``units`` bias — known without
+        drawing any weights."""
+        widths = self.node_widths(input_dim)
+        layers = [
+            (widths[i - 1], op.units)
+            for i, op in enumerate(self.node_ops, start=1)
+            if not op.is_identity
+        ]
+        layers += [(widths[src], widths[dst - 1]) for src, dst in self.skips]
+        layers.append((widths[-1], n_classes))
+        return sum((fan_in + 1) * units for fan_in, units in layers)
+
 
 class GraphNetwork:
     """Trainable network built from an :class:`ArchitectureSpec`.
@@ -123,21 +146,15 @@ class GraphNetwork:
         self._plan = None  # lazily built CompiledPlan (see compile())
 
         m = spec.num_nodes
-        # Width of each graph node's output tensor, propagated through
-        # identity ops.  Index 0 is the input node.
-        widths = [input_dim]
-        self._node_layers: list[Dense | None] = []
-        for i, op in enumerate(spec.node_ops, start=1):
-            in_width = widths[i - 1]
-            if op.is_identity:
-                self._node_layers.append(None)
-                widths.append(in_width)
-            else:
-                layer = Dense(
-                    in_width, op.units, op.activation, rng, name=f"node{i}", dtype=self.dtype
-                )
-                self._node_layers.append(layer)
-                widths.append(op.units)
+        widths = spec.node_widths(input_dim)
+        self._node_layers: list[Dense | None] = [
+            None
+            if op.is_identity
+            else Dense(
+                widths[i - 1], op.units, op.activation, rng, name=f"node{i}", dtype=self.dtype
+            )
+            for i, op in enumerate(spec.node_ops, start=1)
+        ]
         self._widths = widths
 
         # Skip projections: map h_src's width to h_{dst-1}'s width (the

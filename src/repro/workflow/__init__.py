@@ -7,7 +7,9 @@ of Algorithm 1 with three interchangeable backends:
   cluster with a simulated wall clock in minutes.  Evaluation *results* are
   produced by really running the evaluation function; evaluation
   *durations* are supplied by the function (typically from
-  :class:`repro.dataparallel.TrainingCostModel`).
+  :class:`repro.dataparallel.TrainingCostModel`).  A function that
+  declares its duration (``duration(config)``) runs only when an
+  attempt's completion is reached, never for abandoned attempts.
 - :class:`ThreadedEvaluator` — real concurrent execution on a thread pool,
   used to validate that the search loops are genuinely asynchronous.  A
   timeout abandons a straggler and replaces the pool, so every worker

@@ -21,7 +21,10 @@ Semantics (kept deliberately uniform across backends):
   memoized duration on the simulated clock (the worker stays reserved until
   ``start + duration``), which keeps the campaign timeline — and therefore
   the search history — bit-identical with the cache on or off, faults
-  included; the utilization account counts those reserved minutes.  On the
+  included; the utilization account counts those reserved minutes.  When
+  it trains lazily, an attempt of the same config that starts while the
+  first one is still untrained evaluates that one first, so every lookup
+  hits or misses as if each attempt were trained as it starts.  On the
   wall-clock backends a hit ends where it starts and counts nothing.
 - Only successful results of clean attempts are stored; failures always
   re-run, and a hang or a corruption changes that attempt's result but
@@ -30,8 +33,8 @@ Semantics (kept deliberately uniform across backends):
 The cache is manipulated exclusively from the manager thread (``submit`` /
 ``gather``), so it needs no locking.  Simulated-evaluator checkpoints keep
 only its hit/miss/store counters: on load the entries are rebuilt from the
-checkpointed jobs, since every job with a non-failed result from a clean
-attempt holds its key's memoized entry.
+checkpointed jobs, since every job with an acceptable, non-failed result
+from a clean attempt holds its key's memoized entry.
 """
 
 from __future__ import annotations

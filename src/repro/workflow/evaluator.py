@@ -6,8 +6,11 @@ mirroring DeepHyper/Balsam.  Every backend here exposes exactly that:
 
 - :class:`SimulatedEvaluator` advances a simulated clock to the next job
   completion; the *results* are computed by genuinely running the
-  evaluation function at submit time, while the *completion time* comes
-  from the ``duration`` the function reports (the training-cost model).
+  evaluation function, while the *completion time* comes from the
+  duration the function reports (the training-cost model).  A function
+  that declares that duration up front (``duration(config)``) is run
+  only when an attempt's completion is reached, so attempts the campaign
+  abandons are never trained; any other is run as its attempt starts.
   It also models worker deaths and is checkpointable (``state_dict`` /
   ``load_state``): its job table is the one stored copy of every
   evaluation, and the search history and the cache are rebuilt from it.
@@ -247,7 +250,7 @@ class Evaluator:
                 )
         cached = None
         if kind != "crash" and self.cache is not None:
-            cached = self.cache.lookup(job.config)
+            cached = self._lookup(job.config)
         job.cache_hit = cached is not None
         if job.cache_hit and self.event_bus is not None:
             from repro.campaign.events import CacheHit
@@ -255,6 +258,10 @@ class Evaluator:
             key = self.cache.key(job.config)
             self.event_bus.emit(CacheHit(job_id=job.job_id, key=key, time=self.now))
         return kind, cached
+
+    def _lookup(self, config: Any) -> EvaluationResult | None:
+        """The cache's memoized result for ``config`` (counts hit/miss)."""
+        return self.cache.lookup(config)
 
     def _settle(
         self, job: Job, kind: str | None, outcome: Any, simulated_clock: bool = False
@@ -277,13 +284,17 @@ class Evaluator:
             self._in_flight -= 1
             job.state = JobState.FAILED
         fresh = settlement.error is None and kind is None and not job.cache_hit
-        if fresh and self.cache is not None and self.cache.store(job.config, job.result):
-            if self.event_bus is not None:
-                from repro.campaign.events import CacheStore
-
-                key = self.cache.key(job.config)
-                self.event_bus.emit(CacheStore(job_id=job.job_id, key=key, time=self.now))
+        if fresh and self.cache is not None:
+            self._store(job)
         return settlement
+
+    def _store(self, job: Job) -> None:
+        """Memoize the job's result (the first store of a key wins)."""
+        if self.cache.store(job.config, job.result) and self.event_bus is not None:
+            from repro.campaign.events import CacheStore
+
+            key = self.cache.key(job.config)
+            self.event_bus.emit(CacheStore(job_id=job.job_id, key=key, time=self.now))
 
     def _count_retry(self, job: Job) -> None:
         """Book a failed attempt that will be re-run."""
@@ -334,9 +345,9 @@ class Evaluator:
 class SimulatedEvaluator(Evaluator):
     """Event-driven simulation of a ``num_workers``-node cluster.
 
-    ``run_function`` is called once per attempt (at start time) and must
-    return an :class:`EvaluationResult` whose ``duration`` is in simulated
-    minutes; ``num_workers``, ``fault_policy`` and ``cache`` are as in
+    ``run_function`` is called with a job's config and must return an
+    :class:`EvaluationResult` whose ``duration`` is in simulated minutes;
+    ``num_workers``, ``fault_policy`` and ``cache`` are as in
     :class:`Evaluator`.  ``worker_failures`` lists optional ``(time_minutes,
     worker_id)`` pairs: the worker dies permanently at that simulated
     time; a job running on it is rescheduled (front of the queue) on a
@@ -344,21 +355,43 @@ class SimulatedEvaluator(Evaluator):
 
     Notes
     -----
-    An attempt lasts its declared duration on the simulated clock, so it
-    is settled as it starts: one that fails holds its worker for the
-    settlement's minutes before being retried or penalized, and one whose
-    settlement raises frees its worker at once.  A cache hit skips the
-    run-function call (no re-training) but is otherwise an ordinary
-    attempt: it draws its fault, is settled like computed work and
-    *replays the memoized duration on the simulated clock* — the worker
-    stays reserved until ``start + duration`` — so the campaign timeline
-    (and the search history) is bit-identical with the cache on or off.  A
-    hit therefore counts its reserved minutes in the utilization account,
-    as the recomputation it replays would.
+    Each attempt is settled as soon as its outcome is known.  A crash, a
+    cache hit, an attempt whose billed minutes pass the policy timeout
+    and an attempt of a run function that declares no duration are
+    settled as they start: the run function (if needed) is called then,
+    and one that fails holds its worker for the settlement's minutes
+    before being retried or penalized, while one whose settlement raises
+    frees its worker at once.
+
+    A run function may declare ``duration(config) -> float``, the minutes
+    its call on ``config`` will report, known without training
+    (:meth:`repro.core.ModelEvaluation.duration`).  Its other attempts
+    pend: a completion event is scheduled as they start, on the event
+    counter an eager settlement would take, for the minutes the policy
+    bills (the declared duration, times ``hang_factor`` for a hang), and
+    only when that event fires is the run function called and the attempt
+    settled.  An attempt whose event never fires — in flight when the
+    campaign stops, or made stale by a worker death — is never trained.
+    The timeline, and so the search history, is the one eager settlement
+    gives; the exception is a run function that raises, which fails at
+    its declared end instead of after ``failure_duration``, and under
+    ``on_error="raise"`` raises from :meth:`gather`.
+
+    A cache hit skips the run-function call (no re-training) but is
+    otherwise an ordinary attempt: it draws its fault, is settled like
+    computed work and *replays the memoized duration on the simulated
+    clock* — the worker stays reserved until ``start + duration`` — so the
+    campaign timeline (and the search history) is bit-identical with the
+    cache on or off.  A hit therefore counts its reserved minutes in the
+    utilization account, as the recomputation it replays would.  For the
+    hit or miss of a lookup to be the eager one, a clean attempt that
+    pends with the cache on is evaluated early (*forced*) when an attempt
+    of the same config starts (the restart after its worker died
+    included); its result is kept as the job's result until its
+    completion event settles it, and cached if acceptable.
 
     Jobs submitted while all workers are busy wait in the FIFO queue and
-    are started when a worker frees — their results are computed lazily at
-    start so the run function observes correct ordering.
+    are started when a worker frees.
     """
 
     def __init__(
@@ -376,6 +409,9 @@ class SimulatedEvaluator(Evaluator):
         self._free_workers = list(range(num_workers - 1, -1, -1))
         self._dead_workers: set[int] = set()
         self._running: dict[int, Job] = {}  # worker -> job
+        # Cache key -> the clean attempt started with the cache on and not
+        # evaluated yet (pending, or stale until its restart forces it).
+        self._unforced: dict[str, Job] = {}
         for fail_time, worker in worker_failures or ():
             if not 0 <= worker < num_workers:
                 raise ValueError(f"worker_failures names unknown worker {worker}")
@@ -394,30 +430,105 @@ class SimulatedEvaluator(Evaluator):
     def _has_free_worker(self) -> bool:
         return bool(self._free_workers)
 
+    def _evaluate(self, config: Any) -> EvaluationResult | Exception:
+        """The run function's result on ``config``, or what it raised."""
+        try:
+            return self.run_function(config)
+        except Exception as exc:
+            return exc
+
+    def _lookup(self, config: Any) -> EvaluationResult | None:
+        # A pending clean attempt of the same config is forced first, so
+        # the lookup finds the entry it would have stored at its start.
+        if self._unforced:
+            original = self._unforced.pop(self.cache.key(config), None)
+            if original is not None:
+                self._force(original)
+        return super()._lookup(config)
+
+    def _force(self, job: Job) -> None:
+        """Evaluate a pending clean attempt now.  A returned result is kept
+        as the job's result, for its completion event to settle, and cached
+        if it is acceptable; an exception is raised again at completion."""
+        outcome = self._evaluate(job.config)
+        if isinstance(outcome, EvaluationResult):
+            job.result = outcome
+            if self.fault_policy.classify(outcome) is None:
+                self._store(job)
+
     def _launch(self, job: Job, kind: str | None, cached: EvaluationResult | None) -> None:
-        """Run the attempt on a free worker and settle it now."""
+        """Run the attempt on a free worker: settle it now if its outcome
+        is known, else schedule its completion event."""
         worker = self._free_workers.pop()
         job.worker = worker
         self._running[worker] = job
-        try:
-            if kind == "crash":
-                raise _injected_crash(job)
+        duration = getattr(self.run_function, "duration", None)
+        declared = None
+        if kind != "crash" and cached is None and callable(duration):
+            declared = duration(job.config)
+            minutes = declared * self.fault_policy.hang_factor if kind == "hang" else declared
+            timeout = self.fault_policy.timeout
+            if timeout is None or minutes <= timeout:
+                self._events.push(self._clock + minutes, ("complete", job, job.attempt))
+                if kind is None and self.cache is not None and job.result is None:
+                    self._unforced[self.cache.key(job.config)] = job
+                return
+        if kind == "crash":
+            outcome = _injected_crash(job)
+        elif cached is not None:
             # A memoized duplicate skips the run function; its duration is
             # replayed on the simulated clock, as a recomputation would be.
-            outcome = cached if cached is not None else self.run_function(job.config)
-        except Exception as exc:
-            outcome = exc
+            outcome = cached
+        elif declared is not None:
+            # Past the timeout whatever the training returns.
+            outcome = EvaluationResult(float("nan"), declared)
+        else:
+            outcome = self._evaluate(job.config)
         settlement = self._settle(job, kind, outcome, simulated_clock=True)
         if settlement.exception is not None:
-            job.end_time = self._clock
-            self._release_worker(worker)
-            raise settlement.exception
+            self._raise(job, settlement.exception)
         end_time = self._clock + settlement.minutes
         if settlement.retry:
             self._events.push(end_time, ("fail", job, job.attempt))
         else:
             job.end_time = end_time
             self._events.push(end_time, ("finish", job, job.attempt))
+
+    def _complete(self, job: Job) -> None:
+        """Evaluate (unless forced) and settle a pending attempt at its
+        completion event."""
+        if self._unforced:
+            key = self.cache.key(job.config)
+            if self._unforced.get(key) is job:
+                del self._unforced[key]
+        kind = self.fault_policy.fault(job.job_id, job.retries)
+        outcome = job.result if job.result is not None else self._evaluate(job.config)
+        settlement = self._settle(job, kind, outcome, simulated_clock=True)
+        if settlement.exception is not None:
+            self._raise(job, settlement.exception)
+        if not settlement.retry:
+            job.end_time = self._clock
+        self._end_attempt(job, settlement.retry)
+
+    def _raise(self, job: Job, exception: BaseException) -> None:
+        """End the attempt of ``job`` now and raise its settlement's exception."""
+        job.end_time = self._clock
+        self._release_worker(job.worker)
+        raise exception
+
+    def _end_attempt(self, job: Job, retry: bool) -> None:
+        """Free the worker of an attempt that ended now; complete its job,
+        or queue the retry (after the policy's backoff)."""
+        self._release_worker(job.worker)
+        if not retry:
+            self._completed.append(job)
+            return
+        self._count_retry(job)
+        delay = self.fault_policy.backoff_minutes(job.retries)
+        if delay > 0:
+            self._events.push(self._clock + delay, ("retry", job, job.attempt))
+        else:
+            self._queue.append(job)
 
     def _release_worker(self, worker: int) -> None:
         self._running.pop(worker, None)
@@ -439,36 +550,33 @@ class SimulatedEvaluator(Evaluator):
         if job is not None:
             # The in-flight job is rescheduled at the front of the queue;
             # bumping ``attempt`` invalidates its pending completion event.
+            # An unforced attempt stays unforced: the restart's lookup
+            # (same fault draw, so clean too) forces it.
             job.attempt += 1
             job.worker = -1
             job.state = JobState.PENDING
             self._queue.appendleft(job)
 
     def gather(self) -> list[Job]:
-        """Advance the clock until at least one job finishes; return them."""
+        """Advance the clock until at least one job finishes; return them.
+
+        Workers freed by an attempt that raised are refilled first.
+        """
+        self._fill_workers()
         while not self._completed and self._events:
             next_time = self._events.peek_time()
             for end_time, (kind, ref, attempt) in self._events.drain_until(next_time):
                 self._clock = max(self._clock, end_time)
                 if kind == "worker_fail":
                     self._on_worker_fail(ref)
-                    continue
-                job = ref
-                if job.attempt != attempt:
+                elif ref.attempt != attempt:
                     continue  # stale event from a dead worker's attempt
-                if kind == "retry":
-                    self._queue.append(job)
-                    continue
-                self._release_worker(job.worker)
-                if kind == "finish":
-                    self._completed.append(job)
-                    continue
-                self._count_retry(job)
-                delay = self.fault_policy.backoff_minutes(job.retries)
-                if delay > 0:
-                    self._events.push(self._clock + delay, ("retry", job, job.attempt))
+                elif kind == "complete":
+                    self._complete(ref)
+                elif kind == "retry":
+                    self._queue.append(ref)
                 else:
-                    self._queue.append(job)
+                    self._end_attempt(ref, retry=kind == "fail")
             # Start queued jobs on the workers that just freed.
             self._fill_workers()
         if not self._completed and self._in_flight:
@@ -482,7 +590,12 @@ class SimulatedEvaluator(Evaluator):
     # Checkpointing
     # ------------------------------------------------------------------ #
     def state_dict(self) -> dict[str, Any]:
-        """JSON-safe snapshot of the full cluster state (jobs, queue, clock)."""
+        """JSON-safe snapshot of the full cluster state (jobs, queue, clock).
+
+        A pending attempt is its ``complete`` event; its job has no result
+        (unless forced) and is evaluated again when the event fires, since
+        the run function is deterministic in its config.
+        """
         entries = self._events.entries()
 
         def encode_ref(kind: str, ref: Any) -> Any:
@@ -508,6 +621,7 @@ class SimulatedEvaluator(Evaluator):
             "cache": None
             if self.cache is None
             else [self.cache.hits, self.cache.misses, self.cache.stores],
+            "unforced": [job.job_id for job in self._unforced.values()],
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
@@ -520,6 +634,7 @@ class SimulatedEvaluator(Evaluator):
             )
         # Older checkpoints also hold ``busy_time`` and ``capacity_time``
         # (a busy-time ledger this evaluator no longer keeps); ignored.
+        # They settled every attempt as it started, so none is unforced.
         self._clock = float(state["clock"])
         self._next_id = int(state["next_id"])
         self._in_flight = int(state["in_flight"])
@@ -541,21 +656,26 @@ class SimulatedEvaluator(Evaluator):
         if state["cache"] is not None:
             # A checkpoint written with caching on restores the cache even
             # when this evaluator was constructed without one.  Every job
-            # with a non-failed result from a clean attempt holds its key's
-            # memoized entry: the first clean success is stored at start and
-            # every later job with that key replays it (a restart after a
-            # worker death included).  The fault draw is pure, so the
-            # attempt that produced a job's result is known again here.
+            # with an acceptable, non-failed result from a clean attempt
+            # holds its key's memoized entry: the first clean success is
+            # stored when it is evaluated and every later job with that key
+            # replays it (a restart after a worker death included).  The
+            # fault draw is pure, so the attempt that produced a job's
+            # result is known again here.
             if self.cache is None:
                 self.cache = EvaluationCache()
             for job in self.jobs:
                 if (
                     job.result is not None
                     and not job.result.metadata.get("failed")
+                    and self.fault_policy.classify(job.result) is None
                     and self.fault_policy.fault(job.job_id, job.retries) is None
                 ):
                     self.cache.store(job.config, job.result)
             self.cache.hits, self.cache.misses, self.cache.stores = state["cache"]
+        self._unforced = {
+            self.cache.key(by_id[jid].config): by_id[jid] for jid in state.get("unforced", ())
+        }
 
 
 class _WallClockEvaluator(Evaluator):

@@ -51,10 +51,23 @@ def fake_eval(config):
     )
 
 
-def build_agebo(run_function, seed=7, num_workers=8, policy=None):
+class DeclaredFakeEval:
+    """``fake_eval`` declaring its duration: the simulated evaluator calls
+    it only when an attempt's completion is reached."""
+
+    def duration(self, config):
+        return fake_eval(config).duration
+
+    def __call__(self, config):
+        return fake_eval(config)
+
+
+def build_agebo(run_function, seed=7, num_workers=8, policy=None, cache=None):
     space = ArchitectureSpace(num_nodes=3)
     hp_space = default_dataparallel_space(max_ranks=4)
-    ev = SimulatedEvaluator(run_function, num_workers=num_workers, fault_policy=policy)
+    ev = SimulatedEvaluator(
+        run_function, num_workers=num_workers, fault_policy=policy, cache=cache
+    )
     return AgEBO(
         space, hp_space, ev,
         population_size=10, sample_size=3, n_initial_points=5, seed=seed,
@@ -230,6 +243,116 @@ def test_checkpoint_with_busy_time_fields_resumes_bit_identical(tmp_path):
     assert_identical_history(full, history)
 
 
+def test_eager_shaped_checkpoint_resumes_lazily_bit_identical(tmp_path):
+    """A checkpoint written by eager settlement — in-flight jobs carrying
+    their results under ``finish`` events, no ``complete`` event — resumes
+    under a run function that declares its duration to the uninterrupted
+    history."""
+    policy = FaultPolicy(
+        on_error="retry", max_retries=1, timeout=14.0, crash_prob=0.15, hang_prob=0.15,
+        fault_seed=5,
+    )  # fmt: skip
+    full = build_agebo(DeclaredFakeEval(), policy=policy, cache=EvaluationCache())
+    full.search(max_evaluations=32)
+
+    path = tmp_path / "ck.json"
+    build_agebo(fake_eval, policy=policy, cache=EvaluationCache()).search(
+        max_evaluations=16, checkpoint_path=path, checkpoint_every=1
+    )
+    state = load_checkpoint(path)["search"]["evaluator"]
+    kinds = {kind for _, _, kind, _, _ in state["events"]}
+    assert "complete" not in kinds and "finish" in kinds
+    jobs = {row["job_id"]: row for row in state["jobs"]}
+    in_flight = [jobs[ref] for _, _, kind, ref, _ in state["events"] if kind == "finish"]
+    assert all(row["result"] is not None for row in in_flight)
+
+    resumed = build_agebo(DeclaredFakeEval(), policy=policy, cache=EvaluationCache())
+    resumed.load_state(load_checkpoint(path)["search"])
+    assert_identical_history(full.history, resumed.search(max_evaluations=32))
+
+
+def test_resumed_duplicate_forces_the_checkpointed_pending_attempt():
+    """A duplicate submitted after resume while its original still pends
+    untrained is a cache hit, as it is without the interruption."""
+    def schedule(ev, resume_between):
+        ev.submit([0, 1])
+        ev.gather()  # config 1 ends at 2; config 0 pends until 9, untrained
+        if resume_between:
+            state = json.loads(json.dumps(ev.state_dict()))
+            assert state["unforced"] == [0]
+            ev = SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache())
+            ev.load_state(state)
+        ev.submit([0])
+        while ev.num_in_flight:
+            ev.gather()
+        return [(j.job_id, j.cache_hit, j.start_time, j.end_time) for j in ev.jobs]
+
+    def run(config):
+        return EvaluationResult(0.5 + config / 10, {0: 9.0, 1: 2.0}[config])
+
+    run.duration = lambda config: run(config).duration
+    straight = schedule(SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache()), False)
+    resumed = schedule(SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache()), True)
+    assert resumed == straight
+    assert straight[-1][1]  # the duplicate hit
+
+
+def lazy_campaign_config(**overrides):
+    """A cache-on AgEBO campaign on real training, small enough for the
+    suite."""
+    from repro.campaign import CampaignConfig, EvaluatorConfig, SearchConfig, TrainingConfig
+
+    base = dict(
+        dataset="covertype",
+        size=300,
+        num_nodes=2,
+        max_evaluations=20,
+        search=SearchConfig(
+            method="AgEBO", population_size=4, sample_size=2, seed=3, n_initial_points=3
+        ),
+        training=TrainingConfig(epochs=1, nominal_epochs=20, warmup_epochs=0),
+        evaluator=EvaluatorConfig(backend="simulated", num_workers=4, cache="exact"),
+    )
+    base.update(overrides)
+    return CampaignConfig(**base)
+
+
+_UNINTERRUPTED: dict[str, str] = {}
+
+
+@given(kill=st.integers(4, 18))
+@settings(max_examples=max(2, settings.default.max_examples // 20), deadline=None)
+def test_lazy_campaign_killed_with_unevaluated_attempts_resumes_bit_identical(
+    tmp_path_factory, kill
+):
+    """A cache-on campaign whose checkpoint holds pending attempts that
+    were never trained resumes to the uninterrupted history, byte for
+    byte."""
+    from repro.campaign import CheckpointConfig, build_campaign, resume_campaign
+
+    if "full" not in _UNINTERRUPTED:
+        full = build_campaign(lazy_campaign_config()).run()
+        _UNINTERRUPTED["full"] = json.dumps(history_to_dict(full), sort_keys=True)
+
+    path = tmp_path_factory.mktemp("lazy") / "camp.ckpt"
+    build_campaign(
+        lazy_campaign_config(
+            max_evaluations=kill, checkpoint=CheckpointConfig(path=str(path), every=1)
+        )
+    ).run()
+    state = load_checkpoint(path)["search"]["evaluator"]
+    jobs = {row["job_id"]: row for row in state["jobs"]}
+    pending = [
+        jobs[ref] for _, _, kind, ref, attempt in state["events"]
+        if kind == "complete" and jobs[ref]["attempt"] == attempt
+    ]  # fmt: skip
+    assert any(row["result"] is None for row in pending)
+    assert state["unforced"]  # clean pending attempts a duplicate would force
+
+    history = resume_campaign(path, max_evaluations=20).run()
+    assert json.dumps(history_to_dict(history), sort_keys=True) == _UNINTERRUPTED["full"]
+
+
 def test_resume_restores_bo_observations(tmp_path):
     path = tmp_path / "ck.json"
     interrupted = build_agebo(fake_eval)
@@ -266,8 +389,10 @@ def test_checkpoint_every_throttles_writes(tmp_path, monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# Resume gate: any kill point, replacement rule, cache mode, fault policy
-# and worker-failure schedule continues to the uninterrupted campaign
+# Resume gate: any kill point, replacement rule, cache mode, fault policy,
+# worker-failure schedule and settlement (eager, or lazy for a run
+# function that declares its duration) continues to the uninterrupted
+# campaign
 # --------------------------------------------------------------------- #
 TOTAL_EVALUATIONS = 20
 FAULT_SEED_BASE = int(os.environ.get("FAULT_SEED", "0"))
@@ -293,6 +418,7 @@ def campaigns(draw):
                 unique_by=lambda failure: failure[1],
             )
         ),
+        "lazy": draw(st.booleans()),
         "manual": manual,
         # A periodic checkpoint needs one full iteration: the first gather
         # returns at most the 4 initial jobs.
@@ -307,7 +433,7 @@ def build_campaign_search(c):
         corrupt_prob=c["corrupt_prob"], fault_seed=c["fault_seed"],
     )
     evaluator = SimulatedEvaluator(
-        fake_eval, num_workers=4, fault_policy=policy,
+        DeclaredFakeEval() if c.get("lazy") else fake_eval, num_workers=4, fault_policy=policy,
         worker_failures=c["worker_failures"],
         cache=EvaluationCache() if c["cache"] else None,
     )

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import EvaluationRecord, ModelConfig, ModelEvaluation, SearchHistory
 from repro.core.evaluation import _config_seed
 from repro.dataparallel import TrainingCostModel
 from repro.searchspace import ArchitectureSpace
+from repro.searchspace.hpspace import default_dataparallel_space
 
 
 # --------------------------------------------------------------------- #
@@ -159,6 +162,33 @@ def test_evaluation_duration_uses_nominal_scale(evaluation, tiny_covertype):
         epochs=20,
     )
     assert result.duration == pytest.approx(expected)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    num_nodes=st.integers(1, 6),
+    dtype=st.sampled_from(["float32", "float64"]),
+    epochs=st.integers(1, 2),
+    nominal_epochs=st.integers(3, 30),
+)
+@settings(max_examples=20, deadline=None)
+def test_declared_duration_is_the_trained_duration(
+    tiny_covertype, seed, num_nodes, dtype, epochs, nominal_epochs
+):
+    """``duration(config)``, computed without training, is bitwise the
+    duration a call on ``config`` reports, and the decoded spec counts the
+    parameters of the network the call builds."""
+    rng = np.random.default_rng(seed)
+    space = ArchitectureSpace(num_nodes=num_nodes)
+    config = ModelConfig(space.random_sample(rng), default_dataparallel_space().sample(rng))
+    run = ModelEvaluation(
+        tiny_covertype, space, epochs=epochs, nominal_epochs=nominal_epochs, dtype=dtype
+    )
+    result = run(config)
+    assert run.duration(config) == result.duration
+    n_features, n_classes = tiny_covertype.n_features, tiny_covertype.n_classes
+    spec = space.decode(config.arch)
+    assert spec.num_parameters(n_features, n_classes) == result.metadata["num_params"]
 
 
 def test_evaluation_more_ranks_shorter_duration(evaluation):

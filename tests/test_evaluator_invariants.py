@@ -23,6 +23,10 @@ process attempts queued behind a busy worker carrying their queue wait in
 ``start_time`` and failing with a crash, attempts starting while finished
 ones were not gathered yet (more than ``num_workers`` open spans), and a
 late-returning abandoned thread attempt clobbering its retry's result.
+Last, a differential test runs one fault-injected simulated schedule with
+the run function's duration declared (trained lazily, at completion) and
+hidden (trained as each attempt starts): the job tables and event streams
+must agree, and the lazy run must train less.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import pytest
 
 from repro.analysis import utilization_summary
 from repro.workflow import (
+    EvaluationCache,
     EvaluationResult,
     FaultPolicy,
     Job,
@@ -580,3 +585,163 @@ def test_threaded_abandoned_attempt_late_return_is_dropped():
     assert ev.num_timeouts == 1
     assert state["n"] == 2
     assert job.result.objective == 0.9  # the late 0.1 never lands
+
+
+# --------------------------------------------------------------------- #
+# Lazy simulated evaluation: a run function that declares its duration is
+# trained only when its attempt's completion is reached, with the timeline
+# of eager (train-at-start) settlement
+# --------------------------------------------------------------------- #
+DIFFERENTIAL_SEEDS = [1, 2, 3] + (
+    [int(os.environ["FAULT_SEED"])] if os.environ.get("FAULT_SEED") else []
+)
+
+
+class DeclaringRun:
+    """A deterministic run function that declares its duration and counts
+    its calls; some configs return a NaN objective."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    @staticmethod
+    def _hash(config) -> int:
+        return (int(config) * 2654435761) % 997
+
+    def duration(self, config) -> float:
+        return 1.0 + (self._hash(config) % 7) * 1.5
+
+    def __call__(self, config) -> EvaluationResult:
+        self.calls += 1
+        h = self._hash(config)
+        objective = float("nan") if h % 9 == 0 else (h % 100) / 100.0
+        return EvaluationResult(objective, self.duration(config), {"h": h})
+
+
+class HiddenDuration:
+    """``run`` with its ``duration`` hidden: every attempt is settled as
+    it starts (the eager reference)."""
+
+    def __init__(self, run) -> None:
+        self.run = run
+
+    def __call__(self, config) -> EvaluationResult:
+        return self.run(config)
+
+
+class EventLog:
+    def __init__(self) -> None:
+        self.events = []
+
+    def emit(self, event) -> None:
+        self.events.append(event.to_dict())
+
+
+def job_row(job: Job, finished: bool) -> tuple:
+    """A job's table row; the outcome fields only once it was delivered."""
+    row = (job.job_id, job.state, job.submit_time, job.start_time, job.worker,
+           job.retries, job.attempt, job.cache_hit)  # fmt: skip
+    if not finished:
+        return row
+    result = job.result
+    return row + (repr(result.objective), result.duration, job.error, job.end_time)
+
+
+def run_differential(run_function, policy, seed, stop_after):
+    """Drive one seeded submit/gather schedule with duplicate configs;
+    stop gathering once ``stop_after`` jobs were delivered."""
+    rng = random.Random(seed)
+    ev = SimulatedEvaluator(
+        run_function, num_workers=4, fault_policy=policy, cache=EvaluationCache(),
+        worker_failures=[(6.0 + seed % 5, 1)],
+    )
+    log = EventLog()
+    ev.event_bus = log
+    delivered = []
+    ev.submit([rng.randint(0, 9) for _ in range(4)])
+    while len(delivered) < stop_after:
+        finished = ev.gather()
+        delivered.extend(finished)
+        # Replacements reuse a small config pool: many start while an
+        # attempt of the same config is still in flight.
+        ev.submit([rng.randint(0, 9) for _ in finished])
+    return ev, log.events, {job.job_id for job in delivered}
+
+
+def split_stores(events):
+    stores = sorted((e["job_id"], e["key"]) for e in events if e["event"] == "CacheStore")
+    return [e for e in events if e["event"] != "CacheStore"], stores
+
+
+@pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+@pytest.mark.parametrize("on_error", ["retry", "penalize"])
+def test_lazy_and_eager_simulation_agree(seed, on_error):
+    """Same job table and event stream whether the run function's duration
+    is declared (lazy) or hidden (eager), under injected faults, a worker
+    death and duplicates of in-flight configs; fewer trainings when the
+    schedule stops with jobs in flight.  After a drain both delivered the
+    same jobs and stored the same cache entries."""
+    policy = FaultPolicy(
+        on_error=on_error, max_retries=1, retry_backoff=0.5, timeout=14.0,
+        crash_prob=0.15, hang_prob=0.15, corrupt_prob=0.1, hang_factor=2.0,
+        fault_seed=seed,
+    )  # fmt: skip
+    lazy_run, eager_run = DeclaringRun(), DeclaringRun()
+    lazy, lazy_events, lazy_done = run_differential(lazy_run, policy, seed, 30)
+    eager, eager_events, eager_done = run_differential(
+        HiddenDuration(eager_run), policy, seed, 30
+    )
+    assert lazy_done == eager_done
+    assert lazy.num_in_flight == eager.num_in_flight > 0
+    assert [job_row(j, j.job_id in lazy_done) for j in lazy.jobs] == [
+        job_row(j, j.job_id in eager_done) for j in eager.jobs
+    ]
+    lazy_stream, lazy_stores = split_stores(lazy_events)
+    eager_stream, eager_stores = split_stores(eager_events)
+    assert lazy_stream == eager_stream
+    assert set(lazy_stores) <= set(eager_stores)
+    assert lazy_run.calls < eager_run.calls
+    assert lazy.num_faults_injected == eager.num_faults_injected > 0
+    assert lazy.cache.hits == eager.cache.hits > 0
+
+    drain(lazy), drain(eager)
+    assert [job_row(j, True) for j in lazy.jobs] == [job_row(j, True) for j in eager.jobs]
+    assert split_stores(lazy_events)[1] == split_stores(eager_events)[1]
+    assert (lazy.num_retries, lazy.num_worker_failures) == (
+        eager.num_retries, eager.num_worker_failures
+    )
+    # Eager settlement also counted the failure of the attempt a worker
+    # death discarded; a lazy one never ended, so it never failed.
+    for counter in ("num_failures", "num_timeouts"):
+        gap = getattr(eager, counter) - getattr(lazy, counter)
+        assert 0 <= gap <= eager.num_worker_failures
+    assert lazy.cache._entries.keys() == eager.cache._entries.keys()
+
+
+def test_lazy_attempt_is_trained_at_its_completion():
+    """A declaring run function is called when its attempt's completion
+    event fires, not at submit; a raise fails at the declared end, and
+    the worker it frees goes on with the queue."""
+    run = DeclaringRun()
+    ev = SimulatedEvaluator(run, num_workers=2)
+    ev.submit([1, 2, 3])
+    assert run.calls == 0
+    first = ev.gather()
+    assert run.calls == len(first)
+    assert all(job.end_time == run.duration(job.config) for job in first)
+
+    def raising(config):
+        if config == 0:
+            raise RuntimeError("boom")
+        return EvaluationResult(0.5, 4.0)
+
+    raising.duration = lambda config: 4.0
+    ev = SimulatedEvaluator(raising, num_workers=1, fault_policy=FaultPolicy(on_error="raise"))
+    ev.submit([0, 1])
+    with pytest.raises(RuntimeError, match="boom"):
+        ev.gather()
+    job = ev.jobs[0]
+    assert job.state is JobState.FAILED and job.end_time == 4.0
+    # The freed worker takes the queued job on the next gather.
+    assert ev.num_in_flight == 1
+    assert [(j.job_id, j.start_time, j.end_time) for j in ev.gather()] == [(1, 4.0, 8.0)]

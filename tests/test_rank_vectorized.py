@@ -1,7 +1,7 @@
 """Gates for the per-rank surface of the compiled plan.
 
-:meth:`CompiledPlan.loss_and_grads_ranked` must match separate per-rank
-:meth:`CompiledPlan.loss_and_grad` calls.  No trainer calls it (the
+:meth:`CompiledPlan.loss_and_grads_ranked` must match the eager tape
+(``reference.eager``) on each rank's micro-batch.  No trainer calls it (the
 data-parallel step is one pass over the global batch, gated against the
 per-rank oracle in ``tests/test_dp_trainer.py``); it stays while
 ``perfbench/spans.py`` names it as a tracer target.
@@ -25,6 +25,7 @@ from repro.searchspace import ArchitectureSpace
 
 from conftest import make_blobs
 from reference.dataparallel import per_rank_training
+from reference.eager import eager_loss_and_grads
 
 
 def random_model(seed: int, d: int = 10, classes: int = 4, num_nodes: int = 4,
@@ -36,12 +37,13 @@ def random_model(seed: int, d: int = 10, classes: int = 4, num_nodes: int = 4,
 
 
 # --------------------------------------------------------------------- #
-# 1. Per-rank losses and gradients vs separate plan calls
+# 1. Per-rank losses and gradients vs the eager tape
 # --------------------------------------------------------------------- #
 @given(seed=st.integers(0, 50), num_ranks=st.sampled_from([1, 2, 3, 4, 8]))
 @settings(max_examples=25, deadline=None)
 def test_ranked_gradients_match_per_rank_loop(seed, num_ranks):
-    """Per-rank results == n separate plan calls, per rank."""
+    """Each rank's loss and flat gradient == the eager tape's on that
+    rank's micro-batch (an oracle independent of the plan)."""
     model = random_model(seed)
     plan = model.compile()
     rng = np.random.default_rng(seed + 1)
@@ -56,10 +58,10 @@ def test_ranked_gradients_match_per_rank_loop(seed, num_ranks):
 
     for r in range(num_ranks):
         lo, hi = r * bs, (r + 1) * bs
-        loss_r = plan.loss_and_grad(X[lo:hi], y[lo:hi])
-        packed = plan.mean_grad_flat
+        loss_r, grads = eager_loss_and_grads(model, X[lo:hi], y[lo:hi])
+        flat = np.concatenate([g.ravel() for g in grads])
         assert abs(loss_r - losses[r]) < 1e-10
-        np.testing.assert_allclose(rank_grads[r], packed, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(rank_grads[r], flat, rtol=0, atol=1e-10)
 
 
 def test_ranked_rejects_indivisible_batch():
