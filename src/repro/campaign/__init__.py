@@ -11,7 +11,7 @@ keep working unchanged):
 - :mod:`repro.campaign.builder` — :func:`build_campaign` /
   :func:`resume_campaign`, constructing the evaluator backend, the search
   (AgE or an AgEBO variant) and every other component directly from the
-  config, and threading one :class:`EventBus` through all layers;
+  config, and handing one :class:`EventBus` to the manager-side layers;
 - :mod:`repro.campaign.events` — the typed lifecycle events, the bus and
   the built-in subscribers (JSONL log, progress reporter, metrics
   aggregator).

@@ -109,9 +109,9 @@ class Campaign:
 
 
 # --------------------------------------------------------------------- #
-def _build_evaluation(config: CampaignConfig, dataset, space, event_bus) -> ModelEvaluation:
+def _build_evaluation(config: CampaignConfig, dataset, space) -> ModelEvaluation:
     t = config.training
-    evaluation = ModelEvaluation(
+    return ModelEvaluation(
         dataset,
         space,
         epochs=t.epochs,
@@ -123,8 +123,6 @@ def _build_evaluation(config: CampaignConfig, dataset, space, event_bus) -> Mode
         apply_linear_scaling=t.apply_linear_scaling,
         dtype=t.dtype,
     )
-    evaluation.event_bus = event_bus
-    return evaluation
 
 
 def _make_evaluator(
@@ -182,8 +180,8 @@ def build_campaign(
     """Construct a ready-to-run campaign from a typed config.
 
     Every component comes from the config (datasets, spaces, evaluation,
-    fault handling, evaluator backend, search method); a shared event bus
-    is threaded through all of them.  Pass an existing ``event_bus`` to
+    fault handling, evaluator backend, search method); the evaluator and
+    the search share one event bus.  Pass an existing ``event_bus`` to
     attach subscribers before any construction-time events fire.  The
     config checked its own method, backend and surrogate names when it
     was defined; only the dataset name is checked here.
@@ -196,7 +194,7 @@ def build_campaign(
 
     dataset = load_dataset(config.dataset, size=config.size)
     space = ArchitectureSpace(num_nodes=config.num_nodes)
-    evaluation = _build_evaluation(config, dataset, space, bus)
+    evaluation = _build_evaluation(config, dataset, space)
 
     evaluator = _make_evaluator(config.evaluator, evaluation, config.faults.policy())
     evaluator.event_bus = bus

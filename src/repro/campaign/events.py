@@ -1,11 +1,11 @@
 """Structured lifecycle events and the campaign event bus.
 
-One campaign produces one stream of typed events: the evaluators emit job
-lifecycle events (submit / gather / retry / worker death), the search loop
-emits population and checkpoint events, the BO optimizer emits tell/ask
-events, the trainer emits per-epoch events and the evaluators report the
-faults they inject.  Subscribers attach to an :class:`EventBus`; three
-built-ins cover the common needs:
+One campaign produces one stream of typed events, all on the manager: the
+evaluators emit job lifecycle events (submit / gather / retry / worker
+death), the faults they inject and each trained attempt's per-epoch events
+as it settles, the search loop emits population and checkpoint events and
+the BO optimizer tell/ask events.  Subscribers attach to an
+:class:`EventBus`; three built-ins cover the common needs:
 
 - :class:`JsonlEventLog` — append every event to a JSONL file that
   :func:`load_events` replays into typed events again;
@@ -16,8 +16,9 @@ built-ins cover the common needs:
   the event stream alone.
 
 This module deliberately imports nothing from the rest of ``repro`` so the
-low-level layers (trainer, evaluators) can emit events without import
-cycles; they lazy-import the event types at the emission site.
+lower layers (evaluators, the run function's ``epoch_events``) can build
+events without import cycles; they lazy-import the event types where they
+build them.
 
 Every event class defined here must be listed in :data:`EVENT_TYPES` — the
 catalogue is the schema, and ``tools/check_events.py`` lints that every
@@ -155,7 +156,8 @@ class BOTellAsk(CampaignEvent):
 
 @dataclass(frozen=True)
 class EpochEnd(CampaignEvent):
-    """One training epoch finished inside an evaluation.
+    """One training epoch of job ``job_id``'s attempt, emitted by the
+    evaluator on the manager as that attempt settles.
 
     ``ring_bytes_per_rank`` is the ring-allreduce payload each rank ships
     during the epoch's training steps — one allreduce of the flat gradient
@@ -163,6 +165,7 @@ class EpochEnd(CampaignEvent):
     :func:`repro.dataparallel.allreduce.ring_transfer_stats`.
     """
 
+    job_id: int
     epoch: int
     train_loss: float
     val_accuracy: float

@@ -94,9 +94,6 @@ class ModelEvaluation:
         # base learning rate is used unscaled at any rank count.
         self.apply_linear_scaling = apply_linear_scaling
         self.dtype = np.dtype(dtype)
-        # Optional campaign event bus, forwarded to the per-call trainer so
-        # EpochEnd events surface on the campaign stream.
-        self.event_bus = None
 
     # ------------------------------------------------------------------ #
     def build_model(self, config: ModelConfig, rng: np.random.Generator) -> GraphNetwork:
@@ -121,6 +118,21 @@ class ModelEvaluation:
             epochs=self.nominal_epochs,
         )
 
+    def epoch_events(self, job_id: int, config: ModelConfig, result: EvaluationResult) -> list:
+        """The ``EpochEnd`` events of job ``job_id``'s ``result`` on ``config``,
+        which the evaluator emits as the attempt settles; none for a result
+        no call computed (it holds no epoch lists)."""
+        from repro.campaign.events import EpochEnd
+
+        losses, accuracies, rings = (
+            result.metadata.get(key, ())
+            for key in ("epoch_train_losses", "epoch_val_accuracies", "epoch_ring_bytes_per_rank")
+        )
+        return [
+            EpochEnd(job_id, epoch, float(loss), float(acc), config.num_ranks, int(ring))
+            for epoch, (loss, acc, ring) in enumerate(zip(losses, accuracies, rings))
+        ]
+
     def __call__(self, config: ModelConfig) -> EvaluationResult:
         rng = np.random.default_rng(_config_seed(config, self.base_seed))
         model = self.build_model(config, rng)
@@ -134,7 +146,6 @@ class ModelEvaluation:
             keep_best_weights=self.keep_best_weights,
             apply_linear_scaling=self.apply_linear_scaling,
         )
-        trainer.event_bus = self.event_bus
         result = trainer.fit(
             model,
             self.dataset.X_train,
@@ -146,9 +157,13 @@ class ModelEvaluation:
         objective = (
             result.best_val_accuracy if self.objective == "best" else result.final_val_accuracy
         )
+        # Only scalar entries reach the search history; the per-epoch lists
+        # stay with the job (and its checkpoint row) for epoch_events.
         metadata = {
             "num_params": model.num_parameters(),
             "epoch_val_accuracies": result.epoch_val_accuracies,
+            "epoch_train_losses": result.epoch_train_losses,
+            "epoch_ring_bytes_per_rank": result.epoch_ring_bytes_per_rank,
             "final_val_accuracy": result.final_val_accuracy,
         }
         if self.keep_best_weights:

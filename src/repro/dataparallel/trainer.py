@@ -15,7 +15,8 @@ Horovod's fused allreduce produces — which lands in the plan's flat
 gradient buffer for Adam to consume directly.  The per-rank oracle (``n``
 separate passes averaged in float64) lives in ``tests/reference/`` and
 gates this step.  The ring's communication is not simulated; its byte
-count is reported analytically through ``EpochEnd.ring_bytes_per_rank``.
+count is reported analytically, per epoch, in
+``TrainResult.epoch_ring_bytes_per_rank``.
 
 This is the one training loop: with ``num_ranks=1`` it trains the MLP
 baseline (:class:`repro.baselines.MLPClassifier`) as well.
@@ -46,6 +47,9 @@ class TrainResult:
     final_val_accuracy: float
     epoch_val_accuracies: list[float] = field(default_factory=list)
     epoch_train_losses: list[float] = field(default_factory=list)
+    # What a ring allreduce of the flat gradient ships per rank each epoch:
+    # one allreduce per step, as the cost model bills it (0 single-rank).
+    epoch_ring_bytes_per_rank: list[int] = field(default_factory=list)
     best_weights: list[np.ndarray] | None = None
     diverged: bool = False  # training aborted on a non-finite loss
 
@@ -90,29 +94,6 @@ class DataParallelTrainer:
         self.plateau_patience = plateau_patience
         self.apply_linear_scaling = apply_linear_scaling
         self.keep_best_weights = keep_best_weights
-        # Optional campaign event bus; when set, fit emits one
-        # repro.campaign.events.EpochEnd per epoch.
-        self.event_bus = None
-
-    def _emit_epoch(
-        self,
-        epoch: int,
-        train_loss: float,
-        val_accuracy: float,
-        ring_bytes_per_rank: int,
-    ) -> None:
-        if self.event_bus is not None:
-            from repro.campaign.events import EpochEnd
-
-            self.event_bus.emit(
-                EpochEnd(
-                    epoch=epoch,
-                    train_loss=float(train_loss),
-                    val_accuracy=float(val_accuracy),
-                    num_ranks=self.num_ranks,
-                    ring_bytes_per_rank=ring_bytes_per_rank,
-                )
-            )
 
     def fit(
         self,
@@ -151,8 +132,6 @@ class DataParallelTrainer:
         warmup = GradualWarmup(optimizer, scaled_lr, self.warmup_epochs)
         plateau = ReduceLROnPlateau(optimizer, patience=self.plateau_patience)
 
-        # What a ring allreduce of the flat gradient would ship per rank,
-        # once per step (the cost model bills one allreduce per step too).
         ring_bytes = (
             steps
             * ring_transfer_stats(n, plan.mean_grad_flat.nbytes).bytes_sent_per_rank
@@ -188,12 +167,12 @@ class DataParallelTrainer:
                 result.diverged = True
                 result.epoch_train_losses.append(mean_loss)
                 result.epoch_val_accuracies.append(0.0)
-                self._emit_epoch(epoch, mean_loss, 0.0, ring_bytes)
+                result.epoch_ring_bytes_per_rank.append(ring_bytes)
                 break
             val_acc = accuracy(plan.predict_logits(X_valid), y_valid)
             result.epoch_val_accuracies.append(val_acc)
             result.epoch_train_losses.append(mean_loss)
-            self._emit_epoch(epoch, mean_loss, val_acc, ring_bytes)
+            result.epoch_ring_bytes_per_rank.append(ring_bytes)
             if val_acc > best_acc:
                 best_acc = val_acc
                 if self.keep_best_weights:

@@ -33,7 +33,8 @@ which ends it ``DONE`` or ``FAILED`` by its result's ``failed`` flag.
 The backends keep only their clocks, pools and ``gather`` scans; each
 clock decides which attempts time out (the declared duration on the
 simulated clock, the reap deadline on the wall clock).  No worker thread
-touches a job.
+touches a job or emits an event: an attempt's ``EpochEnd`` events come
+from its result as it settles, so every backend gives one stream.
 
 Utilization is read off the job table
 (:func:`repro.analysis.utilization_summary`) or the ``JobGathered`` stream
@@ -45,7 +46,6 @@ the manager starts that attempt and when the backend sees it end.
 from __future__ import annotations
 
 import collections
-import copy
 import pickle
 import time as _time
 from concurrent.futures import (
@@ -102,20 +102,6 @@ def _process_worker_call(config: Any) -> EvaluationResult:
     return _WORKER_RUN_FUNCTION(config)
 
 
-def _strip_event_bus(fn: Any) -> Any:
-    """A shallow copy of a run function with its event bus detached.
-
-    Campaign buses hold arbitrary subscribers (open JSONL files, stdout
-    reporters) that cannot cross a process boundary; worker-side emissions
-    could not reach the manager's bus anyway.
-    """
-    if getattr(fn, "event_bus", None) is None:
-        return fn
-    clone = copy.copy(fn)
-    clone.event_bus = None
-    return clone
-
-
 def _injected_crash(job: Job) -> InjectedCrash:
     return InjectedCrash(f"injected crash: job {job.job_id}, retry {job.retries}")
 
@@ -134,7 +120,8 @@ class Evaluator:
     :func:`repro.campaign.build_campaign`); backends emit job lifecycle
     events (:class:`~repro.campaign.events.JobSubmitted`, ``JobGathered``,
     ``JobRetried``, ``WorkerDied``, ``FaultInjected``, ``CacheHit``,
-    ``CacheStore``) through it when set.  ``num_failures`` counts failed
+    ``CacheStore``) and the ``EpochEnd`` events of each trained attempt
+    through it when set, all on the manager.  ``num_failures`` counts failed
     attempts, ``num_retries`` re-runs, ``num_timeouts`` attempts past the
     policy timeout and ``num_faults_injected`` injected faults.
 
@@ -269,7 +256,15 @@ class Evaluator:
         """Settle the attempt of ``job`` that just ended (see
         :meth:`FaultPolicy.settle`) and record it: the counters, the job's
         error and result, and the cache for a freshly computed success of
-        a clean attempt (a hang or a corruption never reaches the cache)."""
+        a clean attempt (a hang or a corruption never reaches the cache).
+        First, an attempt that trained (not a cache hit, a crash or a reap)
+        emits the events the run function's optional ``epoch_events(job_id,
+        config, result)`` hook makes of its raw result."""
+        hook = getattr(self.run_function, "epoch_events", None)
+        trained = isinstance(outcome, EvaluationResult) and not job.cache_hit
+        if trained and hook is not None and self.event_bus is not None:
+            for event in hook(job.job_id, job.config, outcome):
+                self.event_bus.emit(event)
         settlement = self.fault_policy.settle(
             kind, outcome, job.job_id, job.retries, simulated_clock=simulated_clock
         )
@@ -480,7 +475,8 @@ class SimulatedEvaluator(Evaluator):
             # replayed on the simulated clock, as a recomputation would be.
             outcome = cached
         elif declared is not None:
-            # Past the timeout whatever the training returns.
+            # Past the timeout whatever the training returns; nothing
+            # trains, so the result holds no epochs.
             outcome = EvaluationResult(float("nan"), declared)
         else:
             outcome = self._evaluate(job.config)
@@ -873,9 +869,9 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
     picklable object); it is pickled **once at construction** — failing
     fast with a clear error — and installed into each worker by the pool
     initializer, so heavy captured state crosses the process boundary once
-    per worker instead of once per job.  Attached campaign event buses are
-    stripped from the pickled copy (worker-side emissions could not reach
-    the manager's bus); all lifecycle events are emitted by the manager.
+    per worker instead of once per job.  Workers hold no event bus: every
+    event, a trained attempt's ``EpochEnd`` included, is emitted by the
+    manager from what the worker returned.
 
     Semantics beyond :class:`ThreadedEvaluator` parity:
 
@@ -895,7 +891,7 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
 
     def __init__(self, run_function: RunFunction, *args: Any, **kwargs: Any) -> None:
         try:
-            self._payload = pickle.dumps(_strip_event_bus(run_function))
+            self._payload = pickle.dumps(run_function)
         except Exception as exc:
             raise TypeError(
                 "ProcessPoolEvaluator requires a picklable run function "

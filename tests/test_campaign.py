@@ -522,16 +522,16 @@ def test_metrics_aggregator_accumulates_ring_comm_bytes():
     from repro.campaign.events import EpochEnd
 
     metrics = MetricsAggregator()
-    metrics(EpochEnd(epoch=0, train_loss=1.0, val_accuracy=0.5,
+    metrics(EpochEnd(job_id=0, epoch=0, train_loss=1.0, val_accuracy=0.5,
                      num_ranks=4, ring_bytes_per_rank=600))
-    metrics(EpochEnd(epoch=1, train_loss=0.9, val_accuracy=0.6,
+    metrics(EpochEnd(job_id=0, epoch=1, train_loss=0.9, val_accuracy=0.6,
                      num_ranks=4, ring_bytes_per_rank=600))
-    metrics(EpochEnd(epoch=0, train_loss=1.1, val_accuracy=0.4))  # n=1, no ring
+    metrics(EpochEnd(job_id=1, epoch=0, train_loss=1.1, val_accuracy=0.4))  # n=1, no ring
     assert metrics.ring_comm_bytes == 2 * 4 * 600
     assert metrics.summary()["ring_comm_bytes"] == 4800
-    # Round-trips through the JSONL schema with the new field defaulted.
-    row = EpochEnd(epoch=0, train_loss=1.0, val_accuracy=0.5).to_dict()
-    assert row["ring_bytes_per_rank"] == 0
+    # Round-trips through the JSONL schema with the ring field defaulted.
+    row = EpochEnd(job_id=2, epoch=0, train_loss=1.0, val_accuracy=0.5).to_dict()
+    assert row["ring_bytes_per_rank"] == 0 and row["job_id"] == 2
 
 
 # --------------------------------------------------------------------- #
@@ -631,7 +631,7 @@ def test_checkpoint_embeds_versioned_campaign_config(tmp_path):
 # --------------------------------------------------------------------- #
 # Event-schema lint (tools/check_events.py)
 # --------------------------------------------------------------------- #
-def test_event_schema_lint_passes(capsys):
+def _event_lint():
     import importlib.util
     from pathlib import Path
 
@@ -639,6 +639,27 @@ def test_event_schema_lint_passes(capsys):
     spec = importlib.util.spec_from_file_location("check_events", tools)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.main([]) == 0
+    return module
+
+
+def test_event_schema_lint_passes(capsys):
+    assert _event_lint().main([]) == 0
     out = capsys.readouterr().out
     assert f"{len(EVENT_TYPES)} catalogued event types" in out
+
+
+def test_event_schema_lint_rejects_worker_side_emission(tmp_path, capsys):
+    """Worker-side code holds no bus: an emit under dataparallel/ fails."""
+    trainer = tmp_path / "repro" / "dataparallel" / "trainer.py"
+    trainer.parent.mkdir(parents=True)
+    trainer.write_text(
+        "def fit(bus, event):\n"
+        "    bus.emit(event)\n"
+    )
+    evaluator = tmp_path / "repro" / "workflow" / "evaluator.py"
+    evaluator.parent.mkdir(parents=True)
+    evaluator.write_text("def settle(bus, event):\n    bus.emit(event)\n")
+    assert _event_lint().main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "1 problem(s)" in out
+    assert "dataparallel" in out and "trainer.py:2" in out

@@ -297,6 +297,50 @@ def test_resumed_duplicate_forces_the_checkpointed_pending_attempt():
     assert straight[-1][1]  # the duplicate hit
 
 
+def test_forced_result_epochs_survive_the_checkpoint(tiny_covertype):
+    """A pending attempt forced by its duplicate before the checkpoint
+    emits, once resumed, the ``EpochEnd`` events of the uninterrupted run:
+    its epochs come back from the checkpoint row's list metadata."""
+    from repro.campaign import EpochEnd, EventBus
+    from repro.core import ModelConfig, ModelEvaluation
+
+    space = ArchitectureSpace(num_nodes=2)
+    run = ModelEvaluation(tiny_covertype, space, epochs=2, nominal_epochs=20, warmup_epochs=0)
+    rng = np.random.default_rng(5)
+    hp = {"batch_size": 32, "learning_rate": 0.01, "num_ranks": 2}
+    short, long = sorted((ModelConfig(space.random_sample(rng), hp) for _ in range(2)),
+                         key=run.duration)  # fmt: skip
+    assert run.duration(short) < run.duration(long)
+
+    def evaluator():
+        ev = SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache())
+        ev.event_bus = EventBus()
+        epochs = []
+        ev.event_bus.subscribe(epochs.append, EpochEnd)
+        return ev, epochs
+
+    def schedule(resume_between):
+        ev, epochs = evaluator()
+        ev.submit([long, short])
+        ev.gather()  # short ends; long pends untrained
+        ev.submit([long])  # its start forces the pending original
+        if resume_between:
+            state = json.loads(json.dumps(ev.state_dict()))
+            (row,) = [row for row in state["jobs"] if row["job_id"] == 0]
+            assert row["state"] == "running" and row["result"]["metadata"]["epoch_train_losses"]
+            ev, epochs = evaluator()
+            ev.load_state(state)
+        else:
+            epochs.clear()
+        while ev.num_in_flight:
+            ev.gather()
+        return epochs
+
+    straight = schedule(False)
+    assert [(e.job_id, e.epoch) for e in straight] == [(0, 0), (0, 1)]
+    assert schedule(True) == straight
+
+
 def lazy_campaign_config(**overrides):
     """A cache-on AgEBO campaign on real training, small enough for the
     suite."""
@@ -327,11 +371,25 @@ def test_lazy_campaign_killed_with_unevaluated_attempts_resumes_bit_identical(
 ):
     """A cache-on campaign whose checkpoint holds pending attempts that
     were never trained resumes to the uninterrupted history, byte for
-    byte."""
-    from repro.campaign import CheckpointConfig, build_campaign, resume_campaign
+    byte, and its jobs emit the uninterrupted run's ``EpochEnd`` events
+    (a forced result's epochs come back from the checkpoint row)."""
+    from repro.campaign import (
+        CheckpointConfig,
+        EpochEnd,
+        EventBus,
+        build_campaign,
+        resume_campaign,
+    )
+
+    def epochs_by_job(bus):
+        by_job: dict[int, list] = {}
+        bus.subscribe(lambda e: by_job.setdefault(e.job_id, []).append(e), EpochEnd)
+        return by_job
 
     if "full" not in _UNINTERRUPTED:
-        full = build_campaign(lazy_campaign_config()).run()
+        bus = EventBus()
+        _UNINTERRUPTED["epochs"] = epochs_by_job(bus)
+        full = build_campaign(lazy_campaign_config(), bus).run()
         _UNINTERRUPTED["full"] = json.dumps(history_to_dict(full), sort_keys=True)
 
     path = tmp_path_factory.mktemp("lazy") / "camp.ckpt"
@@ -349,8 +407,13 @@ def test_lazy_campaign_killed_with_unevaluated_attempts_resumes_bit_identical(
     assert any(row["result"] is None for row in pending)
     assert state["unforced"]  # clean pending attempts a duplicate would force
 
-    history = resume_campaign(path, max_evaluations=20).run()
+    bus = EventBus()
+    resumed_epochs = epochs_by_job(bus)
+    history = resume_campaign(path, bus, max_evaluations=20).run()
     assert json.dumps(history_to_dict(history), sort_keys=True) == _UNINTERRUPTED["full"]
+    full_epochs = _UNINTERRUPTED["epochs"]
+    assert resumed_epochs
+    assert resumed_epochs == {job_id: full_epochs[job_id] for job_id in resumed_epochs}
 
 
 def test_resume_restores_bo_observations(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.dataparallel.trainer as dp_trainer
-from repro.campaign.events import EpochEnd, EventBus, MetricsAggregator
 from repro.dataparallel import DataParallelTrainer, ring_transfer_stats
 from repro.nn import Adam, GraphNetwork
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
@@ -152,33 +151,26 @@ def test_epochs_zero_returns_zeroed_result(rng):
         np.testing.assert_array_equal(a, b)  # no training happened
 
 
-def test_epoch_end_event_reports_ring_bytes():
-    """EpochEnd carries the ring payload of every step of the epoch."""
+def test_train_result_reports_ring_bytes():
+    """Each epoch's record carries the ring payload of every step of the
+    epoch (what the campaign's EpochEnd events report)."""
     X, y = make_blobs(np.random.default_rng(9), n=300)
 
-    def events(num_ranks):
+    def fit(num_ranks):
         trainer = DataParallelTrainer(num_ranks=num_ranks, epochs=2, batch_size=16)
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append, EpochEnd)
-        metrics = MetricsAggregator()
-        bus.subscribe(metrics)
-        trainer.event_bus = bus
         net = build(seed=6)
-        trainer.fit(net, X[:240], y[:240], X[240:], y[240:], np.random.default_rng(2))
-        return net, seen, metrics
+        result = trainer.fit(net, X[:240], y[:240], X[240:], y[240:], np.random.default_rng(2))
+        return net, result
 
-    net, seen, metrics = events(4)
+    net, result = fit(4)
     # 240 rows over 4 ranks: 60-row shards, 3 steps of 16 per epoch.
     per_step = ring_transfer_stats(4, net.num_parameters() * 8).bytes_sent_per_rank
     assert per_step == round(2 * 3 / 4 * net.num_parameters() * 8)
-    assert len(seen) == 2
-    assert all(e.num_ranks == 4 and e.ring_bytes_per_rank == 3 * per_step for e in seen)
-    assert metrics.ring_comm_bytes == 2 * 4 * 3 * per_step
+    assert result.epoch_ring_bytes_per_rank == [3 * per_step] * 2
+    assert len(result.epoch_train_losses) == len(result.epoch_val_accuracies) == 2
 
-    _, seen, metrics = events(1)
-    assert len(seen) == 2 and all(e.ring_bytes_per_rank == 0 for e in seen)
-    assert metrics.ring_comm_bytes == 0
+    _, result = fit(1)
+    assert result.epoch_ring_bytes_per_rank == [0, 0]
 
 
 def test_large_effective_batch_degrades_accuracy():

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from collections import Counter
 
@@ -22,7 +23,15 @@ import numpy as np
 import pytest
 
 from repro.analysis import utilization_summary
-from repro.campaign import EventBus, FaultInjected, MetricsAggregator
+from repro.campaign import (
+    EpochEnd,
+    EventBus,
+    FaultInjected,
+    JsonlEventLog,
+    MetricsAggregator,
+    replay_metrics,
+)
+from repro.core import ModelConfig, ModelEvaluation
 from repro.core.agebo import AgEBO
 from repro.searchspace import ArchitectureSpace
 from repro.searchspace.hpspace import default_dataparallel_space
@@ -307,6 +316,106 @@ def _assert_backends_agree(policy, cache):
         assert any(row[1] > 0 for row in reference)
     else:  # corrupted results were penalized, not accepted
         assert "invalid objective nan" in errors
+
+
+def _epoch_configs(space, n=6):
+    """``n`` fixed configs of ``space``, at 1 and 2 ranks alternately."""
+    rng = np.random.default_rng(7)
+    return [
+        ModelConfig(
+            space.random_sample(rng),
+            {"batch_size": 32, "learning_rate": 0.01, "num_ranks": 1 + i % 2},
+        )
+        for i in range(n)
+    ]
+
+
+def _epochs_by_job(events):
+    by_job: dict[int, list] = {}
+    for event in events:
+        by_job.setdefault(event.job_id, []).append(event)
+    return by_job
+
+
+def test_backends_emit_one_epoch_stream(tiny_covertype, tmp_path):
+    """Real trainings under seeded crashes and corruptions give every job
+    the same ``EpochEnd`` events, field for field, on every backend: the
+    manager emits them from each trained attempt's result, a corrupted
+    attempt's included.  Each JSONL log replays to the live ring volume,
+    which the process backend reports too."""
+    space = ArchitectureSpace(num_nodes=2)
+    run = ModelEvaluation(tiny_covertype, space, epochs=2, nominal_epochs=20, warmup_epochs=0)
+    configs = _epoch_configs(space)
+    policy = FaultPolicy(
+        on_error="retry", max_retries=2, crash_prob=0.25, corrupt_prob=0.25, fault_seed=1
+    )
+    streams, ring_bytes = {}, {}
+    for backend in (SimulatedEvaluator, ThreadedEvaluator, ProcessPoolEvaluator):
+        path = tmp_path / f"{backend.__name__}.jsonl"
+        bus, live, epochs, faults = EventBus(), MetricsAggregator(), [], []
+        bus.subscribe(live)
+        bus.subscribe(epochs.append, EpochEnd)
+        bus.subscribe(faults.append, FaultInjected)
+        log = bus.subscribe(JsonlEventLog(path))
+        ev = backend(run, num_workers=2, fault_policy=policy)
+        ev.event_bus = bus
+        try:
+            ev.submit(configs)
+            drain(ev)
+        finally:
+            log.close()
+            if hasattr(ev, "shutdown"):
+                ev.shutdown()
+        streams[backend.__name__] = _epochs_by_job(epochs)
+        ring_bytes[backend.__name__] = live.ring_comm_bytes
+        assert replay_metrics(path).ring_comm_bytes == live.ring_comm_bytes
+        assert {e.kind for e in faults} == {"crash", "corrupt"}  # both fired
+    reference = streams["SimulatedEvaluator"]
+    assert streams["ThreadedEvaluator"] == reference
+    assert streams["ProcessPoolEvaluator"] == reference
+    for job_id, events in reference.items():
+        assert [e.num_ranks for e in events] == [configs[job_id].num_ranks] * len(events)
+        assert len(events) % 2 == 0  # whole 2-epoch attempts
+    assert any(len(events) > 2 for events in reference.values())  # a corrupt attempt trained
+    assert ring_bytes["ProcessPoolEvaluator"] == ring_bytes["SimulatedEvaluator"] > 0
+
+
+def test_threaded_events_arrive_on_the_manager_thread(tiny_covertype):
+    """Every event reaches its subscribers on the manager's thread, and an
+    attempt reaped at the timeout emits no epochs, even though its thread
+    goes on to finish the training."""
+    space = ArchitectureSpace(num_nodes=2)
+    configs = _epoch_configs(space, n=4)
+    straggler_done = threading.Event()
+
+    class Straggling(ModelEvaluation):
+        def __call__(self, config):
+            if config is configs[0]:
+                time.sleep(2.0)
+                try:
+                    return super().__call__(config)
+                finally:
+                    straggler_done.set()
+            return super().__call__(config)
+
+    run = Straggling(tiny_covertype, space, epochs=2, nominal_epochs=20, warmup_epochs=0)
+    bus, seen = EventBus(), []
+    bus.subscribe(lambda event: seen.append((event, threading.get_ident())))
+    policy = FaultPolicy(on_error="penalize", timeout=0.75 / 60.0)  # 0.75 s
+    ev = ThreadedEvaluator(run, num_workers=2, fault_policy=policy)
+    ev.event_bus = bus
+    try:
+        ev.submit(configs)
+        jobs = drain(ev)
+        assert straggler_done.wait(timeout=30.0)  # its training ran to the end
+    finally:
+        ev.shutdown()
+    straggler = next(job for job in jobs if job.config is configs[0])
+    assert straggler.state is JobState.FAILED and "timeout" in straggler.error
+    assert {thread for _, thread in seen} == {threading.get_ident()}
+    epochs = _epochs_by_job(event for event, _ in seen if isinstance(event, EpochEnd))
+    assert set(epochs) == {job.job_id for job in jobs} - {straggler.job_id}
+    assert all(len(events) == 2 for events in epochs.values())
 
 
 def fails_n_times(n, duration=1.0):

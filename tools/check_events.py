@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Event-schema lint: every emitted event must be in the catalogue.
 
-Two checks, both cheap and dependency-free:
+Three checks, all cheap and dependency-free:
 
 1. **Catalogue completeness** — every ``CampaignEvent`` subclass defined in
    :mod:`repro.campaign.events` is listed in ``EVENT_TYPES``.
@@ -9,6 +9,10 @@ Two checks, both cheap and dependency-free:
    ``src/`` constructs an event type declared in the catalogue.  Emission
    sites are found by AST walk, so renamed or ad-hoc event classes fail the
    lint instead of silently producing unreplayable JSONL logs.
+3. **Manager-side emission** — no ``*.emit(...)`` call at all under
+   ``repro/nn/`` or ``repro/dataparallel/``: that code runs inside a
+   worker, which holds no bus; its per-epoch record travels back in the
+   result and the evaluator emits it on the manager.
 
 Usage::
 
@@ -25,10 +29,16 @@ import sys
 from pathlib import Path
 
 
-def find_emit_sites(path: Path) -> list[tuple[str, int, str]]:
-    """All ``(file, line, event_name)`` for ``*.emit(Name(...))`` calls."""
+#: Packages whose code runs inside a worker (``repro/<name>/``).
+WORKER_PACKAGES = ("nn", "dataparallel")
+
+
+def find_emit_sites(path: Path) -> list[tuple[str, int, str | None]]:
+    """All ``(file, line, event_name)`` for ``*.emit(...)`` calls;
+    ``event_name`` is the constructor of an ``emit(Name(...))`` call and
+    None for any other argument."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    sites: list[tuple[str, int, str]] = []
+    sites: list[tuple[str, int, str | None]] = []
     for node in ast.walk(tree):
         if not (
             isinstance(node, ast.Call)
@@ -40,6 +50,8 @@ def find_emit_sites(path: Path) -> list[tuple[str, int, str]]:
         arg = node.args[0]
         if isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name):
             sites.append((str(path), arg.lineno, arg.func.id))
+        else:
+            sites.append((str(path), node.lineno, None))
     return sites
 
 
@@ -68,12 +80,19 @@ def main(argv: list[str] | None = None) -> int:
     for name in sorted(set(EVENT_TYPES) - set(defined)):
         errors.append(f"EVENT_TYPES lists {name} but no such class is defined")
 
-    # 2. Every emission site constructs a catalogued event.
+    # 2. Every emission site constructs a catalogued event, and
+    # 3. none sits in worker-side code.
     num_sites = 0
     for py in sorted(src.rglob("*.py")):
+        in_worker = py.relative_to(src).parts[:2] in {("repro", p) for p in WORKER_PACKAGES}
         for file, line, name in find_emit_sites(py):
             num_sites += 1
-            if name not in EVENT_TYPES:
+            if in_worker:
+                errors.append(
+                    f"{file}:{line}: emits an event from worker-side code; workers "
+                    "hold no bus (return the record; the evaluator emits it)"
+                )
+            elif name is not None and name not in EVENT_TYPES:
                 errors.append(
                     f"{file}:{line}: emits {name}(...), which is not declared "
                     "in the event catalogue (repro.campaign.events.EVENT_TYPES)"
