@@ -170,6 +170,7 @@ def run_search(
     history = search.search(
         max_evaluations=scale.max_evaluations, wall_time_minutes=scale.wall_minutes
     )
+    evaluator.close()  # the cached evaluator keeps no training workers alive
     # The wall budget governs unless the eval cap bites first; clamp the
     # analysis window to the budget for comparability across variants.
     _RUN_CACHE[key] = (history, evaluator)

@@ -43,6 +43,7 @@ def run_experiment():
         history = search.search(
             max_evaluations=scale.max_evaluations, wall_time_minutes=scale.wall_minutes
         )
+        evaluator.close()
         out[policy] = {
             "best": history.best().objective,
             "unique": unique_architectures(history),

@@ -42,6 +42,7 @@ def run_experiment():
         history = search.search(
             max_evaluations=scale.max_evaluations, wall_time_minutes=scale.wall_minutes
         )
+        evaluator.close()
         key = "with linear scaling" if scaling else "without linear scaling"
         out[key] = {
             "best": history.best().objective,

@@ -41,6 +41,7 @@ def run_experiment():
         history = search.search(
             max_evaluations=scale.max_evaluations, wall_time_minutes=scale.wall_minutes
         )
+        evaluator.close()
         top10 = history.top_k(min(10, len(history)))
         out[surrogate] = {
             "best": history.best().objective,

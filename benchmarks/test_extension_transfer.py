@@ -39,9 +39,11 @@ def run_airlines(warm_start=None):
         warm_start=warm_start,
         label="AgEBO-warm" if warm_start else "AgEBO-cold",
     )
-    return search.search(
+    history = search.search(
         max_evaluations=scale.max_evaluations, wall_time_minutes=scale.wall_minutes
     )
+    evaluator.close()
+    return history
 
 
 def run_experiment():

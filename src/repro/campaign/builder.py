@@ -37,6 +37,7 @@ from repro.core.evaluation import ModelEvaluation
 from repro.core.results import SearchHistory
 from repro.core.variants import make_age_variant, make_agebo_variant
 from repro.datasets import dataset_names, load_dataset
+from repro.nn.blas import blas_info
 from repro.searchspace.archspace import ArchitectureSpace
 from repro.workflow.cache import EvaluationCache
 from repro.workflow.evaluator import (
@@ -77,11 +78,17 @@ class Campaign:
         max_evaluations: int | None = None,
         wall_time_minutes: float | None = None,
     ) -> SearchHistory:
-        """Run the campaign to its configured budgets (overridable here)."""
+        """Run the campaign to its configured budgets (overridable here).
+
+        The evaluator's workers are released as it returns or raises, so
+        trainings the campaign abandoned stop there; a later run starts
+        them again.
+        """
         cfg = self.config
         if max_evaluations is None and wall_time_minutes is None:
             max_evaluations = cfg.max_evaluations
             wall_time_minutes = cfg.wall_time_minutes
+        blas, blas_threads = blas_info()
         self.event_bus.emit(
             CampaignStarted(
                 method=cfg.search.method,
@@ -89,14 +96,19 @@ class Campaign:
                 num_workers=cfg.evaluator.num_workers,
                 max_evaluations=max_evaluations,
                 wall_time_minutes=wall_time_minutes,
+                blas=blas,
+                blas_threads=blas_threads,
             )
         )
-        history = self.search.search(
-            max_evaluations=max_evaluations,
-            wall_time_minutes=wall_time_minutes,
-            checkpoint_path=cfg.checkpoint.path,
-            checkpoint_every=cfg.checkpoint.every,
-        )
+        try:
+            history = self.search.search(
+                max_evaluations=max_evaluations,
+                wall_time_minutes=wall_time_minutes,
+                checkpoint_path=cfg.checkpoint.path,
+                checkpoint_every=cfg.checkpoint.every,
+            )
+        finally:
+            self.evaluator.close()
         best = history.best().objective if len(history) else float("-inf")
         self.event_bus.emit(
             CampaignFinished(

@@ -73,13 +73,20 @@ class CampaignEvent:
 
 @dataclass(frozen=True)
 class CampaignStarted(CampaignEvent):
-    """A campaign run began (emitted once by ``Campaign.run``)."""
+    """A campaign run began (emitted once by ``Campaign.run``).
+
+    ``blas`` names the BLAS library training pins and ``blas_threads`` the
+    thread count each training call runs at (both None where the BLAS
+    cannot be pinned and runs at its own count).
+    """
 
     method: str
     dataset: str
     num_workers: int
     max_evaluations: int | None = None
     wall_time_minutes: float | None = None
+    blas: str | None = None
+    blas_threads: int | None = None
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ One call = one worker node evaluating one :class:`ModelConfig`:
 
 Training runs on the reduced synthetic data, so results are real; only the
 clock is modelled.  Per-config seeds are derived deterministically from the
-configuration content, making whole searches reproducible.
+configuration content, and every call trains at one BLAS thread
+(:func:`repro.nn.blas.one_blas_thread`), so a call is a pure function of
+its config and whole searches are reproducible on any host.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.core.config import ModelConfig
 from repro.dataparallel.costmodel import TrainingCostModel
 from repro.dataparallel.trainer import DataParallelTrainer
 from repro.datasets.openml_like import TabularDataset
+from repro.nn.blas import one_blas_thread
 from repro.nn.graph_network import GraphNetwork
 from repro.searchspace.archspace import ArchitectureSpace
 from repro.workflow.jobs import EvaluationResult
@@ -134,6 +137,11 @@ class ModelEvaluation:
         ]
 
     def __call__(self, config: ModelConfig) -> EvaluationResult:
+        # One BLAS thread, so the result is the same on every host.
+        with one_blas_thread():
+            return self._train(config)
+
+    def _train(self, config: ModelConfig) -> EvaluationResult:
         rng = np.random.default_rng(_config_seed(config, self.base_seed))
         model = self.build_model(config, rng)
         trainer = DataParallelTrainer(

@@ -8,8 +8,10 @@ of Algorithm 1 with three interchangeable backends:
   produced by really running the evaluation function; evaluation
   *durations* are supplied by the function (typically from
   :class:`repro.dataparallel.TrainingCostModel`).  A function that
-  declares its duration (``duration(config)``) runs only when an
-  attempt's completion is reached, never for abandoned attempts.
+  declares its duration (``duration(config)``) trains pending attempts
+  in the background on forked worker processes (:mod:`repro.workflow.pool`)
+  and settles each when its completion is reached; attempts still
+  waiting for a worker when the campaign stops are never trained.
 - :class:`ThreadedEvaluator` — real concurrent execution on a thread pool,
   used to validate that the search loops are genuinely asynchronous.  A
   timeout abandons a straggler and replaces the pool, so every worker

@@ -8,12 +8,15 @@ mirroring DeepHyper/Balsam.  Every backend here exposes exactly that:
   completion; the *results* are computed by genuinely running the
   evaluation function, while the *completion time* comes from the
   duration the function reports (the training-cost model).  A function
-  that declares that duration up front (``duration(config)``) is run
-  only when an attempt's completion is reached, so attempts the campaign
-  abandons are never trained; any other is run as its attempt starts.
-  It also models worker deaths and is checkpointable (``state_dict`` /
-  ``load_state``): its job table is the one stored copy of every
-  evaluation, and the search history and the cache are rebuilt from it.
+  that declares that duration up front (``duration(config)``) has each
+  attempt trained in the background on a
+  :class:`~repro.workflow.pool.TrainingPool` of forked worker processes,
+  one per usable core, and its outcome is read only when the attempt's
+  completion is reached; any other is run on the manager as its attempt
+  starts.  It also models worker deaths and is checkpointable
+  (``state_dict`` / ``load_state``): its job table is the one stored copy
+  of every evaluation, and the search history and the cache are rebuilt
+  from it.
 - :class:`ThreadedEvaluator` and :class:`ProcessPoolEvaluator` run
   evaluation functions concurrently on a thread / process pool, as thin
   shells over :class:`_WallClockEvaluator`, which owns the futures and
@@ -62,6 +65,7 @@ from repro.workflow.cache import EvaluationCache
 from repro.workflow.events import EventQueue
 from repro.workflow.faults import FaultPolicy, InjectedCrash, Settlement
 from repro.workflow.jobs import EvaluationResult, Job, JobState, job_from_dict, job_to_dict
+from repro.workflow.pool import TrainingPool, evaluate
 
 __all__ = [
     "EVALUATOR_BACKENDS",
@@ -329,6 +333,16 @@ class Evaluator:
         """Current time in minutes (simulated or wall-clock)."""
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release the backend's workers (idempotent; a later submit
+        starts them again).  ``Campaign.run`` calls it as it returns."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # -- checkpointing (optional per backend) -------------------------- #
     def state_dict(self) -> dict[str, Any]:
         raise NotImplementedError(f"{type(self).__name__} does not support checkpointing")
@@ -364,13 +378,22 @@ class SimulatedEvaluator(Evaluator):
     pend: a completion event is scheduled as they start, on the event
     counter an eager settlement would take, for the minutes the policy
     bills (the declared duration, times ``hang_factor`` for a hang), and
-    only when that event fires is the run function called and the attempt
-    settled.  An attempt whose event never fires — in flight when the
-    campaign stops, or made stale by a worker death — is never trained.
-    The timeline, and so the search history, is the one eager settlement
-    gives; the exception is a run function that raises, which fails at
-    its declared end instead of after ``failure_duration``, and under
-    ``on_error="raise"`` raises from :meth:`gather`.
+    the attempt is settled only when that event fires.  Its training is
+    handed to the pool as it starts, and its outcome is read when the
+    event fires (or when a duplicate forces it); the clock, the event
+    queue, fault draws, settlement, the cache, events and checkpoints
+    stay on the manager.  Such a run function must be a pure function of
+    its config: a pool worker, the manager and a retrain after a pool
+    worker died then give one outcome, and the history does not depend on
+    where or whether the pool ran.  The restart after a simulated worker
+    death reuses its job's submitted training.  An attempt still waiting
+    for a worker when the campaign stops is never trained, and
+    :meth:`close` (called as ``Campaign.run`` returns) stops the trainings
+    of attempts whose events never fired.  The timeline, and so the
+    search history, is the one eager settlement gives; the exception is a
+    run function that raises, which fails at its declared end instead of
+    after ``failure_duration``, and under ``on_error="raise"`` raises from
+    :meth:`gather`.
 
     A cache hit skips the run-function call (no re-training) but is
     otherwise an ordinary attempt: it draws its fault, is settled like
@@ -407,6 +430,7 @@ class SimulatedEvaluator(Evaluator):
         # Cache key -> the clean attempt started with the cache on and not
         # evaluated yet (pending, or stale until its restart forces it).
         self._unforced: dict[str, Job] = {}
+        self._pool = TrainingPool(run_function)
         for fail_time, worker in worker_failures or ():
             if not 0 <= worker < num_workers:
                 raise ValueError(f"worker_failures names unknown worker {worker}")
@@ -425,12 +449,9 @@ class SimulatedEvaluator(Evaluator):
     def _has_free_worker(self) -> bool:
         return bool(self._free_workers)
 
-    def _evaluate(self, config: Any) -> EvaluationResult | Exception:
-        """The run function's result on ``config``, or what it raised."""
-        try:
-            return self.run_function(config)
-        except Exception as exc:
-            return exc
+    def close(self) -> None:
+        """Terminate and join the training workers."""
+        self._pool.close()
 
     def _lookup(self, config: Any) -> EvaluationResult | None:
         # A pending clean attempt of the same config is forced first, so
@@ -445,7 +466,7 @@ class SimulatedEvaluator(Evaluator):
         """Evaluate a pending clean attempt now.  A returned result is kept
         as the job's result, for its completion event to settle, and cached
         if it is acceptable; an exception is raised again at completion."""
-        outcome = self._evaluate(job.config)
+        outcome = self._pool.take(job.job_id, job.config)
         if isinstance(outcome, EvaluationResult):
             job.result = outcome
             if self.fault_policy.classify(outcome) is None:
@@ -465,8 +486,10 @@ class SimulatedEvaluator(Evaluator):
             timeout = self.fault_policy.timeout
             if timeout is None or minutes <= timeout:
                 self._events.push(self._clock + minutes, ("complete", job, job.attempt))
-                if kind is None and self.cache is not None and job.result is None:
-                    self._unforced[self.cache.key(job.config)] = job
+                if job.result is None:
+                    self._pool.submit(job.job_id, job.config)
+                    if kind is None and self.cache is not None:
+                        self._unforced[self.cache.key(job.config)] = job
                 return
         if kind == "crash":
             outcome = _injected_crash(job)
@@ -479,7 +502,7 @@ class SimulatedEvaluator(Evaluator):
             # trains, so the result holds no epochs.
             outcome = EvaluationResult(float("nan"), declared)
         else:
-            outcome = self._evaluate(job.config)
+            outcome = evaluate(self.run_function, job.config)
         settlement = self._settle(job, kind, outcome, simulated_clock=True)
         if settlement.exception is not None:
             self._raise(job, settlement.exception)
@@ -491,14 +514,16 @@ class SimulatedEvaluator(Evaluator):
             self._events.push(end_time, ("finish", job, job.attempt))
 
     def _complete(self, job: Job) -> None:
-        """Evaluate (unless forced) and settle a pending attempt at its
-        completion event."""
+        """Settle a pending attempt at its completion event, with its
+        training's outcome (or the forced result)."""
         if self._unforced:
             key = self.cache.key(job.config)
             if self._unforced.get(key) is job:
                 del self._unforced[key]
         kind = self.fault_policy.fault(job.job_id, job.retries)
-        outcome = job.result if job.result is not None else self._evaluate(job.config)
+        outcome = job.result
+        if outcome is None:
+            outcome = self._pool.take(job.job_id, job.config)
         settlement = self._settle(job, kind, outcome, simulated_clock=True)
         if settlement.exception is not None:
             self._raise(job, settlement.exception)
@@ -589,8 +614,9 @@ class SimulatedEvaluator(Evaluator):
         """JSON-safe snapshot of the full cluster state (jobs, queue, clock).
 
         A pending attempt is its ``complete`` event; its job has no result
-        (unless forced) and is evaluated again when the event fires, since
-        the run function is deterministic in its config.
+        (unless forced) and is trained again after a restore (on the pool,
+        in event order), since the run function is deterministic in its
+        config.
         """
         entries = self._events.entries()
 
@@ -672,13 +698,21 @@ class SimulatedEvaluator(Evaluator):
         self._unforced = {
             self.cache.key(by_id[jid].config): by_id[jid] for jid in state.get("unforced", ())
         }
+        # Pending attempts train again in the background, in event order.
+        self._pool.close()
+        self._pool = TrainingPool(self.run_function)
+        for _, _, (kind, ref, attempt) in self._events.entries():
+            if kind == "complete" and ref.attempt == attempt and ref.result is None:
+                self._pool.submit(ref.job_id, ref.config)
 
 
 class _WallClockEvaluator(Evaluator):
     """Shared machinery for the wall-clock (thread / process) backends.
 
     Time is wall-clock minutes since construction.  This class owns the
-    tracked futures, the deadline scan and the whole of :meth:`gather`; a
+    tracked futures, the deadline scan and the whole of :meth:`gather`.
+    The executor starts with the first attempt handed to a worker and
+    :meth:`close` shuts it down, so a closed evaluator runs again.  A
     backend supplies only
 
     - ``_make_pool()``: a fresh executor with ``num_workers`` workers;
@@ -702,7 +736,7 @@ class _WallClockEvaluator(Evaluator):
         self.num_worker_crashes = 0
         self._t0 = _time.perf_counter()
         self._futures: dict[Future, tuple[Job, str | None]] = {}
-        self._pool = self._make_pool()
+        self._pool: Any = None  # started by the first launch
 
     # ------------------------------------------------------------------ #
     @property
@@ -722,6 +756,8 @@ class _WallClockEvaluator(Evaluator):
         then it holds its slot, as a simulated hit holds its worker.
         """
         if kind != "crash" and cached is None:
+            if self._pool is None:
+                self._pool = self._make_pool()
             future = self._pool.submit(self._worker_call, job.config)
         else:
             future = Future()
@@ -817,16 +853,13 @@ class _WallClockEvaluator(Evaluator):
                 raise first_error
         return self._deliver()
 
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
+    def close(self) -> None:
+        """Shut the pool down, waiting for its running attempts."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
 
-    close = shutdown  # context-manager parity
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    shutdown = close
 
 
 class ThreadedEvaluator(_WallClockEvaluator):

@@ -663,3 +663,24 @@ def test_event_schema_lint_rejects_worker_side_emission(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1 problem(s)" in out
     assert "dataparallel" in out and "trainer.py:2" in out
+
+
+def test_event_schema_lint_rejects_uncatalogued_hook_event(tmp_path, capsys):
+    """An event built in a run-function hook and returned for the evaluator
+    to emit is checked like an emitted one: an uncatalogued subclass of a
+    catalogued event fails, its catalogued parent passes."""
+    hook = tmp_path / "repro" / "core" / "evaluation.py"
+    hook.parent.mkdir(parents=True)
+    hook.write_text(
+        "from repro.campaign.events import EpochEnd\n"
+        "\n"
+        "class ShardEnd(EpochEnd):\n"
+        "    pass\n"
+        "\n"
+        "def epoch_events(job_id, config, result):\n"
+        "    return [EpochEnd(job_id, 0, 1.0, 0.5, 1, 0), ShardEnd(job_id, 0, 1.0, 0.5, 1, 0)]\n"
+    )
+    assert _event_lint().main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "1 problem(s)" in out
+    assert "evaluation.py:7: constructs ShardEnd(...)" in out

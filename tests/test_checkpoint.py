@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -454,8 +455,8 @@ def test_checkpoint_every_throttles_writes(tmp_path, monkeypatch):
 # --------------------------------------------------------------------- #
 # Resume gate: any kill point, replacement rule, cache mode, fault policy,
 # worker-failure schedule and settlement (eager, or lazy for a run
-# function that declares its duration) continues to the uninterrupted
-# campaign
+# function that declares its duration, trained inline or on a pool of
+# forked workers) continues to the uninterrupted campaign
 # --------------------------------------------------------------------- #
 TOTAL_EVALUATIONS = 20
 FAULT_SEED_BASE = int(os.environ.get("FAULT_SEED", "0"))
@@ -482,6 +483,8 @@ def campaigns(draw):
             )
         ),
         "lazy": draw(st.booleans()),
+        # Training processes of the lazy evaluator (0: inline).
+        "pool": draw(st.sampled_from([0, 2])),
         "manual": manual,
         # A periodic checkpoint needs one full iteration: the first gather
         # returns at most the 4 initial jobs.
@@ -528,23 +531,26 @@ def cache_entries(ev):
 @given(c=campaigns())
 @settings(max_examples=settings.default.max_examples // 5, deadline=None)
 def test_resume_gate_matches_uninterrupted_campaign(tmp_path_factory, c):
-    full = build_campaign_search(c)
-    full.search(max_evaluations=TOTAL_EVALUATIONS)
+    with mock.patch("repro.workflow.pool.training_processes", return_value=c["pool"]):
+        full = build_campaign_search(c)
+        full.search(max_evaluations=TOTAL_EVALUATIONS)
 
-    path = tmp_path_factory.mktemp("resume") / "ck.json"
-    interrupted = build_campaign_search(c)
-    if c["manual"]:
-        # A budget stop leaves gathered results whose replacements were
-        # not submitted yet; the checkpoint must carry them.
-        interrupted.search(max_evaluations=c["kill"])
-        save_checkpoint(interrupted, path)
-        assert load_checkpoint(path)["search"]["pending_results"] > 0
-    else:
-        interrupted.search(max_evaluations=c["kill"], checkpoint_path=path)
+        path = tmp_path_factory.mktemp("resume") / "ck.json"
+        interrupted = build_campaign_search(c)
+        if c["manual"]:
+            # A budget stop leaves gathered results whose replacements were
+            # not submitted yet; the checkpoint must carry them.
+            interrupted.search(max_evaluations=c["kill"])
+            save_checkpoint(interrupted, path)
+            assert load_checkpoint(path)["search"]["pending_results"] > 0
+        else:
+            interrupted.search(max_evaluations=c["kill"], checkpoint_path=path)
+        interrupted.evaluator.close()
 
-    resumed = build_campaign_search(c)
-    resumed.load_state(load_checkpoint(path)["search"])
-    resumed.search(max_evaluations=TOTAL_EVALUATIONS)
+        resumed = build_campaign_search(c)
+        resumed.load_state(load_checkpoint(path)["search"])
+        resumed.search(max_evaluations=TOTAL_EVALUATIONS)
+    full.evaluator.close(), resumed.evaluator.close()
 
     def rich(search):
         return [record_to_dict(r, rich_metadata=True) for r in search.history]

@@ -675,12 +675,15 @@ def split_stores(events):
 
 @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
 @pytest.mark.parametrize("on_error", ["retry", "penalize"])
-def test_lazy_and_eager_simulation_agree(seed, on_error):
+def test_lazy_and_eager_simulation_agree(seed, on_error, monkeypatch):
     """Same job table and event stream whether the run function's duration
     is declared (lazy) or hidden (eager), under injected faults, a worker
     death and duplicates of in-flight configs; fewer trainings when the
     schedule stops with jobs in flight.  After a drain both delivered the
-    same jobs and stored the same cache entries."""
+    same jobs and stored the same cache entries.  The lazy side trains
+    inline, so its calls are counted here (a pool may train a pending
+    attempt early; ``tests/test_training_pool.py`` compares the two)."""
+    monkeypatch.setattr("repro.workflow.pool.training_processes", lambda: 0)
     policy = FaultPolicy(
         on_error=on_error, max_retries=1, retry_backoff=0.5, timeout=14.0,
         crash_prob=0.15, hang_prob=0.15, corrupt_prob=0.1, hang_factor=2.0,
@@ -718,17 +721,42 @@ def test_lazy_and_eager_simulation_agree(seed, on_error):
     assert lazy.cache._entries.keys() == eager.cache._entries.keys()
 
 
-def test_lazy_attempt_is_trained_at_its_completion():
-    """A declaring run function is called when its attempt's completion
-    event fires, not at submit; a raise fails at the declared end, and
-    the worker it frees goes on with the queue."""
-    run = DeclaringRun()
-    ev = SimulatedEvaluator(run, num_workers=2)
-    ev.submit([1, 2, 3])
-    assert run.calls == 0
-    first = ev.gather()
-    assert run.calls == len(first)
-    assert all(job.end_time == run.duration(job.config) for job in first)
+class LoggedRun(DeclaringRun):
+    """``DeclaringRun`` that appends each config it trains to a file, so
+    trainings on forked pool workers are seen too."""
+
+    def __init__(self, path) -> None:
+        super().__init__()
+        self.path = path
+
+    def __call__(self, config) -> EvaluationResult:
+        with open(self.path, "a") as log:
+            log.write(f"{config}\n")
+        return super().__call__(config)
+
+
+def test_lazy_attempt_is_trained_at_its_completion(tmp_path, monkeypatch):
+    """A declaring run function's attempt is settled when its completion
+    event fires, with the run function's result, and an attempt still
+    queued when the campaign stops is never trained (inline, or on a pool
+    of forked workers, which may train a started attempt early); a raise
+    fails at the declared end, and the worker it frees goes on with the
+    queue."""
+    for processes in (0, 2):
+        monkeypatch.setattr("repro.workflow.pool.training_processes", lambda: processes)
+        run = LoggedRun(tmp_path / f"trained-{processes}.txt")
+        ev = SimulatedEvaluator(run, num_workers=1)
+        ev.submit([1, 2, 3])
+        first = ev.gather()
+        assert [job.config for job in first] == [1]
+        assert first[0].end_time == run.duration(1)
+        assert first[0].result == DeclaringRun()(1)
+        # Job 2 started as job 1 ended; job 3 waits for a worker.
+        states = [job.state for job in ev.jobs]
+        assert states == [JobState.DONE, JobState.RUNNING, JobState.PENDING]
+        ev.close()
+        trained = (tmp_path / f"trained-{processes}.txt").read_text().split()
+        assert "1" in trained and "3" not in trained
 
     def raising(config):
         if config == 0:
