@@ -8,10 +8,11 @@ of Algorithm 1 with three interchangeable backends:
   produced by really running the evaluation function; evaluation
   *durations* are supplied by the function (typically from
   :class:`repro.dataparallel.TrainingCostModel`).  A function that
-  declares its duration (``duration(config)``) trains pending attempts
-  in the background on forked worker processes (:mod:`repro.workflow.pool`)
-  and settles each when its completion is reached; attempts still
-  waiting for a worker when the campaign stops are never trained.
+  declares its duration (``duration(config)``) has its pending attempts
+  trained by the manager and by forked worker processes, at most one
+  trainer per usable core (:mod:`repro.workflow.pool`), and settles each
+  when its completion is reached; attempts still waiting for a worker
+  when the campaign stops are never trained.
 - :class:`ThreadedEvaluator` — real concurrent execution on a thread pool,
   used to validate that the search loops are genuinely asynchronous.  A
   timeout abandons a straggler and replaces the pool, so every worker

@@ -8,12 +8,12 @@ mirroring DeepHyper/Balsam.  Every backend here exposes exactly that:
   completion; the *results* are computed by genuinely running the
   evaluation function, while the *completion time* comes from the
   duration the function reports (the training-cost model).  A function
-  that declares that duration up front (``duration(config)``) has each
-  attempt trained in the background on a
-  :class:`~repro.workflow.pool.TrainingPool` of forked worker processes,
-  one per usable core, and its outcome is read only when the attempt's
-  completion is reached; any other is run on the manager as its attempt
-  starts.  It also models worker deaths and is checkpointable
+  that declares that duration up front (``duration(config)``) has its
+  attempts trained by a :class:`~repro.workflow.pool.TrainingPool` (the
+  manager and forked worker processes, at most one trainer per usable
+  core), and each outcome is read only when the attempt's completion is
+  reached; any other is run on the manager as its attempt starts.  It
+  also models worker deaths and is checkpointable
   (``state_dict`` / ``load_state``): its job table is the one stored copy
   of every evaluation, and the search history and the cache are rebuilt
   from it.
@@ -379,17 +379,19 @@ class SimulatedEvaluator(Evaluator):
     counter an eager settlement would take, for the minutes the policy
     bills (the declared duration, times ``hang_factor`` for a hang), and
     the attempt is settled only when that event fires.  Its training is
-    handed to the pool as it starts, and its outcome is read when the
-    event fires (or when a duplicate forces it); the clock, the event
-    queue, fault draws, settlement, the cache, events and checkpoints
-    stay on the manager.  Such a run function must be a pure function of
-    its config: a pool worker, the manager and a retrain after a pool
-    worker died then give one outcome, and the history does not depend on
-    where or whether the pool ran.  The restart after a simulated worker
-    death reuses its job's submitted training.  An attempt still waiting
-    for a worker when the campaign stops is never trained, and
-    :meth:`close` (called as ``Campaign.run`` returns) stops the trainings
-    of attempts whose events never fired.  The timeline, and so the
+    dealt to a trainer of the pool as it starts (the manager, or one of
+    ``min(cores, num_workers) - 1`` forked workers), and its outcome is
+    read when the event fires (or when a duplicate forces it); the clock,
+    the event queue, fault draws, settlement, the cache, events and
+    checkpoints stay on the manager.  Such a run function must be a pure
+    function of its config: a pool worker, the manager and a retrain
+    after a pool worker died then give one outcome, and the history does
+    not depend on where or whether the pool ran.  The restart after a
+    simulated worker death reuses its job's submitted training.  An
+    attempt still waiting for a worker when the campaign stops is never
+    trained, nor is one of the manager's share whose event never fired;
+    :meth:`close` (called as ``Campaign.run`` returns) stops the workers'
+    trainings of attempts whose events never fired.  The timeline, and so the
     search history, is the one eager settlement gives; the exception is a
     run function that raises, which fails at its declared end instead of
     after ``failure_duration``, and under ``on_error="raise"`` raises from
@@ -430,7 +432,7 @@ class SimulatedEvaluator(Evaluator):
         # Cache key -> the clean attempt started with the cache on and not
         # evaluated yet (pending, or stale until its restart forces it).
         self._unforced: dict[str, Job] = {}
-        self._pool = TrainingPool(run_function)
+        self._pool = TrainingPool(run_function, num_workers)
         for fail_time, worker in worker_failures or ():
             if not 0 <= worker < num_workers:
                 raise ValueError(f"worker_failures names unknown worker {worker}")
@@ -698,9 +700,9 @@ class SimulatedEvaluator(Evaluator):
         self._unforced = {
             self.cache.key(by_id[jid].config): by_id[jid] for jid in state.get("unforced", ())
         }
-        # Pending attempts train again in the background, in event order.
+        # Pending attempts are dealt to the trainers again, in event order.
         self._pool.close()
-        self._pool = TrainingPool(self.run_function)
+        self._pool = TrainingPool(self.run_function, self.num_workers)
         for _, _, (kind, ref, attempt) in self._events.entries():
             if kind == "complete" and ref.attempt == attempt and ref.result is None:
                 self._pool.submit(ref.job_id, ref.config)

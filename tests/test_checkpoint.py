@@ -483,8 +483,8 @@ def campaigns(draw):
             )
         ),
         "lazy": draw(st.booleans()),
-        # Training processes of the lazy evaluator (0: inline).
-        "pool": draw(st.sampled_from([0, 2])),
+        # Cores for the lazy evaluator's trainers (0: inline; 3: two forks).
+        "pool": draw(st.sampled_from([0, 3])),
         "manual": manual,
         # A periodic checkpoint needs one full iteration: the first gather
         # returns at most the 4 initial jobs.

@@ -737,26 +737,32 @@ class LoggedRun(DeclaringRun):
 
 def test_lazy_attempt_is_trained_at_its_completion(tmp_path, monkeypatch):
     """A declaring run function's attempt is settled when its completion
-    event fires, with the run function's result, and an attempt still
-    queued when the campaign stops is never trained (inline, or on a pool
-    of forked workers, which may train a started attempt early); a raise
-    fails at the declared end, and the worker it frees goes on with the
-    queue."""
-    for processes in (0, 2):
-        monkeypatch.setattr("repro.workflow.pool.training_processes", lambda: processes)
-        run = LoggedRun(tmp_path / f"trained-{processes}.txt")
-        ev = SimulatedEvaluator(run, num_workers=1)
+    event fires, with the run function's result.  The manager trains its
+    share of the attempts only then: inline, nothing is trained before a
+    completion needs it, and with a pool only a forked worker trains
+    ahead (here job 2, the workers' share).  An attempt whose completion
+    never fires (job 3: still queued inline, running on the manager's
+    share with a pool) is never trained.  A raise fails at the declared
+    end, and the worker it frees goes on with the queue."""
+    # (cores, simulated workers, attempts a pool worker may train early)
+    for cores, workers, early in ((0, 1, set()), (2, 2, {"2"})):
+        monkeypatch.setattr("repro.workflow.pool.training_processes", lambda: cores)
+        log = tmp_path / f"trained-{cores}.txt"
+        log.touch()
+        run = LoggedRun(log)
+        ev = SimulatedEvaluator(run, num_workers=workers)
         ev.submit([1, 2, 3])
+        assert set(log.read_text().split()) <= early
         first = ev.gather()
         assert [job.config for job in first] == [1]
         assert first[0].end_time == run.duration(1)
         assert first[0].result == DeclaringRun()(1)
-        # Job 2 started as job 1 ended; job 3 waits for a worker.
-        states = [job.state for job in ev.jobs]
-        assert states == [JobState.DONE, JobState.RUNNING, JobState.PENDING]
+        # Job 3 started as job 1 ended, or waits for the one worker.
+        job3 = JobState.RUNNING if workers == 2 else JobState.PENDING
+        assert [job.state for job in ev.jobs] == [JobState.DONE, JobState.RUNNING, job3]
         ev.close()
-        trained = (tmp_path / f"trained-{processes}.txt").read_text().split()
-        assert "1" in trained and "3" not in trained
+        trained = log.read_text().split()
+        assert [config for config in trained if config not in early] == ["1"]
 
     def raising(config):
         if config == 0:

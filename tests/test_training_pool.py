@@ -1,9 +1,9 @@
 """The simulated evaluator's background training pool.
 
-A run function that declares its duration has each pending attempt
-trained on a forked worker process (:mod:`repro.workflow.pool`) while the
-manager keeps the clock and every settlement.  Where an outcome is
-computed must never show:
+A run function that declares its duration has its pending attempts
+trained by the manager and by forked worker processes
+(:mod:`repro.workflow.pool`), while the manager keeps the clock and every
+settlement.  Where an outcome is computed must never show:
 
 - campaigns over a spread of ``tools/history_digest.py`` shapes (faults,
   the cache and simulated worker deaths on) give the same history bytes
@@ -58,7 +58,8 @@ def _digest_tool():
 
 
 def processes(count: int):
-    """Patch the pool's core count (0: every outcome computed inline)."""
+    """Patch the pool's core count (0: every outcome computed inline; with
+    ``count`` cores and W simulated workers, ``min(count, W) - 1`` forks)."""
     return mock.patch("repro.workflow.pool.training_processes", return_value=count)
 
 
@@ -106,7 +107,7 @@ def run_shape(shape, count: int, log_path: Path) -> bytes:
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "-".join(map(str, s)))
 def test_pool_and_inline_campaigns_agree(tmp_path, shape):
     inline = run_shape(shape, 0, tmp_path / "inline.jsonl")
-    pooled = run_shape(shape, 2, tmp_path / "pool.jsonl")
+    pooled = run_shape(shape, 3, tmp_path / "pool.jsonl")
     assert pooled == inline
     assert (tmp_path / "pool.jsonl").read_bytes() == (tmp_path / "inline.jsonl").read_bytes()
 
@@ -140,12 +141,24 @@ def outcome_row(outcome):
     return (outcome.objective, outcome.duration, outcome.metadata["square"])
 
 
-def test_pool_trains_on_worker_processes():
-    def pid_run(config):
-        return EvaluationResult(0.5, 1.0, {"pid": os.getpid()})
+def pid_run(config):
+    return EvaluationResult(0.5, 1.0, {"pid": os.getpid()})
 
-    pid_run.duration = lambda config: 1.0
-    with processes(2):
+
+pid_run.duration = lambda config: 1.0
+
+
+@pytest.mark.parametrize(
+    "cores, workers, forked", [(0, 4, 0), (2, 1, 0), (2, 8, 1), (3, 4, 2), (8, 3, 2)]
+)
+def test_pool_forks_one_fewer_than_its_trainers(cores, workers, forked):
+    """The trainers are ``min(cores, num_workers)``, the manager one of them."""
+    with processes(cores):
+        assert TrainingPool(pid_run, workers).processes == forked
+
+
+def test_pool_trains_on_worker_processes_and_the_manager():
+    with processes(3):
         ev = SimulatedEvaluator(pid_run, num_workers=4)
     ev.submit(list(range(8)))
     done = []
@@ -154,7 +167,22 @@ def test_pool_trains_on_worker_processes():
     workers = {worker.pid for worker in ev._pool._workers}
     ev.close()
     assert len(workers) == 2
-    assert {job.result.metadata["pid"] for job in done} <= workers
+    pids = {job.result.metadata["pid"] for job in done}
+    assert os.getpid() in pids and pids - {os.getpid()} <= workers and len(pids) > 1
+
+
+def test_manager_trains_its_share_when_taken():
+    """Submissions are dealt round-robin, the first to the manager, which
+    trains its share only when it is taken; the workers train theirs."""
+    with processes(2):
+        pool = TrainingPool(pid_run, 4)
+    for job_id in range(4):
+        pool.submit(job_id, job_id)
+    assert pool._held == {0, 2}
+    assert pool.take(1, 1).metadata["pid"] == pool._workers[0].pid
+    assert pool._held == {0, 2}
+    assert pool.take(2, 2).metadata["pid"] == os.getpid()
+    pool.close()
 
 
 def test_pool_outcomes_equal_inline_outcomes():
@@ -162,8 +190,8 @@ def test_pool_outcomes_equal_inline_outcomes():
     (computed again on the manager) come back as inline."""
     run = SlowRun()
     configs = [1, 7, 8, 2, 3]
-    with processes(2):
-        pool = TrainingPool(run)
+    with processes(3):
+        pool = TrainingPool(run, 3)
     for job_id, config in enumerate(configs):
         pool.submit(job_id, config)
     pool.submit(0, configs[0])  # outstanding: reused, not trained twice
@@ -171,17 +199,17 @@ def test_pool_outcomes_equal_inline_outcomes():
     pool.close()
     assert pool.processes == 2
     assert [outcome_row(o) for o in outcomes] == [
-        outcome_row(TrainingPool(run).take(0, config)) for config in reversed(configs)
+        outcome_row(TrainingPool(run, 1).take(0, config)) for config in reversed(configs)
     ]
 
 
 def test_dead_worker_retires_the_pool():
     """A worker killed mid-training retires the pool: every outcome still
     missing is computed on the manager, and equals the worker's."""
-    with processes(2):
-        pool = TrainingPool(SlowRun(seconds=0.1))
+    with processes(3):
+        pool = TrainingPool(SlowRun(seconds=0.1), 3)
     for job_id in range(4):
-        pool.submit(job_id, job_id)
+        pool.submit(job_id, job_id)  # jobs 1 and 2 go to the workers
     time.sleep(0.05)  # both workers hold a task
     os.kill(pool._workers[0].pid, signal.SIGKILL)
     outcomes = [outcome_row(pool.take(job_id, job_id)) for job_id in range(4)]
@@ -189,6 +217,22 @@ def test_dead_worker_retires_the_pool():
     assert outcomes == [outcome_row(SlowRun()(config)) for config in range(4)]
     pool.submit(9, 9)  # a retired pool computes inline
     assert outcome_row(pool.take(9, 9)) == outcome_row(SlowRun()(9))
+
+
+def test_task_sent_to_a_dead_pool_retires_it():
+    """A task written after the last worker died (nothing outstanding to
+    poll first) retires the pool instead of raising a broken pipe."""
+    with processes(2):
+        pool = TrainingPool(pid_run, 2)
+    pool.submit(0, 0)  # the manager's
+    pool.submit(1, 1)  # the worker's
+    assert pool.take(1, 1).metadata["pid"] == pool._workers[0].pid
+    os.kill(pool._workers[0].pid, signal.SIGKILL)
+    pool._workers[0].join()
+    pool.submit(2, 2)  # the manager's
+    pool.submit(3, 3)  # the worker's: its pipe has no reader
+    assert pool.processes == 0 and not pool._workers
+    assert pool.take(3, 3).metadata["pid"] == os.getpid()
 
 
 def test_killed_pool_worker_leaves_the_history_unchanged():
