@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -290,9 +291,46 @@ class JsonlEventLog:
     """Append every event to a JSONL file (one tagged object per line)."""
 
     def __init__(self, path: str | Path) -> None:
+        self._open(path, "w")
+
+    @classmethod
+    def resume(cls, path: str | Path, num_evaluations: int) -> "JsonlEventLog":
+        """Continue the log of a campaign resumed from the checkpoint it
+        wrote at ``num_evaluations`` evaluations.
+
+        The log is cut after its last ``CheckpointWritten`` line at that
+        count (a torn final line goes with everything else after it), and
+        new events are appended, so replaying the joined log gives the
+        uninterrupted campaign's metrics.  A missing log is started afresh;
+        one with no such line does not belong to the checkpoint and raises
+        ``ValueError``.
+        """
+        path = Path(path)
+        if path.exists():
+            end, offset = None, 0
+            with open(path, "rb") as fh:
+                for line in fh:
+                    offset += len(line)
+                    if b'"CheckpointWritten"' in line and line.endswith(b"\n"):
+                        row = json.loads(line)
+                        if row.get("event") == "CheckpointWritten" and (
+                            row["num_evaluations"] == num_evaluations
+                        ):
+                            end = offset
+            if end is None:
+                raise ValueError(
+                    f"event log {path} has no checkpoint at {num_evaluations} evaluations; "
+                    "it does not belong to this checkpoint"
+                )
+            os.truncate(path, end)
+        log = cls.__new__(cls)
+        log._open(path, "a")
+        return log
+
+    def _open(self, path: str | Path, mode: str) -> None:
         self.path = Path(path)
         # Line-buffered: a killed campaign's log holds every emitted event.
-        self._fh = open(self.path, "w", buffering=1)
+        self._fh = open(self.path, mode, buffering=1)
         self.num_events = 0
 
     def __call__(self, event: CampaignEvent) -> None:

@@ -33,6 +33,8 @@ Record the structured event stream of a campaign::
 
     python -m repro.cli search --dataset covertype --events events.jsonl
 
+(``--resume`` with ``--events`` continues that log from the checkpoint.)
+
 Fit the AutoGluon-like ensemble::
 
     python -m repro.cli baseline --dataset albert --system autogluon
@@ -108,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write a markdown campaign report to this file")
     # Structured events
     p_search.add_argument("--events", type=str, default=None,
-                          help="write the campaign's JSONL event log to this file")
+                          help="write the campaign's JSONL event log to this file "
+                               "(with --resume: continue it from the checkpoint)")
     p_search.add_argument("--progress", action="store_true",
                           help="print per-evaluation progress lines")
     # Fault tolerance
@@ -228,7 +231,16 @@ def _cmd_search(args, out) -> int:
 
     event_log = None
     if args.events:
-        event_log = campaign.subscribe(JsonlEventLog(args.events))
+        # A resumed campaign continues its own log from the checkpoint.
+        try:
+            log = (
+                JsonlEventLog.resume(args.events, len(campaign.search.history))
+                if args.resume
+                else JsonlEventLog(args.events)
+            )
+        except ValueError as exc:
+            raise SystemExit(f"search: {exc}")
+        event_log = campaign.subscribe(log)
     if args.progress:
         campaign.subscribe(ProgressReporter(out=out))
 

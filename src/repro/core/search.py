@@ -7,9 +7,11 @@ while the population is filling, tournament + mutation afterwards) and
 resubmit — keeping every worker busy, which is what yields the ≈94% node
 utilization reported in §IV-C.
 
-Checkpoints (:meth:`AgingEvolutionBase.state_dict`) keep each evaluation
-once, in the evaluator's job table; :meth:`AgingEvolutionBase.load_state`
-rebuilds the history and population from it.  Resuming is one path:
+Checkpoints keep each evaluation once, in the evaluator's job table: a
+checkpoint journal (:mod:`repro.core.serialization`) appends the jobs of
+new history records next to a small :meth:`AgingEvolutionBase.state_dict`
+snapshot, and :meth:`AgingEvolutionBase.load_state` rebuilds the history
+and population from the jobs.  Resuming is one path:
 :func:`repro.campaign.resume_campaign` builds the campaign from the
 checkpoint's embedded config and calls ``load_state``.
 """
@@ -86,10 +88,15 @@ class AgingEvolutionBase:
         # (the ablation) evicts the worst member instead.
         self.population: collections.deque[EvaluationRecord] = collections.deque()
         self.history = SearchHistory(label=label or type(self).__name__)
-        # Evaluator job id of each history record, in gather order: the
-        # checkpoint stores these and rebuilds the records from the
-        # evaluator's job table.
-        self._job_ids: list[int] = []
+        # Evaluator job of each history record, in gather order: a
+        # checkpoint journals each once, in this order, and a restore
+        # rebuilds the records from them.  ``_positions`` maps a record
+        # (by id) to its history index, for the population's positions.
+        self.history_jobs: list[Job] = []
+        self._positions: dict[int, int] = {}
+        # (path, jobs journaled, file identity) of the last checkpoint
+        # write, which the next one appends to (see save_checkpoint).
+        self._journal: tuple | None = None
         # Resume bookkeeping: whether the initial W submissions happened,
         # how many full gather→submit iterations have completed, and any
         # gathered results whose replacements were not yet submitted when a
@@ -141,8 +148,9 @@ class AgingEvolutionBase:
 
     def _record(self, job: Job) -> EvaluationRecord:
         record = self._job_record(job)
+        self._positions[id(record)] = len(self.history)
         self.history.add(record)
-        self._job_ids.append(job.job_id)
+        self.history_jobs.append(job)
         if len(self.population) >= self.population_size:
             if self.replacement == "aging":
                 self.population.popleft()
@@ -253,7 +261,8 @@ class AgingEvolutionBase:
     # Checkpoint / resume
     # ------------------------------------------------------------------ #
     def checkpoint(self, path) -> None:
-        """Write the search state to ``path`` (atomic)."""
+        """Write the search state to ``path`` (see :func:`save_checkpoint
+        <repro.core.serialization.save_checkpoint>`)."""
         from repro.core.serialization import save_checkpoint
 
         save_checkpoint(self, path)
@@ -263,23 +272,25 @@ class AgingEvolutionBase:
         iteration counters and the evaluator's cluster state.
 
         Every evaluation is stored once, in the evaluator's job table; the
-        history is its job ids in gather order, the population positions
-        into the history, and the pending results a count (they are the
-        last records of the history).
+        history is its delivered jobs in gather order (journaled by the
+        checkpoint, not held here), the population positions into the
+        history, and the pending results a count (they are the last
+        records of the history).
         """
-        position = {id(r): i for i, r in enumerate(self.history.records)}
         return {
             "rng_state": self.rng.bit_generator.state,
             "initialized": self._initialized,
             "iterations": self._iterations,
-            "history": list(self._job_ids),
-            "population": [position[id(r)] for r in self.population],
+            "population": [self._positions[id(r)] for r in self.population],
             "pending_results": len(self._pending_results),
             "evaluator": self.evaluator.state_dict(),
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`.
+        """Restore a checkpointed search: a :meth:`state_dict` snapshot
+        plus ``"history"``, the history's job ids in gather order, and the
+        whole job table in the evaluator's ``"jobs"`` (the shape
+        :func:`~repro.core.serialization.load_checkpoint` returns).
 
         Loads into a search built with the checkpointed constructor
         arguments (the embedded ``CampaignConfig`` is their one source, see
@@ -291,10 +302,12 @@ class AgingEvolutionBase:
         self._initialized = bool(state["initialized"])
         self._iterations = int(state["iterations"])
         jobs = {job.job_id: job for job in self.evaluator.jobs}
-        self._job_ids = [int(job_id) for job_id in state["history"]]
+        self.history_jobs = [jobs[int(job_id)] for job_id in state["history"]]
         self.history = SearchHistory(label=self.history.label)
-        for job_id in self._job_ids:
-            self.history.add(self._job_record(jobs[job_id]))
+        for job in self.history_jobs:
+            self.history.add(self._job_record(job))
         records = self.history.records
+        self._positions = {id(record): i for i, record in enumerate(records)}
         self.population = collections.deque(records[int(i)] for i in state["population"])
         self._pending_results = records[len(records) - int(state["pending_results"]) :]
+        self._journal = None  # the next checkpoint rewrites its file

@@ -6,16 +6,28 @@ hyperparameters, objectives, cluster timings, scalar metadata) and model
 weights to ``.npz``.  Loaded histories feed the same analysis tools as live
 ones, and their records can warm-start a new search's population and BO.
 
-It also defines the **checkpoint** schema (version 2): the campaign
-config plus the state that cannot be derived — numpy RNG states, iteration
-counters, and the simulated evaluator's clock, queues, pending events and
-job table.  The job table is the one stored copy of every evaluation; the
-history (job ids in gather order), the population (positions into the
-history), the cache entries and the BO tell-history are rebuilt from it on
-load.  Checkpoints are written atomically, so a killed campaign resumes
-bit-identically via :func:`repro.campaign.resume_campaign` or the CLI
-``--resume`` flag.  Version-1 checkpoints, which stored every evaluation
-up to four times, are no longer readable.
+It also defines the **checkpoint** format (version 3), an append-only
+JSONL journal.  Its first line is a header: ``version``, ``algorithm`` and
+``extra`` (the embedded campaign config).  Each checkpoint then appends one
+line per job the search recorded since the last one (the fields of
+:func:`~repro.workflow.jobs.job_to_dict`), in gather order, and one state
+line, ``{"search": ...}``, holding only what cannot be rebuilt: RNG
+states, counters, the clock, pending events, the running, waiting and
+unforced ids, population positions and the jobs not delivered yet.  So a
+checkpoint writes the new and live jobs, not the whole history.  The job
+lines are the one stored copy of every finished evaluation; the history
+(their order), the cache entries and the BO tell-history are rebuilt from
+them on load.
+
+The first checkpoint a search writes to a path rewrites the file whole
+(tmp + rename); later ones append and flush.  A write cut short leaves a
+torn tail, and :func:`load_checkpoint` reads the last complete state line:
+it drops an unparsable final line and ignores job lines after that state
+line.  A file cut inside its header, or before its first state line, is
+refused.  A killed campaign thus resumes bit-identically via
+:func:`repro.campaign.resume_campaign` or the CLI ``--resume`` flag.
+Version-1 and version-2 checkpoints (single JSON documents) are no longer
+readable.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ import numpy as np
 from repro.core.config import ModelConfig
 from repro.core.results import EvaluationRecord, SearchHistory
 from repro.nn.graph_network import GraphNetwork
-from repro.workflow.jobs import jsonable_metadata
+from repro.workflow.jobs import job_to_dict, jsonable_metadata
 
 __all__ = [
     "history_to_dict",
@@ -47,7 +59,7 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def record_to_dict(record: EvaluationRecord, rich_metadata: bool = False) -> dict[str, Any]:
@@ -120,44 +132,111 @@ def load_history(path: str | Path) -> SearchHistory:
 # Checkpoints: the full, resumable search state
 # --------------------------------------------------------------------- #
 def save_checkpoint(search: Any, path: str | Path, extra: dict[str, Any] | None = None) -> Path:
-    """Atomically write the checkpoint state of a search to ``path``.
+    """Write the checkpoint state of a search to the journal at ``path``.
 
     ``search`` is any :class:`~repro.core.search.AgingEvolutionBase`
-    subclass exposing ``state_dict()``.  The file is written to a ``.tmp``
-    sibling and renamed, so a crash mid-checkpoint never corrupts the last
-    good checkpoint.  ``extra`` (or the search's ``checkpoint_metadata``
-    attribute) is stored verbatim for callers such as the CLI that need to
-    rebuild the dataset/space context on resume.
+    subclass.  The first write of a search to ``path`` (or any write after
+    the file changed under it) replaces the file atomically with the
+    header, a line per history job and the state line; every later one
+    appends the new history jobs and a state line, then flushes.  A crash
+    mid-append leaves a torn tail that :func:`load_checkpoint` drops, so
+    the last good checkpoint survives.  ``extra`` (or the search's
+    ``checkpoint_metadata`` attribute) goes into the header verbatim, for
+    callers such as the CLI that rebuild the dataset/space context on
+    resume.
     """
-    path = Path(path)
-    data = {
-        "version": CHECKPOINT_VERSION,
-        "algorithm": type(search).__name__,
-        "search": search.state_dict(),
-    }
-    metadata = extra if extra is not None else getattr(search, "checkpoint_metadata", None)
-    if metadata:
-        data["extra"] = metadata
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(data))
-    os.replace(tmp, path)
-    return path
+    target = os.path.abspath(path)
+    journal, search._journal = search._journal, None
+    jobs = search.history_jobs
+    if journal is not None and journal[0] == target and journal[2] == _identity(target):
+        start, file, mode, text = journal[1], target, "a", ""
+    else:
+        metadata = extra if extra is not None else getattr(search, "checkpoint_metadata", None)
+        header = {
+            "version": CHECKPOINT_VERSION,
+            "algorithm": type(search).__name__,
+            "extra": metadata or {},
+        }
+        start, file, mode, text = 0, target + ".tmp", "w", _line(header)
+    text += "".join(_line(job_to_dict(job)) for job in jobs[start:])
+    text += _line({"search": search.state_dict()})
+    with open(file, mode) as fh:
+        fh.write(text)
+        fh.flush()
+        identity = _identity(fh.fileno())
+    if file != target:
+        os.replace(file, target)
+    search._journal = (target, len(jobs), identity)
+    return Path(path)
+
+
+def _line(row: dict[str, Any]) -> str:
+    return json.dumps(row, separators=(",", ":")) + "\n"
+
+
+def _identity(file: str | int) -> tuple[int, int] | None:
+    """(inode, size) of a path or an open file descriptor (None if the
+    path is missing): an append goes only to the file the last write left."""
+    try:
+        st = os.stat(file)
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_size
 
 
 def load_checkpoint(path: str | Path) -> dict[str, Any]:
-    """Read and validate a checkpoint written by :func:`save_checkpoint`."""
-    data = json.loads(Path(path).read_text())
-    if data.get("version") == 1:
+    """Read a checkpoint journal written by :func:`save_checkpoint`.
+
+    Returns ``{"version", "algorithm", "extra", "search"}``; ``"search"``
+    is the last complete state line with ``"history"`` (the job ids of the
+    job lines before it, in order) added and the evaluator's ``"jobs"``
+    holding the whole job table, in job id order.
+    """
+    lines = Path(path).read_text().split("\n")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError:
+        if len(lines) == 1:
+            raise ValueError(f"checkpoint {path} is cut inside its header") from None
+        raise ValueError(f"{path} is not a checkpoint journal") from None
+    version = header.get("version") if isinstance(header, dict) else None
+    if version in (1, 2):
         raise ValueError(
-            f"checkpoint {path} has format version 1, which this build no longer "
-            f"reads; re-run the campaign to write a version-{CHECKPOINT_VERSION} "
+            f"checkpoint {path} has format version {version}, which this build no "
+            f"longer reads; re-run the campaign to write a version-{CHECKPOINT_VERSION} "
             "checkpoint"
         )
-    if data.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {data.get('version')!r}")
-    if "search" not in data:
-        raise ValueError(f"{path} is not a search checkpoint")
-    return data
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version!r}")
+    rows: list[dict[str, Any]] = []
+    search, num_rows = None, 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError:
+            if lineno == len(lines):  # unterminated: a write cut short
+                break
+            raise ValueError(f"{path}:{lineno}: unreadable checkpoint line") from None
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}:{lineno}: not a checkpoint line")
+        if "search" in row:
+            search, num_rows = row["search"], len(rows)
+        else:
+            rows.append(row)
+    if search is None:
+        raise ValueError(f"{path} holds no complete search checkpoint")
+    rows = rows[:num_rows]
+    search["history"] = [row["job_id"] for row in rows]
+    evaluator = search["evaluator"]
+    evaluator["jobs"] = sorted(rows + evaluator["jobs"], key=lambda row: row["job_id"])
+    return {
+        "version": version,
+        "algorithm": header.get("algorithm"),
+        "extra": header.get("extra", {}),
+        "search": search,
+    }
 
 
 def save_model_weights(model: GraphNetwork, path: str | Path) -> Path:

@@ -16,7 +16,9 @@ mirroring DeepHyper/Balsam.  Every backend here exposes exactly that:
   also models worker deaths and is checkpointable
   (``state_dict`` / ``load_state``): its job table is the one stored copy
   of every evaluation, and the search history and the cache are rebuilt
-  from it.
+  from it.  A snapshot holds only the jobs not delivered yet; delivered
+  jobs are final, and a checkpoint journals each once
+  (:mod:`repro.core.serialization`).
 - :class:`ThreadedEvaluator` and :class:`ProcessPoolEvaluator` run
   evaluation functions concurrently on a thread / process pool, as thin
   shells over :class:`_WallClockEvaluator`, which owns the futures and
@@ -43,7 +45,8 @@ Utilization is read off the job table
 (:func:`repro.analysis.utilization_summary`) or the ``JobGathered`` stream
 (:class:`repro.campaign.MetricsAggregator`), never kept by a backend: a
 job's ``start_time`` and ``end_time`` bound its last attempt, stamped when
-the manager starts that attempt and when the backend sees it end.
+the manager starts that attempt and when it ends (on the simulated clock,
+or on the wall clock by its future's done-callback).
 """
 
 from __future__ import annotations
@@ -163,6 +166,9 @@ class Evaluator:
         self.num_timeouts = 0
         self._next_id = 0
         self.jobs: list[Job] = []
+        # Jobs not handed to the caller yet, in submission order: every
+        # job in flight, plus one a raising settlement failed.
+        self._undelivered: dict[int, Job] = {}
         self._queue: collections.deque[Job] = collections.deque()
         self._completed: collections.deque[Job] = collections.deque()
         self._in_flight = 0
@@ -202,6 +208,7 @@ class Evaluator:
         self._completed.clear()
         for job in finished:
             self._in_flight -= 1
+            self._undelivered.pop(job.job_id, None)
             job.state = JobState.FAILED if job.result.metadata.get("failed") else JobState.DONE
             if self.event_bus is not None:
                 from repro.campaign.events import JobGathered
@@ -315,6 +322,7 @@ class Evaluator:
             job = Job(job_id=self._next_id, config=config, submit_time=self.now)
             self._next_id += 1
             self.jobs.append(job)
+            self._undelivered[job.job_id] = job
             if self.event_bus is not None:
                 from repro.campaign.events import JobSubmitted
 
@@ -613,8 +621,13 @@ class SimulatedEvaluator(Evaluator):
     # Checkpointing
     # ------------------------------------------------------------------ #
     def state_dict(self) -> dict[str, Any]:
-        """JSON-safe snapshot of the full cluster state (jobs, queue, clock).
+        """JSON-safe snapshot of the cluster state (queue, clock, counters)
+        and of the jobs not delivered yet.
 
+        Delivered jobs are final: a checkpoint journals each once, and
+        :meth:`load_state` takes them back, with the snapshot's, in
+        ``"jobs"``.  ``"raised"`` names the undelivered jobs a raising
+        settlement failed, so a restore tells them from delivered ones.
         A pending attempt is its ``complete`` event; its job has no result
         (unless forced) and is trained again after a restore (on the pool,
         in event order), since the run function is deterministic in its
@@ -625,6 +638,7 @@ class SimulatedEvaluator(Evaluator):
         def encode_ref(kind: str, ref: Any) -> Any:
             return ref if kind == "worker_fail" else ref.job_id
 
+        undelivered = self._undelivered.values()
         return {
             "num_workers": self.num_workers,
             "clock": self._clock,
@@ -635,12 +649,15 @@ class SimulatedEvaluator(Evaluator):
             "dead_workers": sorted(self._dead_workers),
             "running": {str(w): job.job_id for w, job in self._running.items()},
             "waiting": [job.job_id for job in self._queue],
+            # Finished beside an attempt that raised, delivered by the next gather.
+            "completed": [job.job_id for job in self._completed],
             "events": [
                 [t, c, kind, encode_ref(kind, ref), attempt]
                 for t, c, (kind, ref, attempt) in entries
             ],
             "event_counter": max((c for _, c, _ in entries), default=-1) + 1,
-            "jobs": [job_to_dict(job) for job in self.jobs],
+            "jobs": [job_to_dict(job) for job in undelivered],
+            "raised": [job.job_id for job in undelivered if job.state is JobState.FAILED],
             # Cache entries are rebuilt from the jobs; only counters ride along.
             "cache": None
             if self.cache is None
@@ -649,16 +666,17 @@ class SimulatedEvaluator(Evaluator):
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
-        """Restore a snapshot taken by :meth:`state_dict` into an evaluator
-        built with the checkpointed arguments (fault policy included)."""
+        """Restore a snapshot taken by :meth:`state_dict`, its ``"jobs"``
+        holding every job of the table (the delivered ones included), into
+        an evaluator built with the checkpointed arguments (fault policy
+        included)."""
         if state["num_workers"] != self.num_workers:
             raise ValueError(
                 f"checkpoint has {state['num_workers']} workers, evaluator has "
                 f"{self.num_workers}"
             )
-        # Older checkpoints also hold ``busy_time`` and ``capacity_time``
+        # Older snapshots also held ``busy_time`` and ``capacity_time``
         # (a busy-time ledger this evaluator no longer keeps); ignored.
-        # They settled every attempt as it started, so none is unforced.
         self._clock = float(state["clock"])
         self._next_id = int(state["next_id"])
         self._in_flight = int(state["in_flight"])
@@ -666,10 +684,17 @@ class SimulatedEvaluator(Evaluator):
             setattr(self, name, int(state.get(name, 0)))
         self._free_workers = [int(w) for w in state["free_workers"]]
         self._dead_workers = {int(w) for w in state["dead_workers"]}
-        self.jobs = [job_from_dict(row) for row in state["jobs"]]
+        self.jobs = sorted((job_from_dict(row) for row in state["jobs"]), key=lambda j: j.job_id)
         by_id = {job.job_id: job for job in self.jobs}
+        raised = {int(jid) for jid in state.get("raised", ())}
+        self._undelivered = {
+            job.job_id: job
+            for job in self.jobs
+            if job.state not in (JobState.DONE, JobState.FAILED) or job.job_id in raised
+        }
         self._running = {int(w): by_id[jid] for w, jid in state["running"].items()}
         self._queue = collections.deque(by_id[jid] for jid in state["waiting"])
+        self._completed = collections.deque(by_id[jid] for jid in state["completed"])
         self._events.restore(
             [
                 (t, c, (kind, ref if kind == "worker_fail" else by_id[ref], attempt))
@@ -767,7 +792,13 @@ class _WallClockEvaluator(Evaluator):
                 future.set_exception(_injected_crash(job))
             else:
                 future.set_result(cached)
+        future.add_done_callback(self._stamp_end)
         self._futures[future] = (job, kind)
+
+    def _stamp_end(self, future: Future) -> None:
+        """Record when the attempt ended, on the manager's clock (runs in
+        whichever thread resolves the future)."""
+        future.end_time = self.now
 
     def _make_pool(self) -> Any:
         raise NotImplementedError
@@ -797,7 +828,10 @@ class _WallClockEvaluator(Evaluator):
         crash or a kill are dispatched to the reclaimed pool, never to the
         broken one.  Only tracked futures deliver results: an attempt
         abandoned by a timeout was untracked when it was reaped, so its
-        late return is dropped.
+        late return is dropped.  An attempt ends when its future resolved
+        (stamped by a done-callback), not when gather collects it; one
+        that returned at or past its deadline is reaped like one still
+        running.
         """
         timeout = self.fault_policy.timeout
         while not self._completed and self._futures:
@@ -805,12 +839,15 @@ class _WallClockEvaluator(Evaluator):
             # Every attempt collected this round ended by ``now``, before the
             # pool is reclaimed or refilled.
             now = self.now
-            # Phase 1: collect each ended attempt's outcome without touching
-            # the pool: a result, an exception, or None for a timeout.
-            ended: list[tuple[Job, str | None, Any]] = []
+            # Phase 1: collect each ended attempt's outcome and end time
+            # without touching the pool: a result, an exception, or None for
+            # a timeout.  A future whose callback has not run yet ended by
+            # ``now``.
+            ended: list[tuple[Job, str | None, Any, float]] = []
             pool_broken = False
             for future in done:
                 job, kind = self._futures.pop(future)
+                end_time = getattr(future, "end_time", now)
                 outcome = future.exception()
                 if isinstance(outcome, BrokenExecutor):
                     pool_broken = True
@@ -818,9 +855,11 @@ class _WallClockEvaluator(Evaluator):
                     outcome = RuntimeError(
                         f"job {job.job_id}: worker process crashed ({outcome!r})"
                     )
+                elif timeout is not None and end_time >= job.start_time + timeout:
+                    outcome = None  # returned at or past its deadline: reaped
                 elif outcome is None:
                     outcome = future.result()
-                ended.append((job, kind, outcome))
+                ended.append((job, kind, outcome, end_time))
             # Phase 2: reap attempts past the policy deadline; a running one
             # forces a kill (an abandon, for threads).
             must_kill = False
@@ -830,7 +869,7 @@ class _WallClockEvaluator(Evaluator):
                         del self._futures[future]
                         if not future.cancel():
                             must_kill = True
-                        ended.append((job, kind, None))
+                        ended.append((job, kind, None, now))
             # Phase 3: reclaim the pool if it is broken or holds hung
             # workers; innocent tracked jobs restart first, uncharged, and
             # queued attempts take the workers that are free.
@@ -839,14 +878,14 @@ class _WallClockEvaluator(Evaluator):
             self._fill_workers()
             # Phase 4: settle every ended attempt (the pool is healthy).
             first_error: BaseException | None = None
-            for job, kind, outcome in ended:
+            for job, kind, outcome, end_time in ended:
                 settlement = self._settle(job, kind, outcome)
                 if settlement.retry:
                     self._count_retry(job)
                     self._dispatch(job)
                     continue
                 # A cache hit computed nothing: it ends where it started.
-                job.end_time = job.start_time if job.cache_hit else now
+                job.end_time = job.start_time if job.cache_hit else end_time
                 if settlement.exception is not None:
                     first_error = first_error or settlement.exception
                 else:

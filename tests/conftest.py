@@ -48,3 +48,15 @@ def make_blobs(
     y = rng.integers(0, classes, size=n)
     X = centers[y] + rng.normal(size=(n, d))
     return X, y.astype(np.int64)
+
+
+def restorable_state(evaluator) -> dict:
+    """A simulated evaluator's state as a checkpoint restores it: its
+    snapshot with ``"jobs"`` widened to the whole job table (a checkpoint
+    journals the delivered jobs apart from the snapshot), through JSON."""
+    import json
+
+    from repro.workflow.jobs import job_to_dict
+
+    state = {**evaluator.state_dict(), "jobs": [job_to_dict(job) for job in evaluator.jobs]}
+    return json.loads(json.dumps(state))

@@ -15,6 +15,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import restorable_state
 
 from repro.analysis import utilization_summary
 from repro.core import AgE
@@ -147,7 +148,7 @@ def test_sim_cache_state_roundtrips_through_evaluator_checkpoint():
     ev.submit([1, 2, 1])
     while ev.num_in_flight:
         ev.gather()
-    state = ev.state_dict()
+    state = restorable_state(ev)
     # Restoring into a cache-less evaluator revives the memo.
     resumed = SimulatedEvaluator(int_eval, num_workers=2)
     resumed.load_state(state)

@@ -49,7 +49,7 @@ from repro.campaign import (
 )
 from repro.core import AgE, AgEBO
 from repro.core.evaluation import ModelEvaluation
-from repro.core.serialization import history_to_dict, save_checkpoint
+from repro.core.serialization import history_to_dict, load_checkpoint, save_checkpoint
 from repro.core.variants import variant_hp_space
 from repro.datasets import load_dataset
 from repro.searchspace import ArchitectureSpace
@@ -582,10 +582,11 @@ def test_resume_from_checkpoint_with_retired_training_keys(tmp_path):
     build_campaign(
         tiny_config(checkpoint=CheckpointConfig(path=str(path), every=1))
     ).run()
-    data = json.loads(path.read_text())
+    header, rest = path.read_text().split("\n", 1)  # the journal's header holds the config
+    data = json.loads(header)
     data["extra"]["campaign"]["training"].update(allreduce="fused", backend="compiled")
     data["extra"]["campaign"]["evaluator"]["measure_wall_time"] = False
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data) + "\n" + rest)
 
     history = resume_campaign(path, max_evaluations=16).run()
     assert history_to_dict(history) == history_to_dict(full)
@@ -622,8 +623,7 @@ def test_checkpoint_embeds_versioned_campaign_config(tmp_path):
     path = tmp_path / "camp.ckpt"
     config = tiny_config(checkpoint=CheckpointConfig(path=str(path), every=1))
     build_campaign(config).run()
-    data = json.loads(path.read_text())
-    embedded = data["extra"]["campaign"]
+    embedded = load_checkpoint(path)["extra"]["campaign"]
     assert embedded["config_version"] == 1
     assert CampaignConfig.from_dict(embedded) == config
 

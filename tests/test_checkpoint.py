@@ -19,6 +19,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import restorable_state
 from hypothesis import strategies as st
 
 from repro.analysis import utilization_summary
@@ -38,6 +39,7 @@ from repro.workflow import (
     FaultPolicy,
     SimulatedEvaluator,
 )
+from repro.workflow.jobs import job_to_dict
 
 
 def fake_eval(config):
@@ -87,9 +89,16 @@ def test_checkpoint_version_round_trip(tmp_path):
     assert data["version"] == CHECKPOINT_VERSION
     assert data["algorithm"] == "AgEBO"
     assert data["extra"] == {"note": "hello"}
-    assert "search" in data
-    # The file is plain JSON — re-serializable as-is.
-    assert json.loads(path.read_text())["version"] == CHECKPOINT_VERSION
+    # The file is JSONL: a header line, then job lines and a state line.
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert lines[0] == {
+        "version": CHECKPOINT_VERSION, "algorithm": "AgEBO", "extra": {"note": "hello"}
+    }
+    assert [row["job_id"] for row in lines[1:-1]] == data["search"]["history"]
+    assert set(lines[-1]) == {"search"}
+    resumed = build_agebo(fake_eval)
+    resumed.load_state(data["search"])
+    assert_identical_history(search.history, resumed.history)
 
 
 def test_checkpoint_version_mismatch_rejected(tmp_path):
@@ -97,9 +106,10 @@ def test_checkpoint_version_mismatch_rejected(tmp_path):
     search.search(max_evaluations=4)
     path = tmp_path / "ck.json"
     save_checkpoint(search, path)
-    data = json.loads(path.read_text())
-    data["version"] = CHECKPOINT_VERSION + 99
-    path.write_text(json.dumps(data))
+    header, rest = path.read_text().split("\n", 1)
+    header = json.loads(header)
+    header["version"] = CHECKPOINT_VERSION + 99
+    path.write_text(json.dumps(header) + "\n" + rest)
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(path)
 
@@ -113,16 +123,32 @@ def test_version_1_checkpoint_gets_a_clear_error(tmp_path):
         main(["search", "--resume", str(path), "--max-evaluations", "4"], out=io.StringIO())
 
 
+def test_version_2_checkpoint_gets_a_clear_error(tmp_path):
+    """A version-2 checkpoint (one JSON document holding the whole job
+    table) is refused, not misread as a journal."""
+    path = tmp_path / "v2.ckpt"
+    path.write_text(json.dumps({"version": 2, "algorithm": "AgEBO", "search": {}}))
+    with pytest.raises(ValueError, match="version 2.*re-run the campaign"):
+        load_checkpoint(path)
+    with pytest.raises(SystemExit, match="version 2"):
+        main(["search", "--resume", str(path), "--max-evaluations", "4"], out=io.StringIO())
+
+
 def test_checkpoint_stores_each_evaluation_once(tmp_path):
     """No history records, cache entries or BO observations: the
-    evaluator's job table is the one copy of every evaluation."""
+    evaluator's job table is the one copy of every evaluation, and the
+    journal appends each finished job once, however many checkpoints."""
     search = build_agebo(fake_eval)
     search.evaluator.cache = EvaluationCache()
-    search.search(max_evaluations=12)
     path = tmp_path / "ck.json"
+    search.search(max_evaluations=12, checkpoint_path=path)
     save_checkpoint(search, path)
     state = load_checkpoint(path)["search"]
-    assert state["history"] == search._job_ids
+    assert state["history"] == [job.job_id for job in search.history_jobs]
+    job_lines = [row for row in map(json.loads, path.read_text().splitlines()[1:])
+                 if "search" not in row]  # fmt: skip
+    assert [row["job_id"] for row in job_lines] == state["history"]
+    assert all(row["state"] in ("done", "failed") for row in job_lines)
     assert all(isinstance(i, int) for i in state["population"])
     assert state["pending_results"] == len(search._pending_results) > 0
     assert set(state["optimizer"]) == {"rng_state"}
@@ -232,14 +258,13 @@ def test_checkpoint_with_busy_time_fields_resumes_bit_identical(tmp_path):
 
     path = tmp_path / "ck.json"
     build_agebo(fake_eval).search(max_evaluations=16, checkpoint_path=path, checkpoint_every=1)
-    data = json.loads(path.read_text())
-    evaluator_state = data["search"]["evaluator"]
+    state = load_checkpoint(path)["search"]
+    evaluator_state = state["evaluator"]
     assert "busy_time" not in evaluator_state and "capacity_time" not in evaluator_state
     evaluator_state.update(busy_time=123.25, capacity_time=456.5)
-    path.write_text(json.dumps(data))
 
     resumed = build_agebo(fake_eval)
-    resumed.load_state(load_checkpoint(path)["search"])
+    resumed.load_state(state)
     history = resumed.search(max_evaluations=32)
     assert_identical_history(full, history)
 
@@ -260,7 +285,8 @@ def test_eager_shaped_checkpoint_resumes_lazily_bit_identical(tmp_path):
     build_agebo(fake_eval, policy=policy, cache=EvaluationCache()).search(
         max_evaluations=16, checkpoint_path=path, checkpoint_every=1
     )
-    state = load_checkpoint(path)["search"]["evaluator"]
+    search_state = load_checkpoint(path)["search"]
+    state = search_state["evaluator"]
     kinds = {kind for _, _, kind, _, _ in state["events"]}
     assert "complete" not in kinds and "finish" in kinds
     jobs = {row["job_id"]: row for row in state["jobs"]}
@@ -268,7 +294,7 @@ def test_eager_shaped_checkpoint_resumes_lazily_bit_identical(tmp_path):
     assert all(row["result"] is not None for row in in_flight)
 
     resumed = build_agebo(DeclaredFakeEval(), policy=policy, cache=EvaluationCache())
-    resumed.load_state(load_checkpoint(path)["search"])
+    resumed.load_state(search_state)
     assert_identical_history(full.history, resumed.search(max_evaluations=32))
 
 
@@ -279,7 +305,7 @@ def test_resumed_duplicate_forces_the_checkpointed_pending_attempt():
         ev.submit([0, 1])
         ev.gather()  # config 1 ends at 2; config 0 pends until 9, untrained
         if resume_between:
-            state = json.loads(json.dumps(ev.state_dict()))
+            state = restorable_state(ev)
             assert state["unforced"] == [0]
             ev = SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache())
             ev.load_state(state)
@@ -326,7 +352,7 @@ def test_forced_result_epochs_survive_the_checkpoint(tiny_covertype):
         ev.gather()  # short ends; long pends untrained
         ev.submit([long])  # its start forces the pending original
         if resume_between:
-            state = json.loads(json.dumps(ev.state_dict()))
+            state = restorable_state(ev)
             (row,) = [row for row in state["jobs"] if row["job_id"] == 0]
             assert row["state"] == "running" and row["result"]["metadata"]["epoch_train_losses"]
             ev, epochs = evaluator()
@@ -584,3 +610,163 @@ def test_resume_with_a_budget_the_last_batch_already_met(tmp_path):
     rich = lambda search: [record_to_dict(r, rich_metadata=True) for r in search.history]
     assert rich(resumed) == rich(full)
     assert evaluator_counters(resumed.evaluator) == evaluator_counters(full.evaluator)
+
+
+# --------------------------------------------------------------------- #
+# The checkpoint journal: a faulty, cached AgEBO campaign (crashes and
+# hangs under a retry policy, one simulated worker death, pending
+# attempts from a run function that declares its duration)
+# --------------------------------------------------------------------- #
+JOURNAL_EVALUATIONS = 24
+
+
+def faulty_cached_agebo():
+    policy = FaultPolicy(
+        on_error="retry", max_retries=2, retry_backoff=1.0, timeout=14.0,
+        crash_prob=0.2, hang_prob=0.15, fault_seed=7,
+    )  # fmt: skip
+    evaluator = SimulatedEvaluator(
+        DeclaredFakeEval(), num_workers=4, fault_policy=policy,
+        worker_failures=[(15.0, 1)], cache=EvaluationCache(),
+    )  # fmt: skip
+    space = ArchitectureSpace(num_nodes=2)
+    hp_space = default_dataparallel_space(max_ranks=2)
+    return AgEBO(
+        space, hp_space, evaluator, population_size=6, sample_size=3, n_initial_points=4, seed=11
+    )
+
+
+def table_state(search):
+    """The live search's state in the shape ``load_checkpoint`` rebuilds:
+    its snapshot plus the history's job ids and the whole job table."""
+    state = search.state_dict()
+    state["history"] = [job.job_id for job in search.history_jobs]
+    state["evaluator"]["jobs"] = [job_to_dict(job) for job in search.evaluator.jobs]
+    return json.loads(json.dumps(state))
+
+
+def rich_history(search):
+    return [record_to_dict(r, rich_metadata=True) for r in search.history]
+
+
+@pytest.mark.parametrize("every", [1, 2, 3])
+def test_journal_holds_the_whole_table_at_every_checkpoint(tmp_path, monkeypatch, every):
+    """Differential oracle: at every checkpoint, the journal read back is
+    the live search's whole table state, although each write appended only
+    the newly finished jobs and a snapshot."""
+    import repro.core.search as search_mod
+
+    original = search_mod.AgingEvolutionBase.checkpoint
+    checked = []
+
+    def checkpoint(self, path):
+        original(self, path)
+        state = load_checkpoint(path)["search"]
+        assert state == table_state(self)
+        checked.append((len(self.history), bool(state["evaluator"]["unforced"])))
+
+    monkeypatch.setattr(search_mod.AgingEvolutionBase, "checkpoint", checkpoint)
+    path = tmp_path / "ck.jsonl"
+    with mock.patch("repro.workflow.pool.training_processes", return_value=0):
+        search = faulty_cached_agebo()
+        search.search(
+            max_evaluations=JOURNAL_EVALUATIONS, checkpoint_path=path, checkpoint_every=every
+        )
+        save_checkpoint(search, path)  # a budget stop: pending results ride along
+    assert load_checkpoint(path)["search"] == table_state(search)
+    lengths = [n for n, _ in checked]
+    assert len(lengths) >= 3 and lengths == sorted(set(lengths))
+    ev = search.evaluator
+    assert ev.num_worker_failures == 1 and ev.num_retries > 0 and ev.num_timeouts > 0
+    assert ev.cache.stores > 0 and any(unforced for _, unforced in checked)
+    # One header line; each later write appended, never rewrote.
+    assert path.read_text().count('"version"') == 1
+
+
+_JOURNALS: dict[int, tuple] = {}
+
+
+@given(every=st.sampled_from([1, 2, 3]), data=st.data())
+@settings(max_examples=max(6, settings.default.max_examples // 5), deadline=None)
+def test_journal_cut_at_any_byte_resumes_bit_identical(tmp_path_factory, every, data):
+    """A campaign killed at any byte of its journal resumes from the last
+    complete state line to the uninterrupted history, bit for bit.  A
+    journal cut before its first state line holds no checkpoint, and one
+    cut inside its header says so."""
+    with mock.patch("repro.workflow.pool.training_processes", return_value=0):
+        if every not in _JOURNALS:
+            path = tmp_path_factory.mktemp("journal") / "ck.jsonl"
+            full = faulty_cached_agebo()
+            full.search(
+                max_evaluations=JOURNAL_EVALUATIONS, checkpoint_path=path, checkpoint_every=every
+            )
+            journal = path.read_bytes()
+            header_end = journal.index(b"\n")
+            first_state_end = journal.index(b"\n", journal.index(b'\n{"search"') + 1)
+            _JOURNALS[every] = (
+                journal, header_end, first_state_end, rich_history(full),
+                evaluator_counters(full.evaluator),
+            )  # fmt: skip
+        journal, header_end, first_state_end, expected, counters = _JOURNALS[every]
+        cut = data.draw(st.integers(0, len(journal)), label="cut")
+        path = tmp_path_factory.mktemp("cut") / "ck.jsonl"
+        path.write_bytes(journal[:cut])
+        if cut < header_end:
+            with pytest.raises(ValueError, match="header"):
+                load_checkpoint(path)
+            return
+        if cut < first_state_end:
+            with pytest.raises(ValueError, match="no complete"):
+                load_checkpoint(path)
+            return
+        resumed = faulty_cached_agebo()
+        resumed.load_state(load_checkpoint(path)["search"])
+        resumed.search(max_evaluations=JOURNAL_EVALUATIONS, checkpoint_path=path)
+    assert rich_history(resumed) == expected
+    assert evaluator_counters(resumed.evaluator) == counters
+    # The resumed campaign rewrote the torn journal before appending to it.
+    save_checkpoint(resumed, path)
+    assert load_checkpoint(path)["search"] == table_state(resumed)
+
+
+def test_raised_job_survives_two_resumes(tmp_path):
+    """A job failed by a raising settlement is never delivered: it stays
+    out of the history and in the job table across checkpoints."""
+    policy = FaultPolicy(on_error="raise", crash_prob=0.3, fault_seed=2)
+    search = build_agebo(fake_eval, policy=policy, num_workers=3)
+    path = tmp_path / "ck.jsonl"
+    with pytest.raises(Exception, match="injected crash"):
+        search.search(max_evaluations=30, checkpoint_path=path)
+    (raised,) = [job for job in search.evaluator.jobs if job.state.value == "failed"]
+    assert raised not in search.history_jobs
+    for _ in range(2):
+        save_checkpoint(search, path)
+        state = load_checkpoint(path)["search"]
+        assert state == table_state(search)
+        assert raised.job_id not in state["history"]
+        search = build_agebo(fake_eval, policy=policy, num_workers=3)
+        search.load_state(state)
+    assert search.evaluator._undelivered == {raised.job_id: search.evaluator.jobs[raised.job_id]}
+
+
+def test_jobs_finished_beside_a_raise_survive_the_checkpoint():
+    """Jobs that finished in the gather an attempt's raise cut short are
+    delivered by the next gather, after a restore too (pre-fix the
+    snapshot dropped them and the restored gather reported a deadlock)."""
+    def run(config):
+        if config == 1:
+            raise RuntimeError("boom")
+        return EvaluationResult(0.5, 2.0)
+
+    def evaluator():
+        return SimulatedEvaluator(run, num_workers=2, fault_policy=FaultPolicy(on_error="raise"))
+
+    ev = evaluator()
+    ev.submit([0, 0, 1])
+    with pytest.raises(RuntimeError, match="boom"):
+        ev.gather()  # jobs 0 and 1 finish at 2; job 2 then starts and raises
+    restored = evaluator()
+    restored.load_state(restorable_state(ev))
+    assert [job.job_id for job in restored.gather()] == [0, 1]
+    assert [job.job_id for job in ev.gather()] == [0, 1]
+    assert restored.num_in_flight == ev.num_in_flight == 0

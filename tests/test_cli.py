@@ -162,3 +162,49 @@ def test_search_command_saves_history_and_report(tmp_path):
     assert len(loaded) >= 6
     assert rep.read_text().startswith("# Search report")
     assert "history written" in text and "report written" in text
+
+
+def test_resumed_search_continues_its_event_log(tmp_path):
+    """--resume with --events cuts the first leg's log back to the
+    checkpoint it resumes from and appends, so replaying the joined log
+    gives the uninterrupted campaign's metrics.  Torn final lines in the
+    journal and the log (a kill mid-write) are dropped."""
+    from repro.campaign import replay_metrics
+
+    base = [
+        "search", "--dataset", "covertype", "--size", "300", "--num-nodes", "2",
+        "--epochs", "2", "--workers", "3", "--population", "4", "--sample", "2",
+        "--cache", "exact",
+    ]  # fmt: skip
+    full_log = tmp_path / "full.jsonl"
+    run_cli(base + ["--max-evaluations", "12", "--events", str(full_log)])
+
+    ck, log = tmp_path / "camp.ckpt", tmp_path / "camp.jsonl"
+    run_cli(base + ["--max-evaluations", "8", "--checkpoint", str(ck), "--events", str(log)])
+    for path in (ck, log):
+        with open(path, "a") as fh:
+            fh.write('{"torn": ')
+    run_cli([
+        "search", "--resume", str(ck), "--max-evaluations", "12", "--events", str(log),
+    ])  # fmt: skip
+
+    fields = (
+        "num_jobs_done", "busy_worker_minutes", "utilization", "ring_comm_bytes",
+        "num_cache_hits", "num_cache_stores",
+    )  # fmt: skip
+    joined, full = replay_metrics(log).summary(), replay_metrics(full_log).summary()
+    assert full["ring_comm_bytes"] > 0 and full["num_jobs_done"] >= 12
+    assert {f: joined[f] for f in fields} == {f: full[f] for f in fields}
+
+
+def test_resume_refuses_an_event_log_of_another_campaign(tmp_path):
+    base = [
+        "search", "--dataset", "covertype", "--size", "300", "--num-nodes", "2",
+        "--epochs", "1", "--workers", "2", "--population", "3", "--sample", "2",
+    ]  # fmt: skip
+    ck, other = tmp_path / "camp.ckpt", tmp_path / "other.jsonl"
+    run_cli(base + ["--max-evaluations", "6", "--checkpoint", str(ck)])
+    run_cli(base + ["--max-evaluations", "2", "--events", str(other)])
+    with pytest.raises(SystemExit, match="does not belong to this checkpoint"):
+        main(["search", "--resume", str(ck), "--max-evaluations", "8", "--events", str(other)],
+             out=io.StringIO())  # fmt: skip

@@ -79,6 +79,11 @@ def hang_on_negative(config):
     return hashed_run(config)
 
 
+def sleep_then_return(seconds):
+    time.sleep(float(seconds))
+    return hashed_run(1)
+
+
 def marked_failed(config):
     """A result the run function itself marks as failed."""
     return EvaluationResult(objective=0.0, duration=1.0, metadata={"failed": True})
@@ -298,6 +303,23 @@ def test_wallclock_raise_policy_propagates(backend):
         ev.submit([4])
         with pytest.raises(Exception, match="injected"):
             drain(ev)
+
+
+@pytest.mark.parametrize("backend", WALL_CLOCK)
+def test_wallclock_attempt_returned_past_its_deadline_times_out(backend):
+    """An attempt that returns after its deadline, while the manager is
+    busy elsewhere, times out like one still running: its end is stamped
+    when its future resolves, not when gather collects it (pre-fix the
+    returned attempt was accepted and ended at the gather)."""
+    policy = FaultPolicy(on_error="penalize", timeout=0.5 / 60)
+    with WALL_CLOCK[backend](sleep_then_return, num_workers=1, fault_policy=policy) as ev:
+        ev.submit([0.7])
+        time.sleep(1.0)
+        gathered_at = ev.now
+        (job,) = ev.gather()
+    assert job.state is JobState.FAILED and "timeout" in job.error
+    assert ev.num_timeouts == 1
+    assert job.start_time + 0.7 / 60 <= job.end_time < gathered_at
 
 
 def test_process_results_match_run_function():
