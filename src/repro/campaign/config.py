@@ -42,28 +42,6 @@ __all__ = [
 CONFIG_VERSION = 1
 
 
-#: Fields that older builds wrote, per sub-config, each with the one value
-#: this build still runs.  ``from_dict`` drops them so existing checkpoints
-#: resume, and refuses any other value.
-_RETIRED_KEYS = {
-    "training": {"allreduce": "fused", "backend": "compiled"},
-    "evaluator": {"measure_wall_time": False},
-}
-
-
-def _drop_retired_keys(name: str, section: dict) -> dict:
-    section = dict(section)
-    for key, supported in _RETIRED_KEYS[name].items():
-        if key in section:
-            value = section.pop(key)
-            if value != supported:
-                raise ValueError(
-                    f"campaign config: {name}.{key}={value!r} was removed; "
-                    f"this build runs only with {key}={supported!r}"
-                )
-    return section
-
-
 def _from_dict(cls, data: Any, context: str):
     """Build a config dataclass from a mapping, rejecting unknown keys."""
     if not isinstance(data, dict):
@@ -269,10 +247,7 @@ class CampaignConfig:
 
         Raises ``ValueError`` with a clear message on a missing or
         unsupported ``config_version`` and on unknown keys anywhere in the
-        tree (typo protection + forward-compatibility signal).  The retired
-        ``training.allreduce`` / ``training.backend`` and
-        ``evaluator.measure_wall_time`` keys are accepted (and dropped) at
-        the one value this build runs.
+        tree (typo protection + forward-compatibility signal).
         """
         if not isinstance(data, dict):
             raise ValueError(f"campaign config: expected a mapping, got {type(data).__name__}")
@@ -284,9 +259,6 @@ class CampaignConfig:
                 f"(this build reads version {CONFIG_VERSION}); "
                 "re-create the config with CampaignConfig.to_dict()"
             )
-        for name in _RETIRED_KEYS:
-            if isinstance(data.get(name), dict):
-                data[name] = _drop_retired_keys(name, data[name])
         for name, sub_cls in cls._SUBCONFIGS.items():
             if name in data:
                 data[name] = _from_dict(sub_cls, data[name], f"campaign config: {name}")

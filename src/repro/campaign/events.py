@@ -92,7 +92,9 @@ class CampaignStarted(CampaignEvent):
 
 @dataclass(frozen=True)
 class CampaignFinished(CampaignEvent):
-    """A campaign run returned its history."""
+    """A campaign run returned its history.  ``elapsed_minutes`` is read
+    off the evaluator's clock: simulated minutes on the simulated backend,
+    wall-clock minutes on the threaded and process ones."""
 
     num_evaluations: int
     best_objective: float
@@ -408,8 +410,7 @@ class ProgressReporter:
         elif isinstance(event, CampaignFinished):
             print(
                 f"campaign finished: {event.num_evaluations} evaluations, "
-                f"best {event.best_objective:.4f} in {event.elapsed_minutes:.1f} "
-                f"simulated minutes",
+                f"best {event.best_objective:.4f} at t={event.elapsed_minutes:.1f}min",
                 file=self.out,
             )
 

@@ -35,7 +35,6 @@ class AgE(AgingEvolutionBase):
         hyperparameters: dict[str, Any] | None = None,
         population_size: int = 100,
         sample_size: int = 10,
-        num_workers: int | None = None,
         seed: int = 0,
         mutate_skips: bool = True,
         replacement: str = "aging",
@@ -49,7 +48,6 @@ class AgE(AgingEvolutionBase):
             evaluator,
             population_size=population_size,
             sample_size=sample_size,
-            num_workers=num_workers,
             seed=seed,
             mutate_skips=mutate_skips,
             replacement=replacement,

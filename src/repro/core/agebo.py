@@ -42,7 +42,6 @@ class AgEBO(AgingEvolutionBase):
         evaluator: Evaluator,
         population_size: int = 100,
         sample_size: int = 10,
-        num_workers: int | None = None,
         kappa: float = 0.001,
         n_initial_points: int = 10,
         lie_strategy: str = "mean",
@@ -58,7 +57,6 @@ class AgEBO(AgingEvolutionBase):
             evaluator,
             population_size=population_size,
             sample_size=sample_size,
-            num_workers=num_workers,
             seed=seed,
             mutate_skips=mutate_skips,
             replacement=replacement,

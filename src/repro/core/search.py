@@ -41,11 +41,9 @@ class AgingEvolutionBase:
     space:
         The architecture search space ``H_a``.
     evaluator:
-        A submit/gather backend (simulated or threaded).
+        A submit/gather backend; its ``num_workers`` is ``W``.
     population_size, sample_size:
         ``P`` and ``S`` (paper: 100 and 10).
-    num_workers:
-        ``W``; defaults to the evaluator's worker count when it has one.
     replacement:
         ``"aging"`` (paper: evict the oldest member) or ``"elitist"``
         (ablation: evict the worst member) when the population is full.
@@ -57,7 +55,6 @@ class AgingEvolutionBase:
         evaluator: Evaluator,
         population_size: int = 100,
         sample_size: int = 10,
-        num_workers: int | None = None,
         seed: int = 0,
         mutate_skips: bool = True,
         replacement: str = "aging",
@@ -69,17 +66,11 @@ class AgingEvolutionBase:
             raise ValueError("sample_size must be in [1, population_size]")
         if replacement not in ("aging", "elitist"):
             raise ValueError(f"unknown replacement {replacement!r}")
-        if num_workers is None:
-            num_workers = getattr(evaluator, "num_workers", 1)
-        if num_workers < 1:
-            # An explicit 0 must fail loudly, not silently fall back to the
-            # evaluator default.
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.space = space
         self.evaluator = evaluator
         self.population_size = population_size
         self.sample_size = sample_size
-        self.num_workers = num_workers
+        self.num_workers = evaluator.num_workers
         self.rng = np.random.default_rng(seed)
         self.mutate_skips = mutate_skips
         self.replacement = replacement

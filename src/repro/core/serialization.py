@@ -12,8 +12,8 @@ JSONL journal.  Its first line is a header: ``version``, ``algorithm`` and
 line per job the search recorded since the last one (the fields of
 :func:`~repro.workflow.jobs.job_to_dict`), in gather order, and one state
 line, ``{"search": ...}``, holding only what cannot be rebuilt: RNG
-states, counters, the clock, pending events, the running, waiting and
-unforced ids, population positions and the jobs not delivered yet.  So a
+states, counters, the clock, pending events, the running and waiting
+ids, population positions and the jobs not delivered yet.  So a
 checkpoint writes the new and live jobs, not the whole history.  The job
 lines are the one stored copy of every finished evaluation; the history
 (their order), the cache entries and the BO tell-history are rebuilt from
@@ -131,7 +131,7 @@ def load_history(path: str | Path) -> SearchHistory:
 # --------------------------------------------------------------------- #
 # Checkpoints: the full, resumable search state
 # --------------------------------------------------------------------- #
-def save_checkpoint(search: Any, path: str | Path, extra: dict[str, Any] | None = None) -> Path:
+def save_checkpoint(search: Any, path: str | Path) -> Path:
     """Write the checkpoint state of a search to the journal at ``path``.
 
     ``search`` is any :class:`~repro.core.search.AgingEvolutionBase`
@@ -140,8 +140,8 @@ def save_checkpoint(search: Any, path: str | Path, extra: dict[str, Any] | None 
     header, a line per history job and the state line; every later one
     appends the new history jobs and a state line, then flushes.  A crash
     mid-append leaves a torn tail that :func:`load_checkpoint` drops, so
-    the last good checkpoint survives.  ``extra`` (or the search's
-    ``checkpoint_metadata`` attribute) goes into the header verbatim, for
+    the last good checkpoint survives.  The search's
+    ``checkpoint_metadata`` goes into the header's ``extra`` verbatim, for
     callers such as the CLI that rebuild the dataset/space context on
     resume.
     """
@@ -151,11 +151,10 @@ def save_checkpoint(search: Any, path: str | Path, extra: dict[str, Any] | None 
     if journal is not None and journal[0] == target and journal[2] == _identity(target):
         start, file, mode, text = journal[1], target, "a", ""
     else:
-        metadata = extra if extra is not None else getattr(search, "checkpoint_metadata", None)
         header = {
             "version": CHECKPOINT_VERSION,
             "algorithm": type(search).__name__,
-            "extra": metadata or {},
+            "extra": search.checkpoint_metadata,
         }
         start, file, mode, text = 0, target + ".tmp", "w", _line(header)
     text += "".join(_line(job_to_dict(job)) for job in jobs[start:])

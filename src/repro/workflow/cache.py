@@ -21,20 +21,20 @@ Semantics (kept deliberately uniform across backends):
   memoized duration on the simulated clock (the worker stays reserved until
   ``start + duration``), which keeps the campaign timeline — and therefore
   the search history — bit-identical with the cache on or off, faults
-  included; the utilization account counts those reserved minutes.  When
-  it trains lazily, an attempt of the same config that starts while the
-  first one is still untrained evaluates that one first, so every lookup
-  hits or misses as if each attempt were trained as it starts.  On the
-  wall-clock backends a hit ends where it starts and counts nothing.
-- Only successful results of clean attempts are stored; failures always
+  included; the utilization account counts those reserved minutes.  On
+  the wall-clock backends a hit ends where it starts and counts nothing.
+- A result is stored when its attempt ends for good, and only if that
+  attempt computed it cleanly: not a hit, under no injected fault, not
+  marked failed and with a finite objective.  So a hit needs an attempt
+  of its config that has already ended, on every backend: a duplicate
+  that starts while its original still runs misses.  Failures always
   re-run, and a hang or a corruption changes that attempt's result but
   never the cache entry.
 
 The cache is manipulated exclusively from the manager thread (``submit`` /
 ``gather``), so it needs no locking.  Simulated-evaluator checkpoints keep
 only its hit/miss/store counters: on load the entries are rebuilt from the
-checkpointed jobs, since every job with an acceptable, non-failed result
-from a clean attempt holds its key's memoized entry.
+checkpointed jobs whose attempts ended, by the rule that stored them.
 """
 
 from __future__ import annotations

@@ -31,10 +31,13 @@ the optional :class:`~repro.workflow.cache.EvaluationCache` and the
 failure counters.  Every attempt starts on the manager, which stamps it
 ``RUNNING``, draws its injected fault from ``(fault_seed, job_id,
 retries)``, consults the cache and hands it to the backend's ``_launch``;
-it ends in :meth:`FaultPolicy.settle
+it is settled by :meth:`FaultPolicy.settle
 <repro.workflow.faults.FaultPolicy.settle>`, which decides accept, retry,
-penalize or raise; and a finished job is delivered by one ``_deliver``,
-which ends it ``DONE`` or ``FAILED`` by its result's ``failed`` flag.
+penalize or raise; an attempt that ends for good goes through one
+``_finish``, which memoizes its result if it is cacheable; and a finished
+job is delivered by one ``_deliver``, which ends it ``DONE`` or ``FAILED``
+by its result's ``failed`` flag.  So on every backend a cache hit needs an
+attempt of its config that has already ended.
 The backends keep only their clocks, pools and ``gather`` scans; each
 clock decides which attempts time out (the declared duration on the
 simulated clock, the reap deadline on the wall clock).  No worker thread
@@ -121,7 +124,8 @@ class Evaluator:
     (128 on Theta; scaled down in the benches); ``fault_policy`` settles
     every attempt (:meth:`FaultPolicy.settle`); ``cache`` is an optional
     :class:`~repro.workflow.cache.EvaluationCache` consulted as each
-    attempt starts and filled by clean successful attempts.
+    attempt starts and filled as each attempt ends for good
+    (:meth:`_cacheable` says which results it takes).
 
     ``event_bus`` is an optional campaign event bus (attached by
     :func:`repro.campaign.build_campaign`); backends emit job lifecycle
@@ -137,9 +141,9 @@ class Evaluator:
     attempts, oldest first, while the backend reports a free worker
     (``_has_free_worker``), stamping each ``RUNNING`` and handing it to
     the backend's ``_launch(job, kind, cached)``.  A backend's ``gather``
-    puts the jobs whose attempts ended for good on ``_completed`` (or back
-    on the queue, for a retry) and returns :meth:`_deliver`, which takes
-    them out of flight.  An attempt whose settlement raises
+    hands the jobs whose attempts ended for good to :meth:`_finish` (or
+    puts them back on the queue, for a retry) and returns :meth:`_deliver`,
+    which takes them out of flight.  An attempt whose settlement raises
     (``on_error="raise"``) ends its job ``FAILED`` and out of flight
     before the exception propagates, and jobs finished in the same round
     come back from the next ``gather``.
@@ -248,7 +252,7 @@ class Evaluator:
                 )
         cached = None
         if kind != "crash" and self.cache is not None:
-            cached = self._lookup(job.config)
+            cached = self.cache.lookup(job.config)
         job.cache_hit = cached is not None
         if job.cache_hit and self.event_bus is not None:
             from repro.campaign.events import CacheHit
@@ -257,20 +261,15 @@ class Evaluator:
             self.event_bus.emit(CacheHit(job_id=job.job_id, key=key, time=self.now))
         return kind, cached
 
-    def _lookup(self, config: Any) -> EvaluationResult | None:
-        """The cache's memoized result for ``config`` (counts hit/miss)."""
-        return self.cache.lookup(config)
-
     def _settle(
         self, job: Job, kind: str | None, outcome: Any, simulated_clock: bool = False
     ) -> Settlement:
         """Settle the attempt of ``job`` that just ended (see
-        :meth:`FaultPolicy.settle`) and record it: the counters, the job's
-        error and result, and the cache for a freshly computed success of
-        a clean attempt (a hang or a corruption never reaches the cache).
-        First, an attempt that trained (not a cache hit, a crash or a reap)
-        emits the events the run function's optional ``epoch_events(job_id,
-        config, result)`` hook makes of its raw result."""
+        :meth:`FaultPolicy.settle`) and record it: the counters and the
+        job's error and result.  First, an attempt that trained (not a
+        cache hit, a crash or a reap) emits the events the run function's
+        optional ``epoch_events(job_id, config, result)`` hook makes of its
+        raw result."""
         hook = getattr(self.run_function, "epoch_events", None)
         trained = isinstance(outcome, EvaluationResult) and not job.cache_hit
         if trained and hook is not None and self.event_bus is not None:
@@ -289,18 +288,29 @@ class Evaluator:
             # The attempt raises to the caller: its job ends here, undelivered.
             self._in_flight -= 1
             job.state = JobState.FAILED
-        fresh = settlement.error is None and kind is None and not job.cache_hit
-        if fresh and self.cache is not None:
-            self._store(job)
         return settlement
 
-    def _store(self, job: Job) -> None:
-        """Memoize the job's result (the first store of a key wins)."""
-        if self.cache.store(job.config, job.result) and self.event_bus is not None:
-            from repro.campaign.events import CacheStore
+    def _cacheable(self, job: Job) -> bool:
+        """Whether the result of ``job``'s last attempt is memoized: it
+        computed the result (no cache hit) under no injected fault, and the
+        result is neither marked failed nor rejected by the policy."""
+        return (
+            not job.cache_hit
+            and not job.result.metadata.get("failed")
+            and self.fault_policy.classify(job.result) is None
+            and self.fault_policy.fault(job.job_id, job.retries) is None
+        )
 
-            key = self.cache.key(job.config)
-            self.event_bus.emit(CacheStore(job_id=job.job_id, key=key, time=self.now))
+    def _finish(self, job: Job) -> None:
+        """``job``'s attempt ended for good: memoize its result if it is
+        cacheable (the first store of a key wins), then complete the job."""
+        if self.cache is not None and self._cacheable(job):
+            if self.cache.store(job.config, job.result) and self.event_bus is not None:
+                from repro.campaign.events import CacheStore
+
+                key = self.cache.key(job.config)
+                self.event_bus.emit(CacheStore(job_id=job.job_id, key=key, time=self.now))
+        self._completed.append(job)
 
     def _count_retry(self, job: Job) -> None:
         """Book a failed attempt that will be re-run."""
@@ -389,12 +399,12 @@ class SimulatedEvaluator(Evaluator):
     the attempt is settled only when that event fires.  Its training is
     dealt to a trainer of the pool as it starts (the manager, or one of
     ``min(cores, num_workers) - 1`` forked workers), and its outcome is
-    read when the event fires (or when a duplicate forces it); the clock,
-    the event queue, fault draws, settlement, the cache, events and
-    checkpoints stay on the manager.  Such a run function must be a pure
-    function of its config: a pool worker, the manager and a retrain
-    after a pool worker died then give one outcome, and the history does
-    not depend on where or whether the pool ran.  The restart after a
+    read when the event fires; the clock, the event queue, fault draws,
+    settlement, the cache, events and checkpoints stay on the manager.
+    Such a run function must be a pure function of its config: a pool
+    worker, the manager and a retrain after a pool worker died then give
+    one outcome, and the history does not depend on where or whether the
+    pool ran.  The restart after a
     simulated worker death reuses its job's submitted training.  An
     attempt still waiting for a worker when the campaign stops is never
     trained, nor is one of the manager's share whose event never fired;
@@ -411,12 +421,11 @@ class SimulatedEvaluator(Evaluator):
     clock* — the worker stays reserved until ``start + duration`` — so the
     campaign timeline (and the search history) is bit-identical with the
     cache on or off.  A hit therefore counts its reserved minutes in the
-    utilization account, as the recomputation it replays would.  For the
-    hit or miss of a lookup to be the eager one, a clean attempt that
-    pends with the cache on is evaluated early (*forced*) when an attempt
-    of the same config starts (the restart after its worker died
-    included); its result is kept as the job's result until its
-    completion event settles it, and cached if acceptable.
+    utilization account, as the recomputation it replays would.  A result
+    is memoized when its attempt ends (its completion, or the end of the
+    minutes an attempt settled at its start holds its worker), so a
+    duplicate that starts while the original is still running misses and
+    trains, whether the run function declares its duration or not.
 
     Jobs submitted while all workers are busy wait in the FIFO queue and
     are started when a worker frees.
@@ -437,9 +446,6 @@ class SimulatedEvaluator(Evaluator):
         self._free_workers = list(range(num_workers - 1, -1, -1))
         self._dead_workers: set[int] = set()
         self._running: dict[int, Job] = {}  # worker -> job
-        # Cache key -> the clean attempt started with the cache on and not
-        # evaluated yet (pending, or stale until its restart forces it).
-        self._unforced: dict[str, Job] = {}
         self._pool = TrainingPool(run_function, num_workers)
         for fail_time, worker in worker_failures or ():
             if not 0 <= worker < num_workers:
@@ -463,25 +469,6 @@ class SimulatedEvaluator(Evaluator):
         """Terminate and join the training workers."""
         self._pool.close()
 
-    def _lookup(self, config: Any) -> EvaluationResult | None:
-        # A pending clean attempt of the same config is forced first, so
-        # the lookup finds the entry it would have stored at its start.
-        if self._unforced:
-            original = self._unforced.pop(self.cache.key(config), None)
-            if original is not None:
-                self._force(original)
-        return super()._lookup(config)
-
-    def _force(self, job: Job) -> None:
-        """Evaluate a pending clean attempt now.  A returned result is kept
-        as the job's result, for its completion event to settle, and cached
-        if it is acceptable; an exception is raised again at completion."""
-        outcome = self._pool.take(job.job_id, job.config)
-        if isinstance(outcome, EvaluationResult):
-            job.result = outcome
-            if self.fault_policy.classify(outcome) is None:
-                self._store(job)
-
     def _launch(self, job: Job, kind: str | None, cached: EvaluationResult | None) -> None:
         """Run the attempt on a free worker: settle it now if its outcome
         is known, else schedule its completion event."""
@@ -496,10 +483,7 @@ class SimulatedEvaluator(Evaluator):
             timeout = self.fault_policy.timeout
             if timeout is None or minutes <= timeout:
                 self._events.push(self._clock + minutes, ("complete", job, job.attempt))
-                if job.result is None:
-                    self._pool.submit(job.job_id, job.config)
-                    if kind is None and self.cache is not None:
-                        self._unforced[self.cache.key(job.config)] = job
+                self._pool.submit(job.job_id, job.config)
                 return
         if kind == "crash":
             outcome = _injected_crash(job)
@@ -525,15 +509,9 @@ class SimulatedEvaluator(Evaluator):
 
     def _complete(self, job: Job) -> None:
         """Settle a pending attempt at its completion event, with its
-        training's outcome (or the forced result)."""
-        if self._unforced:
-            key = self.cache.key(job.config)
-            if self._unforced.get(key) is job:
-                del self._unforced[key]
+        training's outcome."""
         kind = self.fault_policy.fault(job.job_id, job.retries)
-        outcome = job.result
-        if outcome is None:
-            outcome = self._pool.take(job.job_id, job.config)
+        outcome = self._pool.take(job.job_id, job.config)
         settlement = self._settle(job, kind, outcome, simulated_clock=True)
         if settlement.exception is not None:
             self._raise(job, settlement.exception)
@@ -548,11 +526,11 @@ class SimulatedEvaluator(Evaluator):
         raise exception
 
     def _end_attempt(self, job: Job, retry: bool) -> None:
-        """Free the worker of an attempt that ended now; complete its job,
+        """Free the worker of an attempt that ended now; finish its job,
         or queue the retry (after the policy's backoff)."""
         self._release_worker(job.worker)
         if not retry:
-            self._completed.append(job)
+            self._finish(job)
             return
         self._count_retry(job)
         delay = self.fault_policy.backoff_minutes(job.retries)
@@ -581,8 +559,6 @@ class SimulatedEvaluator(Evaluator):
         if job is not None:
             # The in-flight job is rescheduled at the front of the queue;
             # bumping ``attempt`` invalidates its pending completion event.
-            # An unforced attempt stays unforced: the restart's lookup
-            # (same fault draw, so clean too) forces it.
             job.attempt += 1
             job.worker = -1
             job.state = JobState.PENDING
@@ -629,9 +605,8 @@ class SimulatedEvaluator(Evaluator):
         ``"jobs"``.  ``"raised"`` names the undelivered jobs a raising
         settlement failed, so a restore tells them from delivered ones.
         A pending attempt is its ``complete`` event; its job has no result
-        (unless forced) and is trained again after a restore (on the pool,
-        in event order), since the run function is deterministic in its
-        config.
+        and is trained again after a restore (on the pool, in event order),
+        since the run function is deterministic in its config.
         """
         entries = self._events.entries()
 
@@ -662,7 +637,6 @@ class SimulatedEvaluator(Evaluator):
             "cache": None
             if self.cache is None
             else [self.cache.hits, self.cache.misses, self.cache.stores],
-            "unforced": [job.job_id for job in self._unforced.values()],
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
@@ -675,8 +649,6 @@ class SimulatedEvaluator(Evaluator):
                 f"checkpoint has {state['num_workers']} workers, evaluator has "
                 f"{self.num_workers}"
             )
-        # Older snapshots also held ``busy_time`` and ``capacity_time``
-        # (a busy-time ledger this evaluator no longer keeps); ignored.
         self._clock = float(state["clock"])
         self._next_id = int(state["next_id"])
         self._in_flight = int(state["in_flight"])
@@ -704,32 +676,23 @@ class SimulatedEvaluator(Evaluator):
         )
         if state["cache"] is not None:
             # A checkpoint written with caching on restores the cache even
-            # when this evaluator was constructed without one.  Every job
-            # with an acceptable, non-failed result from a clean attempt
-            # holds its key's memoized entry: the first clean success is
-            # stored when it is evaluated and every later job with that key
-            # replays it (a restart after a worker death included).  The
-            # fault draw is pure, so the attempt that produced a job's
-            # result is known again here.
+            # when this evaluator was constructed without one.  Its entries
+            # are the cacheable results of the jobs whose attempts ended for
+            # good: the delivered ones and those finished beside an attempt
+            # that raised.  The fault draw is pure, so the attempt that
+            # produced a job's result is known again here.
             if self.cache is None:
                 self.cache = EvaluationCache()
+            ended = {job.job_id for job in self._completed}
             for job in self.jobs:
-                if (
-                    job.result is not None
-                    and not job.result.metadata.get("failed")
-                    and self.fault_policy.classify(job.result) is None
-                    and self.fault_policy.fault(job.job_id, job.retries) is None
-                ):
+                if (job.state is JobState.DONE or job.job_id in ended) and self._cacheable(job):
                     self.cache.store(job.config, job.result)
             self.cache.hits, self.cache.misses, self.cache.stores = state["cache"]
-        self._unforced = {
-            self.cache.key(by_id[jid].config): by_id[jid] for jid in state.get("unforced", ())
-        }
         # Pending attempts are dealt to the trainers again, in event order.
         self._pool.close()
         self._pool = TrainingPool(self.run_function, self.num_workers)
         for _, _, (kind, ref, attempt) in self._events.entries():
-            if kind == "complete" and ref.attempt == attempt and ref.result is None:
+            if kind == "complete" and ref.attempt == attempt:
                 self._pool.submit(ref.job_id, ref.config)
 
 
@@ -889,7 +852,7 @@ class _WallClockEvaluator(Evaluator):
                 if settlement.exception is not None:
                     first_error = first_error or settlement.exception
                 else:
-                    self._completed.append(job)
+                    self._finish(job)
             if first_error is not None:
                 raise first_error
         return self._deliver()
@@ -899,8 +862,6 @@ class _WallClockEvaluator(Evaluator):
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-
-    shutdown = close
 
 
 class ThreadedEvaluator(_WallClockEvaluator):

@@ -88,9 +88,6 @@ class FaultPolicy:
     failure_objective, failure_duration:
         The penalized :class:`EvaluationResult` recorded for a job that has
         exhausted the policy.
-    reject_invalid:
-        Treat non-finite objectives (NaN/inf — corrupted or diverged
-        results) as failures.
     crash_prob, hang_prob, corrupt_prob:
         Probability that an attempt crashes (fails without calling the run
         function — a worker that died before reporting), hangs (its
@@ -108,7 +105,6 @@ class FaultPolicy:
     timeout: float | None = None
     failure_objective: float = 0.0
     failure_duration: float = 1.0
-    reject_invalid: bool = True
     crash_prob: float = 0.0
     hang_prob: float = 0.0
     corrupt_prob: float = 0.0
@@ -156,8 +152,9 @@ class FaultPolicy:
         )
 
     def classify(self, result: EvaluationResult) -> str | None:
-        """Failure description for a returned result, or None if acceptable."""
-        if self.reject_invalid and not math.isfinite(result.objective):
+        """Failure description for a returned result, or None if acceptable:
+        a non-finite objective (a corrupted or diverged result) fails."""
+        if not math.isfinite(result.objective):
             return f"invalid objective {result.objective!r}"
         return None
 

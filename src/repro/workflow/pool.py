@@ -4,8 +4,8 @@
 :class:`~repro.workflow.SimulatedEvaluator` while the manager keeps the
 simulated clock, the event queue and every settlement.  Attempts are
 handed over as they start (:meth:`TrainingPool.submit`) and their
-outcomes read back only when a completion event or a forced cache lookup
-needs one (:meth:`TrainingPool.take`).  The manager runs no helper thread.
+outcomes read back only when their completion events fire
+(:meth:`TrainingPool.take`).  The manager runs no helper thread.
 
 The manager is one of the trainers.  With ``min(cores, num_workers)``
 trainers, one fewer worker processes are forked, and submissions are

@@ -26,6 +26,7 @@ from repro.workflow import (
     EvaluationCache,
     EvaluationResult,
     FaultPolicy,
+    JobState,
     ProcessPoolEvaluator,
     SimulatedEvaluator,
     ThreadedEvaluator,
@@ -47,6 +48,32 @@ def arch_eval(config):
 def int_eval(config):
     h = (int(config) * 2654435761) % 997
     return EvaluationResult(objective=(h % 100) / 100.0, duration=1.0 + (h % 7))
+
+
+def marked_failed_eval(config):
+    """A result the run function itself marks as failed."""
+    return EvaluationResult(0.1, 2.0, {"failed": True, "error": "diverged"})
+
+
+class Declared:
+    """``run`` declaring its duration, so the simulated evaluator trains
+    its attempts lazily and reads each outcome at its completion."""
+
+    def __init__(self, run):
+        self.run = run
+
+    def duration(self, config):
+        return self.run(config).duration
+
+    def __call__(self, config):
+        return self.run(config)
+
+
+def drain(ev):
+    finished = []
+    while ev.num_in_flight:
+        finished.extend(ev.gather())
+    return finished
 
 
 def counting(run):
@@ -225,6 +252,103 @@ def test_wallclock_cache_hit_finalized_at_submit(backend):
     assert finished[0].start_time == finished[0].end_time  # zero wall time
     assert utilization_summary(ev).busy_worker_minutes == busy_before
     assert cache.hits == 1 and cache.stores == 1
+
+
+# --------------------------------------------------------------------- #
+# One cache rule on every backend: memoize a result when its attempt ends
+# --------------------------------------------------------------------- #
+CACHE_BACKENDS = {
+    "simulated-declared": lambda run, cache: SimulatedEvaluator(Declared(run), 2, cache=cache),
+    "simulated": lambda run, cache: SimulatedEvaluator(run, 2, cache=cache),
+    "threaded": lambda run, cache: ThreadedEvaluator(run, 2, cache=cache),
+    "process": lambda run, cache: ProcessPoolEvaluator(run, 2, cache=cache),
+}
+
+
+@pytest.mark.parametrize("backend", CACHE_BACKENDS)
+def test_in_flight_duplicate_misses_on_every_backend(backend):
+    """A duplicate that starts while its original still runs misses and
+    trains, on every backend and whether or not the run function declares
+    its duration; once the original has ended, the next duplicate hits."""
+    cache = EvaluationCache()
+    with CACHE_BACKENDS[backend](int_eval, cache) as ev:
+        pair = ev.submit([5, 5])
+        drain(ev)
+        assert [job.cache_hit for job in pair] == [False, False]
+        assert cache.hits == 0 and cache.stores == 1
+        (later,) = ev.submit([5])
+        drain(ev)
+    assert later.cache_hit and cache.hits == 1
+
+
+@pytest.mark.parametrize("backend", CACHE_BACKENDS)
+def test_result_marked_failed_is_never_memoized(backend):
+    """A result the run function marks failed ends its job ``FAILED`` and
+    never reaches the cache: a later duplicate trains again."""
+    cache = EvaluationCache()
+    with CACHE_BACKENDS[backend](marked_failed_eval, cache) as ev:
+        ev.submit([5])
+        drain(ev)
+        (again,) = ev.submit([5])
+        drain(ev)
+    assert again.state is JobState.FAILED and not again.cache_hit
+    assert len(cache) == 0 and cache.stores == 0
+
+
+@pytest.mark.parametrize("declared", [False, True], ids=["simulated", "simulated-declared"])
+def test_result_marked_failed_is_not_memoized_after_a_restore(declared):
+    """A restored evaluator rebuilds the cache with the live rule, so a
+    duplicate of a failed-marked result trains again after a resume as it
+    does without one."""
+    run = Declared(marked_failed_eval) if declared else marked_failed_eval
+
+    def schedule(resume_between):
+        ev = SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache())
+        ev.submit([5])
+        drain(ev)
+        if resume_between:
+            state = restorable_state(ev)
+            ev.close()
+            ev = SimulatedEvaluator(run, num_workers=2)
+            ev.load_state(state)
+        with ev:
+            ev.submit([5])
+            drain(ev)
+        jobs = [(job.job_id, job.cache_hit, job.start_time, job.end_time) for job in ev.jobs]
+        return jobs, len(ev.cache)
+
+    straight = schedule(False)
+    assert schedule(True) == straight
+    assert straight[1] == 0 and not any(hit for _, hit, _, _ in straight[0])
+
+
+def raise_on_one(config):
+    if config == 1:
+        raise RuntimeError("boom")
+    return EvaluationResult(0.5, 2.0)
+
+
+def test_job_finished_beside_a_raise_is_memoized_live_and_after_a_restore():
+    """Jobs that ended in the gather an attempt's raise cut short are
+    memoized as they end, and a restore from that moment rebuilds their
+    entry: a later duplicate hits on both."""
+
+    def evaluator(cache=None):
+        policy = FaultPolicy(on_error="raise")
+        return SimulatedEvaluator(raise_on_one, num_workers=2, fault_policy=policy, cache=cache)
+
+    ev = evaluator(EvaluationCache())
+    ev.submit([0, 0, 1])
+    with pytest.raises(RuntimeError, match="boom"):
+        ev.gather()  # jobs 0 and 1 end at 2, undelivered; job 2 then starts and raises
+    restored = evaluator()
+    restored.load_state(restorable_state(ev))
+    for e in (ev, restored):
+        assert 0 in e.cache and len(e.cache) == 1
+        assert [job.job_id for job in e.gather()] == [0, 1]
+        (duplicate,) = e.submit([0])
+        drain(e)
+        assert duplicate.cache_hit
 
 
 # --------------------------------------------------------------------- #

@@ -14,12 +14,13 @@ Covers the PR's acceptance criteria:
 - ``--resume`` works from a checkpoint that embeds the campaign config
   (kill-and-resume continues bit-identically), and a checkpoint without
   one is rejected with a clear error;
-- explicit ``num_workers=0`` raises instead of silently falling back to
-  the evaluator default.
+- a search takes its worker count from its evaluator, which refuses
+  zero workers.
 """
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -40,6 +41,7 @@ from repro.campaign import (
     JsonlEventLog,
     MetricsAggregator,
     PopulationUpdated,
+    ProgressReporter,
     SearchConfig,
     TrainingConfig,
     build_campaign,
@@ -172,64 +174,6 @@ def test_from_dict_rejects_unknown_keys_at_both_levels():
         CampaignConfig.from_dict(data)
 
 
-#: ``tiny_config().to_dict()`` as written by builds that still carried the
-#: ``training.allreduce`` / ``training.backend`` fields.
-LEGACY_TINY_CONFIG = {
-    "config_version": 1,
-    "dataset": "covertype", "size": 300, "num_nodes": 2,
-    "max_evaluations": 8, "wall_time_minutes": None,
-    "search": {
-        "method": "AgEBO", "population_size": 4, "sample_size": 2, "seed": 3,
-        "mutate_skips": True, "replacement": "aging", "num_ranks": 1,
-        "batch_size": 256, "learning_rate": 0.01, "kappa": 0.001, "max_ranks": 8,
-        "n_initial_points": 3, "lie_strategy": "mean", "surrogate": "forest",
-    },
-    "training": {
-        "epochs": 1, "nominal_epochs": 20, "warmup_epochs": 5,
-        "plateau_patience": 5, "objective": "best", "allreduce": "fused",
-        "backend": "compiled", "dtype": "float64", "apply_linear_scaling": True,
-        "base_seed": 0,
-    },
-    "evaluator": {
-        "backend": "simulated", "num_workers": 3, "measure_wall_time": False,
-        "cache": "off",
-    },
-    "faults": {
-        "on_error": "penalize", "max_retries": 2, "retry_backoff": 0.0,
-        "timeout": None, "failure_objective": 0.0, "failure_duration": 1.0,
-        "crash_prob": 0.0, "hang_prob": 0.0, "corrupt_prob": 0.0,
-        "hang_factor": 20.0, "fault_seed": 0,
-    },
-    "checkpoint": {"path": None, "every": 1},
-}
-
-
-def test_from_dict_drops_retired_training_keys_at_their_only_value():
-    # The legacy dict was written when float64 was the default precision.
-    legacy = tiny_config(training=TrainingConfig(epochs=1, nominal_epochs=20, dtype="float64"))
-    assert CampaignConfig.from_dict(LEGACY_TINY_CONFIG) == legacy
-    assert "allreduce" not in tiny_config().to_dict()["training"]
-
-
-@pytest.mark.parametrize("key,value", [("allreduce", "ring"), ("allreduce", "mean"),
-                                       ("backend", "eager")])
-def test_from_dict_rejects_retired_training_values(key, value):
-    data = json.loads(json.dumps(LEGACY_TINY_CONFIG))
-    data["training"][key] = value
-    with pytest.raises(ValueError, match=f"training.{key}='{value}' was removed"):
-        CampaignConfig.from_dict(data)
-
-
-def test_from_dict_drops_measure_wall_time_only_when_off():
-    """Wall-clock backends always report the declared duration: a config
-    written with ``measure_wall_time=False`` loads, ``True`` is refused."""
-    assert "measure_wall_time" not in tiny_config().to_dict()["evaluator"]
-    data = json.loads(json.dumps(LEGACY_TINY_CONFIG))
-    data["evaluator"]["measure_wall_time"] = True
-    with pytest.raises(ValueError, match="evaluator.measure_wall_time=True was removed"):
-        CampaignConfig.from_dict(data)
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -272,20 +216,19 @@ def test_replace_returns_modified_copy():
 
 
 # --------------------------------------------------------------------- #
-# Satellite: explicit num_workers=0 must raise, not fall back
+# W is the evaluator's worker count; zero workers raise
 # --------------------------------------------------------------------- #
 def test_search_rejects_explicit_zero_workers():
+    """A search has no worker count of its own to fall back from: W is its
+    evaluator's, and the evaluator refuses zero workers."""
     space = ArchitectureSpace(num_nodes=2)
-    ev = SimulatedEvaluator(lambda c: None, num_workers=4)
+    hp = {"batch_size": 64, "learning_rate": 0.01, "num_ranks": 1}
     with pytest.raises(ValueError, match="num_workers"):
-        AgE(space, ev, hyperparameters={"batch_size": 64, "learning_rate": 0.01,
-                                        "num_ranks": 1},
-            population_size=4, sample_size=2, num_workers=0)
-    # None still means "ask the evaluator".
-    search = AgE(space, ev, hyperparameters={"batch_size": 64,
-                                             "learning_rate": 0.01,
-                                             "num_ranks": 1},
-                 population_size=4, sample_size=2, num_workers=None)
+        SimulatedEvaluator(lambda c: None, num_workers=0)
+    ev = SimulatedEvaluator(lambda c: None, num_workers=4)
+    with pytest.raises(TypeError, match="num_workers"):
+        AgE(space, ev, hyperparameters=hp, population_size=4, sample_size=2, num_workers=0)
+    search = AgE(space, ev, hyperparameters=hp, population_size=4, sample_size=2)
     assert search.num_workers == 4
 
 
@@ -517,6 +460,19 @@ def test_event_stream_reports_retries_under_faults(tmp_path):
     assert metrics.counts["EpochEnd"] > 0
 
 
+def test_progress_reporter_names_no_clock_on_a_threaded_run():
+    """The closing line reports the evaluator's minutes, which on a
+    wall-clock backend are wall-clock minutes, not simulated ones."""
+    out = io.StringIO()
+    threaded = EvaluatorConfig(backend="threaded", num_workers=2)
+    campaign = build_campaign(tiny_config(max_evaluations=4, evaluator=threaded))
+    campaign.subscribe(ProgressReporter(out=out))
+    campaign.run()
+    last = out.getvalue().splitlines()[-1]
+    assert last.startswith("campaign finished: ") and last.endswith("min")
+    assert "simulated" not in out.getvalue()
+
+
 def test_metrics_aggregator_accumulates_ring_comm_bytes():
     """EpochEnd ring payloads aggregate into the simulated comm volume."""
     from repro.campaign.events import EpochEnd
@@ -575,10 +531,10 @@ def test_float64_checkpoint_resumes_at_float64(tmp_path):
 
 
 def test_resume_from_checkpoint_with_retired_training_keys(tmp_path):
-    """A checkpoint whose embedded config still names allreduce/backend
-    and measure_wall_time resumes bit-identically to the straight run."""
+    """A checkpoint whose embedded config still names the retired
+    allreduce/backend and measure_wall_time keys is refused with the
+    unknown-keys error: no version-3 journal was written with them."""
     path = tmp_path / "camp.ckpt"
-    full = build_campaign(tiny_config(max_evaluations=16)).run()
     build_campaign(
         tiny_config(checkpoint=CheckpointConfig(path=str(path), every=1))
     ).run()
@@ -588,8 +544,8 @@ def test_resume_from_checkpoint_with_retired_training_keys(tmp_path):
     data["extra"]["campaign"]["evaluator"]["measure_wall_time"] = False
     path.write_text(json.dumps(data) + "\n" + rest)
 
-    history = resume_campaign(path, max_evaluations=16).run()
-    assert history_to_dict(history) == history_to_dict(full)
+    with pytest.raises(ValueError, match=r"training: unknown keys \['allreduce', 'backend'\]"):
+        resume_campaign(path, max_evaluations=16)
 
 
 def test_resume_overrides_only_named_fields(tmp_path):
@@ -614,7 +570,8 @@ def test_resume_rejects_pre_campaign_checkpoint_layout(tmp_path):
     campaign = build_campaign(tiny_config())
     campaign.run()
     path = tmp_path / "old.ckpt"
-    save_checkpoint(campaign.search, path, extra={})
+    campaign.search.checkpoint_metadata = {}
+    save_checkpoint(campaign.search, path)
     with pytest.raises(ValueError, match="campaign config"):
         resume_campaign(path)
 

@@ -84,7 +84,8 @@ def test_checkpoint_version_round_trip(tmp_path):
     search = build_agebo(fake_eval)
     search.search(max_evaluations=8)
     path = tmp_path / "ck.json"
-    save_checkpoint(search, path, extra={"note": "hello"})
+    search.checkpoint_metadata = {"note": "hello"}
+    save_checkpoint(search, path)
     data = load_checkpoint(path)
     assert data["version"] == CHECKPOINT_VERSION
     assert data["algorithm"] == "AgEBO"
@@ -300,13 +301,13 @@ def test_eager_shaped_checkpoint_resumes_lazily_bit_identical(tmp_path):
 
 def test_resumed_duplicate_forces_the_checkpointed_pending_attempt():
     """A duplicate submitted after resume while its original still pends
-    untrained is a cache hit, as it is without the interruption."""
+    untrained misses the cache and trains, as it does without the
+    interruption: a result is memoized only when its attempt ends."""
     def schedule(ev, resume_between):
         ev.submit([0, 1])
         ev.gather()  # config 1 ends at 2; config 0 pends until 9, untrained
         if resume_between:
             state = restorable_state(ev)
-            assert state["unforced"] == [0]
             ev = SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache())
             ev.load_state(state)
         ev.submit([0])
@@ -321,13 +322,13 @@ def test_resumed_duplicate_forces_the_checkpointed_pending_attempt():
     straight = schedule(SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache()), False)
     resumed = schedule(SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache()), True)
     assert resumed == straight
-    assert straight[-1][1]  # the duplicate hit
+    assert not straight[-1][1]  # the duplicate missed
 
 
 def test_forced_result_epochs_survive_the_checkpoint(tiny_covertype):
-    """A pending attempt forced by its duplicate before the checkpoint
-    emits, once resumed, the ``EpochEnd`` events of the uninterrupted run:
-    its epochs come back from the checkpoint row's list metadata."""
+    """A pending attempt and its duplicate, started while the original
+    still pends, emit once resumed the ``EpochEnd`` events of the
+    uninterrupted run: both train after the restore, neither is a hit."""
     from repro.campaign import EpochEnd, EventBus
     from repro.core import ModelConfig, ModelEvaluation
 
@@ -350,11 +351,9 @@ def test_forced_result_epochs_survive_the_checkpoint(tiny_covertype):
         ev, epochs = evaluator()
         ev.submit([long, short])
         ev.gather()  # short ends; long pends untrained
-        ev.submit([long])  # its start forces the pending original
+        ev.submit([long])  # the original still pends: a miss
         if resume_between:
             state = restorable_state(ev)
-            (row,) = [row for row in state["jobs"] if row["job_id"] == 0]
-            assert row["state"] == "running" and row["result"]["metadata"]["epoch_train_losses"]
             ev, epochs = evaluator()
             ev.load_state(state)
         else:
@@ -364,7 +363,7 @@ def test_forced_result_epochs_survive_the_checkpoint(tiny_covertype):
         return epochs
 
     straight = schedule(False)
-    assert [(e.job_id, e.epoch) for e in straight] == [(0, 0), (0, 1)]
+    assert [(e.job_id, e.epoch) for e in straight] == [(0, 0), (0, 1), (2, 0), (2, 1)]
     assert schedule(True) == straight
 
 
@@ -398,8 +397,7 @@ def test_lazy_campaign_killed_with_unevaluated_attempts_resumes_bit_identical(
 ):
     """A cache-on campaign whose checkpoint holds pending attempts that
     were never trained resumes to the uninterrupted history, byte for
-    byte, and its jobs emit the uninterrupted run's ``EpochEnd`` events
-    (a forced result's epochs come back from the checkpoint row)."""
+    byte, and its jobs emit the uninterrupted run's ``EpochEnd`` events."""
     from repro.campaign import (
         CheckpointConfig,
         EpochEnd,
@@ -432,7 +430,6 @@ def test_lazy_campaign_killed_with_unevaluated_attempts_resumes_bit_identical(
         if kind == "complete" and jobs[ref]["attempt"] == attempt
     ]  # fmt: skip
     assert any(row["result"] is None for row in pending)
-    assert state["unforced"]  # clean pending attempts a duplicate would force
 
     bus = EventBus()
     resumed_epochs = epochs_by_job(bus)
@@ -663,7 +660,7 @@ def test_journal_holds_the_whole_table_at_every_checkpoint(tmp_path, monkeypatch
         original(self, path)
         state = load_checkpoint(path)["search"]
         assert state == table_state(self)
-        checked.append((len(self.history), bool(state["evaluator"]["unforced"])))
+        checked.append(len(self.history))
 
     monkeypatch.setattr(search_mod.AgingEvolutionBase, "checkpoint", checkpoint)
     path = tmp_path / "ck.jsonl"
@@ -674,11 +671,10 @@ def test_journal_holds_the_whole_table_at_every_checkpoint(tmp_path, monkeypatch
         )
         save_checkpoint(search, path)  # a budget stop: pending results ride along
     assert load_checkpoint(path)["search"] == table_state(search)
-    lengths = [n for n, _ in checked]
-    assert len(lengths) >= 3 and lengths == sorted(set(lengths))
+    assert len(checked) >= 3 and checked == sorted(set(checked))
     ev = search.evaluator
     assert ev.num_worker_failures == 1 and ev.num_retries > 0 and ev.num_timeouts > 0
-    assert ev.cache.stores > 0 and any(unforced for _, unforced in checked)
+    assert ev.cache.stores > 0
     # One header line; each later write appended, never rewrote.
     assert path.read_text().count('"version"') == 1
 

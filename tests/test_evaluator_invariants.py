@@ -237,7 +237,7 @@ def test_result_marked_failed_ends_failed_on_every_backend(backend):
         finished = drain(ev)
     finally:
         if backend in WALL_CLOCK:
-            ev.shutdown()
+            ev.close()
     assert sorted(job.job_id for job in finished) == [0, 1]
     assert all(job.state is JobState.FAILED for job in finished)
     assert ev.num_failures == 0  # the run function succeeded; no attempt failed
@@ -428,7 +428,7 @@ def test_threaded_gather_returns_buffered_without_blocking():
     finally:
         release.set()
         drain(ev)
-        ev.shutdown()
+        ev.close()
 
 
 def test_threaded_raise_buffers_siblings_for_next_gather():
@@ -465,7 +465,7 @@ def test_threaded_raise_buffers_siblings_for_next_gather():
     finally:
         release.set()
         drain(ev)
-        ev.shutdown()
+        ev.close()
 
 
 # --------------------------------------------------------------------- #
@@ -508,7 +508,7 @@ def test_tracked_attempts_run_and_queued_jobs_are_untracked():
     finally:
         release.set()
         drain(ev)
-        ev.shutdown()
+        ev.close()
 
 
 def test_threaded_abandon_keeps_every_worker():
@@ -540,7 +540,7 @@ def test_threaded_abandon_keeps_every_worker():
         assert all(job.state is JobState.DONE for job in finished)
     finally:
         release.set()
-        ev.shutdown()
+        ev.close()
 
 
 def test_threaded_hung_retry_does_not_deadlock_gather():
@@ -570,7 +570,7 @@ def test_threaded_hung_retry_does_not_deadlock_gather():
         assert ev.num_timeouts == 1
     finally:
         release.set()
-        ev.shutdown()
+        ev.close()
 
 
 # --------------------------------------------------------------------- #
@@ -599,7 +599,7 @@ def test_threaded_abandoned_attempt_late_return_is_dropped():
         finished = drain(ev, wall_limit_s=30.0)
         returned.wait(30)  # the abandoned thread has returned its 0.1
     finally:
-        ev.shutdown()
+        ev.close()
     assert len(finished) == 1
     job = finished[0]
     assert job.state is JobState.DONE

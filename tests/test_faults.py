@@ -94,8 +94,6 @@ def test_policy_failure_result_and_classify():
     assert result.metadata["failed"] and result.metadata["error"] == "boom"
     assert policy.classify(EvaluationResult(float("nan"), 1.0)) is not None
     assert policy.classify(EvaluationResult(0.5, 1.0)) is None
-    lax = FaultPolicy(reject_invalid=False)
-    assert lax.classify(EvaluationResult(float("nan"), 1.0)) is None
 
 
 # --------------------------------------------------------------------- #
@@ -271,7 +269,7 @@ def test_backends_agree_under_seeded_faults(seed, cache):
         crash_prob=0.2, hang_prob=0.15, corrupt_prob=0.15, fault_seed=seed,
     )
     penalize = FaultPolicy(
-        on_error="penalize", reject_invalid=True, failure_objective=-1.0,
+        on_error="penalize", failure_objective=-1.0,
         failure_duration=0.5, crash_prob=0.15, hang_prob=0.1, corrupt_prob=0.3,
         fault_seed=seed,
     )
@@ -296,8 +294,7 @@ def _assert_backends_agree(policy, cache):
                 ev.submit(configs)
                 jobs = drain(ev)
             finally:
-                if hasattr(ev, "shutdown"):
-                    ev.shutdown()
+                ev.close()
             assert ev.num_faults_injected == len(events) == metrics.num_faults_injected
             key = (backend.__name__, repeat)
             outcomes[key] = sorted(
@@ -364,8 +361,7 @@ def test_backends_emit_one_epoch_stream(tiny_covertype, tmp_path):
             drain(ev)
         finally:
             log.close()
-            if hasattr(ev, "shutdown"):
-                ev.shutdown()
+            ev.close()
         streams[backend.__name__] = _epochs_by_job(epochs)
         ring_bytes[backend.__name__] = live.ring_comm_bytes
         assert replay_metrics(path).ring_comm_bytes == live.ring_comm_bytes
@@ -409,7 +405,7 @@ def test_threaded_events_arrive_on_the_manager_thread(tiny_covertype):
         jobs = drain(ev)
         assert straggler_done.wait(timeout=30.0)  # its training ran to the end
     finally:
-        ev.shutdown()
+        ev.close()
     straggler = next(job for job in jobs if job.config is configs[0])
     assert straggler.state is JobState.FAILED and "timeout" in straggler.error
     assert {thread for _, thread in seen} == {threading.get_ident()}
@@ -584,7 +580,7 @@ def test_threaded_gather_returns_all_finished_jobs_regression():
         assert bad.state is JobState.FAILED
         assert ev.num_in_flight == 0
     finally:
-        ev.shutdown()
+        ev.close()
 
 
 def test_threaded_penalize_policy_parity():
@@ -609,7 +605,7 @@ def test_threaded_penalize_policy_parity():
         assert bad.result.metadata["failed"]
         assert ev.num_failures == 1
     finally:
-        ev.shutdown()
+        ev.close()
 
 
 def test_threaded_retry_policy():
@@ -631,7 +627,7 @@ def test_threaded_retry_policy():
         assert job.retries == 1
         assert job.result.objective == 0.9
     finally:
-        ev.shutdown()
+        ev.close()
 
 
 def test_threaded_invalid_objective_penalized():
@@ -647,7 +643,7 @@ def test_threaded_invalid_objective_penalized():
         assert job.state is JobState.FAILED
         assert "invalid objective" in job.result.metadata["error"]
     finally:
-        ev.shutdown()
+        ev.close()
 
 
 def test_threaded_timeout_abandons_straggler():

@@ -118,7 +118,7 @@ def test_threaded_evaluator_runs_same_search(setting):
         assert len(hist) >= 6
         assert all(0.0 <= r.objective <= 1.0 for r in hist)
     finally:
-        ev.shutdown()
+        ev.close()
 
 
 def test_search_reproducibility_end_to_end(setting):

@@ -199,7 +199,7 @@ def test_threaded_evaluator_runs_concurrently():
             results.extend(ev.gather())
         assert sorted(j.result.objective for j in results) == [2.0, 4.0, 6.0, 8.0]
     finally:
-        ev.shutdown()
+        ev.close()
 
 
 def test_threaded_evaluator_propagates_exceptions():
@@ -212,7 +212,7 @@ def test_threaded_evaluator_propagates_exceptions():
         with pytest.raises(RuntimeError, match="evaluation failed"):
             ev.gather()
     finally:
-        ev.shutdown()
+        ev.close()
 
 
 def test_threaded_gather_empty_when_idle():
@@ -220,4 +220,4 @@ def test_threaded_gather_empty_when_idle():
     try:
         assert ev.gather() == []
     finally:
-        ev.shutdown()
+        ev.close()
