@@ -145,18 +145,6 @@ class BayesianOptimizer:
         return forest
 
     # ------------------------------------------------------------------ #
-    # Checkpointing: the RNG state is the only state a checkpoint keeps —
-    # the surrogate is refit from scratch on every ask, and the search
-    # rebuilds the tell-history from its evaluation records on resume.
-    def state_dict(self) -> dict[str, Any]:
-        """JSON-safe snapshot of the RNG state."""
-        return {"rng_state": self._rng.bit_generator.state}
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`."""
-        self._rng.bit_generator.state = state["rng_state"]
-
-    # ------------------------------------------------------------------ #
     def best(self) -> tuple[dict[str, Any], float]:
         """Best observed (config, value) so far."""
         if not self._y:

@@ -15,9 +15,13 @@ run through the class API directly.
 
 :func:`resume_campaign` is the one resume path: it builds the campaign
 from the ``CampaignConfig`` a checkpoint embeds (written by
-``Campaign.run`` / ``search.checkpoint``) and loads the search state into
-it, so every knob — including ones added later — is restored without a
-pinned key list.
+``Campaign.run`` / ``search.checkpoint``), so every knob — including ones
+added later — is restored without a pinned key list, and replays its
+search to the checkpoint (:meth:`AgingEvolutionBase.resume
+<repro.core.search.AgingEvolutionBase.resume>`): the built campaign is
+the checkpointed one run again, with the journaled trainings served from
+their job lines and no event emitted.  Only the simulated backend
+replays, so only its campaigns take a checkpoint path.
 """
 
 from __future__ import annotations
@@ -238,9 +242,11 @@ def resume_campaign(
     The checkpoint's embedded :class:`CampaignConfig` supplies every knob;
     ``overrides`` replace top-level config fields (typically the budgets —
     ``max_evaluations``, ``wall_time_minutes`` — or ``checkpoint``) before
-    :func:`build_campaign` constructs the campaign, whose search then loads
-    the checkpointed state.  The restored search continues bit-identically
-    to an uninterrupted run.
+    :func:`build_campaign` constructs the campaign, whose search then
+    replays to the checkpoint (its cost is the manager's share of the
+    campaign so far: BO fits, mutations and bookkeeping, not training).
+    The resumed search continues bit-identically to an uninterrupted run;
+    a journal that replays differently raises ``ValueError``.
     """
     from repro.core.serialization import load_checkpoint
 
@@ -255,5 +261,5 @@ def resume_campaign(
     if overrides:
         config = dataclasses.replace(config, **overrides)
     campaign = build_campaign(config, event_bus)
-    campaign.search.load_state(data["search"])
+    campaign.search.resume(data)
     return campaign

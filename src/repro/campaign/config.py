@@ -182,7 +182,8 @@ class FaultConfig:
 @dataclass(frozen=True)
 class CheckpointConfig:
     """Where and how often the search writes resumable checkpoints
-    (``path=None`` disables checkpointing)."""
+    (``path=None`` disables checkpointing; only the simulated backend,
+    whose campaigns replay, takes a path)."""
 
     path: str | None = None
     every: int = 1
@@ -233,6 +234,11 @@ class CampaignConfig:
         for name, cls in self._SUBCONFIGS.items():
             if not isinstance(getattr(self, name), cls):
                 raise TypeError(f"{name} must be a {cls.__name__}")
+        if self.checkpoint.path is not None and self.evaluator.backend != "simulated":
+            raise ValueError(
+                f"checkpoint: the {self.evaluator.backend} backend cannot checkpoint; only "
+                "a simulated campaign replays from its journal"
+            )
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict[str, Any]:

@@ -103,21 +103,3 @@ class AgEBO(AgingEvolutionBase):
                 )
             )
         return batch
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint / resume
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> dict[str, Any]:
-        state = super().state_dict()
-        state["optimizer"] = self.optimizer.state_dict()
-        return state
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        """Restore the search, then re-``tell`` the optimizer every record
-        whose replacements were submitted (after any warm-start rows)."""
-        super().load_state(state)
-        told = self.history.records[: len(self.history) - len(self._pending_results)]
-        self.optimizer.tell(
-            [r.config.hyperparameters for r in told], [r.objective for r in told]
-        )
-        self.optimizer.load_state(state["optimizer"])

@@ -7,19 +7,22 @@ while the population is filling, tournament + mutation afterwards) and
 resubmit — keeping every worker busy, which is what yields the ≈94% node
 utilization reported in §IV-C.
 
-Checkpoints keep each evaluation once, in the evaluator's job table: a
-checkpoint journal (:mod:`repro.core.serialization`) appends the jobs of
-new history records next to a small :meth:`AgingEvolutionBase.state_dict`
-snapshot, and :meth:`AgingEvolutionBase.load_state` rebuilds the history
-and population from the jobs.  Resuming is one path:
-:func:`repro.campaign.resume_campaign` builds the campaign from the
-checkpoint's embedded config and calls ``load_state``.
+A checkpoint journal (:mod:`repro.core.serialization`) holds the jobs of
+the history, in gather order, and a marker per checkpoint: the iteration
+count and how many gathered results still wait for their replacements.
+A seeded search on the simulated evaluator is a deterministic function
+of its constructor arguments, so :meth:`AgingEvolutionBase.resume`
+rebuilds everything else by running the search again up to the marker,
+serving each journaled clean training from its job line.  Resuming is
+one path: :func:`repro.campaign.resume_campaign` builds the campaign from
+the checkpoint's embedded config and calls ``resume``.
 """
 
 from __future__ import annotations
 
 import collections
-from typing import Any
+import json
+from typing import Any, Callable
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from repro.core.results import EvaluationRecord, SearchHistory
 from repro.searchspace.archspace import ArchitectureSpace
 from repro.searchspace.mutation import mutate_architecture
 from repro.workflow.evaluator import Evaluator
-from repro.workflow.jobs import Job
+from repro.workflow.jobs import Job, job_from_dict, job_to_dict
 
 __all__ = ["AgingEvolutionBase"]
 
@@ -80,18 +83,15 @@ class AgingEvolutionBase:
         self.population: collections.deque[EvaluationRecord] = collections.deque()
         self.history = SearchHistory(label=label or type(self).__name__)
         # Evaluator job of each history record, in gather order: a
-        # checkpoint journals each once, in this order, and a restore
-        # rebuilds the records from them.  ``_positions`` maps a record
-        # (by id) to its history index, for the population's positions.
+        # checkpoint journals each once, in this order.
         self.history_jobs: list[Job] = []
-        self._positions: dict[int, int] = {}
         # (path, jobs journaled, file identity) of the last checkpoint
         # write, which the next one appends to (see save_checkpoint).
         self._journal: tuple | None = None
-        # Resume bookkeeping: whether the initial W submissions happened,
-        # how many full gather→submit iterations have completed, and any
-        # gathered results whose replacements were not yet submitted when a
-        # budget stop interrupted the loop.
+        # Loop state: whether the initial W submissions happened, how many
+        # gather→submit iterations have completed, and the gathered results
+        # whose replacements are not submitted yet (a budget stop leaves
+        # them for the next call).
         self._initialized = False
         self._iterations = 0
         self._pending_results: list[EvaluationRecord] = []
@@ -124,10 +124,8 @@ class AgingEvolutionBase:
             )
         return self.space.random_sample(self.rng)
 
-    @staticmethod
-    def _job_record(job: Job) -> EvaluationRecord:
-        """The history record of a gathered job (also rebuilds checkpoints)."""
-        return EvaluationRecord(
+    def _record(self, job: Job) -> EvaluationRecord:
+        record = EvaluationRecord(
             config=job.config,
             objective=job.result.objective,
             duration=job.result.duration,
@@ -136,10 +134,6 @@ class AgingEvolutionBase:
             end_time=job.end_time,
             metadata=job.result.metadata,
         )
-
-    def _record(self, job: Job) -> EvaluationRecord:
-        record = self._job_record(job)
-        self._positions[id(record)] = len(self.history)
         self.history.add(record)
         self.history_jobs.append(job)
         if len(self.population) >= self.population_size:
@@ -179,78 +173,84 @@ class AgingEvolutionBase:
         there after every ``checkpoint_every``-th completed iteration —
         always at a quiescent point (after the replacement submissions), so
         resuming from any checkpoint replays the remaining campaign
-        bit-identically.  Calling ``search`` again on a restored instance
-        continues the same campaign (the initial submissions are skipped).
+        bit-identically; only a checkpointable evaluator (the simulated
+        one) takes a path.  Calling ``search`` again continues the same
+        campaign (the initial submissions are skipped), iteration for
+        iteration as an uninterrupted run with the larger budget.
         """
         if max_evaluations is None and wall_time_minutes is None:
             raise ValueError("need at least one of max_evaluations / wall_time_minutes")
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
+        if checkpoint_path is not None:
+            self._require_checkpointable()
 
-        if not self._initialized:
-            # Initialization (lines 3-7): W random submissions.
-            initial_hps = self._initial_hyperparameters(self.num_workers)
-            initial = [
-                ModelConfig(arch=self.space.random_sample(self.rng), hyperparameters=hp)
-                for hp in initial_hps
-            ]
-            self.evaluator.submit(initial)
-            self._initialized = True
-        elif self._pending_results:
-            # A previous call stopped on a budget after recording a batch.
-            # An uninterrupted run with this budget stopped at the same
-            # point if the batch meets it too; otherwise submit the batch's
-            # replacements first, so continuation is identical to an
-            # uninterrupted run with the larger budget.
-            if self._budget_met(max_evaluations, wall_time_minutes):
-                return self.history
-            self._resubmit(self._pending_results)
-            self._pending_results = []
-
+        self._start()
         while True:
+            if self._pending_results:
+                # An uninterrupted run with this budget stops here if the
+                # gathered batch meets it; otherwise the batch's
+                # replacements go out and the iteration completes.
+                if self._budget_met(max_evaluations, wall_time_minutes):
+                    break
+                self._advance()
+                if checkpoint_path is not None and self._iterations % checkpoint_every == 0:
+                    self.checkpoint(checkpoint_path)
+                    if self.event_bus is not None:
+                        from repro.campaign.events import CheckpointWritten
+
+                        self.event_bus.emit(
+                            CheckpointWritten(
+                                path=str(checkpoint_path),
+                                num_evaluations=len(self.history),
+                                time=self.evaluator.now,
+                            )
+                        )
             jobs = self.evaluator.gather()
             if not jobs:
-                break  # nothing in flight: budget exhausted below or drained
-            results = [self._record(job) for job in jobs]
-
-            if self._budget_met(max_evaluations, wall_time_minutes):
-                self._pending_results = results
-                break
-
-            self._resubmit(results)
-            self._iterations += 1
-            if checkpoint_path is not None and self._iterations % checkpoint_every == 0:
-                self.checkpoint(checkpoint_path)
-                if self.event_bus is not None:
-                    from repro.campaign.events import CheckpointWritten
-
-                    self.event_bus.emit(
-                        CheckpointWritten(
-                            path=str(checkpoint_path),
-                            num_evaluations=len(self.history),
-                            time=self.evaluator.now,
-                        )
-                    )
+                break  # nothing in flight: drained
+            self._pending_results = [self._record(job) for job in jobs]
 
         return self.history
 
-    def _budget_met(self, max_evaluations: int | None, wall_time_minutes: float | None) -> bool:
-        if max_evaluations is not None and len(self.history) >= max_evaluations:
-            return True
-        return wall_time_minutes is not None and self.evaluator.now >= wall_time_minutes
+    def _start(self) -> None:
+        """Initialization (lines 3-7): W random submissions, once."""
+        if self._initialized:
+            return
+        initial_hps = self._initial_hyperparameters(self.num_workers)
+        initial = [
+            ModelConfig(arch=self.space.random_sample(self.rng), hyperparameters=hp)
+            for hp in initial_hps
+        ]
+        self.evaluator.submit(initial)
+        self._initialized = True
 
-    def _resubmit(self, results: list[EvaluationRecord]) -> None:
-        """Generate and submit |results| replacement configurations (lines 12-23)."""
+    def _advance(self) -> None:
+        """Complete an iteration: submit the gathered batch's |results|
+        replacement configurations (lines 12-23)."""
+        results, self._pending_results = self._pending_results, []
         next_hps = self._next_hyperparameters(results)
         children = [
             ModelConfig(arch=self._child_architecture(), hyperparameters=hp)
             for hp in next_hps
         ]
         self.evaluator.submit(children)
+        self._iterations += 1
+
+    def _budget_met(self, max_evaluations: int | None, wall_time_minutes: float | None) -> bool:
+        if max_evaluations is not None and len(self.history) >= max_evaluations:
+            return True
+        return wall_time_minutes is not None and self.evaluator.now >= wall_time_minutes
 
     # ------------------------------------------------------------------ #
     # Checkpoint / resume
     # ------------------------------------------------------------------ #
+    def _require_checkpointable(self) -> None:
+        if not self.evaluator.checkpointable:
+            raise NotImplementedError(
+                f"{type(self.evaluator).__name__} does not support checkpointing"
+            )
+
     def checkpoint(self, path) -> None:
         """Write the search state to ``path`` (see :func:`save_checkpoint
         <repro.core.serialization.save_checkpoint>`)."""
@@ -258,47 +258,73 @@ class AgingEvolutionBase:
 
         save_checkpoint(self, path)
 
-    def state_dict(self) -> dict[str, Any]:
-        """JSON-safe snapshot of the state that cannot be derived: RNG,
-        iteration counters and the evaluator's cluster state.
+    def resume(self, journal: dict[str, Any]) -> None:
+        """Continue a checkpointed campaign in this freshly built search.
 
-        Every evaluation is stored once, in the evaluator's job table; the
-        history is its delivered jobs in gather order (journaled by the
-        checkpoint, not held here), the population positions into the
-        history, and the pending results a count (they are the last
-        records of the history).
+        ``journal`` is what :func:`~repro.core.serialization.load_checkpoint`
+        read.  The search runs again, emitting no event and writing no
+        checkpoint, until its history is the journaled one, ``checkpoint``
+        iterations are complete and the last ``pending`` results wait for
+        their replacements.  Each clean training a job line records is
+        served from it (:meth:`SimulatedEvaluator.serve
+        <repro.workflow.evaluator.SimulatedEvaluator.serve>`), and an
+        attempt's raise the original caller went past is passed again.
+
+        The search must be built with the checkpointed constructor
+        arguments (see :func:`repro.campaign.resume_campaign`) and a run
+        function that is a pure function of its config.  Raises
+        ``ValueError`` naming the first job that replays differently from
+        its line (another seed or config, or a host whose floating point
+        gives another history).
         """
-        return {
-            "rng_state": self.rng.bit_generator.state,
-            "initialized": self._initialized,
-            "iterations": self._iterations,
-            "population": [self._positions[id(r)] for r in self.population],
-            "pending_results": len(self._pending_results),
-            "evaluator": self.evaluator.state_dict(),
-        }
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        """Restore a checkpointed search: a :meth:`state_dict` snapshot
-        plus ``"history"``, the history's job ids in gather order, and the
-        whole job table in the evaluator's ``"jobs"`` (the shape
-        :func:`~repro.core.serialization.load_checkpoint` returns).
-
-        Loads into a search built with the checkpointed constructor
-        arguments (the embedded ``CampaignConfig`` is their one source, see
-        :func:`repro.campaign.resume_campaign`).  The evaluator loads first;
-        history, population and pending results are rebuilt from its jobs.
-        """
-        self.evaluator.load_state(state["evaluator"])
-        self.rng.bit_generator.state = state["rng_state"]
-        self._initialized = bool(state["initialized"])
-        self._iterations = int(state["iterations"])
-        jobs = {job.job_id: job for job in self.evaluator.jobs}
-        self.history_jobs = [jobs[int(job_id)] for job_id in state["history"]]
-        self.history = SearchHistory(label=self.history.label)
-        for job in self.history_jobs:
-            self.history.add(self._job_record(job))
-        records = self.history.records
-        self._positions = {id(record): i for i, record in enumerate(records)}
-        self.population = collections.deque(records[int(i)] for i in state["population"])
-        self._pending_results = records[len(records) - int(state["pending_results"]) :]
+        self._require_checkpointable()
+        rows = journal["jobs"]
+        mark = (len(rows), journal["checkpoint"], journal["pending"])
+        buses = self.event_bus, self.evaluator.event_bus
+        self.event_bus = self.evaluator.event_bus = None
+        self.evaluator.serve(job_from_dict(row) for row in rows)
+        try:
+            while (len(self.history), self._iterations, len(self._pending_results)) != mark:
+                done = len(self.history)
+                if self._pending_results:
+                    self._pass_raise(self._advance)
+                elif not self._initialized:
+                    self._pass_raise(self._start)
+                elif done < len(rows) and self._iterations <= mark[1]:
+                    jobs = self._pass_raise(self.evaluator.gather)
+                    if jobs == []:
+                        raise ValueError(
+                            f"job {rows[done]['job_id']} (evaluation {done}) does not "
+                            "replay: the campaign drained before it"
+                        )
+                    self._pending_results = [self._record(job) for job in jobs or ()]
+                    for i, job in enumerate(self.history_jobs[done:], done):
+                        row = rows[i] if i < len(rows) else None
+                        if row is None or json.dumps(job_to_dict(job)) != json.dumps(row):
+                            raise ValueError(
+                                f"job {job.job_id if row is None else row['job_id']} "
+                                f"(evaluation {i}) does not replay as journaled"
+                            )
+                else:
+                    raise ValueError(
+                        f"the replay does not reach checkpoint {mark[1]}: it stands at "
+                        f"iteration {self._iterations} with {done} evaluations"
+                    )
+        finally:
+            self.evaluator.serve(())
+            self.event_bus, self.evaluator.event_bus = buses
         self._journal = None  # the next checkpoint rewrites its file
+
+    def _pass_raise(self, step: Callable[[], Any]) -> Any:
+        """``step()``, or None past the raise of an attempt it failed under
+        ``on_error="raise"`` (the original caller went past it, since the
+        journal goes on)."""
+        failures = self.evaluator.num_failures
+        try:
+            return step()
+        except Exception:
+            if self.evaluator.fault_policy.on_error != "raise":
+                raise
+            if self.evaluator.num_failures == failures:
+                raise  # no attempt failed: not a raise the campaign went past
+            return None

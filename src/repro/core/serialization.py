@@ -6,28 +6,30 @@ hyperparameters, objectives, cluster timings, scalar metadata) and model
 weights to ``.npz``.  Loaded histories feed the same analysis tools as live
 ones, and their records can warm-start a new search's population and BO.
 
-It also defines the **checkpoint** format (version 3), an append-only
+It also defines the **checkpoint** format (version 4), an append-only
 JSONL journal.  Its first line is a header: ``version``, ``algorithm`` and
 ``extra`` (the embedded campaign config).  Each checkpoint then appends one
 line per job the search recorded since the last one (the fields of
-:func:`~repro.workflow.jobs.job_to_dict`), in gather order, and one state
-line, ``{"search": ...}``, holding only what cannot be rebuilt: RNG
-states, counters, the clock, pending events, the running and waiting
-ids, population positions and the jobs not delivered yet.  So a
-checkpoint writes the new and live jobs, not the whole history.  The job
-lines are the one stored copy of every finished evaluation; the history
-(their order), the cache entries and the BO tell-history are rebuilt from
-them on load.
+:func:`~repro.workflow.jobs.job_to_dict`), in gather order, and a marker
+``{"checkpoint": n, "pending": p}``: ``n`` gather→submit iterations were
+complete, and the last ``p`` recorded results still waited for their
+replacements (a budget stop).  Nothing else is stored: a seeded simulated
+campaign is a deterministic function of its config, so a resume runs it
+again up to the marker (:meth:`AgingEvolutionBase.resume
+<repro.core.search.AgingEvolutionBase.resume>`), serving the journaled
+trainings from their job lines.
 
 The first checkpoint a search writes to a path rewrites the file whole
 (tmp + rename); later ones append and flush.  A write cut short leaves a
-torn tail, and :func:`load_checkpoint` reads the last complete state line:
-it drops an unparsable final line and ignores job lines after that state
-line.  A file cut inside its header, or before its first state line, is
-refused.  A killed campaign thus resumes bit-identically via
+torn tail, and :func:`load_checkpoint` reads the last complete marker: it
+drops an unparsable final line and ignores job lines after that marker.
+A file cut inside its header, or before its first marker, is refused.  A
+killed campaign thus resumes bit-identically via
 :func:`repro.campaign.resume_campaign` or the CLI ``--resume`` flag.
-Version-1 and version-2 checkpoints (single JSON documents) are no longer
-readable.
+Version-3 journals still load: their state line ``{"search": ...}`` is
+read as a marker (its ``iterations`` and ``pending_results``) and the rest
+of it is ignored.  Version-1 and version-2 checkpoints (single JSON
+documents) are no longer readable.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def record_to_dict(record: EvaluationRecord, rich_metadata: bool = False) -> dict[str, Any]:
@@ -132,13 +134,13 @@ def load_history(path: str | Path) -> SearchHistory:
 # Checkpoints: the full, resumable search state
 # --------------------------------------------------------------------- #
 def save_checkpoint(search: Any, path: str | Path) -> Path:
-    """Write the checkpoint state of a search to the journal at ``path``.
+    """Write the checkpoint of a search to the journal at ``path``.
 
     ``search`` is any :class:`~repro.core.search.AgingEvolutionBase`
     subclass.  The first write of a search to ``path`` (or any write after
     the file changed under it) replaces the file atomically with the
-    header, a line per history job and the state line; every later one
-    appends the new history jobs and a state line, then flushes.  A crash
+    header, a line per history job and the marker; every later one
+    appends the new history jobs and a marker, then flushes.  A crash
     mid-append leaves a torn tail that :func:`load_checkpoint` drops, so
     the last good checkpoint survives.  The search's
     ``checkpoint_metadata`` goes into the header's ``extra`` verbatim, for
@@ -158,7 +160,7 @@ def save_checkpoint(search: Any, path: str | Path) -> Path:
         }
         start, file, mode, text = 0, target + ".tmp", "w", _line(header)
     text += "".join(_line(job_to_dict(job)) for job in jobs[start:])
-    text += _line({"search": search.state_dict()})
+    text += _line({"checkpoint": search._iterations, "pending": len(search._pending_results)})
     with open(file, mode) as fh:
         fh.write(text)
         fh.flush()
@@ -186,10 +188,10 @@ def _identity(file: str | int) -> tuple[int, int] | None:
 def load_checkpoint(path: str | Path) -> dict[str, Any]:
     """Read a checkpoint journal written by :func:`save_checkpoint`.
 
-    Returns ``{"version", "algorithm", "extra", "search"}``; ``"search"``
-    is the last complete state line with ``"history"`` (the job ids of the
-    job lines before it, in order) added and the evaluator's ``"jobs"``
-    holding the whole job table, in job id order.
+    Returns ``{"version", "algorithm", "extra", "jobs", "checkpoint",
+    "pending"}``: the header's fields, the job lines before the last
+    complete marker (the history's jobs, in gather order) and that
+    marker's two counts.
     """
     lines = Path(path).read_text().split("\n")
     try:
@@ -205,10 +207,10 @@ def load_checkpoint(path: str | Path) -> dict[str, Any]:
             f"longer reads; re-run the campaign to write a version-{CHECKPOINT_VERSION} "
             "checkpoint"
         )
-    if version != CHECKPOINT_VERSION:
+    if version not in (3, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint version {version!r}")
     rows: list[dict[str, Any]] = []
-    search, num_rows = None, 0
+    marker, num_rows = None, 0
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -220,21 +222,24 @@ def load_checkpoint(path: str | Path) -> dict[str, Any]:
             raise ValueError(f"{path}:{lineno}: unreadable checkpoint line") from None
         if not isinstance(row, dict):
             raise ValueError(f"{path}:{lineno}: not a checkpoint line")
-        if "search" in row:
-            search, num_rows = row["search"], len(rows)
+        if "search" in row:  # a version-3 state line
+            state = row["search"]
+            marker = (state["iterations"], state["pending_results"])
+        elif "checkpoint" in row:
+            marker = (row["checkpoint"], row["pending"])
         else:
             rows.append(row)
-    if search is None:
-        raise ValueError(f"{path} holds no complete search checkpoint")
-    rows = rows[:num_rows]
-    search["history"] = [row["job_id"] for row in rows]
-    evaluator = search["evaluator"]
-    evaluator["jobs"] = sorted(rows + evaluator["jobs"], key=lambda row: row["job_id"])
+            continue
+        num_rows = len(rows)
+    if marker is None:
+        raise ValueError(f"{path} holds no complete checkpoint")
     return {
         "version": version,
         "algorithm": header.get("algorithm"),
         "extra": header.get("extra", {}),
-        "search": search,
+        "jobs": rows[:num_rows],
+        "checkpoint": int(marker[0]),
+        "pending": int(marker[1]),
     }
 
 

@@ -32,9 +32,8 @@ Semantics (kept deliberately uniform across backends):
   never the cache entry.
 
 The cache is manipulated exclusively from the manager thread (``submit`` /
-``gather``), so it needs no locking.  Simulated-evaluator checkpoints keep
-only its hit/miss/store counters: on load the entries are rebuilt from the
-checkpointed jobs whose attempts ended, by the rule that stored them.
+``gather``), so it needs no locking.  Checkpoints hold none of it: a
+resume replays the campaign, which fills the cache as the live run did.
 """
 
 from __future__ import annotations

@@ -13,12 +13,13 @@ mirroring DeepHyper/Balsam.  Every backend here exposes exactly that:
   manager and forked worker processes, at most one trainer per usable
   core), and each outcome is read only when the attempt's completion is
   reached; any other is run on the manager as its attempt starts.  It
-  also models worker deaths and is checkpointable
-  (``state_dict`` / ``load_state``): its job table is the one stored copy
-  of every evaluation, and the search history and the cache are rebuilt
-  from it.  A snapshot holds only the jobs not delivered yet; delivered
-  jobs are final, and a checkpoint journals each once
-  (:mod:`repro.core.serialization`).
+  also models worker deaths.  It is the one checkpointable backend: a
+  seeded simulated campaign is a deterministic function of its config,
+  so a checkpoint journals only the finished jobs
+  (:mod:`repro.core.serialization`) and a resume runs the campaign again
+  up to it (:meth:`AgingEvolutionBase.resume
+  <repro.core.search.AgingEvolutionBase.resume>`), with each journaled
+  clean training served from its job line (:meth:`SimulatedEvaluator.serve`).
 - :class:`ThreadedEvaluator` and :class:`ProcessPoolEvaluator` run
   evaluation functions concurrently on a thread / process pool, as thin
   shells over :class:`_WallClockEvaluator`, which owns the futures and
@@ -67,11 +68,11 @@ from concurrent.futures import (
 )
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.workflow.cache import EvaluationCache
+from repro.workflow.cache import EvaluationCache, canonical_config_key
 from repro.workflow.events import EventQueue
 from repro.workflow.faults import FaultPolicy, InjectedCrash, Settlement
-from repro.workflow.jobs import EvaluationResult, Job, JobState, job_from_dict, job_to_dict
-from repro.workflow.pool import TrainingPool, evaluate
+from repro.workflow.jobs import EvaluationResult, Job, JobState
+from repro.workflow.pool import TrainingPool
 
 __all__ = [
     "EVALUATOR_BACKENDS",
@@ -85,11 +86,6 @@ RunFunction = Callable[[Any], EvaluationResult]
 
 #: Backend names a campaign selects with ``EvaluatorConfig.backend``.
 EVALUATOR_BACKENDS = ("simulated", "threaded", "process")
-
-#: The simulated evaluator's checkpointed counters.
-_COUNTERS = (
-    "num_failures", "num_faults_injected", "num_retries", "num_timeouts", "num_worker_failures"
-)
 
 
 # --------------------------------------------------------------------- #
@@ -150,6 +146,9 @@ class Evaluator:
     """
 
     event_bus = None
+    #: Whether a search on this backend can checkpoint and resume: its
+    #: campaign must replay bit-identically from its config.
+    checkpointable = False
 
     def __init__(
         self,
@@ -170,9 +169,6 @@ class Evaluator:
         self.num_timeouts = 0
         self._next_id = 0
         self.jobs: list[Job] = []
-        # Jobs not handed to the caller yet, in submission order: every
-        # job in flight, plus one a raising settlement failed.
-        self._undelivered: dict[int, Job] = {}
         self._queue: collections.deque[Job] = collections.deque()
         self._completed: collections.deque[Job] = collections.deque()
         self._in_flight = 0
@@ -212,7 +208,6 @@ class Evaluator:
         self._completed.clear()
         for job in finished:
             self._in_flight -= 1
-            self._undelivered.pop(job.job_id, None)
             job.state = JobState.FAILED if job.result.metadata.get("failed") else JobState.DONE
             if self.event_bus is not None:
                 from repro.campaign.events import JobGathered
@@ -332,7 +327,6 @@ class Evaluator:
             job = Job(job_id=self._next_id, config=config, submit_time=self.now)
             self._next_id += 1
             self.jobs.append(job)
-            self._undelivered[job.job_id] = job
             if self.event_bus is not None:
                 from repro.campaign.events import JobSubmitted
 
@@ -360,13 +354,6 @@ class Evaluator:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- checkpointing (optional per backend) -------------------------- #
-    def state_dict(self) -> dict[str, Any]:
-        raise NotImplementedError(f"{type(self).__name__} does not support checkpointing")
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        raise NotImplementedError(f"{type(self).__name__} does not support checkpointing")
 
 
 class SimulatedEvaluator(Evaluator):
@@ -405,7 +392,8 @@ class SimulatedEvaluator(Evaluator):
     worker, the manager and a retrain after a pool worker died then give
     one outcome, and the history does not depend on where or whether the
     pool ran.  The restart after a
-    simulated worker death reuses its job's submitted training.  An
+    simulated worker death reuses its job's submitted training, or ends
+    it if the restart is settled as it starts (a cache hit).  An
     attempt still waiting for a worker when the campaign stops is never
     trained, nor is one of the manager's share whose event never fired;
     :meth:`close` (called as ``Campaign.run`` returns) stops the workers'
@@ -430,6 +418,8 @@ class SimulatedEvaluator(Evaluator):
     Jobs submitted while all workers are busy wait in the FIFO queue and
     are started when a worker frees.
     """
+
+    checkpointable = True
 
     def __init__(
         self,
@@ -485,6 +475,9 @@ class SimulatedEvaluator(Evaluator):
                 self._events.push(self._clock + minutes, ("complete", job, job.attempt))
                 self._pool.submit(job.job_id, job.config)
                 return
+        # A restart after a worker death that no longer pends (say, a cache
+        # hit now) ends the submission of its job's first start.
+        self._pool.discard(job.job_id)
         if kind == "crash":
             outcome = _injected_crash(job)
         elif cached is not None:
@@ -496,7 +489,7 @@ class SimulatedEvaluator(Evaluator):
             # trains, so the result holds no epochs.
             outcome = EvaluationResult(float("nan"), declared)
         else:
-            outcome = evaluate(self.run_function, job.config)
+            outcome = self._pool.outcome(job.config)
         settlement = self._settle(job, kind, outcome, simulated_clock=True)
         if settlement.exception is not None:
             self._raise(job, settlement.exception)
@@ -593,107 +586,19 @@ class SimulatedEvaluator(Evaluator):
             )
         return self._deliver()
 
-    # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> dict[str, Any]:
-        """JSON-safe snapshot of the cluster state (queue, clock, counters)
-        and of the jobs not delivered yet.
+    def serve(self, jobs: Iterable[Job]) -> None:
+        """Take the outcome of each config that one of ``jobs`` trained
+        cleanly (:meth:`_cacheable`) from that job's result, in place of
+        training it, until the next call (``serve(())`` ends it).
 
-        Delivered jobs are final: a checkpoint journals each once, and
-        :meth:`load_state` takes them back, with the snapshot's, in
-        ``"jobs"``.  ``"raised"`` names the undelivered jobs a raising
-        settlement failed, so a restore tells them from delivered ones.
-        A pending attempt is its ``complete`` event; its job has no result
-        and is trained again after a restore (on the pool, in event order),
-        since the run function is deterministic in its config.
+        A resume replays its campaign under this, so a journaled job is
+        not trained again.  The served outcomes stay in the
+        :class:`~repro.workflow.pool.TrainingPool`: the clock, the events
+        and the cache never see them.
         """
-        entries = self._events.entries()
-
-        def encode_ref(kind: str, ref: Any) -> Any:
-            return ref if kind == "worker_fail" else ref.job_id
-
-        undelivered = self._undelivered.values()
-        return {
-            "num_workers": self.num_workers,
-            "clock": self._clock,
-            "next_id": self._next_id,
-            "in_flight": self._in_flight,
-            **{name: getattr(self, name) for name in _COUNTERS},
-            "free_workers": list(self._free_workers),
-            "dead_workers": sorted(self._dead_workers),
-            "running": {str(w): job.job_id for w, job in self._running.items()},
-            "waiting": [job.job_id for job in self._queue],
-            # Finished beside an attempt that raised, delivered by the next gather.
-            "completed": [job.job_id for job in self._completed],
-            "events": [
-                [t, c, kind, encode_ref(kind, ref), attempt]
-                for t, c, (kind, ref, attempt) in entries
-            ],
-            "event_counter": max((c for _, c, _ in entries), default=-1) + 1,
-            "jobs": [job_to_dict(job) for job in undelivered],
-            "raised": [job.job_id for job in undelivered if job.state is JobState.FAILED],
-            # Cache entries are rebuilt from the jobs; only counters ride along.
-            "cache": None
-            if self.cache is None
-            else [self.cache.hits, self.cache.misses, self.cache.stores],
+        self._pool.served = {
+            canonical_config_key(job.config): job.result for job in jobs if self._cacheable(job)
         }
-
-    def load_state(self, state: dict[str, Any]) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`, its ``"jobs"``
-        holding every job of the table (the delivered ones included), into
-        an evaluator built with the checkpointed arguments (fault policy
-        included)."""
-        if state["num_workers"] != self.num_workers:
-            raise ValueError(
-                f"checkpoint has {state['num_workers']} workers, evaluator has "
-                f"{self.num_workers}"
-            )
-        self._clock = float(state["clock"])
-        self._next_id = int(state["next_id"])
-        self._in_flight = int(state["in_flight"])
-        for name in _COUNTERS:
-            setattr(self, name, int(state.get(name, 0)))
-        self._free_workers = [int(w) for w in state["free_workers"]]
-        self._dead_workers = {int(w) for w in state["dead_workers"]}
-        self.jobs = sorted((job_from_dict(row) for row in state["jobs"]), key=lambda j: j.job_id)
-        by_id = {job.job_id: job for job in self.jobs}
-        raised = {int(jid) for jid in state.get("raised", ())}
-        self._undelivered = {
-            job.job_id: job
-            for job in self.jobs
-            if job.state not in (JobState.DONE, JobState.FAILED) or job.job_id in raised
-        }
-        self._running = {int(w): by_id[jid] for w, jid in state["running"].items()}
-        self._queue = collections.deque(by_id[jid] for jid in state["waiting"])
-        self._completed = collections.deque(by_id[jid] for jid in state["completed"])
-        self._events.restore(
-            [
-                (t, c, (kind, ref if kind == "worker_fail" else by_id[ref], attempt))
-                for t, c, kind, ref, attempt in state["events"]
-            ],
-            int(state["event_counter"]),
-        )
-        if state["cache"] is not None:
-            # A checkpoint written with caching on restores the cache even
-            # when this evaluator was constructed without one.  Its entries
-            # are the cacheable results of the jobs whose attempts ended for
-            # good: the delivered ones and those finished beside an attempt
-            # that raised.  The fault draw is pure, so the attempt that
-            # produced a job's result is known again here.
-            if self.cache is None:
-                self.cache = EvaluationCache()
-            ended = {job.job_id for job in self._completed}
-            for job in self.jobs:
-                if (job.state is JobState.DONE or job.job_id in ended) and self._cacheable(job):
-                    self.cache.store(job.config, job.result)
-            self.cache.hits, self.cache.misses, self.cache.stores = state["cache"]
-        # Pending attempts are dealt to the trainers again, in event order.
-        self._pool.close()
-        self._pool = TrainingPool(self.run_function, self.num_workers)
-        for _, _, (kind, ref, attempt) in self._events.entries():
-            if kind == "complete" and ref.attempt == attempt:
-                self._pool.submit(ref.job_id, ref.config)
 
 
 class _WallClockEvaluator(Evaluator):

@@ -47,16 +47,3 @@ class EventQueue:
         """Yield all events with timestamp <= ``time`` in order."""
         while self._heap and self._heap[0][0] <= time:
             yield self.pop()
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint support: tie-breaking counters are part of the state, so
-    # a restored queue drains in exactly the order the original would have.
-    def entries(self) -> list[tuple[float, int, Any]]:
-        """All ``(time, counter, payload)`` entries in drain order."""
-        return sorted(self._heap)
-
-    def restore(self, entries: list[tuple[float, int, Any]], next_counter: int) -> None:
-        """Replace the queue contents and resume counting at ``next_counter``."""
-        self._heap = [(float(t), int(c), payload) for t, c, payload in entries]
-        heapq.heapify(self._heap)
-        self._counter = itertools.count(next_counter)

@@ -31,6 +31,12 @@ that goes wrong:
 - with one trainer (one core, one simulated worker, or no ``fork``)
   nothing forks and every outcome is computed when it is taken.
 
+While a resume replays its campaign, :attr:`TrainingPool.served` maps
+the canonical config key of each journaled clean training to its
+journaled outcome: such a config is never dealt to a trainer, and its
+outcome is read from there (:meth:`TrainingPool.outcome`).  The manager's
+clock, events and cache never see the map, and the replay empties it.
+
 The run function reaches the workers by fork, so it is never pickled.
 :meth:`TrainingPool.close` terminates and joins the workers (abandoned
 trainings stop there); the next submission to the workers' share starts
@@ -46,6 +52,9 @@ import signal
 import weakref
 from multiprocessing.connection import Connection, wait
 from typing import Any, Callable
+
+from repro.workflow.cache import canonical_config_key
+from repro.workflow.jobs import EvaluationResult
 
 __all__ = ["TrainingPool", "evaluate", "training_processes"]
 
@@ -122,12 +131,15 @@ class TrainingPool:
     (0: every outcome computed on the manager); a dead worker sets it to 0
     for good.  Submissions are keyed by job id: submitting a job that is
     still outstanding reuses its training (the restart after a simulated
-    worker death), and :meth:`take` ends it.
+    worker death), and :meth:`take` or :meth:`discard` ends it.
+    ``served`` holds the outcomes a replay serves (see the module).
     """
 
     def __init__(self, run_function: Callable[[Any], Any], num_workers: int) -> None:
         self.run_function = run_function
         self.processes = max(min(training_processes(), num_workers) - 1, 0)
+        # Canonical config key -> outcome served in place of training.
+        self.served: dict[str, EvaluationResult] = {}
         self._dealt = 0  # submissions dealt to a trainer
         self._submitted: dict[int, Any] = {}  # job id -> config, not taken
         self._held: set[int] = set()  # the manager's share, not taken
@@ -141,6 +153,8 @@ class TrainingPool:
         """Deal ``config``'s training for ``job_id`` to a trainer."""
         if job_id in self._submitted:
             return
+        if self.served and canonical_config_key(config) in self.served:
+            return  # taken from :meth:`outcome`, never trained
         self._submitted[job_id] = config
         if not self.processes:
             return
@@ -156,21 +170,35 @@ class TrainingPool:
     def take(self, job_id: int, config: Any) -> Any:
         """The outcome of ``job_id``'s training on ``config`` (a result or
         the exception raised): a worker's, waited for if need be, or
-        computed here when it is the manager's share, was never submitted
+        :meth:`outcome` when it is the manager's share, was never submitted
         or cannot arrive."""
         if job_id in self._submitted:
             while job_id in self._sent:
                 self._receive()
-            del self._submitted[job_id]
-            self._held.discard(job_id)
-            self._backlog.pop(job_id, None)
-            blob = self._arrived.pop(job_id, None)
+            blob = self._arrived.get(job_id)
+            self.discard(job_id)
             if blob is not None:
                 try:
                     return pickle.loads(blob)
                 except Exception:  # e.g. an exception class that cannot rebuild
                     pass  # itself from its args: compute the outcome here
+        return self.outcome(config)
+
+    def outcome(self, config: Any) -> Any:
+        """``config``'s served outcome, or the run function's computed here."""
+        if self.served:
+            served = self.served.get(canonical_config_key(config))
+            if served is not None:
+                return EvaluationResult(served.objective, served.duration, dict(served.metadata))
         return evaluate(self.run_function, config)
+
+    def discard(self, job_id: int) -> None:
+        """End ``job_id``'s submission untaken: its attempt no longer pends
+        (a late answer from a worker is dropped)."""
+        self._submitted.pop(job_id, None)
+        self._held.discard(job_id)
+        self._backlog.pop(job_id, None)
+        self._arrived.pop(job_id, None)
 
     def close(self) -> None:
         """Terminate and join the workers; their outstanding submissions go

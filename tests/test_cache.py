@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import restorable_state
+from conftest import ScriptedSpace, beside_a_raise_campaign, resumed
 
 from repro.analysis import utilization_summary
 from repro.core import AgE
@@ -170,22 +170,27 @@ def test_sim_cache_replays_duration_on_simulated_clock():
 
 
 def test_sim_cache_state_roundtrips_through_evaluator_checkpoint():
-    cache = EvaluationCache()
-    ev = SimulatedEvaluator(int_eval, num_workers=2, cache=cache)
-    ev.submit([1, 2, 1])
-    while ev.num_in_flight:
-        ev.gather()
-    state = restorable_state(ev)
-    # Restoring into a cache-less evaluator revives the memo.
-    resumed = SimulatedEvaluator(int_eval, num_workers=2)
-    resumed.load_state(state)
-    assert resumed.cache is not None
-    assert len(resumed.cache) == len(cache)
-    assert resumed.cache.hits == cache.hits
-    jobs = resumed.submit([2])  # duplicate of a pre-checkpoint evaluation
-    while resumed.num_in_flight:
-        resumed.gather()
-    assert jobs[0].cache_hit
+    """A resume rebuilds the cache the checkpointed campaign held: the
+    same entries and counters, and a duplicate of a pre-checkpoint
+    evaluation hits."""
+    space = ArchitectureSpace(num_nodes=2)
+
+    def search():
+        ev = SimulatedEvaluator(arch_eval, num_workers=3, cache=EvaluationCache())
+        return AgE(space, ev, population_size=4, sample_size=2, seed=13)
+
+    original = search()
+    original.search(max_evaluations=30)
+    copy = resumed(original, search)
+    cache, restored = original.evaluator.cache, copy.evaluator.cache
+    assert cache.hits > 0
+    assert restored._entries == cache._entries
+    assert (restored.hits, restored.misses, restored.stores) == (
+        cache.hits, cache.misses, cache.stores
+    )  # fmt: skip
+    (job,) = copy.evaluator.submit([copy.history.records[0].config])
+    drain(copy.evaluator)
+    assert job.cache_hit
 
 
 FAULTY_RETRY_POLICY = FaultPolicy(
@@ -297,23 +302,23 @@ def test_result_marked_failed_is_never_memoized(backend):
 
 @pytest.mark.parametrize("declared", [False, True], ids=["simulated", "simulated-declared"])
 def test_result_marked_failed_is_not_memoized_after_a_restore(declared):
-    """A restored evaluator rebuilds the cache with the live rule, so a
-    duplicate of a failed-marked result trains again after a resume as it
-    does without one."""
+    """A resumed campaign memoizes by the live rule, so a duplicate of a
+    failed-marked result trains again after a resume as it does without
+    one."""
     run = Declared(marked_failed_eval) if declared else marked_failed_eval
 
-    def schedule(resume_between):
+    def search():
         ev = SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache())
-        ev.submit([5])
-        drain(ev)
+        return AgE(ScriptedSpace([5] * 12), ev, population_size=20, sample_size=2)
+
+    def schedule(resume_between):
+        campaign = search()
+        campaign.search(max_evaluations=4)
         if resume_between:
-            state = restorable_state(ev)
-            ev.close()
-            ev = SimulatedEvaluator(run, num_workers=2)
-            ev.load_state(state)
-        with ev:
-            ev.submit([5])
-            drain(ev)
+            campaign.evaluator.close()
+            campaign = resumed(campaign, search)
+        with campaign.evaluator as ev:
+            campaign.search(max_evaluations=8)
         jobs = [(job.job_id, job.cache_hit, job.start_time, job.end_time) for job in ev.jobs]
         return jobs, len(ev.cache)
 
@@ -322,32 +327,22 @@ def test_result_marked_failed_is_not_memoized_after_a_restore(declared):
     assert straight[1] == 0 and not any(hit for _, hit, _, _ in straight[0])
 
 
-def raise_on_one(config):
-    if config == 1:
-        raise RuntimeError("boom")
-    return EvaluationResult(0.5, 2.0)
-
-
 def test_job_finished_beside_a_raise_is_memoized_live_and_after_a_restore():
-    """Jobs that ended in the gather an attempt's raise cut short are
-    memoized as they end, and a restore from that moment rebuilds their
-    entry: a later duplicate hits on both."""
-
-    def evaluator(cache=None):
-        policy = FaultPolicy(on_error="raise")
-        return SimulatedEvaluator(raise_on_one, num_workers=2, fault_policy=policy, cache=cache)
-
-    ev = evaluator(EvaluationCache())
-    ev.submit([0, 0, 1])
+    """A job that ended in the gather an attempt's raise cut short is
+    memoized as it ends, live and in a campaign resumed from that moment
+    (which raises again): a later duplicate hits on both."""
+    search = beside_a_raise_campaign(EvaluationCache())
     with pytest.raises(RuntimeError, match="boom"):
-        ev.gather()  # jobs 0 and 1 end at 2, undelivered; job 2 then starts and raises
-    restored = evaluator()
-    restored.load_state(restorable_state(ev))
-    for e in (ev, restored):
-        assert 0 in e.cache and len(e.cache) == 1
-        assert [job.job_id for job in e.gather()] == [0, 1]
-        (duplicate,) = e.submit([0])
-        drain(e)
+        search.search(max_evaluations=6)  # job 2 (architecture 0) ends beside the raise
+    copy = resumed(search, lambda: beside_a_raise_campaign(EvaluationCache()))
+    with pytest.raises(RuntimeError, match="boom"):
+        copy.search(max_evaluations=6)
+    for s in (search, copy):
+        ev = s.evaluator
+        assert ev.jobs[2].config in ev.cache and len(ev.cache) == 3
+        assert [job.job_id for job in ev.gather()] == [2]
+        (duplicate,) = ev.submit([ev.jobs[2].config])
+        drain(ev)
         assert duplicate.cache_hit
 
 

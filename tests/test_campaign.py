@@ -116,8 +116,15 @@ fault_configs = st.builds(
     hang_factor=st.floats(1.0, 50.0, allow_nan=False),
     fault_seed=st.integers(0, 1000),
 )
+def _campaign_config(evaluator, checkpoint, **fields):
+    """A CampaignConfig; a wall-clock backend takes no checkpoint path."""
+    if evaluator.backend != "simulated":
+        checkpoint = CheckpointConfig(every=checkpoint.every)
+    return CampaignConfig(evaluator=evaluator, checkpoint=checkpoint, **fields)
+
+
 campaign_configs = st.builds(
-    CampaignConfig,
+    _campaign_config,
     dataset=st.sampled_from(("covertype", "airlines", "albert")),
     size=st.integers(100, 10_000),
     num_nodes=st.integers(1, 10),
@@ -574,6 +581,26 @@ def test_resume_rejects_pre_campaign_checkpoint_layout(tmp_path):
     save_checkpoint(campaign.search, path)
     with pytest.raises(ValueError, match="campaign config"):
         resume_campaign(path)
+
+
+@pytest.mark.parametrize("backend", ["threaded", "process"])
+def test_wallclock_campaign_refuses_a_checkpoint_path(backend):
+    """A wall-clock campaign does not replay, so it cannot resume: a
+    checkpoint path is refused when the config is defined, and the raw
+    search refuses one before it submits anything."""
+    from repro.workflow import ProcessPoolEvaluator, ThreadedEvaluator
+
+    with pytest.raises(ValueError, match=f"{backend} backend cannot checkpoint"):
+        tiny_config(
+            evaluator=EvaluatorConfig(backend=backend, num_workers=2),
+            checkpoint=CheckpointConfig(path="camp.ckpt"),
+        )
+    evaluator = {"threaded": ThreadedEvaluator, "process": ProcessPoolEvaluator}[backend]
+    with evaluator(abs, num_workers=2) as ev:
+        search = AgE(ArchitectureSpace(num_nodes=2), ev, population_size=4, sample_size=2)
+        with pytest.raises(NotImplementedError, match="does not support checkpointing"):
+            search.search(max_evaluations=4, checkpoint_path="camp.ckpt")
+    assert ev.jobs == []
 
 
 def test_checkpoint_embeds_versioned_campaign_config(tmp_path):

@@ -1,12 +1,13 @@
 """Checkpoint/resume: schema round-trips and bit-identical continuation.
 
-The headline guarantee (ISSUE acceptance criterion): a campaign killed at
-evaluation N and resumed from its checkpoint produces a final history
-*identical* to the uninterrupted run — same configs, same objectives, same
-timestamps.  That requires every stochastic component (search rng, BO
-tell-history + rng, evaluator clock/queues/event counters) to round-trip
-through the checkpoint; injected faults are drawn from (fault_seed, job_id,
-retries) and need no state.
+The headline guarantee: a campaign killed at evaluation N and resumed
+from its checkpoint produces a final history *identical* to the
+uninterrupted run — same configs, same objectives, same timestamps.  The
+checkpoint journals only the finished jobs and a marker per checkpoint;
+a resume runs the seeded campaign again up to the marker (search rng, BO
+tell-history, evaluator clock and queues all follow), serving each
+journaled clean training from its job line.  Injected faults are drawn
+from (fault_seed, job_id, retries) and replay with the rest.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import ScriptedSpace, beside_a_raise_campaign, journal_cut_after, resumed
 from hypothesis import given, settings
-from conftest import restorable_state
 from hypothesis import strategies as st
 
 from repro.analysis import utilization_summary
@@ -39,7 +40,7 @@ from repro.workflow import (
     FaultPolicy,
     SimulatedEvaluator,
 )
-from repro.workflow.jobs import job_to_dict
+from repro.workflow.jobs import job_from_dict, job_to_dict
 
 
 def fake_eval(config):
@@ -90,15 +91,16 @@ def test_checkpoint_version_round_trip(tmp_path):
     assert data["version"] == CHECKPOINT_VERSION
     assert data["algorithm"] == "AgEBO"
     assert data["extra"] == {"note": "hello"}
-    # The file is JSONL: a header line, then job lines and a state line.
+    # The file is JSONL: a header line, then job lines and a marker.
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines[0] == {
         "version": CHECKPOINT_VERSION, "algorithm": "AgEBO", "extra": {"note": "hello"}
     }
-    assert [row["job_id"] for row in lines[1:-1]] == data["search"]["history"]
-    assert set(lines[-1]) == {"search"}
+    assert lines[1:-1] == data["jobs"]
+    assert [row["job_id"] for row in data["jobs"]] == [j.job_id for j in search.history_jobs]
+    assert lines[-1] == {"checkpoint": search._iterations, "pending": len(search._pending_results)}
     resumed = build_agebo(fake_eval)
-    resumed.load_state(data["search"])
+    resumed.resume(data)
     assert_identical_history(search.history, resumed.history)
 
 
@@ -136,33 +138,30 @@ def test_version_2_checkpoint_gets_a_clear_error(tmp_path):
 
 
 def test_checkpoint_stores_each_evaluation_once(tmp_path):
-    """No history records, cache entries or BO observations: the
-    evaluator's job table is the one copy of every evaluation, and the
-    journal appends each finished job once, however many checkpoints."""
+    """No history records, cache entries, BO observations or live jobs:
+    the journal appends each finished job once, however many checkpoints,
+    and each checkpoint adds only a marker of two counts."""
     search = build_agebo(fake_eval)
     search.evaluator.cache = EvaluationCache()
     path = tmp_path / "ck.json"
     search.search(max_evaluations=12, checkpoint_path=path)
     save_checkpoint(search, path)
-    state = load_checkpoint(path)["search"]
-    assert state["history"] == [job.job_id for job in search.history_jobs]
-    job_lines = [row for row in map(json.loads, path.read_text().splitlines()[1:])
-                 if "search" not in row]  # fmt: skip
-    assert [row["job_id"] for row in job_lines] == state["history"]
+    data = load_checkpoint(path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    job_lines = [row for row in rows if "checkpoint" not in row]
+    assert job_lines == data["jobs"]
+    assert [row["job_id"] for row in job_lines] == [job.job_id for job in search.history_jobs]
     assert all(row["state"] in ("done", "failed") for row in job_lines)
-    assert all(isinstance(i, int) for i in state["population"])
-    assert state["pending_results"] == len(search._pending_results) > 0
-    assert set(state["optimizer"]) == {"rng_state"}
-    assert state["evaluator"]["cache"] == [search.evaluator.cache.hits,
-                                           search.evaluator.cache.misses,
-                                           search.evaluator.cache.stores]
-    assert len(state["evaluator"]["jobs"]) == search.evaluator._next_id
+    markers = [row for row in rows if "checkpoint" in row]
+    assert len(markers) > 1 and all(set(row) == {"checkpoint", "pending"} for row in markers)
+    assert data["checkpoint"] == search._iterations
+    assert data["pending"] == len(search._pending_results) > 0
 
 
 def test_checkpoint_missing_search_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": CHECKPOINT_VERSION}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no complete"):
         load_checkpoint(path)
 
 
@@ -206,7 +205,7 @@ def test_agebo_resume_is_bit_identical(tmp_path):
     interrupted.search(max_evaluations=16, checkpoint_path=path, checkpoint_every=1)
 
     resumed = build_agebo(fake_eval)
-    resumed.load_state(load_checkpoint(path)["search"])
+    resumed.resume(load_checkpoint(path))
     history = resumed.search(max_evaluations=32)
     assert_identical_history(full, history)
 
@@ -226,7 +225,7 @@ def test_agebo_resume_under_faults_is_bit_identical(tmp_path):
     interrupted.search(max_evaluations=16, checkpoint_path=path, checkpoint_every=1)
 
     resumed = build_agebo(fake_eval, policy=policy)
-    resumed.load_state(load_checkpoint(path)["search"])
+    resumed.resume(load_checkpoint(path))
     history = resumed.search(max_evaluations=32)
     assert_identical_history(full, history)
     assert interrupted.evaluator.num_failures > 0  # faults actually fired
@@ -246,35 +245,16 @@ def test_age_resume_is_bit_identical(tmp_path):
     path = tmp_path / "ck.json"
     run().search(max_evaluations=12, checkpoint_path=path, checkpoint_every=1)
     resumed = run()
-    resumed.load_state(load_checkpoint(path)["search"])
+    resumed.resume(load_checkpoint(path))
     history = resumed.search(max_evaluations=24)
     assert_identical_history(full, history)
 
 
-def test_checkpoint_with_busy_time_fields_resumes_bit_identical(tmp_path):
-    """Checkpoints written while the evaluators kept a private busy-time
-    ledger also hold ``busy_time`` and ``capacity_time``; such a checkpoint
-    still resumes to the uninterrupted history."""
-    full = build_agebo(fake_eval).search(max_evaluations=32)
-
-    path = tmp_path / "ck.json"
-    build_agebo(fake_eval).search(max_evaluations=16, checkpoint_path=path, checkpoint_every=1)
-    state = load_checkpoint(path)["search"]
-    evaluator_state = state["evaluator"]
-    assert "busy_time" not in evaluator_state and "capacity_time" not in evaluator_state
-    evaluator_state.update(busy_time=123.25, capacity_time=456.5)
-
-    resumed = build_agebo(fake_eval)
-    resumed.load_state(state)
-    history = resumed.search(max_evaluations=32)
-    assert_identical_history(full, history)
-
-
 def test_eager_shaped_checkpoint_resumes_lazily_bit_identical(tmp_path):
-    """A checkpoint written by eager settlement — in-flight jobs carrying
-    their results under ``finish`` events, no ``complete`` event — resumes
-    under a run function that declares its duration to the uninterrupted
-    history."""
+    """A journal written by a run function that declares no duration
+    (every attempt settled as it starts) resumes under one that declares
+    it, to the uninterrupted history: both settle on one timeline, so the
+    replay matches every journaled job."""
     policy = FaultPolicy(
         on_error="retry", max_retries=1, timeout=14.0, crash_prob=0.15, hang_prob=0.15,
         fault_seed=5,
@@ -286,50 +266,53 @@ def test_eager_shaped_checkpoint_resumes_lazily_bit_identical(tmp_path):
     build_agebo(fake_eval, policy=policy, cache=EvaluationCache()).search(
         max_evaluations=16, checkpoint_path=path, checkpoint_every=1
     )
-    search_state = load_checkpoint(path)["search"]
-    state = search_state["evaluator"]
-    kinds = {kind for _, _, kind, _, _ in state["events"]}
-    assert "complete" not in kinds and "finish" in kinds
-    jobs = {row["job_id"]: row for row in state["jobs"]}
-    in_flight = [jobs[ref] for _, _, kind, ref, _ in state["events"] if kind == "finish"]
-    assert all(row["result"] is not None for row in in_flight)
-
     resumed = build_agebo(DeclaredFakeEval(), policy=policy, cache=EvaluationCache())
-    resumed.load_state(search_state)
+    resumed.resume(load_checkpoint(path))
+    assert any(job.result is None for job in resumed.evaluator.jobs)  # pending, untrained
     assert_identical_history(full.history, resumed.search(max_evaluations=32))
 
 
-def test_resumed_duplicate_forces_the_checkpointed_pending_attempt():
-    """A duplicate submitted after resume while its original still pends
-    untrained misses the cache and trains, as it does without the
-    interruption: a result is memoized only when its attempt ends."""
-    def schedule(ev, resume_between):
-        ev.submit([0, 1])
-        ev.gather()  # config 1 ends at 2; config 0 pends until 9, untrained
-        if resume_between:
-            state = restorable_state(ev)
-            ev = SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache())
-            ev.load_state(state)
-        ev.submit([0])
-        while ev.num_in_flight:
-            ev.gather()
-        return [(j.job_id, j.cache_hit, j.start_time, j.end_time) for j in ev.jobs]
+def duplicate_of_a_pending_campaign(run, script=(0, 1, 0, 2, 3, 4, 5)):
+    """Cached AgE on 2 workers over the scripted architectures: config 1
+    ends first, and its replacement, a duplicate of config 0, starts
+    while config 0 still pends."""
+    ev = SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache())
+    return AgE(ScriptedSpace(script), ev, population_size=10, sample_size=2)
+
+
+def test_resumed_duplicate_forces_the_checkpointed_pending_attempt(tmp_path):
+    """A duplicate submitted before the checkpoint while its original
+    still pends untrained misses the cache and trains after the resume,
+    as it does without the interruption: a result is memoized only when
+    its attempt ends."""
 
     def run(config):
-        return EvaluationResult(0.5 + config / 10, {0: 9.0, 1: 2.0}[config])
+        arch = int(config.arch[0])
+        return EvaluationResult(0.5 + arch / 10, {0: 9.0, 1: 2.0}.get(arch, 4.0))
 
     run.duration = lambda config: run(config).duration
-    straight = schedule(SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache()), False)
-    resumed = schedule(SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache()), True)
-    assert resumed == straight
-    assert not straight[-1][1]  # the duplicate missed
+
+    def schedule(search):
+        search.search(max_evaluations=4)
+        return [(j.job_id, j.cache_hit, j.start_time, j.end_time) for j in search.evaluator.jobs]
+
+    path = tmp_path / "ck.jsonl"
+    duplicate_of_a_pending_campaign(run).search(max_evaluations=4, checkpoint_path=path)
+    journal = journal_cut_after(path, 1)  # job 0 and its duplicate, job 2, pend
+    assert [row["job_id"] for row in journal["jobs"]] == [1]
+    straight = schedule(duplicate_of_a_pending_campaign(run))
+    search = duplicate_of_a_pending_campaign(run)
+    search.resume(journal)
+    assert [job.result for job in search.evaluator.jobs[::2]] == [None, None]
+    assert schedule(search) == straight
+    assert straight[2][:2] == (2, False)  # the duplicate missed
 
 
-def test_forced_result_epochs_survive_the_checkpoint(tiny_covertype):
+def test_forced_result_epochs_survive_the_checkpoint(tiny_covertype, tmp_path):
     """A pending attempt and its duplicate, started while the original
     still pends, emit once resumed the ``EpochEnd`` events of the
-    uninterrupted run: both train after the restore, neither is a hit."""
-    from repro.campaign import EpochEnd, EventBus
+    uninterrupted run: both train after the resume, neither is a hit."""
+    from repro.campaign import CheckpointWritten, EpochEnd, EventBus
     from repro.core import ModelConfig, ModelEvaluation
 
     space = ArchitectureSpace(num_nodes=2)
@@ -339,32 +322,38 @@ def test_forced_result_epochs_survive_the_checkpoint(tiny_covertype):
     short, long = sorted((ModelConfig(space.random_sample(rng), hp) for _ in range(2)),
                          key=run.duration)  # fmt: skip
     assert run.duration(short) < run.duration(long)
+    archs = {0: long.arch, 1: short.arch}
 
-    def evaluator():
-        ev = SimulatedEvaluator(run, num_workers=2, cache=EvaluationCache())
-        ev.event_bus = EventBus()
-        epochs = []
-        ev.event_bus.subscribe(epochs.append, EpochEnd)
-        return ev, epochs
+    class Scripted:
+        def duration(self, config):
+            return run.duration(ModelConfig(archs[int(config.arch[0])], hp))
 
-    def schedule(resume_between):
-        ev, epochs = evaluator()
-        ev.submit([long, short])
-        ev.gather()  # short ends; long pends untrained
-        ev.submit([long])  # the original still pends: a miss
-        if resume_between:
-            state = restorable_state(ev)
-            ev, epochs = evaluator()
-            ev.load_state(state)
-        else:
-            epochs.clear()
-        while ev.num_in_flight:
-            ev.gather()
-        return epochs
+        def __call__(self, config):
+            return run(ModelConfig(archs[int(config.arch[0])], hp))
 
-    straight = schedule(False)
-    assert [(e.job_id, e.epoch) for e in straight] == [(0, 0), (0, 1), (2, 0), (2, 1)]
-    assert schedule(True) == straight
+        def epoch_events(self, job_id, config, result):
+            return run.epoch_events(job_id, ModelConfig(archs[int(config.arch[0])], hp), result)
+
+    def campaign():
+        search = duplicate_of_a_pending_campaign(Scripted(), script=[0, 1] * 4)
+        bus = EventBus()
+        events = []
+        bus.subscribe(events.append)
+        search.event_bus = search.evaluator.event_bus = bus
+        return search, events
+
+    path = tmp_path / "ck.jsonl"
+    straight, events = campaign()
+    straight.search(max_evaluations=3, checkpoint_path=path)
+    first = next(i for i, e in enumerate(events) if isinstance(e, CheckpointWritten))
+    expected = [(e.job_id, e.epoch) for e in events[first:] if isinstance(e, EpochEnd)]
+    assert expected[:4] == [(0, 0), (0, 1), (2, 0), (2, 1)]
+
+    search, events = campaign()
+    search.resume(journal_cut_after(path, 1))
+    assert events == []  # the replay emits nothing
+    search.search(max_evaluations=3)
+    assert [(e.job_id, e.epoch) for e in events if isinstance(e, EpochEnd)] == expected
 
 
 def lazy_campaign_config(**overrides):
@@ -423,17 +412,11 @@ def test_lazy_campaign_killed_with_unevaluated_attempts_resumes_bit_identical(
             max_evaluations=kill, checkpoint=CheckpointConfig(path=str(path), every=1)
         )
     ).run()
-    state = load_checkpoint(path)["search"]["evaluator"]
-    jobs = {row["job_id"]: row for row in state["jobs"]}
-    pending = [
-        jobs[ref] for _, _, kind, ref, attempt in state["events"]
-        if kind == "complete" and jobs[ref]["attempt"] == attempt
-    ]  # fmt: skip
-    assert any(row["result"] is None for row in pending)
-
     bus = EventBus()
     resumed_epochs = epochs_by_job(bus)
-    history = resume_campaign(path, bus, max_evaluations=20).run()
+    campaign = resume_campaign(path, bus, max_evaluations=20)
+    assert any(job.result is None for job in campaign.evaluator.jobs)  # pending, untrained
+    history = campaign.run()
     assert json.dumps(history_to_dict(history), sort_keys=True) == _UNINTERRUPTED["full"]
     full_epochs = _UNINTERRUPTED["epochs"]
     assert resumed_epochs
@@ -448,7 +431,7 @@ def test_resume_restores_bo_observations(tmp_path):
     rng_state = interrupted.optimizer._rng.bit_generator.state
 
     resumed = build_agebo(fake_eval)
-    resumed.load_state(load_checkpoint(path)["search"])
+    resumed.resume(load_checkpoint(path))
     # The checkpoint is written at the last quiescent iteration boundary,
     # which may trail the in-memory search by at most one iteration.
     n_resumed = resumed.optimizer.num_observations
@@ -565,13 +548,13 @@ def test_resume_gate_matches_uninterrupted_campaign(tmp_path_factory, c):
             # not submitted yet; the checkpoint must carry them.
             interrupted.search(max_evaluations=c["kill"])
             save_checkpoint(interrupted, path)
-            assert load_checkpoint(path)["search"]["pending_results"] > 0
+            assert load_checkpoint(path)["pending"] > 0
         else:
             interrupted.search(max_evaluations=c["kill"], checkpoint_path=path)
         interrupted.evaluator.close()
 
         resumed = build_campaign_search(c)
-        resumed.load_state(load_checkpoint(path)["search"])
+        resumed.resume(load_checkpoint(path))
         resumed.search(max_evaluations=TOTAL_EVALUATIONS)
     full.evaluator.close(), resumed.evaluator.close()
 
@@ -602,7 +585,7 @@ def test_resume_with_a_budget_the_last_batch_already_met(tmp_path):
     path = tmp_path / "ck.json"
     save_checkpoint(interrupted, path)
     resumed = build_campaign_search(c)
-    resumed.load_state(load_checkpoint(path)["search"])
+    resumed.resume(load_checkpoint(path))
     resumed.search(max_evaluations=TOTAL_EVALUATIONS)
     rich = lambda search: [record_to_dict(r, rich_metadata=True) for r in search.history]
     assert rich(resumed) == rich(full)
@@ -633,24 +616,36 @@ def faulty_cached_agebo():
     )
 
 
-def table_state(search):
-    """The live search's state in the shape ``load_checkpoint`` rebuilds:
-    its snapshot plus the history's job ids and the whole job table."""
-    state = search.state_dict()
-    state["history"] = [job.job_id for job in search.history_jobs]
-    state["evaluator"]["jobs"] = [job_to_dict(job) for job in search.evaluator.jobs]
-    return json.loads(json.dumps(state))
+def journal_state(search):
+    """What a checkpoint of the live search journals: its history's jobs
+    and the marker's two counts."""
+    return {
+        "jobs": json.loads(json.dumps([job_to_dict(job) for job in search.history_jobs])),
+        "checkpoint": search._iterations,
+        "pending": len(search._pending_results),
+    }
+
+
+def read_journal(path):
+    data = load_checkpoint(path)
+    return {key: data[key] for key in ("jobs", "checkpoint", "pending")}
 
 
 def rich_history(search):
     return [record_to_dict(r, rich_metadata=True) for r in search.history]
 
 
+def resumed_outcome(search):
+    """What a resume must reproduce: the rich history, the evaluator and
+    cache counters and the iteration count."""
+    return rich_history(search), evaluator_counters(search.evaluator), search._iterations
+
+
 @pytest.mark.parametrize("every", [1, 2, 3])
 def test_journal_holds_the_whole_table_at_every_checkpoint(tmp_path, monkeypatch, every):
-    """Differential oracle: at every checkpoint, the journal read back is
-    the live search's whole table state, although each write appended only
-    the newly finished jobs and a snapshot."""
+    """Differential oracle: at every checkpoint, the journal read back
+    holds the live search's history jobs and iteration counts, although
+    each write appended only the newly finished jobs and a marker."""
     import repro.core.search as search_mod
 
     original = search_mod.AgingEvolutionBase.checkpoint
@@ -658,8 +653,7 @@ def test_journal_holds_the_whole_table_at_every_checkpoint(tmp_path, monkeypatch
 
     def checkpoint(self, path):
         original(self, path)
-        state = load_checkpoint(path)["search"]
-        assert state == table_state(self)
+        assert read_journal(path) == journal_state(self)
         checked.append(len(self.history))
 
     monkeypatch.setattr(search_mod.AgingEvolutionBase, "checkpoint", checkpoint)
@@ -670,7 +664,7 @@ def test_journal_holds_the_whole_table_at_every_checkpoint(tmp_path, monkeypatch
             max_evaluations=JOURNAL_EVALUATIONS, checkpoint_path=path, checkpoint_every=every
         )
         save_checkpoint(search, path)  # a budget stop: pending results ride along
-    assert load_checkpoint(path)["search"] == table_state(search)
+    assert read_journal(path) == journal_state(search)
     assert len(checked) >= 3 and checked == sorted(set(checked))
     ev = search.evaluator
     assert ev.num_worker_failures == 1 and ev.num_retries > 0 and ev.num_timeouts > 0
@@ -682,28 +676,30 @@ def test_journal_holds_the_whole_table_at_every_checkpoint(tmp_path, monkeypatch
 _JOURNALS: dict[int, tuple] = {}
 
 
+def faulty_journal(every, tmp_path_factory):
+    """The journal of the uninterrupted ``faulty_cached_agebo`` campaign
+    checkpointed every ``every`` iterations, and that campaign's outcome."""
+    if every not in _JOURNALS:
+        path = tmp_path_factory.mktemp("journal") / "ck.jsonl"
+        full = faulty_cached_agebo()
+        full.search(
+            max_evaluations=JOURNAL_EVALUATIONS, checkpoint_path=path, checkpoint_every=every
+        )
+        _JOURNALS[every] = (path.read_bytes(), resumed_outcome(full))
+    return _JOURNALS[every]
+
+
 @given(every=st.sampled_from([1, 2, 3]), data=st.data())
 @settings(max_examples=max(6, settings.default.max_examples // 5), deadline=None)
 def test_journal_cut_at_any_byte_resumes_bit_identical(tmp_path_factory, every, data):
     """A campaign killed at any byte of its journal resumes from the last
-    complete state line to the uninterrupted history, bit for bit.  A
-    journal cut before its first state line holds no checkpoint, and one
-    cut inside its header says so."""
+    complete marker to the uninterrupted history, bit for bit.  A journal
+    cut before its first marker holds no checkpoint, and one cut inside
+    its header says so."""
     with mock.patch("repro.workflow.pool.training_processes", return_value=0):
-        if every not in _JOURNALS:
-            path = tmp_path_factory.mktemp("journal") / "ck.jsonl"
-            full = faulty_cached_agebo()
-            full.search(
-                max_evaluations=JOURNAL_EVALUATIONS, checkpoint_path=path, checkpoint_every=every
-            )
-            journal = path.read_bytes()
-            header_end = journal.index(b"\n")
-            first_state_end = journal.index(b"\n", journal.index(b'\n{"search"') + 1)
-            _JOURNALS[every] = (
-                journal, header_end, first_state_end, rich_history(full),
-                evaluator_counters(full.evaluator),
-            )  # fmt: skip
-        journal, header_end, first_state_end, expected, counters = _JOURNALS[every]
+        journal, expected = faulty_journal(every, tmp_path_factory)
+        header_end = journal.index(b"\n")
+        first_marker_end = journal.index(b"\n", journal.index(b'\n{"checkpoint"') + 1)
         cut = data.draw(st.integers(0, len(journal)), label="cut")
         path = tmp_path_factory.mktemp("cut") / "ck.jsonl"
         path.write_bytes(journal[:cut])
@@ -711,58 +707,210 @@ def test_journal_cut_at_any_byte_resumes_bit_identical(tmp_path_factory, every, 
             with pytest.raises(ValueError, match="header"):
                 load_checkpoint(path)
             return
-        if cut < first_state_end:
+        if cut < first_marker_end:
             with pytest.raises(ValueError, match="no complete"):
                 load_checkpoint(path)
             return
         resumed = faulty_cached_agebo()
-        resumed.load_state(load_checkpoint(path)["search"])
+        resumed.resume(load_checkpoint(path))
         resumed.search(max_evaluations=JOURNAL_EVALUATIONS, checkpoint_path=path)
-    assert rich_history(resumed) == expected
-    assert evaluator_counters(resumed.evaluator) == counters
+    assert resumed_outcome(resumed) == expected
     # The resumed campaign rewrote the torn journal before appending to it.
     save_checkpoint(resumed, path)
-    assert load_checkpoint(path)["search"] == table_state(resumed)
+    assert read_journal(path) == journal_state(resumed)
+
+
+@pytest.mark.parametrize("every", [1, 2, 3])
+def test_resume_at_every_checkpoint_matches_the_uninterrupted_campaign(tmp_path_factory, every):
+    """Cut the journal at each marker, and 7 bytes past it (a torn next
+    write): every resume continues to the uninterrupted campaign's rich
+    history, evaluator and cache counters and iteration count."""
+    with mock.patch("repro.workflow.pool.training_processes", return_value=0):
+        journal, expected = faulty_journal(every, tmp_path_factory)
+        ends = [
+            journal.index(b"\n", start + 1) + 1
+            for start in range(len(journal))
+            if journal.startswith(b'\n{"checkpoint"', start)
+        ]
+        assert len(ends) >= 24 // (3 * every)
+        path = tmp_path_factory.mktemp("cut") / "ck.jsonl"
+        for end in ends:
+            for cut in (end, end + 7):
+                path.write_bytes(journal[:cut])
+                resumed = faulty_cached_agebo()
+                resumed.resume(load_checkpoint(path))
+                resumed.search(max_evaluations=JOURNAL_EVALUATIONS)
+                assert resumed_outcome(resumed) == expected, cut
+
+
+def raising_campaign(cache=None):
+    """A campaign whose injected crashes raise (``on_error="raise"``)."""
+    policy = FaultPolicy(on_error="raise", crash_prob=0.3, fault_seed=2)
+    return build_agebo(fake_eval, policy=policy, num_workers=3, cache=cache)
+
+
+def run_past_raises(search, max_evaluations, **kwargs):
+    """Run ``search`` to its budget, going past every raise as a caller
+    that catches them would; returns the raised messages."""
+    raised = []
+    while True:
+        try:
+            search.search(max_evaluations=max_evaluations, **kwargs)
+            return raised
+        except Exception as exc:  # noqa: BLE001 — the injected crashes
+            raised.append(str(exc))
 
 
 def test_raised_job_survives_two_resumes(tmp_path):
-    """A job failed by a raising settlement is never delivered: it stays
-    out of the history and in the job table across checkpoints."""
-    policy = FaultPolicy(on_error="raise", crash_prob=0.3, fault_seed=2)
-    search = build_agebo(fake_eval, policy=policy, num_workers=3)
+    """A job failed by a raising settlement is never delivered.  A journal
+    saved after the raise resumes to the search before it, and continuing
+    raises that attempt's exception again, resume after resume."""
+    search = raising_campaign()
     path = tmp_path / "ck.jsonl"
-    with pytest.raises(Exception, match="injected crash"):
+    with pytest.raises(Exception, match="injected crash") as first:
         search.search(max_evaluations=30, checkpoint_path=path)
-    (raised,) = [job for job in search.evaluator.jobs if job.state.value == "failed"]
-    assert raised not in search.history_jobs
+    (raised,) = [job.job_id for job in search.evaluator.jobs if job.state.value == "failed"]
+    history = rich_history(search)
     for _ in range(2):
-        save_checkpoint(search, path)
-        state = load_checkpoint(path)["search"]
-        assert state == table_state(search)
-        assert raised.job_id not in state["history"]
-        search = build_agebo(fake_eval, policy=policy, num_workers=3)
-        search.load_state(state)
-    assert search.evaluator._undelivered == {raised.job_id: search.evaluator.jobs[raised.job_id]}
+        search = resumed(search, raising_campaign)
+        assert raised not in [job.job_id for job in search.history_jobs]
+        assert rich_history(search) == history
+        with pytest.raises(Exception) as again:
+            search.search(max_evaluations=30, checkpoint_path=path)
+        assert (type(again.value), str(again.value)) == (type(first.value), str(first.value))
+        assert [job.job_id for job in search.evaluator.jobs if job.state.value == "failed"] == [
+            raised
+        ]
+
+
+def test_journal_saved_after_a_caught_raise_replays_past_it(tmp_path):
+    """A campaign that went past a raise and checkpointed later resumes
+    past that raise; continuing raises what the uninterrupted campaign
+    raised after the checkpoint, and ends with its history."""
+    straight = raising_campaign()
+    straight_raises = run_past_raises(straight, 30)
+    assert len(straight_raises) >= 2
+
+    path = tmp_path / "ck.jsonl"
+    killed = raising_campaign()
+    with pytest.raises(Exception, match="injected crash"):
+        killed.search(max_evaluations=30, checkpoint_path=path)
+    at_first_raise = len(killed.history)
+    with pytest.raises(Exception, match="injected crash"):  # the second raise
+        killed.search(max_evaluations=30, checkpoint_path=path)
+    journal = load_checkpoint(path)
+    assert len(journal["jobs"]) > at_first_raise  # a checkpoint after the first raise
+
+    search = raising_campaign()
+    search.resume(journal)
+    assert run_past_raises(search, 30, checkpoint_path=path) == straight_raises[1:]
+    assert resumed_outcome(search) == resumed_outcome(straight)
 
 
 def test_jobs_finished_beside_a_raise_survive_the_checkpoint():
     """Jobs that finished in the gather an attempt's raise cut short are
-    delivered by the next gather, after a restore too (pre-fix the
-    snapshot dropped them and the restored gather reported a deadlock)."""
-    def run(config):
-        if config == 1:
-            raise RuntimeError("boom")
-        return EvaluationResult(0.5, 2.0)
-
-    def evaluator():
-        return SimulatedEvaluator(run, num_workers=2, fault_policy=FaultPolicy(on_error="raise"))
-
-    ev = evaluator()
-    ev.submit([0, 0, 1])
+    delivered by the next gather, after a resume too: the resumed search
+    raises again and holds the same finished jobs."""
+    search = beside_a_raise_campaign()
     with pytest.raises(RuntimeError, match="boom"):
-        ev.gather()  # jobs 0 and 1 finish at 2; job 2 then starts and raises
-    restored = evaluator()
-    restored.load_state(restorable_state(ev))
-    assert [job.job_id for job in restored.gather()] == [0, 1]
-    assert [job.job_id for job in ev.gather()] == [0, 1]
-    assert restored.num_in_flight == ev.num_in_flight == 0
+        search.search(max_evaluations=6)
+    assert [job.job_id for job in search.evaluator._completed] == [2]
+    copy = resumed(search, beside_a_raise_campaign)
+    with pytest.raises(RuntimeError, match="boom"):
+        copy.search(max_evaluations=6)
+    for s in (copy, search):
+        assert [job.job_id for job in s.evaluator.gather()] == [2]
+        assert s.evaluator.num_in_flight == 0
+
+
+# --------------------------------------------------------------------- #
+# Resume by replay: served trainings, refusal, older journals, counting
+# --------------------------------------------------------------------- #
+def test_resume_refuses_a_journal_of_another_seed(tmp_path):
+    """A journal replays only into the campaign that wrote it: another
+    seed gives other jobs, and the first one that differs is named."""
+    path = tmp_path / "ck.jsonl"
+    build_agebo(fake_eval, seed=7).search(max_evaluations=12, checkpoint_path=path)
+    journal = load_checkpoint(path)
+    first = journal["jobs"][0]["job_id"]
+    with pytest.raises(ValueError, match=f"job {first} \\(evaluation 0\\) does not replay"):
+        build_agebo(fake_eval, seed=8).resume(journal)
+
+
+@pytest.mark.parametrize("declared", [False, True], ids=["eager", "declared"])
+def test_fault_free_replay_trains_no_journaled_job(tmp_path, declared):
+    """Without faults every journaled job trained cleanly, so the replay
+    serves each from its line and calls the run function only for the
+    attempts still pending at the checkpoint; the served outcomes are gone
+    once ``resume`` returns."""
+    from repro.workflow import canonical_config_key
+
+    calls = []
+
+    class Counted(DeclaredFakeEval):
+        def __call__(self, config):
+            calls.append(canonical_config_key(config))
+            return fake_eval(config)
+
+    run = Counted() if declared else (lambda config: Counted()(config))
+    path = tmp_path / "ck.jsonl"
+    with mock.patch("repro.workflow.pool.training_processes", return_value=0):
+        build_agebo(fake_eval).search(max_evaluations=16, checkpoint_path=path)
+        journal = load_checkpoint(path)
+        search = build_agebo(run)
+        search.resume(journal)
+    journaled = {canonical_config_key(job_from_dict(row).config) for row in journal["jobs"]}
+    assert len(journal["jobs"]) > 8 and not journaled & set(calls)
+    assert len(calls) <= search.evaluator.num_workers
+    assert search.evaluator._pool.served == {}
+    assert_identical_history(
+        search.search(max_evaluations=32), build_agebo(fake_eval).search(max_evaluations=32)
+    )
+
+
+def test_version_3_journal_resumes_bit_identical():
+    """A journal the version-3 writer wrote (whose state lines carry a
+    full snapshot) resumes from its last state line, read as a marker,
+    to the uninterrupted campaign: a faulty, cached AgE campaign with a
+    worker death, stopped at 11 evaluations on a budget with one result
+    pending and saved there."""
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "age_faulty_cached_v3.ckpt")
+    journal = load_checkpoint(fixture)
+    assert (journal["version"], len(journal["jobs"]), journal["pending"]) == (3, 11, 1)
+    c = {
+        "method": "AgE", "replacement": "aging", "cache": True, "crash_prob": 0.15,
+        "hang_prob": 0.1, "corrupt_prob": 0.1, "fault_seed": 5, "max_retries": 2,
+        "timeout": 14.0, "worker_failures": [(20.0, 1)], "lazy": True,
+    }  # fmt: skip
+    with mock.patch("repro.workflow.pool.training_processes", return_value=0):
+        full = build_campaign_search(c)
+        full.search(max_evaluations=TOTAL_EVALUATIONS)
+        search = build_campaign_search(c)
+        search.resume(journal)
+        search.search(max_evaluations=TOTAL_EVALUATIONS)
+    assert full.evaluator.num_failures > 0 and full.evaluator.num_worker_failures == 1
+    assert resumed_outcome(search) == resumed_outcome(full)
+
+
+def test_continued_search_counts_and_checkpoints_every_iteration(monkeypatch):
+    """A search continued after a budget stop counts the iteration that
+    submits its pending batch's replacements and checkpoints on the same
+    iterations as an uninterrupted run (the replay relies on the count)."""
+    import repro.core.search as search_mod
+
+    written = []
+    monkeypatch.setattr(
+        search_mod.AgingEvolutionBase, "checkpoint",
+        lambda self, path: written.append((self._iterations, len(self.history))),
+    )  # fmt: skip
+
+    def run(*budgets):
+        written.clear()
+        search = build_agebo(fake_eval)
+        for budget in budgets:
+            search.search(max_evaluations=budget, checkpoint_path="unused", checkpoint_every=2)
+        return search._iterations, list(written)
+
+    straight = run(32)
+    assert run(16, 32) == straight
+    assert run(5, 11, 16, 32) == straight

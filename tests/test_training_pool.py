@@ -203,6 +203,32 @@ def test_pool_outcomes_equal_inline_outcomes():
     ]
 
 
+@pytest.mark.parametrize("cores", [0, 2])
+def test_restart_served_from_the_cache_ends_its_submission(cores):
+    """A pending attempt whose simulated worker dies restarts; when its
+    config's duplicate ended meanwhile, the restart is a cache hit, and
+    the pool holds nothing of the first start once the evaluator drains."""
+
+    class Declared:
+        def duration(self, config):
+            return 3.0
+
+        def __call__(self, config):
+            return EvaluationResult(0.5, 3.0)
+
+    with processes(cores):
+        ev = SimulatedEvaluator(
+            Declared(), num_workers=2, worker_failures=[(1.0, 0)], cache=EvaluationCache()
+        )
+    first, duplicate = ev.submit(["a", "a"])
+    while ev.num_in_flight:
+        ev.gather()
+    ev.close()
+    assert first.cache_hit and not duplicate.cache_hit  # job 0 restarted at 3
+    pool = ev._pool
+    assert (pool._submitted, pool._held, pool._backlog, pool._arrived) == ({}, set(), {}, {})
+
+
 def test_dead_worker_retires_the_pool():
     """A worker killed mid-training retires the pool: every outcome still
     missing is computed on the manager, and equals the worker's."""
