@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import collections
 import json
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -267,15 +267,17 @@ class AgingEvolutionBase:
         iterations are complete and the last ``pending`` results wait for
         their replacements.  Each clean training a job line records is
         served from it (:meth:`SimulatedEvaluator.serve
-        <repro.workflow.evaluator.SimulatedEvaluator.serve>`), and an
-        attempt's raise the original caller went past is passed again.
+        <repro.workflow.evaluator.SimulatedEvaluator.serve>`).
 
         The search must be built with the checkpointed constructor
         arguments (see :func:`repro.campaign.resume_campaign`) and a run
         function that is a pure function of its config.  Raises
         ``ValueError`` naming the first job that replays differently from
         its line (another seed or config, or a host whose floating point
-        gives another history).
+        gives another history).  A raise ends a campaign
+        (:class:`~repro.workflow.evaluator.Evaluator`), so a journal saved
+        after one holds nothing past it: the replay, or the next
+        ``search``, reaches that raise again and raises the same exception.
         """
         self._require_checkpointable()
         rows = journal["jobs"]
@@ -287,17 +289,17 @@ class AgingEvolutionBase:
             while (len(self.history), self._iterations, len(self._pending_results)) != mark:
                 done = len(self.history)
                 if self._pending_results:
-                    self._pass_raise(self._advance)
+                    self._advance()
                 elif not self._initialized:
-                    self._pass_raise(self._start)
+                    self._start()
                 elif done < len(rows) and self._iterations <= mark[1]:
-                    jobs = self._pass_raise(self.evaluator.gather)
-                    if jobs == []:
+                    jobs = self.evaluator.gather()
+                    if not jobs:
                         raise ValueError(
                             f"job {rows[done]['job_id']} (evaluation {done}) does not "
                             "replay: the campaign drained before it"
                         )
-                    self._pending_results = [self._record(job) for job in jobs or ()]
+                    self._pending_results = [self._record(job) for job in jobs]
                     for i, job in enumerate(self.history_jobs[done:], done):
                         row = rows[i] if i < len(rows) else None
                         if row is None or json.dumps(job_to_dict(job)) != json.dumps(row):
@@ -314,17 +316,3 @@ class AgingEvolutionBase:
             self.evaluator.serve(())
             self.event_bus, self.evaluator.event_bus = buses
         self._journal = None  # the next checkpoint rewrites its file
-
-    def _pass_raise(self, step: Callable[[], Any]) -> Any:
-        """``step()``, or None past the raise of an attempt it failed under
-        ``on_error="raise"`` (the original caller went past it, since the
-        journal goes on)."""
-        failures = self.evaluator.num_failures
-        try:
-            return step()
-        except Exception:
-            if self.evaluator.fault_policy.on_error != "raise":
-                raise
-            if self.evaluator.num_failures == failures:
-                raise  # no attempt failed: not a raise the campaign went past
-            return None

@@ -139,10 +139,15 @@ class Evaluator:
     the backend's ``_launch(job, kind, cached)``.  A backend's ``gather``
     hands the jobs whose attempts ended for good to :meth:`_finish` (or
     puts them back on the queue, for a retry) and returns :meth:`_deliver`,
-    which takes them out of flight.  An attempt whose settlement raises
-    (``on_error="raise"``) ends its job ``FAILED`` and out of flight
-    before the exception propagates, and jobs finished in the same round
-    come back from the next ``gather``.
+    which takes them out of flight.
+
+    A raise ends the campaign.  An attempt whose settlement raises
+    (``on_error="raise"``) ends its job ``FAILED``, end-stamped, and the
+    exception propagates from the ``submit`` or ``gather`` that settled it;
+    from then on every :meth:`submit` and ``gather`` refuses at once with a
+    ``RuntimeError`` whose ``__cause__`` is that exception.  The job table
+    is left as the raise found it, for a post-mortem.  To go on past a
+    failed evaluation, use ``on_error="penalize"`` or ``"retry"``.
     """
 
     event_bus = None
@@ -172,6 +177,7 @@ class Evaluator:
         self._queue: collections.deque[Job] = collections.deque()
         self._completed: collections.deque[Job] = collections.deque()
         self._in_flight = 0
+        self._raised: BaseException | None = None
 
     @property
     def num_in_flight(self) -> int:
@@ -280,10 +286,18 @@ class Evaluator:
         if settlement.result is not None:
             job.result = settlement.result
         if settlement.exception is not None:
-            # The attempt raises to the caller: its job ends here, undelivered.
-            self._in_flight -= 1
+            # The attempt raises to the caller and ends the campaign.
             job.state = JobState.FAILED
+            self._raised = settlement.exception
         return settlement
+
+    def _refuse_after_raise(self) -> None:
+        """Raise if an attempt's settlement raised: the campaign is over."""
+        if self._raised is not None:
+            raise RuntimeError(
+                "the evaluator raised under on_error='raise' and takes no more work; "
+                "use on_error='penalize' or 'retry' to go on past a failed evaluation"
+            ) from self._raised
 
     def _cacheable(self, job: Job) -> bool:
         """Whether the result of ``job``'s last attempt is memoized: it
@@ -322,6 +336,7 @@ class Evaluator:
 
     def submit(self, configs: Sequence[Any]) -> list[Job]:
         """Queue configurations for evaluation; returns the job records."""
+        self._refuse_after_raise()
         out = []
         for config in configs:
             job = Job(job_id=self._next_id, config=config, submit_time=self.now)
@@ -375,7 +390,7 @@ class SimulatedEvaluator(Evaluator):
     settled as they start: the run function (if needed) is called then,
     and one that fails holds its worker for the settlement's minutes
     before being retried or penalized, while one whose settlement raises
-    frees its worker at once.
+    ends the campaign there, still holding its worker.
 
     A run function may declare ``duration(config) -> float``, the minutes
     its call on ``config`` will report, known without training
@@ -492,7 +507,8 @@ class SimulatedEvaluator(Evaluator):
             outcome = self._pool.outcome(job.config)
         settlement = self._settle(job, kind, outcome, simulated_clock=True)
         if settlement.exception is not None:
-            self._raise(job, settlement.exception)
+            job.end_time = self._clock
+            raise settlement.exception
         end_time = self._clock + settlement.minutes
         if settlement.retry:
             self._events.push(end_time, ("fail", job, job.attempt))
@@ -506,17 +522,11 @@ class SimulatedEvaluator(Evaluator):
         kind = self.fault_policy.fault(job.job_id, job.retries)
         outcome = self._pool.take(job.job_id, job.config)
         settlement = self._settle(job, kind, outcome, simulated_clock=True)
-        if settlement.exception is not None:
-            self._raise(job, settlement.exception)
         if not settlement.retry:
             job.end_time = self._clock
+        if settlement.exception is not None:
+            raise settlement.exception
         self._end_attempt(job, settlement.retry)
-
-    def _raise(self, job: Job, exception: BaseException) -> None:
-        """End the attempt of ``job`` now and raise its settlement's exception."""
-        job.end_time = self._clock
-        self._release_worker(job.worker)
-        raise exception
 
     def _end_attempt(self, job: Job, retry: bool) -> None:
         """Free the worker of an attempt that ended now; finish its job,
@@ -558,11 +568,8 @@ class SimulatedEvaluator(Evaluator):
             self._queue.appendleft(job)
 
     def gather(self) -> list[Job]:
-        """Advance the clock until at least one job finishes; return them.
-
-        Workers freed by an attempt that raised are refilled first.
-        """
-        self._fill_workers()
+        """Advance the clock until at least one job finishes; return them."""
+        self._refuse_after_raise()
         while not self._completed and self._events:
             next_time = self._events.peek_time()
             for end_time, (kind, ref, attempt) in self._events.drain_until(next_time):
@@ -689,18 +696,18 @@ class _WallClockEvaluator(Evaluator):
     def gather(self) -> list[Job]:
         """Block until at least one job finishes; return all finished jobs.
 
-        Jobs already completed — siblings collected before a prior
-        ``on_error="raise"`` exception — are returned immediately, never
-        blocking on unrelated pending futures.  Ended attempts are
-        collected *before* any are settled so that retries triggered by a
-        crash or a kill are dispatched to the reclaimed pool, never to the
-        broken one.  Only tracked futures deliver results: an attempt
-        abandoned by a timeout was untracked when it was reaped, so its
-        late return is dropped.  An attempt ends when its future resolved
-        (stamped by a done-callback), not when gather collects it; one
-        that returned at or past its deadline is reaped like one still
-        running.
+        Ended attempts are collected *before* any are settled so that
+        retries triggered by a crash or a kill are dispatched to the
+        reclaimed pool, never to the broken one.  Only tracked futures
+        deliver results: an attempt abandoned by a timeout was untracked
+        when it was reaped, so its late return is dropped.  An attempt ends
+        when its future resolved (stamped by a done-callback), not when
+        gather collects it; one that returned at or past its deadline is
+        reaped like one still running.  The first settlement that raises
+        (``on_error="raise"``) raises at once and ends the campaign: the
+        attempts collected with it are left unsettled.
         """
+        self._refuse_after_raise()
         timeout = self.fault_policy.timeout
         while not self._completed and self._futures:
             done, _ = wait(self._futures, timeout=self._wait_timeout(), return_when=FIRST_COMPLETED)
@@ -745,7 +752,6 @@ class _WallClockEvaluator(Evaluator):
                 self._queue.extendleft(reversed(self._kill_workers()))
             self._fill_workers()
             # Phase 4: settle every ended attempt (the pool is healthy).
-            first_error: BaseException | None = None
             for job, kind, outcome, end_time in ended:
                 settlement = self._settle(job, kind, outcome)
                 if settlement.retry:
@@ -755,11 +761,8 @@ class _WallClockEvaluator(Evaluator):
                 # A cache hit computed nothing: it ends where it started.
                 job.end_time = job.start_time if job.cache_hit else end_time
                 if settlement.exception is not None:
-                    first_error = first_error or settlement.exception
-                else:
-                    self._finish(job)
-            if first_error is not None:
-                raise first_error
+                    raise settlement.exception
+                self._finish(job)
         return self._deliver()
 
     def close(self) -> None:

@@ -70,7 +70,9 @@ class FaultPolicy:
     Parameters
     ----------
     on_error:
-        ``"raise"`` propagates the failure to the manager (debugging);
+        ``"raise"`` propagates the failure to the manager and ends the
+        campaign: the evaluator then refuses every later submit and
+        gather (debugging);
         ``"penalize"`` records a low-objective result and moves on
         (production behaviour — a diverged training must not kill a
         campaign); ``"retry"`` re-runs the job up to ``max_retries`` times

@@ -38,6 +38,7 @@ from repro.workflow import (
     EvaluationCache,
     EvaluationResult,
     FaultPolicy,
+    InjectedCrash,
     SimulatedEvaluator,
 )
 from repro.workflow.jobs import job_from_dict, job_to_dict
@@ -743,22 +744,13 @@ def test_resume_at_every_checkpoint_matches_the_uninterrupted_campaign(tmp_path_
                 assert resumed_outcome(resumed) == expected, cut
 
 
-def raising_campaign(cache=None):
-    """A campaign whose injected crashes raise (``on_error="raise"``)."""
-    policy = FaultPolicy(on_error="raise", crash_prob=0.3, fault_seed=2)
-    return build_agebo(fake_eval, policy=policy, num_workers=3, cache=cache)
-
-
-def run_past_raises(search, max_evaluations, **kwargs):
-    """Run ``search`` to its budget, going past every raise as a caller
-    that catches them would; returns the raised messages."""
-    raised = []
-    while True:
-        try:
-            search.search(max_evaluations=max_evaluations, **kwargs)
-            return raised
-        except Exception as exc:  # noqa: BLE001 — the injected crashes
-            raised.append(str(exc))
+def raising_campaign(fault_seed=2):
+    """A campaign whose injected crashes raise (``on_error="raise"``).
+    Under fault seed 2 job 0 raises as the initial W are submitted; under
+    seed 0 job 2 does; under seed 1 job 3 raises as the first iteration
+    submits its replacements."""
+    policy = FaultPolicy(on_error="raise", crash_prob=0.3, fault_seed=fault_seed)
+    return build_agebo(fake_eval, policy=policy, num_workers=3)
 
 
 def test_raised_job_survives_two_resumes(tmp_path):
@@ -783,44 +775,61 @@ def test_raised_job_survives_two_resumes(tmp_path):
         ]
 
 
-def test_journal_saved_after_a_caught_raise_replays_past_it(tmp_path):
-    """A campaign that went past a raise and checkpointed later resumes
-    past that raise; continuing raises what the uninterrupted campaign
-    raised after the checkpoint, and ends with its history."""
-    straight = raising_campaign()
-    straight_raises = run_past_raises(straight, 30)
-    assert len(straight_raises) >= 2
+def test_search_after_a_raise_in_the_initial_submission_submits_nothing():
+    """A raise while the initial W configurations are submitted ends the
+    campaign: the next ``search`` refuses at once, caused by that raise,
+    and submits nothing (pre-fix it submitted W fresh initial
+    configurations, leaving 4 jobs in flight on 3 workers)."""
+    search = raising_campaign(fault_seed=0)
+    with pytest.raises(InjectedCrash, match="job 2") as first:
+        search.search(max_evaluations=40)
+    assert len(search.evaluator.jobs) == search.num_workers
+    with pytest.raises(RuntimeError, match="on_error") as again:
+        search.search(max_evaluations=40)
+    assert again.value.__cause__ is first.value
+    assert len(search.evaluator.jobs) == search.num_workers
 
+
+def test_search_continued_after_a_caught_raise_raises_at_once():
+    """A search a caller continues past a caught raise refuses at once and
+    adds no evaluation (pre-fix each caught raise cost a worker for good,
+    and the campaign drained short of its budget)."""
+    search = raising_campaign(fault_seed=1)
+    with pytest.raises(InjectedCrash, match="job 3") as first:
+        search.search(max_evaluations=40)
+    evaluations, jobs = len(search.history), len(search.evaluator.jobs)
+    assert evaluations > 0
+    with pytest.raises(RuntimeError, match="on_error") as again:
+        search.search(max_evaluations=40)
+    assert again.value.__cause__ is first.value
+    assert (len(search.history), len(search.evaluator.jobs)) == (evaluations, jobs)
+
+
+@pytest.mark.parametrize(
+    "build, reached_by",
+    [(lambda: raising_campaign(fault_seed=1), "replay"), (beside_a_raise_campaign, "search")],
+    ids=["raise-in-a-submit", "raise-in-a-gather"],
+)
+def test_journal_saved_after_a_raise_raises_it_again(tmp_path, build, reached_by):
+    """A journal saved by the raw API after a raise holds the history up to
+    it; resuming it and calling ``search`` raises the original exception's
+    type and message, whether the replay reaches the raise (one raised by
+    a replacement's submission) or the next ``search`` does (one raised in
+    a gather, after the journal's last iteration)."""
+    search = build()
+    with pytest.raises(Exception) as first:
+        search.search(max_evaluations=30)
     path = tmp_path / "ck.jsonl"
-    killed = raising_campaign()
-    with pytest.raises(Exception, match="injected crash"):
-        killed.search(max_evaluations=30, checkpoint_path=path)
-    at_first_raise = len(killed.history)
-    with pytest.raises(Exception, match="injected crash"):  # the second raise
-        killed.search(max_evaluations=30, checkpoint_path=path)
-    journal = load_checkpoint(path)
-    assert len(journal["jobs"]) > at_first_raise  # a checkpoint after the first raise
-
-    search = raising_campaign()
-    search.resume(journal)
-    assert run_past_raises(search, 30, checkpoint_path=path) == straight_raises[1:]
-    assert resumed_outcome(search) == resumed_outcome(straight)
-
-
-def test_jobs_finished_beside_a_raise_survive_the_checkpoint():
-    """Jobs that finished in the gather an attempt's raise cut short are
-    delivered by the next gather, after a resume too: the resumed search
-    raises again and holds the same finished jobs."""
-    search = beside_a_raise_campaign()
-    with pytest.raises(RuntimeError, match="boom"):
-        search.search(max_evaluations=6)
-    assert [job.job_id for job in search.evaluator._completed] == [2]
-    copy = resumed(search, beside_a_raise_campaign)
-    with pytest.raises(RuntimeError, match="boom"):
-        copy.search(max_evaluations=6)
-    for s in (copy, search):
-        assert [job.job_id for job in s.evaluator.gather()] == [2]
-        assert s.evaluator.num_in_flight == 0
+    save_checkpoint(search, path)
+    copy = build()
+    reached = "replay"
+    with pytest.raises(Exception) as again:
+        copy.resume(load_checkpoint(path))
+        reached = "search"
+        copy.search(max_evaluations=30)
+    assert (type(again.value), str(again.value)) == (type(first.value), str(first.value))
+    assert reached == reached_by
+    assert rich_history(copy) == rich_history(search)
 
 
 # --------------------------------------------------------------------- #

@@ -14,11 +14,12 @@ invariants that must hold for *any* schedule:
 The wall-clock schedule, retry and raise checks run on both the thread
 and the process backend, which share one ``gather``; a result marked
 ``failed`` ends ``FAILED`` on all three backends, which share one
-delivery.  Plus targeted regressions: gather blocking on pending futures
-while holding buffered finished jobs, a tracked attempt without a running
+delivery, and on all three an ``on_error="raise"`` settlement ends the
+campaign (every later ``submit`` and ``gather`` refuses, caused by it).
+Plus targeted regressions: gather blocking on pending futures while
+holding buffered finished jobs, a tracked attempt without a running
 start stamped by the manager (or a queued job that is tracked), a
-simulated ``on_error="raise"`` leaving a phantom in-flight job on a held
-worker, a thread pool that lost a worker to an abandoned straggler,
+thread pool that lost a worker to an abandoned straggler,
 process attempts queued behind a busy worker carrying their queue wait in
 ``start_time`` and failing with a crash, attempts starting while finished
 ones were not gathered yet (more than ``num_workers`` open spans), and a
@@ -199,32 +200,32 @@ def test_sim_invariants_hold_under_faults(seed):
     assert 0.0 <= utilization_summary(ev).utilization <= 1.0
 
 
-def test_sim_raise_releases_worker_and_leaves_flight():
-    """An attempt settled with ``on_error="raise"`` ends its job before the
-    exception propagates: its worker is free and nothing stays in flight
-    (pre-fix the job held its worker, and the next gather raised "all 2
-    workers are dead")."""
-    ev = SimulatedEvaluator(
-        flaky_every_fourth, num_workers=2, fault_policy=FaultPolicy(on_error="raise")
-    )
-    with pytest.raises(RuntimeError, match="injected"):
-        ev.submit([4])
-    assert ev.gather() == []
-    assert ev.num_in_flight == 0
-    assert ev.jobs[0].state is JobState.FAILED
-    jobs = ev.submit([1, 2])
-    assert {job.worker for job in jobs} == {0, 1}
-    assert {job.start_time for job in jobs} == {0.0}
-    finished = drain(ev)
-    assert sorted(job.job_id for job in finished) == [1, 2]
-    assert all(job.state is JobState.DONE for job in finished)
-
-
 # --------------------------------------------------------------------- #
 # Wall-clock backends: one shared gather, one parametrized parity suite
 # --------------------------------------------------------------------- #
 WALL_CLOCK = {"threaded": ThreadedEvaluator, "process": ProcessPoolEvaluator}
 BACKENDS = {"simulated": SimulatedEvaluator, **WALL_CLOCK}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_raise_refuses_every_later_submit_and_gather(backend):
+    """A settlement that raises (``on_error="raise"``) ends the campaign:
+    every later ``submit`` and ``gather`` raises a ``RuntimeError`` caused
+    by that exception and adds no job, and the raising job stays
+    ``FAILED`` and end-stamped in the table (pre-fix both went on)."""
+    policy = FaultPolicy(on_error="raise")
+    with BACKENDS[backend](flaky_every_fourth, num_workers=2, fault_policy=policy) as ev:
+        with pytest.raises(RuntimeError, match="injected") as first:
+            ev.submit([4, 1])
+            drain(ev)
+        jobs = list(ev.jobs)
+        for call in (lambda: ev.submit([2]), ev.gather):
+            with pytest.raises(RuntimeError, match="on_error") as refused:
+                call()
+            assert refused.value.__cause__ is first.value
+        assert ev.jobs == jobs
+        assert ev.jobs[0].state is JobState.FAILED
+        assert ev.jobs[0].end_time >= ev.jobs[0].start_time
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -425,43 +426,6 @@ def test_threaded_gather_returns_buffered_without_blocking():
             "gather blocked on a pending future while holding buffered jobs"
         )
         assert [j.job_id for j in out] == [99]
-    finally:
-        release.set()
-        drain(ev)
-        ev.close()
-
-
-def test_threaded_raise_buffers_siblings_for_next_gather():
-    """With on_error='raise', finished siblings of a failing job survive
-    the raise and come back from the *next* gather call, immediately."""
-    release = threading.Event()
-
-    def run(config):
-        config = int(config)
-        if config == 0:
-            raise RuntimeError("boom")
-        if config == 2:
-            release.wait(30)  # unrelated straggler
-        return EvaluationResult(objective=config / 10.0, duration=0.0)
-
-    ev = ThreadedEvaluator(run, num_workers=3, fault_policy=FaultPolicy(on_error="raise"))
-    try:
-        ev.submit([0, 1, 2])
-        # Wait until the failing job and its fast sibling have both settled
-        # so one gather round observes them together.
-        deadline = time.monotonic() + 10
-        while sum(f.done() for f in list(ev._futures)) < 2:
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
-        with pytest.raises(RuntimeError, match="boom"):
-            ev.gather()
-        out: list[Job] = []
-        t = threading.Thread(target=lambda: out.extend(ev.gather()))
-        t.start()
-        t.join(5.0)
-        assert not t.is_alive(), "buffered sibling was not returned immediately"
-        assert [j.job_id for j in out] == [1]
-        assert out[0].state is JobState.DONE
     finally:
         release.set()
         drain(ev)
@@ -765,7 +729,7 @@ def test_lazy_attempt_is_trained_at_its_completion(tmp_path, monkeypatch):
     ahead (here job 2, the workers' share).  An attempt whose completion
     never fires (job 3: still queued inline, running on the manager's
     share with a pool) is never trained.  A raise fails at the declared
-    end, and the worker it frees goes on with the queue."""
+    end and ends the campaign: the queued job never starts."""
     # (cores, simulated workers, attempts a pool worker may train early)
     for cores, workers, early in ((0, 1, set()), (2, 2, {"2"})):
         monkeypatch.setattr("repro.workflow.pool.training_processes", lambda: cores)
@@ -796,8 +760,8 @@ def test_lazy_attempt_is_trained_at_its_completion(tmp_path, monkeypatch):
     ev.submit([0, 1])
     with pytest.raises(RuntimeError, match="boom"):
         ev.gather()
-    job = ev.jobs[0]
+    job, queued = ev.jobs
     assert job.state is JobState.FAILED and job.end_time == 4.0
-    # The freed worker takes the queued job on the next gather.
-    assert ev.num_in_flight == 1
-    assert [(j.job_id, j.start_time, j.end_time) for j in ev.gather()] == [(1, 4.0, 8.0)]
+    with pytest.raises(RuntimeError, match="on_error"):
+        ev.gather()
+    assert queued.state is JobState.PENDING

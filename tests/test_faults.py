@@ -552,8 +552,9 @@ def test_worker_failure_unknown_worker_rejected():
 # ThreadedEvaluator policy parity
 # --------------------------------------------------------------------- #
 def test_threaded_gather_returns_all_finished_jobs_regression():
-    """A raising future must not swallow its finished siblings (the old
-    gather() popped one future, raised, and left the rest in flight)."""
+    """A failing future must not swallow its finished siblings (the old
+    gather() popped one future, raised, and left the rest in flight): the
+    gather that collects them settles and returns them all."""
 
     def run(config):
         time.sleep(0.02)
@@ -561,23 +562,17 @@ def test_threaded_gather_returns_all_finished_jobs_regression():
             raise RuntimeError("evaluation failed")
         return EvaluationResult(objective=1.0, duration=0.0)
 
-    ev = ThreadedEvaluator(run, num_workers=3)
+    ev = ThreadedEvaluator(run, num_workers=3, fault_policy=FaultPolicy(on_error="penalize"))
     try:
         ev.submit(["good1", "bad", "good2"])
         time.sleep(0.2)  # let all three finish before gathering
-        with pytest.raises(RuntimeError, match="evaluation failed"):
-            ev.gather()
-        # Siblings were collected, finalized and buffered, not dropped.
-        recovered = []
-        while True:
-            batch = ev.gather()
-            if not batch:
-                break
-            recovered.extend(batch)
-        assert sorted(j.config for j in recovered) == ["good1", "good2"]
-        assert all(j.state is JobState.DONE for j in recovered)
-        bad = next(j for j in ev.jobs if j.config == "bad")
-        assert bad.state is JobState.FAILED
+        gathered = ev.gather()
+        assert sorted(j.config for j in gathered) == ["bad", "good1", "good2"]
+        states = {j.config: j.state for j in gathered}
+        assert states == {
+            "good1": JobState.DONE, "bad": JobState.FAILED, "good2": JobState.DONE
+        }
+        assert "evaluation failed" in ev.jobs[1].error
         assert ev.num_in_flight == 0
     finally:
         ev.close()
