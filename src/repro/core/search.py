@@ -276,8 +276,8 @@ class AgingEvolutionBase:
         its line (another seed or config, or a host whose floating point
         gives another history).  A raise ends a campaign
         (:class:`~repro.workflow.evaluator.Evaluator`), so a journal saved
-        after one holds nothing past it: the replay, or the next
-        ``search``, reaches that raise again and raises the same exception.
+        after one holds nothing past it: the replay stops short of that
+        raise, and the next ``search`` raises the same exception again.
         """
         self._require_checkpointable()
         rows = journal["jobs"]

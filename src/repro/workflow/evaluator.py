@@ -70,7 +70,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.workflow.cache import EvaluationCache, canonical_config_key
 from repro.workflow.events import EventQueue
-from repro.workflow.faults import FaultPolicy, InjectedCrash, Settlement
+from repro.workflow.faults import FaultPolicy, InjectedCrash
 from repro.workflow.jobs import EvaluationResult, Job, JobState
 from repro.workflow.pool import TrainingPool
 
@@ -136,18 +136,19 @@ class Evaluator:
     :meth:`_dispatch` queues it; :meth:`_fill_workers` starts queued
     attempts, oldest first, while the backend reports a free worker
     (``_has_free_worker``), stamping each ``RUNNING`` and handing it to
-    the backend's ``_launch(job, kind, cached)``.  A backend's ``gather``
-    hands the jobs whose attempts ended for good to :meth:`_finish` (or
-    puts them back on the queue, for a retry) and returns :meth:`_deliver`,
-    which takes them out of flight.
+    the backend's ``_launch(job, kind, cached)``.  Every attempt is settled
+    once, when it ends, inside the backend's ``gather``, by :meth:`_settle`;
+    the backend only requeues a job whose retry it books.  ``gather``
+    returns :meth:`_deliver`, which takes the finished jobs out of flight.
 
     A raise ends the campaign.  An attempt whose settlement raises
     (``on_error="raise"``) ends its job ``FAILED``, end-stamped, and the
-    exception propagates from the ``submit`` or ``gather`` that settled it;
-    from then on every :meth:`submit` and ``gather`` refuses at once with a
-    ``RuntimeError`` whose ``__cause__`` is that exception.  The job table
-    is left as the raise found it, for a post-mortem.  To go on past a
-    failed evaluation, use ``on_error="penalize"`` or ``"retry"``.
+    exception propagates from the ``gather`` that settled it (a ``submit``
+    only starts attempts, so it never raises one); from then on every
+    :meth:`submit` and ``gather`` refuses at once with a ``RuntimeError``
+    whose ``__cause__`` is that exception.  The job table is left as the
+    raise found it, for a post-mortem.  To go on past a failed
+    evaluation, use ``on_error="penalize"`` or ``"retry"``.
     """
 
     event_bus = None
@@ -263,14 +264,17 @@ class Evaluator:
         return kind, cached
 
     def _settle(
-        self, job: Job, kind: str | None, outcome: Any, simulated_clock: bool = False
-    ) -> Settlement:
-        """Settle the attempt of ``job`` that just ended (see
+        self, job: Job, kind: str | None, outcome: Any, end_time: float,
+        simulated_clock: bool = False
+    ) -> bool:
+        """Settle the attempt of ``job`` that ended at ``end_time`` (see
         :meth:`FaultPolicy.settle`) and record it: the counters and the
-        job's error and result.  First, an attempt that trained (not a
-        cache hit, a crash or a reap) emits the events the run function's
-        optional ``epoch_events(job_id, config, result)`` hook makes of its
-        raw result."""
+        job's error and result.  Then book a retry and return True (the
+        backend requeues the job), or stamp the job's end and raise or
+        :meth:`_finish`.  First, an attempt that trained (not a cache hit,
+        a crash or a reap) emits the events the run function's optional
+        ``epoch_events(job_id, config, result)`` hook makes of its raw
+        result."""
         hook = getattr(self.run_function, "epoch_events", None)
         trained = isinstance(outcome, EvaluationResult) and not job.cache_hit
         if trained and hook is not None and self.event_bus is not None:
@@ -285,11 +289,27 @@ class Evaluator:
             self.num_failures += 1
         if settlement.result is not None:
             job.result = settlement.result
+        if settlement.retry:
+            job.retries += 1
+            self.num_retries += 1
+            job.state = JobState.RETRYING
+            job.worker = -1
+            if self.event_bus is not None:
+                from repro.campaign.events import JobRetried
+
+                self.event_bus.emit(
+                    JobRetried(
+                        job_id=job.job_id, time=self.now, retries=job.retries, error=job.error
+                    )
+                )
+            return True
+        job.end_time = end_time
         if settlement.exception is not None:
-            # The attempt raises to the caller and ends the campaign.
             job.state = JobState.FAILED
             self._raised = settlement.exception
-        return settlement
+            raise settlement.exception
+        self._finish(job)
+        return False
 
     def _refuse_after_raise(self) -> None:
         """Raise if an attempt's settlement raised: the campaign is over."""
@@ -320,19 +340,6 @@ class Evaluator:
                 key = self.cache.key(job.config)
                 self.event_bus.emit(CacheStore(job_id=job.job_id, key=key, time=self.now))
         self._completed.append(job)
-
-    def _count_retry(self, job: Job) -> None:
-        """Book a failed attempt that will be re-run."""
-        job.retries += 1
-        self.num_retries += 1
-        job.state = JobState.RETRYING
-        job.worker = -1
-        if self.event_bus is not None:
-            from repro.campaign.events import JobRetried
-
-            self.event_bus.emit(
-                JobRetried(job_id=job.job_id, time=self.now, retries=job.retries, error=job.error)
-            )
 
     def submit(self, configs: Sequence[Any]) -> list[Job]:
         """Queue configurations for evaluation; returns the job records."""
@@ -384,39 +391,32 @@ class SimulatedEvaluator(Evaluator):
 
     Notes
     -----
-    Each attempt is settled as soon as its outcome is known.  A crash, a
-    cache hit, an attempt whose billed minutes pass the policy timeout
-    and an attempt of a run function that declares no duration are
-    settled as they start: the run function (if needed) is called then,
-    and one that fails holds its worker for the settlement's minutes
-    before being retried or penalized, while one whose settlement raises
-    ends the campaign there, still holding its worker.
-
-    A run function may declare ``duration(config) -> float``, the minutes
-    its call on ``config`` will report, known without training
-    (:meth:`repro.core.ModelEvaluation.duration`).  Its other attempts
-    pend: a completion event is scheduled as they start, on the event
-    counter an eager settlement would take, for the minutes the policy
-    bills (the declared duration, times ``hang_factor`` for a hang), and
-    the attempt is settled only when that event fires.  Its training is
-    dealt to a trainer of the pool as it starts (the manager, or one of
-    ``min(cores, num_workers) - 1`` forked workers), and its outcome is
-    read when the event fires; the clock, the event queue, fault draws,
-    settlement, the cache, events and checkpoints stay on the manager.
-    Such a run function must be a pure function of its config: a pool
-    worker, the manager and a retrain after a pool worker died then give
-    one outcome, and the history does not depend on where or whether the
-    pool ran.  The restart after a
-    simulated worker death reuses its job's submitted training, or ends
-    it if the restart is settled as it starts (a cache hit).  An
-    attempt still waiting for a worker when the campaign stops is never
-    trained, nor is one of the manager's share whose event never fired;
-    :meth:`close` (called as ``Campaign.run`` returns) stops the workers'
-    trainings of attempts whose events never fired.  The timeline, and so the
-    search history, is the one eager settlement gives; the exception is a
-    run function that raises, which fails at its declared end instead of
-    after ``failure_duration``, and under ``on_error="raise"`` raises from
-    :meth:`gather`.
+    Each attempt holds its worker for the minutes the policy bills it and
+    is settled once, when its one completion event fires inside
+    :meth:`gather`; an attempt a worker death cut short is dropped
+    unsettled and restarted.  The minutes come from the outcome known as
+    the attempt starts: a crash, a cache hit, or the result of a run
+    function that declares no duration (called then).  A run function
+    may declare ``duration(config) -> float``, the minutes its call on
+    ``config`` will report, known without training
+    (:meth:`repro.core.ModelEvaluation.duration`); its attempt is billed
+    the declared duration (times ``hang_factor`` for a hang) or times out.
+    Unless it times out, its training is dealt to a trainer of the pool as
+    it starts (the manager, or one of ``min(cores, num_workers) - 1``
+    forked workers) and read when the event fires; the clock, the event
+    queue, fault draws, settlement, the cache, events and checkpoints
+    stay on the manager.  Such a run function must be a pure function of
+    its config: a pool worker, the manager and a retrain after a pool
+    worker died then give one outcome, and the history does not depend on
+    where or whether the pool ran.  The restart after a simulated worker
+    death reuses its job's submitted training, or ends it if the restart
+    no longer trains (a cache hit).  An attempt still waiting for a
+    worker when the campaign stops is never trained, nor is one of the
+    manager's share whose event never fired; :meth:`close` (called as
+    ``Campaign.run`` returns) stops the workers' trainings of attempts
+    whose events never fired.  Declaring the duration changes neither the
+    timeline nor the history, except for a run function that raises,
+    which fails at its declared end instead of after ``failure_duration``.
 
     A cache hit skips the run-function call (no re-training) but is
     otherwise an ordinary attempt: it draws its fault, is settled like
@@ -425,10 +425,9 @@ class SimulatedEvaluator(Evaluator):
     campaign timeline (and the search history) is bit-identical with the
     cache on or off.  A hit therefore counts its reserved minutes in the
     utilization account, as the recomputation it replays would.  A result
-    is memoized when its attempt ends (its completion, or the end of the
-    minutes an attempt settled at its start holds its worker), so a
-    duplicate that starts while the original is still running misses and
-    trains, whether the run function declares its duration or not.
+    is memoized when its attempt ends, so a duplicate that starts while
+    the original is still running misses and trains, whether the run
+    function declares its duration or not.
 
     Jobs submitted while all workers are busy wait in the FIFO queue and
     are started when a worker frees.
@@ -447,7 +446,7 @@ class SimulatedEvaluator(Evaluator):
         super().__init__(run_function, num_workers, fault_policy=fault_policy, cache=cache)
         self.num_worker_failures = 0
         self._clock = 0.0
-        self._events = EventQueue()  # payload: (kind, ref, attempt)
+        self._events = EventQueue()  # payload: (kind, ref, attempt, outcome)
         self._free_workers = list(range(num_workers - 1, -1, -1))
         self._dead_workers: set[int] = set()
         self._running: dict[int, Job] = {}  # worker -> job
@@ -455,7 +454,7 @@ class SimulatedEvaluator(Evaluator):
         for fail_time, worker in worker_failures or ():
             if not 0 <= worker < num_workers:
                 raise ValueError(f"worker_failures names unknown worker {worker}")
-            self._events.push(float(fail_time), ("worker_fail", worker, 0))
+            self._events.push(float(fail_time), ("worker_fail", worker, 0, None))
 
     # ------------------------------------------------------------------ #
     @property
@@ -475,77 +474,54 @@ class SimulatedEvaluator(Evaluator):
         self._pool.close()
 
     def _launch(self, job: Job, kind: str | None, cached: EvaluationResult | None) -> None:
-        """Run the attempt on a free worker: settle it now if its outcome
-        is known, else schedule its completion event."""
+        """Run the attempt on a free worker and push its one completion
+        event, at the minutes the policy bills the outcome known now; a
+        declared training is dealt to the pool unless it times out, and
+        any other outcome rides on the event (a stale event drops it)."""
         worker = self._free_workers.pop()
         job.worker = worker
         self._running[worker] = job
         duration = getattr(self.run_function, "duration", None)
-        declared = None
-        if kind != "crash" and cached is None and callable(duration):
-            declared = duration(job.config)
-            minutes = declared * self.fault_policy.hang_factor if kind == "hang" else declared
-            timeout = self.fault_policy.timeout
-            if timeout is None or minutes <= timeout:
-                self._events.push(self._clock + minutes, ("complete", job, job.attempt))
-                self._pool.submit(job.job_id, job.config)
-                return
-        # A restart after a worker death that no longer pends (say, a cache
-        # hit now) ends the submission of its job's first start.
-        self._pool.discard(job.job_id)
+        declared = kind != "crash" and cached is None and callable(duration)
         if kind == "crash":
             outcome = _injected_crash(job)
         elif cached is not None:
             # A memoized duplicate skips the run function; its duration is
             # replayed on the simulated clock, as a recomputation would be.
             outcome = cached
-        elif declared is not None:
-            # Past the timeout whatever the training returns; nothing
-            # trains, so the result holds no epochs.
-            outcome = EvaluationResult(float("nan"), declared)
+        elif declared:
+            # A stand-in billed as the training, and its outcome past the
+            # timeout: nothing trains, so the result holds no epochs.
+            outcome = EvaluationResult(float("nan"), duration(job.config))
         else:
             outcome = self._pool.outcome(job.config)
-        settlement = self._settle(job, kind, outcome, simulated_clock=True)
-        if settlement.exception is not None:
-            job.end_time = self._clock
-            raise settlement.exception
-        end_time = self._clock + settlement.minutes
-        if settlement.retry:
-            self._events.push(end_time, ("fail", job, job.attempt))
+        settlement = self.fault_policy.settle(
+            kind, outcome, job.job_id, job.retries, simulated_clock=True
+        )
+        if declared and not settlement.timed_out:
+            self._pool.submit(job.job_id, job.config)
+            outcome = None  # taken from the pool at the event
         else:
-            job.end_time = end_time
-            self._events.push(end_time, ("finish", job, job.attempt))
+            # A restart after a worker death that no longer trains (say, a
+            # cache hit now) ends the submission of its job's first start.
+            self._pool.discard(job.job_id)
+        self._events.push(self._clock + settlement.minutes, ("complete", job, job.attempt, outcome))
 
-    def _complete(self, job: Job) -> None:
-        """Settle a pending attempt at its completion event, with its
-        training's outcome."""
+    def _complete(self, job: Job, outcome: Any) -> None:
+        """Free the worker of an attempt that ended now and settle it with
+        ``outcome`` (None: its training's, from the pool); a retry waits
+        out the policy's backoff before it is queued."""
+        self._running.pop(job.worker)
+        self._free_workers.append(job.worker)
+        if outcome is None:
+            outcome = self._pool.take(job.job_id, job.config)
         kind = self.fault_policy.fault(job.job_id, job.retries)
-        outcome = self._pool.take(job.job_id, job.config)
-        settlement = self._settle(job, kind, outcome, simulated_clock=True)
-        if not settlement.retry:
-            job.end_time = self._clock
-        if settlement.exception is not None:
-            raise settlement.exception
-        self._end_attempt(job, settlement.retry)
-
-    def _end_attempt(self, job: Job, retry: bool) -> None:
-        """Free the worker of an attempt that ended now; finish its job,
-        or queue the retry (after the policy's backoff)."""
-        self._release_worker(job.worker)
-        if not retry:
-            self._finish(job)
-            return
-        self._count_retry(job)
-        delay = self.fault_policy.backoff_minutes(job.retries)
-        if delay > 0:
-            self._events.push(self._clock + delay, ("retry", job, job.attempt))
-        else:
-            self._queue.append(job)
-
-    def _release_worker(self, worker: int) -> None:
-        self._running.pop(worker, None)
-        if worker not in self._dead_workers:
-            self._free_workers.append(worker)
+        if self._settle(job, kind, outcome, self._clock, simulated_clock=True):
+            delay = self.fault_policy.backoff_minutes(job.retries)
+            if delay > 0:
+                self._events.push(self._clock + delay, ("retry", job, job.attempt, None))
+            else:
+                self._queue.append(job)
 
     def _on_worker_fail(self, worker: int) -> None:
         if worker in self._dead_workers:
@@ -572,18 +548,16 @@ class SimulatedEvaluator(Evaluator):
         self._refuse_after_raise()
         while not self._completed and self._events:
             next_time = self._events.peek_time()
-            for end_time, (kind, ref, attempt) in self._events.drain_until(next_time):
+            for end_time, (kind, ref, attempt, outcome) in self._events.drain_until(next_time):
                 self._clock = max(self._clock, end_time)
                 if kind == "worker_fail":
                     self._on_worker_fail(ref)
                 elif ref.attempt != attempt:
                     continue  # stale event from a dead worker's attempt
                 elif kind == "complete":
-                    self._complete(ref)
-                elif kind == "retry":
-                    self._queue.append(ref)
+                    self._complete(ref, outcome)
                 else:
-                    self._end_attempt(ref, retry=kind == "fail")
+                    self._queue.append(ref)  # a retry's backoff is over
             # Start queued jobs on the workers that just freed.
             self._fill_workers()
         if not self._completed and self._in_flight:
@@ -753,16 +727,9 @@ class _WallClockEvaluator(Evaluator):
             self._fill_workers()
             # Phase 4: settle every ended attempt (the pool is healthy).
             for job, kind, outcome, end_time in ended:
-                settlement = self._settle(job, kind, outcome)
-                if settlement.retry:
-                    self._count_retry(job)
-                    self._dispatch(job)
-                    continue
                 # A cache hit computed nothing: it ends where it started.
-                job.end_time = job.start_time if job.cache_hit else end_time
-                if settlement.exception is not None:
-                    raise settlement.exception
-                self._finish(job)
+                if self._settle(job, kind, outcome, job.start_time if job.cache_hit else end_time):
+                    self._dispatch(job)
         return self._deliver()
 
     def close(self) -> None:

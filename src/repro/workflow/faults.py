@@ -70,9 +70,9 @@ class FaultPolicy:
     Parameters
     ----------
     on_error:
-        ``"raise"`` propagates the failure to the manager and ends the
-        campaign: the evaluator then refuses every later submit and
-        gather (debugging);
+        ``"raise"`` raises the failure from the gather at its attempt's
+        end and ends the campaign: the evaluator then refuses every later
+        submit and gather (debugging);
         ``"penalize"`` records a low-objective result and moves on
         (production behaviour — a diverged training must not kill a
         campaign); ``"retry"`` re-runs the job up to ``max_retries`` times

@@ -1,10 +1,11 @@
 """Background training for the simulated evaluator.
 
-:class:`TrainingPool` trains the pending attempts of a
-:class:`~repro.workflow.SimulatedEvaluator` while the manager keeps the
-simulated clock, the event queue and every settlement.  Attempts are
-handed over as they start (:meth:`TrainingPool.submit`) and their
-outcomes read back only when their completion events fire
+:class:`TrainingPool` trains the attempts of a
+:class:`~repro.workflow.SimulatedEvaluator` whose run function declares
+its duration, while the manager keeps the simulated clock, the event
+queue and every settlement.  Attempts are handed over as they start,
+unless they time out (:meth:`TrainingPool.submit`), and their outcomes
+read back only when their completion events fire and settle them
 (:meth:`TrainingPool.take`).  The manager runs no helper thread.
 
 The manager is one of the trainers.  With ``min(cores, num_workers)``
@@ -131,7 +132,8 @@ class TrainingPool:
     (0: every outcome computed on the manager); a dead worker sets it to 0
     for good.  Submissions are keyed by job id: submitting a job that is
     still outstanding reuses its training (the restart after a simulated
-    worker death), and :meth:`take` or :meth:`discard` ends it.
+    worker death), and :meth:`take` ends it, or :meth:`discard` (a restart
+    that no longer trains).
     ``served`` holds the outcomes a replay serves (see the module).
     """
 
@@ -193,8 +195,8 @@ class TrainingPool:
         return evaluate(self.run_function, config)
 
     def discard(self, job_id: int) -> None:
-        """End ``job_id``'s submission untaken: its attempt no longer pends
-        (a late answer from a worker is dropped)."""
+        """End ``job_id``'s submission untaken: its attempt no longer
+        trains (a late answer from a worker is dropped)."""
         self._submitted.pop(job_id, None)
         self._held.discard(job_id)
         self._backlog.pop(job_id, None)

@@ -745,10 +745,11 @@ def test_resume_at_every_checkpoint_matches_the_uninterrupted_campaign(tmp_path_
 
 
 def raising_campaign(fault_seed=2):
-    """A campaign whose injected crashes raise (``on_error="raise"``).
-    Under fault seed 2 job 0 raises as the initial W are submitted; under
-    seed 0 job 2 does; under seed 1 job 3 raises as the first iteration
-    submits its replacements."""
+    """A campaign whose injected crashes raise (``on_error="raise"``), each
+    from the gather at its attempt's end.  Under fault seed 2 job 0, and
+    under seed 0 job 2, raises in the first gather, before any replacement
+    is submitted; under seed 1 job 3, a replacement the first iteration
+    submitted, raises at minute 5."""
     policy = FaultPolicy(on_error="raise", crash_prob=0.3, fault_seed=fault_seed)
     return build_agebo(fake_eval, policy=policy, num_workers=3)
 
@@ -775,11 +776,12 @@ def test_raised_job_survives_two_resumes(tmp_path):
         ]
 
 
-def test_search_after_a_raise_in_the_initial_submission_submits_nothing():
-    """A raise while the initial W configurations are submitted ends the
-    campaign: the next ``search`` refuses at once, caused by that raise,
-    and submits nothing (pre-fix it submitted W fresh initial
-    configurations, leaving 4 jobs in flight on 3 workers)."""
+def test_search_after_a_raise_in_the_first_gather_submits_nothing():
+    """A raise in the first gather, before any replacement is submitted,
+    ends the campaign: the next ``search`` refuses at once, caused by that
+    raise, and submits nothing (pre-fix a raise of the initial submission
+    let it submit W fresh initial configurations, leaving 4 jobs in flight
+    on 3 workers)."""
     search = raising_campaign(fault_seed=0)
     with pytest.raises(InjectedCrash, match="job 2") as first:
         search.search(max_evaluations=40)
@@ -806,16 +808,16 @@ def test_search_continued_after_a_caught_raise_raises_at_once():
 
 
 @pytest.mark.parametrize(
-    "build, reached_by",
-    [(lambda: raising_campaign(fault_seed=1), "replay"), (beside_a_raise_campaign, "search")],
+    "build",
+    [lambda: raising_campaign(fault_seed=1), beside_a_raise_campaign],
     ids=["raise-in-a-submit", "raise-in-a-gather"],
 )
-def test_journal_saved_after_a_raise_raises_it_again(tmp_path, build, reached_by):
+def test_journal_saved_after_a_raise_raises_it_again(tmp_path, build):
     """A journal saved by the raw API after a raise holds the history up to
-    it; resuming it and calling ``search`` raises the original exception's
-    type and message, whether the replay reaches the raise (one raised by
-    a replacement's submission) or the next ``search`` does (one raised in
-    a gather, after the journal's last iteration)."""
+    it; resuming it replays without raising, and the next ``search``
+    raises the original exception's type and message, whether the raising
+    attempt was started by an iteration's submit (pre-fix the replay
+    raised it from that submit) or ended beside a finished job in a gather."""
     search = build()
     with pytest.raises(Exception) as first:
         search.search(max_evaluations=30)
@@ -828,7 +830,7 @@ def test_journal_saved_after_a_raise_raises_it_again(tmp_path, build, reached_by
         reached = "search"
         copy.search(max_evaluations=30)
     assert (type(again.value), str(again.value)) == (type(first.value), str(first.value))
-    assert reached == reached_by
+    assert reached == "search"
     assert rich_history(copy) == rich_history(search)
 
 

@@ -26,8 +26,8 @@ ones were not gathered yet (more than ``num_workers`` open spans), and a
 late-returning abandoned thread attempt clobbering its retry's result.
 Last, a differential test runs one fault-injected simulated schedule with
 the run function's duration declared (trained lazily, at completion) and
-hidden (trained as each attempt starts): the job tables and event streams
-must agree, and the lazy run must train less.
+hidden (trained as each attempt starts): the job tables, event streams
+and failure counters must agree, and the declared run must train less.
 """
 
 from __future__ import annotations
@@ -209,16 +209,19 @@ BACKENDS = {"simulated": SimulatedEvaluator, **WALL_CLOCK}
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_a_raise_refuses_every_later_submit_and_gather(backend):
-    """A settlement that raises (``on_error="raise"``) ends the campaign:
-    every later ``submit`` and ``gather`` raises a ``RuntimeError`` caused
-    by that exception and adds no job, and the raising job stays
-    ``FAILED`` and end-stamped in the table (pre-fix both went on)."""
+    """A settlement that raises (``on_error="raise"``) raises from the
+    ``gather`` at the attempt's end, never from the ``submit`` that started
+    it (pre-fix the simulated backend raised from the ``submit``), and
+    ends the campaign: every later ``submit`` and ``gather`` raises a
+    ``RuntimeError`` caused by that exception and adds no job, and the
+    raising job stays ``FAILED`` and end-stamped in the table."""
     policy = FaultPolicy(on_error="raise")
     with BACKENDS[backend](flaky_every_fourth, num_workers=2, fault_policy=policy) as ev:
+        jobs = ev.submit([4])
+        assert [job.job_id for job in jobs] == [0] and ev.num_failures == 0
         with pytest.raises(RuntimeError, match="injected") as first:
-            ev.submit([4, 1])
-            drain(ev)
-        jobs = list(ev.jobs)
+            ev.gather()
+        assert ev.jobs == jobs and ev.num_failures == 1
         for call in (lambda: ev.submit([2]), ev.gather):
             with pytest.raises(RuntimeError, match="on_error") as refused:
                 call()
@@ -575,8 +578,8 @@ def test_threaded_abandoned_attempt_late_return_is_dropped():
 
 # --------------------------------------------------------------------- #
 # Lazy simulated evaluation: a run function that declares its duration is
-# trained only when its attempt's completion is reached, with the timeline
-# of eager (train-at-start) settlement
+# trained only when its attempt's completion is reached, on the timeline
+# of one that hides it (trained as each attempt starts)
 # --------------------------------------------------------------------- #
 DIFFERENTIAL_SEEDS = [1, 2, 3] + (
     [int(os.environ["FAULT_SEED"])] if os.environ.get("FAULT_SEED") else []
@@ -605,8 +608,8 @@ class DeclaringRun:
 
 
 class HiddenDuration:
-    """``run`` with its ``duration`` hidden: every attempt is settled as
-    it starts (the eager reference)."""
+    """``run`` with its ``duration`` hidden: every attempt trains as it
+    starts (the reference)."""
 
     def __init__(self, run) -> None:
         self.run = run
@@ -654,57 +657,77 @@ def run_differential(run_function, policy, seed, stop_after):
     return ev, log.events, {job.job_id for job in delivered}
 
 
-def split_stores(events):
-    stores = sorted((e["job_id"], e["key"]) for e in events if e["event"] == "CacheStore")
-    return [e for e in events if e["event"] != "CacheStore"], stores
-
-
 @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
 @pytest.mark.parametrize("on_error", ["retry", "penalize"])
-def test_lazy_and_eager_simulation_agree(seed, on_error, monkeypatch):
-    """Same job table and event stream whether the run function's duration
-    is declared (lazy) or hidden (eager), under injected faults, a worker
-    death and duplicates of in-flight configs; fewer trainings when the
-    schedule stops with jobs in flight.  After a drain both delivered the
-    same jobs and stored the same cache entries.  The lazy side trains
-    inline, so its calls are counted here (a pool may train a pending
-    attempt early; ``tests/test_training_pool.py`` compares the two)."""
+def test_declared_and_hidden_durations_agree(seed, on_error, monkeypatch):
+    """Same job table, event stream and failure counters whether the run
+    function's duration is declared (trained at each attempt's end) or
+    hidden (trained as each attempt starts), under injected faults, a
+    worker death and duplicates of in-flight configs; fewer trainings when
+    the schedule stops with jobs in flight.  After a drain both delivered
+    the same jobs and stored the same cache entries.  The declared side
+    trains inline, so its calls are counted here (a pool may train a
+    pending attempt early; ``tests/test_training_pool.py`` compares the
+    two).  Pre-fix the hidden side settled each attempt as it started, so
+    it also counted the failure of an attempt a worker death discarded."""
     monkeypatch.setattr("repro.workflow.pool.training_processes", lambda: 0)
     policy = FaultPolicy(
         on_error=on_error, max_retries=1, retry_backoff=0.5, timeout=14.0,
         crash_prob=0.15, hang_prob=0.15, corrupt_prob=0.1, hang_factor=2.0,
         fault_seed=seed,
     )  # fmt: skip
-    lazy_run, eager_run = DeclaringRun(), DeclaringRun()
-    lazy, lazy_events, lazy_done = run_differential(lazy_run, policy, seed, 30)
-    eager, eager_events, eager_done = run_differential(
-        HiddenDuration(eager_run), policy, seed, 30
+    declared_run, hidden_run = DeclaringRun(), DeclaringRun()
+    declared, declared_events, declared_done = run_differential(declared_run, policy, seed, 30)
+    hidden, hidden_events, hidden_done = run_differential(
+        HiddenDuration(hidden_run), policy, seed, 30
     )
-    assert lazy_done == eager_done
-    assert lazy.num_in_flight == eager.num_in_flight > 0
-    assert [job_row(j, j.job_id in lazy_done) for j in lazy.jobs] == [
-        job_row(j, j.job_id in eager_done) for j in eager.jobs
+    assert declared_done == hidden_done
+    assert declared.num_in_flight == hidden.num_in_flight > 0
+    assert [job_row(j, j.job_id in declared_done) for j in declared.jobs] == [
+        job_row(j, j.job_id in hidden_done) for j in hidden.jobs
     ]
-    lazy_stream, lazy_stores = split_stores(lazy_events)
-    eager_stream, eager_stores = split_stores(eager_events)
-    assert lazy_stream == eager_stream
-    assert set(lazy_stores) <= set(eager_stores)
-    assert lazy_run.calls < eager_run.calls
-    assert lazy.num_faults_injected == eager.num_faults_injected > 0
-    assert lazy.cache.hits == eager.cache.hits > 0
+    assert declared_events == hidden_events
+    assert declared_run.calls < hidden_run.calls
+    assert declared.num_faults_injected == hidden.num_faults_injected > 0
+    assert declared.cache.hits == hidden.cache.hits > 0
+    counters = ("num_retries", "num_worker_failures", "num_failures", "num_timeouts")
+    assert [getattr(declared, c) for c in counters] == [getattr(hidden, c) for c in counters]
 
-    drain(lazy), drain(eager)
-    assert [job_row(j, True) for j in lazy.jobs] == [job_row(j, True) for j in eager.jobs]
-    assert split_stores(lazy_events)[1] == split_stores(eager_events)[1]
-    assert (lazy.num_retries, lazy.num_worker_failures) == (
-        eager.num_retries, eager.num_worker_failures
-    )
-    # Eager settlement also counted the failure of the attempt a worker
-    # death discarded; a lazy one never ended, so it never failed.
-    for counter in ("num_failures", "num_timeouts"):
-        gap = getattr(eager, counter) - getattr(lazy, counter)
-        assert 0 <= gap <= eager.num_worker_failures
-    assert lazy.cache._entries.keys() == eager.cache._entries.keys()
+    drain(declared), drain(hidden)
+    assert [job_row(j, True) for j in declared.jobs] == [job_row(j, True) for j in hidden.jobs]
+    assert declared_events == hidden_events
+    assert [getattr(declared, c) for c in counters] == [getattr(hidden, c) for c in counters]
+    assert hidden.num_worker_failures > 0
+    assert declared.cache._entries.keys() == hidden.cache._entries.keys()
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "hidden"])
+def test_restart_after_a_worker_death_settles_once_with_its_own_outcome(declared):
+    """A worker dies under an attempt whose outcome is known as it starts,
+    first a crash, then a cache hit: the attempt is dropped unsettled, and
+    the restart settles once, at its own end, with its own outcome.  The
+    crash fails one attempt (pre-fix the dropped one was counted too)."""
+    run = DeclaringRun() if declared else HiddenDuration(DeclaringRun())
+    # Fault seed 2 crashes job 0's first attempt and no other.
+    policy = FaultPolicy(on_error="penalize", crash_prob=0.3, fault_seed=2, failure_duration=10.0)
+    ev = SimulatedEvaluator(
+        run, num_workers=3, fault_policy=policy, cache=EvaluationCache(),
+        worker_failures=[(0.5, 0), (9.0, 1)],
+    )  # fmt: skip
+    crashed, trained = ev.submit([1, 2])  # on workers 0 and 1
+    assert ev.num_failures == 0
+    # At 0.5 the crash restarts on worker 2; config 2 trains for 7 minutes.
+    assert ev.gather() == [trained] and ev.now == 7.0
+    (hit,) = ev.submit([2])  # on worker 1, until worker 1 dies at 9.0
+    assert hit.cache_hit
+    assert ev.gather() == [crashed] and ev.now == 10.5  # then the hit restarts
+    assert ev.gather() == [hit] and ev.now == 17.5
+    assert not ev.num_in_flight and ev.num_worker_failures == 2
+    assert (crashed.state, crashed.start_time, crashed.end_time) == (JobState.FAILED, 0.5, 10.5)
+    assert "injected crash: job 0, retry 0" in crashed.result.metadata["error"]
+    assert (hit.state, hit.start_time, hit.end_time) == (JobState.DONE, 10.5, 17.5)
+    assert hit.cache_hit and hit.result == trained.result
+    assert (ev.num_failures, ev.num_retries, ev.num_timeouts) == (1, 0, 0)
 
 
 class LoggedRun(DeclaringRun):

@@ -230,9 +230,10 @@ def test_injector_fault_shapes():
     ev = SimulatedEvaluator(
         run, num_workers=1, fault_policy=FaultPolicy(on_error="raise", crash_prob=1.0)
     )
-    with pytest.raises(InjectedCrash):
-        ev.submit(["a"])
-    assert calls == []
+    (job,) = ev.submit(["a"])
+    with pytest.raises(InjectedCrash, match="injected crash: job 0, retry 0"):
+        ev.gather()
+    assert calls == [] and job.end_time == 1.0  # raised at its end
 
 
 # --------------------------------------------------------------------- #
@@ -483,9 +484,11 @@ def test_sim_timeout_raises_under_raise_policy():
     as a reaped attempt does on the wall-clock backends."""
     policy = FaultPolicy(on_error="raise", timeout=5.0)
     ev = SimulatedEvaluator(constant_run(duration=10.0), num_workers=1, fault_policy=policy)
+    (job,) = ev.submit(["a"])
+    assert ev.num_timeouts == 0  # nothing settles in a submit
     with pytest.raises(TimeoutError, match=r"job 0: timeout after 5\.0 min \(duration 10\.00\)"):
-        ev.submit(["a"])
-    assert ev.num_timeouts == 1
+        ev.gather()
+    assert ev.num_timeouts == 1 and job.end_time == 5.0
 
 
 def test_sim_corrupted_result_is_penalized():

@@ -34,8 +34,9 @@ def test_evaluator_raise_policy_propagates():
     ev = SimulatedEvaluator(
         flaky_run(1), num_workers=1, fault_policy=FaultPolicy(on_error="raise")
     )
+    ev.submit([0])
     with pytest.raises(RuntimeError, match="worker crash"):
-        ev.submit([0])
+        ev.gather()
 
 
 def test_evaluator_penalize_policy_records_failure():
