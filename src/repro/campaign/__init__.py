@@ -54,7 +54,6 @@ from repro.campaign.events import (
     MetricsAggregator,
     PopulationUpdated,
     ProgressReporter,
-    WorkerDied,
     load_events,
     replay_metrics,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "JobSubmitted",
     "JobGathered",
     "JobRetried",
-    "WorkerDied",
     "CacheHit",
     "CacheStore",
     "PopulationUpdated",

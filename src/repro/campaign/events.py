@@ -1,10 +1,10 @@
 """Structured lifecycle events and the campaign event bus.
 
 One campaign produces one stream of typed events, all on the manager: the
-evaluators emit job lifecycle events (submit / gather / retry / worker
-death), the faults they inject and each trained attempt's per-epoch events
-as it settles, the search loop emits population and checkpoint events and
-the BO optimizer tell/ask events.  Subscribers attach to an
+evaluators emit job lifecycle events (submit / gather / retry), the
+faults they inject and each trained attempt's per-epoch events as it
+settles, the search loop emits population and checkpoint events and the
+BO optimizer tell/ask events.  Subscribers attach to an
 :class:`EventBus`; three built-ins cover the common needs:
 
 - :class:`JsonlEventLog` — append every event to a JSONL file that
@@ -41,7 +41,6 @@ __all__ = [
     "JobSubmitted",
     "JobGathered",
     "JobRetried",
-    "WorkerDied",
     "PopulationUpdated",
     "BOTellAsk",
     "EpochEnd",
@@ -136,14 +135,6 @@ class JobRetried(CampaignEvent):
 
 
 @dataclass(frozen=True)
-class WorkerDied(CampaignEvent):
-    """A simulated worker failed permanently."""
-
-    worker: int
-    time: float
-
-
-@dataclass(frozen=True)
 class PopulationUpdated(CampaignEvent):
     """The aging population absorbed one gathered evaluation."""
 
@@ -235,7 +226,6 @@ EVENT_TYPES: dict[str, type[CampaignEvent]] = {
         JobSubmitted,
         JobGathered,
         JobRetried,
-        WorkerDied,
         PopulationUpdated,
         BOTellAsk,
         EpochEnd,
@@ -405,8 +395,6 @@ class ProgressReporter:
                 f"[{event.num_evaluations:>4} evals] checkpoint -> {event.path}",
                 file=self.out,
             )
-        elif isinstance(event, WorkerDied):
-            print(f"worker {event.worker} died at t={event.time:.1f}min", file=self.out)
         elif isinstance(event, CampaignFinished):
             print(
                 f"campaign finished: {event.num_evaluations} evaluations, "
@@ -428,7 +416,6 @@ class MetricsAggregator:
         self.counts: dict[str, int] = {}
         self.num_workers = 0
         self.num_retries = 0
-        self.num_worker_deaths = 0
         self.num_faults_injected = 0
         self.num_jobs_done = 0
         self.num_jobs_failed = 0
@@ -459,8 +446,6 @@ class MetricsAggregator:
                 self.best_objective = event.objective
         elif isinstance(event, JobRetried):
             self.num_retries += 1
-        elif isinstance(event, WorkerDied):
-            self.num_worker_deaths += 1
         elif isinstance(event, FaultInjected):
             self.num_faults_injected += 1
         elif isinstance(event, CacheHit):
@@ -502,7 +487,6 @@ class MetricsAggregator:
             "num_jobs_done": self.num_jobs_done,
             "num_jobs_failed": self.num_jobs_failed,
             "num_retries": self.num_retries,
-            "num_worker_deaths": self.num_worker_deaths,
             "num_faults_injected": self.num_faults_injected,
             "mean_queue_delay": self.mean_queue_delay,
             "mean_gather_latency": self.mean_gather_latency,

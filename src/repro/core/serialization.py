@@ -26,10 +26,7 @@ drops an unparsable final line and ignores job lines after that marker.
 A file cut inside its header, or before its first marker, is refused.  A
 killed campaign thus resumes bit-identically via
 :func:`repro.campaign.resume_campaign` or the CLI ``--resume`` flag.
-Version-3 journals still load: their state line ``{"search": ...}`` is
-read as a marker (its ``iterations`` and ``pending_results``) and the rest
-of it is ignored.  Version-1 and version-2 checkpoints (single JSON
-documents) are no longer readable.
+Checkpoints of versions 1 to 3 are no longer readable.
 """
 
 from __future__ import annotations
@@ -201,13 +198,13 @@ def load_checkpoint(path: str | Path) -> dict[str, Any]:
             raise ValueError(f"checkpoint {path} is cut inside its header") from None
         raise ValueError(f"{path} is not a checkpoint journal") from None
     version = header.get("version") if isinstance(header, dict) else None
-    if version in (1, 2):
+    if version in (1, 2, 3):
         raise ValueError(
             f"checkpoint {path} has format version {version}, which this build no "
             f"longer reads; re-run the campaign to write a version-{CHECKPOINT_VERSION} "
             "checkpoint"
         )
-    if version not in (3, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
     rows: list[dict[str, Any]] = []
     marker, num_rows = None, 0
@@ -222,10 +219,7 @@ def load_checkpoint(path: str | Path) -> dict[str, Any]:
             raise ValueError(f"{path}:{lineno}: unreadable checkpoint line") from None
         if not isinstance(row, dict):
             raise ValueError(f"{path}:{lineno}: not a checkpoint line")
-        if "search" in row:  # a version-3 state line
-            state = row["search"]
-            marker = (state["iterations"], state["pending_results"])
-        elif "checkpoint" in row:
+        if "checkpoint" in row:
             marker = (row["checkpoint"], row["pending"])
         else:
             rows.append(row)

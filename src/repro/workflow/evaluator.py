@@ -12,12 +12,11 @@ mirroring DeepHyper/Balsam.  Every backend here exposes exactly that:
   attempts trained by a :class:`~repro.workflow.pool.TrainingPool` (the
   manager and forked worker processes, at most one trainer per usable
   core), and each outcome is read only when the attempt's completion is
-  reached; any other is run on the manager as its attempt starts.  It
-  also models worker deaths.  It is the one checkpointable backend: a
-  seeded simulated campaign is a deterministic function of its config,
-  so a checkpoint journals only the finished jobs
-  (:mod:`repro.core.serialization`) and a resume runs the campaign again
-  up to it (:meth:`AgingEvolutionBase.resume
+  reached; any other is run on the manager as its attempt starts.  It is
+  the one checkpointable backend: a seeded simulated campaign is a
+  deterministic function of its config, so a checkpoint journals only the
+  finished jobs (:mod:`repro.core.serialization`) and a resume runs the
+  campaign again up to it (:meth:`AgingEvolutionBase.resume
   <repro.core.search.AgingEvolutionBase.resume>`), with each journaled
   clean training served from its job line (:meth:`SimulatedEvaluator.serve`).
 - :class:`ThreadedEvaluator` and :class:`ProcessPoolEvaluator` run
@@ -126,7 +125,7 @@ class Evaluator:
     ``event_bus`` is an optional campaign event bus (attached by
     :func:`repro.campaign.build_campaign`); backends emit job lifecycle
     events (:class:`~repro.campaign.events.JobSubmitted`, ``JobGathered``,
-    ``JobRetried``, ``WorkerDied``, ``FaultInjected``, ``CacheHit``,
+    ``JobRetried``, ``FaultInjected``, ``CacheHit``,
     ``CacheStore``) and the ``EpochEnd`` events of each trained attempt
     through it when set, all on the manager.  ``num_failures`` counts failed
     attempts, ``num_retries`` re-runs, ``num_timeouts`` attempts past the
@@ -191,13 +190,22 @@ class Evaluator:
         self._fill_workers()
 
     def _fill_workers(self) -> None:
-        """Start queued attempts, oldest first, while a worker is free."""
+        """Start queued attempts, oldest first, while a worker is free.
+
+        A job queued while still ``RUNNING`` is the innocent victim of a
+        process-pool kill: it restarts the attempt it was running, under
+        that attempt's fault, and trains again (it was no cache hit), so
+        its fault is neither counted nor emitted twice.
+        """
         while self._queue and self._has_free_worker():
             job = self._queue.popleft()
-            job.state = JobState.RUNNING
             job.start_time = self.now
             job.attempt += 1
-            kind, cached = self._begin_attempt(job)
+            if job.state is JobState.RUNNING:
+                kind, cached = self.fault_policy.fault(job.job_id, job.retries), None
+            else:
+                job.state = JobState.RUNNING
+                kind, cached = self._begin_attempt(job)
             self._launch(job, kind, cached)
 
     def _has_free_worker(self) -> bool:
@@ -384,18 +392,14 @@ class SimulatedEvaluator(Evaluator):
     ``run_function`` is called with a job's config and must return an
     :class:`EvaluationResult` whose ``duration`` is in simulated minutes;
     ``num_workers``, ``fault_policy`` and ``cache`` are as in
-    :class:`Evaluator`.  ``worker_failures`` lists optional ``(time_minutes,
-    worker_id)`` pairs: the worker dies permanently at that simulated
-    time; a job running on it is rescheduled (front of the queue) on a
-    surviving worker.
+    :class:`Evaluator`.
 
     Notes
     -----
-    Each attempt holds its worker for the minutes the policy bills it and
-    is settled once, when its one completion event fires inside
-    :meth:`gather`; an attempt a worker death cut short is dropped
-    unsettled and restarted.  The minutes come from the outcome known as
-    the attempt starts: a crash, a cache hit, or the result of a run
+    Each attempt holds its worker from its start for the minutes the
+    policy bills it and is settled once, when its one completion event
+    fires inside :meth:`gather`.  The minutes come from the outcome known
+    as the attempt starts: a crash, a cache hit, or the result of a run
     function that declares no duration (called then).  A run function
     may declare ``duration(config) -> float``, the minutes its call on
     ``config`` will report, known without training
@@ -408,9 +412,7 @@ class SimulatedEvaluator(Evaluator):
     stay on the manager.  Such a run function must be a pure function of
     its config: a pool worker, the manager and a retrain after a pool
     worker died then give one outcome, and the history does not depend on
-    where or whether the pool ran.  The restart after a simulated worker
-    death reuses its job's submitted training, or ends it if the restart
-    no longer trains (a cache hit).  An attempt still waiting for a
+    where or whether the pool ran.  An attempt still waiting for a
     worker when the campaign stops is never trained, nor is one of the
     manager's share whose event never fired; :meth:`close` (called as
     ``Campaign.run`` returns) stops the workers' trainings of attempts
@@ -440,30 +442,18 @@ class SimulatedEvaluator(Evaluator):
         run_function: RunFunction,
         num_workers: int,
         fault_policy: FaultPolicy | None = None,
-        worker_failures: Iterable[tuple[float, int]] | None = None,
         cache: EvaluationCache | None = None,
     ) -> None:
         super().__init__(run_function, num_workers, fault_policy=fault_policy, cache=cache)
-        self.num_worker_failures = 0
         self._clock = 0.0
-        self._events = EventQueue()  # payload: (kind, ref, attempt, outcome)
+        self._events = EventQueue()  # payload: (kind, job, outcome)
         self._free_workers = list(range(num_workers - 1, -1, -1))
-        self._dead_workers: set[int] = set()
-        self._running: dict[int, Job] = {}  # worker -> job
         self._pool = TrainingPool(run_function, num_workers)
-        for fail_time, worker in worker_failures or ():
-            if not 0 <= worker < num_workers:
-                raise ValueError(f"worker_failures names unknown worker {worker}")
-            self._events.push(float(fail_time), ("worker_fail", worker, 0, None))
 
     # ------------------------------------------------------------------ #
     @property
     def now(self) -> float:
         return self._clock
-
-    @property
-    def num_alive_workers(self) -> int:
-        return self.num_workers - len(self._dead_workers)
 
     # ------------------------------------------------------------------ #
     def _has_free_worker(self) -> bool:
@@ -477,10 +467,8 @@ class SimulatedEvaluator(Evaluator):
         """Run the attempt on a free worker and push its one completion
         event, at the minutes the policy bills the outcome known now; a
         declared training is dealt to the pool unless it times out, and
-        any other outcome rides on the event (a stale event drops it)."""
-        worker = self._free_workers.pop()
-        job.worker = worker
-        self._running[worker] = job
+        any other outcome rides on the event."""
+        job.worker = self._free_workers.pop()
         duration = getattr(self.run_function, "duration", None)
         declared = kind != "crash" and cached is None and callable(duration)
         if kind == "crash":
@@ -501,17 +489,12 @@ class SimulatedEvaluator(Evaluator):
         if declared and not settlement.timed_out:
             self._pool.submit(job.job_id, job.config)
             outcome = None  # taken from the pool at the event
-        else:
-            # A restart after a worker death that no longer trains (say, a
-            # cache hit now) ends the submission of its job's first start.
-            self._pool.discard(job.job_id)
-        self._events.push(self._clock + settlement.minutes, ("complete", job, job.attempt, outcome))
+        self._events.push(self._clock + settlement.minutes, ("complete", job, outcome))
 
     def _complete(self, job: Job, outcome: Any) -> None:
         """Free the worker of an attempt that ended now and settle it with
         ``outcome`` (None: its training's, from the pool); a retry waits
         out the policy's backoff before it is queued."""
-        self._running.pop(job.worker)
         self._free_workers.append(job.worker)
         if outcome is None:
             outcome = self._pool.take(job.job_id, job.config)
@@ -519,52 +502,23 @@ class SimulatedEvaluator(Evaluator):
         if self._settle(job, kind, outcome, self._clock, simulated_clock=True):
             delay = self.fault_policy.backoff_minutes(job.retries)
             if delay > 0:
-                self._events.push(self._clock + delay, ("retry", job, job.attempt, None))
+                self._events.push(self._clock + delay, ("retry", job, None))
             else:
                 self._queue.append(job)
-
-    def _on_worker_fail(self, worker: int) -> None:
-        if worker in self._dead_workers:
-            return
-        self._dead_workers.add(worker)
-        self.num_worker_failures += 1
-        if self.event_bus is not None:
-            from repro.campaign.events import WorkerDied
-
-            self.event_bus.emit(WorkerDied(worker=worker, time=self._clock))
-        if worker in self._free_workers:
-            self._free_workers.remove(worker)
-        job = self._running.pop(worker, None)
-        if job is not None:
-            # The in-flight job is rescheduled at the front of the queue;
-            # bumping ``attempt`` invalidates its pending completion event.
-            job.attempt += 1
-            job.worker = -1
-            job.state = JobState.PENDING
-            self._queue.appendleft(job)
 
     def gather(self) -> list[Job]:
         """Advance the clock until at least one job finishes; return them."""
         self._refuse_after_raise()
         while not self._completed and self._events:
             next_time = self._events.peek_time()
-            for end_time, (kind, ref, attempt, outcome) in self._events.drain_until(next_time):
+            for end_time, (kind, job, outcome) in self._events.drain_until(next_time):
                 self._clock = max(self._clock, end_time)
-                if kind == "worker_fail":
-                    self._on_worker_fail(ref)
-                elif ref.attempt != attempt:
-                    continue  # stale event from a dead worker's attempt
-                elif kind == "complete":
-                    self._complete(ref, outcome)
+                if kind == "complete":
+                    self._complete(job, outcome)
                 else:
-                    self._queue.append(ref)  # a retry's backoff is over
+                    self._queue.append(job)  # a retry's backoff is over
             # Start queued jobs on the workers that just freed.
             self._fill_workers()
-        if not self._completed and self._in_flight:
-            raise RuntimeError(
-                f"evaluator deadlocked: {self._in_flight} job(s) in flight but all "
-                f"{self.num_workers} workers are dead"
-            )
         return self._deliver()
 
     def serve(self, jobs: Iterable[Job]) -> None:

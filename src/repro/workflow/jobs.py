@@ -50,12 +50,11 @@ class Job:
     """One evaluation tracked by an evaluator.
 
     ``retries`` counts completed failed attempts that were re-run under a
-    retry fault policy; ``attempt`` is a monotonically increasing scheduling
-    epoch (bumped on every start and on worker-failure rescheduling) used to
-    invalidate stale completion events; ``error`` holds the most recent
-    failure description, if any.  ``cache_hit`` marks a job whose latest
-    attempt was served from an :class:`~repro.workflow.cache.EvaluationCache`
-    without re-running the evaluation.
+    retry fault policy; ``attempt`` counts the job's starts (bumped on every
+    start); ``error`` holds the most recent failure description, if any.
+    ``cache_hit`` marks a job whose latest attempt was served from an
+    :class:`~repro.workflow.cache.EvaluationCache` without re-running the
+    evaluation.
     """
 
     job_id: int

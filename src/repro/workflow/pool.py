@@ -130,10 +130,7 @@ class TrainingPool:
 
     ``processes`` is the forked worker count, one fewer than the trainers
     (0: every outcome computed on the manager); a dead worker sets it to 0
-    for good.  Submissions are keyed by job id: submitting a job that is
-    still outstanding reuses its training (the restart after a simulated
-    worker death), and :meth:`take` ends it, or :meth:`discard` (a restart
-    that no longer trains).
+    for good.  Submissions are keyed by job id, and :meth:`take` ends one.
     ``served`` holds the outcomes a replay serves (see the module).
     """
 
@@ -153,8 +150,6 @@ class TrainingPool:
 
     def submit(self, job_id: int, config: Any) -> None:
         """Deal ``config``'s training for ``job_id`` to a trainer."""
-        if job_id in self._submitted:
-            return
         if self.served and canonical_config_key(config) in self.served:
             return  # taken from :meth:`outcome`, never trained
         self._submitted[job_id] = config
@@ -177,8 +172,10 @@ class TrainingPool:
         if job_id in self._submitted:
             while job_id in self._sent:
                 self._receive()
-            blob = self._arrived.get(job_id)
-            self.discard(job_id)
+            del self._submitted[job_id]
+            self._held.discard(job_id)
+            self._backlog.pop(job_id, None)
+            blob = self._arrived.pop(job_id, None)
             if blob is not None:
                 try:
                     return pickle.loads(blob)
@@ -193,14 +190,6 @@ class TrainingPool:
             if served is not None:
                 return EvaluationResult(served.objective, served.duration, dict(served.metadata))
         return evaluate(self.run_function, config)
-
-    def discard(self, job_id: int) -> None:
-        """End ``job_id``'s submission untaken: its attempt no longer
-        trains (a late answer from a worker is dropped)."""
-        self._submitted.pop(job_id, None)
-        self._held.discard(job_id)
-        self._backlog.pop(job_id, None)
-        self._arrived.pop(job_id, None)
 
     def close(self) -> None:
         """Terminate and join the workers; their outstanding submissions go

@@ -138,6 +138,20 @@ def test_version_2_checkpoint_gets_a_clear_error(tmp_path):
         main(["search", "--resume", str(path), "--max-evaluations", "4"], out=io.StringIO())
 
 
+def test_version_3_journal_gets_a_clear_error(tmp_path):
+    """A version-3 journal (whose state lines carry a full snapshot) is
+    refused, although its job lines and state lines still parse."""
+    path = tmp_path / "v3.ckpt"
+    path.write_text(
+        json.dumps({"version": 3, "algorithm": "AgE", "extra": {}}) + "\n"
+        + json.dumps({"search": {"iterations": 1, "pending_results": 0}}) + "\n"
+    )  # fmt: skip
+    with pytest.raises(ValueError, match="version 3.*re-run the campaign"):
+        load_checkpoint(path)
+    with pytest.raises(SystemExit, match="version 3"):
+        main(["search", "--resume", str(path), "--max-evaluations", "4"], out=io.StringIO())
+
+
 def test_checkpoint_stores_each_evaluation_once(tmp_path):
     """No history records, cache entries, BO observations or live jobs:
     the journal appends each finished job once, however many checkpoints,
@@ -460,10 +474,10 @@ def test_checkpoint_every_throttles_writes(tmp_path, monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# Resume gate: any kill point, replacement rule, cache mode, fault policy,
-# worker-failure schedule and settlement (eager, or lazy for a run
-# function that declares its duration, trained inline or on a pool of
-# forked workers) continues to the uninterrupted campaign
+# Resume gate: any kill point, replacement rule, cache mode, fault policy
+# and run function (one that declares its duration, trained inline or on a
+# pool of forked workers, or one that does not) continues to the
+# uninterrupted campaign
 # --------------------------------------------------------------------- #
 TOTAL_EVALUATIONS = 20
 FAULT_SEED_BASE = int(os.environ.get("FAULT_SEED", "0"))
@@ -482,13 +496,6 @@ def campaigns(draw):
         "fault_seed": FAULT_SEED_BASE + draw(st.integers(0, 10_000)),
         "max_retries": draw(st.integers(0, 2)),
         "timeout": draw(st.sampled_from([None, 14.0, 40.0])),
-        "worker_failures": draw(
-            st.lists(
-                st.tuples(st.floats(0.0, 60.0), st.integers(0, 3)),
-                max_size=2,
-                unique_by=lambda failure: failure[1],
-            )
-        ),
         "lazy": draw(st.booleans()),
         # Cores for the lazy evaluator's trainers (0: inline; 3: two forks).
         "pool": draw(st.sampled_from([0, 3])),
@@ -507,7 +514,6 @@ def build_campaign_search(c):
     )
     evaluator = SimulatedEvaluator(
         DeclaredFakeEval() if c.get("lazy") else fake_eval, num_workers=4, fault_policy=policy,
-        worker_failures=c["worker_failures"],
         cache=EvaluationCache() if c["cache"] else None,
     )
     space = ArchitectureSpace(num_nodes=2)
@@ -522,7 +528,7 @@ def evaluator_counters(ev):
     cache = ev.cache
     return (
         ev.now, utilization_summary(ev), ev.num_failures, ev.num_faults_injected, ev.num_retries,
-        ev.num_timeouts, ev.num_worker_failures, None if cache is None else (cache.hits, cache.misses, cache.stores),
+        ev.num_timeouts, None if cache is None else (cache.hits, cache.misses, cache.stores),
     )
 
 
@@ -576,7 +582,7 @@ def test_resume_with_a_budget_the_last_batch_already_met(tmp_path):
     c = {
         "method": "AgE", "replacement": "aging", "cache": False, "crash_prob": 0.0,
         "hang_prob": 0.0, "corrupt_prob": 0.0, "fault_seed": 0, "max_retries": 1,
-        "timeout": 14.0, "worker_failures": [],
+        "timeout": 14.0,
     }
     full = build_campaign_search(c)
     full.search(max_evaluations=TOTAL_EVALUATIONS)
@@ -595,8 +601,8 @@ def test_resume_with_a_budget_the_last_batch_already_met(tmp_path):
 
 # --------------------------------------------------------------------- #
 # The checkpoint journal: a faulty, cached AgEBO campaign (crashes and
-# hangs under a retry policy, one simulated worker death, pending
-# attempts from a run function that declares its duration)
+# hangs under a retry policy, pending attempts from a run function that
+# declares its duration)
 # --------------------------------------------------------------------- #
 JOURNAL_EVALUATIONS = 24
 
@@ -607,8 +613,7 @@ def faulty_cached_agebo():
         crash_prob=0.2, hang_prob=0.15, fault_seed=7,
     )  # fmt: skip
     evaluator = SimulatedEvaluator(
-        DeclaredFakeEval(), num_workers=4, fault_policy=policy,
-        worker_failures=[(15.0, 1)], cache=EvaluationCache(),
+        DeclaredFakeEval(), num_workers=4, fault_policy=policy, cache=EvaluationCache(),
     )  # fmt: skip
     space = ArchitectureSpace(num_nodes=2)
     hp_space = default_dataparallel_space(max_ranks=2)
@@ -668,7 +673,7 @@ def test_journal_holds_the_whole_table_at_every_checkpoint(tmp_path, monkeypatch
     assert read_journal(path) == journal_state(search)
     assert len(checked) >= 3 and checked == sorted(set(checked))
     ev = search.evaluator
-    assert ev.num_worker_failures == 1 and ev.num_retries > 0 and ev.num_timeouts > 0
+    assert ev.num_retries > 0 and ev.num_timeouts > 0
     assert ev.cache.stores > 0
     # One header line; each later write appended, never rewrote.
     assert path.read_text().count('"version"') == 1
@@ -877,30 +882,6 @@ def test_fault_free_replay_trains_no_journaled_job(tmp_path, declared):
     assert_identical_history(
         search.search(max_evaluations=32), build_agebo(fake_eval).search(max_evaluations=32)
     )
-
-
-def test_version_3_journal_resumes_bit_identical():
-    """A journal the version-3 writer wrote (whose state lines carry a
-    full snapshot) resumes from its last state line, read as a marker,
-    to the uninterrupted campaign: a faulty, cached AgE campaign with a
-    worker death, stopped at 11 evaluations on a budget with one result
-    pending and saved there."""
-    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "age_faulty_cached_v3.ckpt")
-    journal = load_checkpoint(fixture)
-    assert (journal["version"], len(journal["jobs"]), journal["pending"]) == (3, 11, 1)
-    c = {
-        "method": "AgE", "replacement": "aging", "cache": True, "crash_prob": 0.15,
-        "hang_prob": 0.1, "corrupt_prob": 0.1, "fault_seed": 5, "max_retries": 2,
-        "timeout": 14.0, "worker_failures": [(20.0, 1)], "lazy": True,
-    }  # fmt: skip
-    with mock.patch("repro.workflow.pool.training_processes", return_value=0):
-        full = build_campaign_search(c)
-        full.search(max_evaluations=TOTAL_EVALUATIONS)
-        search = build_campaign_search(c)
-        search.resume(journal)
-        search.search(max_evaluations=TOTAL_EVALUATIONS)
-    assert full.evaluator.num_failures > 0 and full.evaluator.num_worker_failures == 1
-    assert resumed_outcome(search) == resumed_outcome(full)
 
 
 def test_continued_search_counts_and_checkpoints_every_iteration(monkeypatch):

@@ -7,7 +7,8 @@ invariants that must hold for *any* schedule:
 
 - jobs start in FIFO submission order (absent faults),
 - ``num_in_flight`` always equals submitted-minus-finished,
-- workers are conserved: free + busy + dead == num_workers,
+- workers are conserved: free workers + ``RUNNING`` jobs == num_workers
+  at every submit/gather boundary,
 - utilization (:func:`repro.analysis.utilization_summary`) stays within
   [0, 1] at every quiescent point.
 
@@ -22,8 +23,10 @@ start stamped by the manager (or a queued job that is tracked), a
 thread pool that lost a worker to an abandoned straggler,
 process attempts queued behind a busy worker carrying their queue wait in
 ``start_time`` and failing with a crash, attempts starting while finished
-ones were not gathered yet (more than ``num_workers`` open spans), and a
-late-returning abandoned thread attempt clobbering its retry's result.
+ones were not gathered yet (more than ``num_workers`` open spans), a
+late-returning abandoned thread attempt clobbering its retry's result,
+and an innocent process attempt restarted by a kill drawing its fault
+and looking up the cache again.
 Last, a differential test runs one fault-injected simulated schedule with
 the run function's duration declared (trained lazily, at completion) and
 hidden (trained as each attempt starts): the job tables, event streams
@@ -112,9 +115,10 @@ def seeded_run(seed: int):
     return run
 
 
-def random_schedule(ev, rng, num_jobs, max_batch=5):
+def random_schedule(ev, rng, num_jobs, max_batch=5, check=None):
     """Drive a random submit/gather interleaving; return finished jobs in
-    gather order.  Invariant-checks ``num_in_flight`` at every step."""
+    gather order.  Invariant-checks ``num_in_flight``, and ``check(ev)``
+    if given, at every step."""
     submitted = 0
     finished = []
     while submitted < num_jobs or ev.num_in_flight > 0:
@@ -126,6 +130,8 @@ def random_schedule(ev, rng, num_jobs, max_batch=5):
             finished.extend(ev.gather())
         assert ev.num_in_flight == submitted - len(finished)
         assert ev.num_in_flight >= 0
+        if check is not None:
+            check(ev)
     return finished
 
 
@@ -142,6 +148,14 @@ def test_sim_fifo_start_order(seed):
     assert all(j.state is JobState.DONE for j in finished)
 
 
+def assert_workers_conserved(ev):
+    """Between calls, each simulated worker is free or held by exactly
+    one ``RUNNING`` job."""
+    running = [job for job in ev.jobs if job.state is JobState.RUNNING]
+    assert len({job.worker for job in running}) == len(running)
+    assert len(ev._free_workers) + len(running) == ev.num_workers
+
+
 @pytest.mark.parametrize("seed", SCHEDULE_SEEDS)
 def test_sim_worker_conservation_and_utilization(seed):
     rng = random.Random(seed)
@@ -156,10 +170,7 @@ def test_sim_worker_conservation_and_utilization(seed):
             submitted += batch
         else:
             finished += len(ev.gather())
-        free = len(ev._free_workers)
-        busy = len(ev._running)
-        dead = len(ev._dead_workers)
-        assert free + busy + dead == num_workers
+        assert_workers_conserved(ev)
         assert 0.0 <= utilization_summary(ev).utilization <= 1.0
 
 
@@ -192,11 +203,10 @@ def test_sim_invariants_hold_under_faults(seed):
     )
     num_workers = rng.randint(2, 5)
     ev = SimulatedEvaluator(flaky, num_workers=num_workers, fault_policy=policy)
-    finished = random_schedule(ev, rng, num_jobs=30)
+    finished = random_schedule(ev, rng, num_jobs=30, check=assert_workers_conserved)
     assert len(finished) == 30
     assert all(j.state in (JobState.DONE, JobState.FAILED) for j in finished)
-    free = len(ev._free_workers)
-    assert free + len(ev._running) + len(ev._dead_workers) == num_workers
+    assert_workers_conserved(ev)
     assert 0.0 <= utilization_summary(ev).utilization <= 1.0
 
 
@@ -641,8 +651,7 @@ def run_differential(run_function, policy, seed, stop_after):
     stop gathering once ``stop_after`` jobs were delivered."""
     rng = random.Random(seed)
     ev = SimulatedEvaluator(
-        run_function, num_workers=4, fault_policy=policy, cache=EvaluationCache(),
-        worker_failures=[(6.0 + seed % 5, 1)],
+        run_function, num_workers=4, fault_policy=policy, cache=EvaluationCache()
     )
     log = EventLog()
     ev.event_bus = log
@@ -662,14 +671,12 @@ def run_differential(run_function, policy, seed, stop_after):
 def test_declared_and_hidden_durations_agree(seed, on_error, monkeypatch):
     """Same job table, event stream and failure counters whether the run
     function's duration is declared (trained at each attempt's end) or
-    hidden (trained as each attempt starts), under injected faults, a
-    worker death and duplicates of in-flight configs; fewer trainings when
-    the schedule stops with jobs in flight.  After a drain both delivered
-    the same jobs and stored the same cache entries.  The declared side
-    trains inline, so its calls are counted here (a pool may train a
-    pending attempt early; ``tests/test_training_pool.py`` compares the
-    two).  Pre-fix the hidden side settled each attempt as it started, so
-    it also counted the failure of an attempt a worker death discarded."""
+    hidden (trained as each attempt starts), under injected faults and
+    duplicates of in-flight configs; fewer trainings when the schedule
+    stops with jobs in flight.  After a drain both delivered the same jobs
+    and stored the same cache entries.  The declared side trains inline,
+    so its calls are counted here (a pool may train a pending attempt
+    early; ``tests/test_training_pool.py`` compares the two)."""
     monkeypatch.setattr("repro.workflow.pool.training_processes", lambda: 0)
     policy = FaultPolicy(
         on_error=on_error, max_retries=1, retry_backoff=0.5, timeout=14.0,
@@ -690,44 +697,43 @@ def test_declared_and_hidden_durations_agree(seed, on_error, monkeypatch):
     assert declared_run.calls < hidden_run.calls
     assert declared.num_faults_injected == hidden.num_faults_injected > 0
     assert declared.cache.hits == hidden.cache.hits > 0
-    counters = ("num_retries", "num_worker_failures", "num_failures", "num_timeouts")
+    counters = ("num_retries", "num_failures", "num_timeouts")
     assert [getattr(declared, c) for c in counters] == [getattr(hidden, c) for c in counters]
 
     drain(declared), drain(hidden)
     assert [job_row(j, True) for j in declared.jobs] == [job_row(j, True) for j in hidden.jobs]
     assert declared_events == hidden_events
     assert [getattr(declared, c) for c in counters] == [getattr(hidden, c) for c in counters]
-    assert hidden.num_worker_failures > 0
     assert declared.cache._entries.keys() == hidden.cache._entries.keys()
 
 
-@pytest.mark.parametrize("declared", [True, False], ids=["declared", "hidden"])
-def test_restart_after_a_worker_death_settles_once_with_its_own_outcome(declared):
-    """A worker dies under an attempt whose outcome is known as it starts,
-    first a crash, then a cache hit: the attempt is dropped unsettled, and
-    the restart settles once, at its own end, with its own outcome.  The
-    crash fails one attempt (pre-fix the dropped one was counted too)."""
-    run = DeclaringRun() if declared else HiddenDuration(DeclaringRun())
-    # Fault seed 2 crashes job 0's first attempt and no other.
-    policy = FaultPolicy(on_error="penalize", crash_prob=0.3, fault_seed=2, failure_duration=10.0)
-    ev = SimulatedEvaluator(
-        run, num_workers=3, fault_policy=policy, cache=EvaluationCache(),
-        worker_failures=[(0.5, 0), (9.0, 1)],
-    )  # fmt: skip
-    crashed, trained = ev.submit([1, 2])  # on workers 0 and 1
-    assert ev.num_failures == 0
-    # At 0.5 the crash restarts on worker 2; config 2 trains for 7 minutes.
-    assert ev.gather() == [trained] and ev.now == 7.0
-    (hit,) = ev.submit([2])  # on worker 1, until worker 1 dies at 9.0
-    assert hit.cache_hit
-    assert ev.gather() == [crashed] and ev.now == 10.5  # then the hit restarts
-    assert ev.gather() == [hit] and ev.now == 17.5
-    assert not ev.num_in_flight and ev.num_worker_failures == 2
-    assert (crashed.state, crashed.start_time, crashed.end_time) == (JobState.FAILED, 0.5, 10.5)
-    assert "injected crash: job 0, retry 0" in crashed.result.metadata["error"]
-    assert (hit.state, hit.start_time, hit.end_time) == (JobState.DONE, 10.5, 17.5)
-    assert hit.cache_hit and hit.result == trained.result
-    assert (ev.num_failures, ev.num_retries, ev.num_timeouts) == (1, 0, 0)
+def test_process_kill_restarts_an_innocent_attempt_under_its_own_fault():
+    """A kill for job 0's hang restarts job 1, still running, on the fresh
+    pool: the restart keeps its attempt's injected fault and trains, so
+    the fault is drawn, counted and emitted once and the cache is looked
+    up once per job (pre-fix the restart began a new attempt: 3 faults,
+    two ``FaultInjected`` events for job 1 and 3 cache lookups)."""
+    # Fault seed 20 draws a hang for job 0 and a corruption for job 1.
+    policy = FaultPolicy(
+        on_error="penalize", timeout=1.0 / 60, hang_prob=0.3, corrupt_prob=0.3, fault_seed=20
+    )
+    log = EventLog()
+    with ProcessPoolEvaluator(
+        sleep_then_return, num_workers=2, fault_policy=policy, cache=EvaluationCache()
+    ) as ev:
+        ev.event_bus = log
+        (hung,) = ev.submit([300.0])
+        time.sleep(0.5)
+        # Running when job 0 is reaped at 1 s, done 0.75 s after its restart.
+        (innocent,) = ev.submit([0.75])
+        finished = drain(ev)
+    assert sorted(job.job_id for job in finished) == [0, 1]
+    assert ev.num_pool_rebuilds >= 1 and innocent.attempt == 2
+    assert "timeout" in hung.error and "invalid objective" in innocent.error
+    faults = [(e["kind"], e["job_id"]) for e in log.events if e["event"] == "FaultInjected"]
+    assert faults == [("hang", 0), ("corrupt", 1)]
+    assert ev.num_faults_injected == 2 and ev.num_failures == 2
+    assert (ev.cache.hits, ev.cache.misses) == (0, 2)
 
 
 class LoggedRun(DeclaringRun):

@@ -1,4 +1,4 @@
-"""Fault-injection test harness: policies, seeded faults, worker failures.
+"""Fault-injection test harness: policies and seeded faults.
 
 Proves the fault-tolerance layer works under deterministically injected
 crashes, hangs/stragglers and corrupted results — the §III-C requirement
@@ -503,52 +503,6 @@ def test_sim_corrupted_result_is_penalized():
     assert job.state is JobState.FAILED
     assert "invalid objective" in job.result.metadata["error"]
     assert math.isfinite(job.result.objective)
-
-
-# --------------------------------------------------------------------- #
-# Simulated worker failures
-# --------------------------------------------------------------------- #
-def test_worker_failure_reschedules_in_flight_job():
-    ev = SimulatedEvaluator(
-        constant_run(duration=10.0), num_workers=2, worker_failures=[(5.0, 1)]
-    )
-    ev.submit([0.1, 0.2])
-    done = drain(ev)
-    assert len(done) == 2
-    assert all(j.state is JobState.DONE for j in done)
-    # The victim re-ran on worker 0 after its first job finished at t=10.
-    assert sorted(j.end_time for j in done) == [10.0, 20.0]
-    assert all(j.worker == 0 for j in done)
-    assert ev.num_worker_failures == 1
-    assert ev.num_alive_workers == 1
-
-
-def test_worker_failure_of_idle_worker():
-    ev = SimulatedEvaluator(
-        constant_run(duration=2.0), num_workers=2, worker_failures=[(1.0, 1)]
-    )
-    ev.submit([0.1])
-    done = drain(ev)
-    assert len(done) == 1 and done[0].worker == 0
-    assert ev.num_alive_workers == 1
-    # The dead worker never restarts a queued job.
-    ev.submit([0.2, 0.3])
-    done = drain(ev)
-    assert all(j.worker == 0 for j in done)
-
-
-def test_all_workers_dead_raises_deadlock():
-    ev = SimulatedEvaluator(
-        constant_run(duration=10.0), num_workers=1, worker_failures=[(5.0, 0)]
-    )
-    ev.submit([0.1])
-    with pytest.raises(RuntimeError, match="dead"):
-        drain(ev)
-
-
-def test_worker_failure_unknown_worker_rejected():
-    with pytest.raises(ValueError, match="unknown worker"):
-        SimulatedEvaluator(constant_run(), num_workers=2, worker_failures=[(1.0, 7)])
 
 
 # --------------------------------------------------------------------- #

@@ -5,8 +5,8 @@ trained by the manager and by forked worker processes
 (:mod:`repro.workflow.pool`), while the manager keeps the clock and every
 settlement.  Where an outcome is computed must never show:
 
-- campaigns over a spread of ``tools/history_digest.py`` shapes (faults,
-  the cache and simulated worker deaths on) give the same history bytes
+- campaigns over a spread of ``tools/history_digest.py`` shapes (faults
+  and the cache on) give the same history bytes
   and the same JSONL event stream with the pool as inline, where inline
   is forced by patching the module's core-count function;
 - a pool worker SIGKILLed mid-campaign retires the pool and the history
@@ -31,18 +31,14 @@ from unittest import mock
 import pytest
 
 from repro.campaign import (
-    EventBus,
     EvaluatorConfig,
     FaultConfig,
     JobGathered,
     JsonlEventLog,
     build_campaign,
 )
-from repro.campaign.builder import _build_evaluation, _make_search
 from repro.core.serialization import history_to_dict
-from repro.datasets import load_dataset
-from repro.searchspace import ArchitectureSpace
-from repro.workflow import EvaluationCache, EvaluationResult, SimulatedEvaluator
+from repro.workflow import EvaluationResult, SimulatedEvaluator
 from repro.workflow.pool import TrainingPool
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,30 +73,15 @@ SHAPES = [
 
 
 def run_shape(shape, count: int, log_path: Path) -> bytes:
-    """One digest-shape campaign with two simulated worker deaths; its
-    history bytes (the event log goes to ``log_path``)."""
-    config = _digest_tool().campaign_config(*shape)
+    """One digest-shape campaign; its history bytes (the event log goes
+    to ``log_path``)."""
     with processes(count):
-        dataset = load_dataset(config.dataset, size=config.size)
-        space = ArchitectureSpace(num_nodes=config.num_nodes)
-        evaluator = SimulatedEvaluator(
-            _build_evaluation(config, dataset, space),
-            num_workers=config.evaluator.num_workers,
-            fault_policy=config.faults.policy(),
-            cache=EvaluationCache() if config.evaluator.cache == "exact" else None,
-            worker_failures=[(12.0, 1), (30.0, 0)],
-        )
-        bus = EventBus()
-        log = bus.subscribe(JsonlEventLog(log_path))
-        evaluator.event_bus = bus
-        search = _make_search(config, space, evaluator)
-        search.event_bus = bus
+        campaign = build_campaign(_digest_tool().campaign_config(*shape))
+        log = campaign.subscribe(JsonlEventLog(log_path))
         try:
-            history = search.search(max_evaluations=config.max_evaluations)
+            history = campaign.run()
         finally:
-            evaluator.close()
             log.close()
-    assert evaluator.num_worker_failures == 2
     return json.dumps(history_to_dict(history), sort_keys=True).encode()
 
 
@@ -201,32 +182,6 @@ def test_pool_outcomes_equal_inline_outcomes():
     assert [outcome_row(o) for o in outcomes] == [
         outcome_row(TrainingPool(run, 1).take(0, config)) for config in reversed(configs)
     ]
-
-
-@pytest.mark.parametrize("cores", [0, 2])
-def test_restart_served_from_the_cache_ends_its_submission(cores):
-    """A pending attempt whose simulated worker dies restarts; when its
-    config's duplicate ended meanwhile, the restart is a cache hit, and
-    the pool holds nothing of the first start once the evaluator drains."""
-
-    class Declared:
-        def duration(self, config):
-            return 3.0
-
-        def __call__(self, config):
-            return EvaluationResult(0.5, 3.0)
-
-    with processes(cores):
-        ev = SimulatedEvaluator(
-            Declared(), num_workers=2, worker_failures=[(1.0, 0)], cache=EvaluationCache()
-        )
-    first, duplicate = ev.submit(["a", "a"])
-    while ev.num_in_flight:
-        ev.gather()
-    ev.close()
-    assert first.cache_hit and not duplicate.cache_hit  # job 0 restarted at 3
-    pool = ev._pool
-    assert (pool._submitted, pool._held, pool._backlog, pool._arrived) == ({}, set(), {}, {})
 
 
 def test_dead_worker_retires_the_pool():
