@@ -12,7 +12,7 @@ Components:
 """
 
 from repro.bo.forest import RandomForestRegressor, RegressionTree
-from repro.bo.acquisition import expected_improvement, upper_confidence_bound
+from repro.bo.acquisition import upper_confidence_bound
 from repro.bo.liar import constant_lie
 from repro.bo.surrogate import KNNSurrogate
 from repro.bo.optimizer import SURROGATES, BayesianOptimizer
@@ -22,7 +22,6 @@ __all__ = [
     "RandomForestRegressor",
     "KNNSurrogate",
     "upper_confidence_bound",
-    "expected_improvement",
     "constant_lie",
     "BayesianOptimizer",
     "SURROGATES",

@@ -7,15 +7,14 @@ The paper ranks candidates with the upper-confidence bound (Eq. 3)::
 for a *maximization* objective (validation accuracy).  ``κ = 0`` is pure
 exploitation; larger κ explores high-variance regions.  The paper's key
 finding (Fig. 8) is that strong exploitation (κ = 0.001) dominates the
-conventional κ = 1.96 inside AgEBO.  Expected improvement is provided as an
-extension for the surrogate ablation benchmarks.
+conventional κ = 1.96 inside AgEBO.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["upper_confidence_bound", "expected_improvement"]
+__all__ = ["upper_confidence_bound"]
 
 
 def upper_confidence_bound(mu: np.ndarray, sigma: np.ndarray, kappa: float) -> np.ndarray:
@@ -28,17 +27,3 @@ def upper_confidence_bound(mu: np.ndarray, sigma: np.ndarray, kappa: float) -> n
         raise ValueError(f"mu/sigma shape mismatch: {mu.shape} vs {sigma.shape}")
     return mu + kappa * sigma
 
-
-def expected_improvement(
-    mu: np.ndarray, sigma: np.ndarray, best: float, xi: float = 0.0
-) -> np.ndarray:
-    """Expected improvement over ``best`` for maximization."""
-    from scipy import stats  # deferred: importing scipy.stats dominates startup
-
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    improvement = mu - best - xi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(sigma > 0, improvement / sigma, 0.0)
-    ei = improvement * stats.norm.cdf(z) + sigma * stats.norm.pdf(z)
-    return np.where(sigma > 0, ei, np.maximum(improvement, 0.0))

@@ -20,17 +20,20 @@ mirroring DeepHyper/Balsam.  Every backend here exposes exactly that:
   <repro.core.search.AgingEvolutionBase.resume>`), with each journaled
   clean training served from its job line (:meth:`SimulatedEvaluator.serve`).
 - :class:`ThreadedEvaluator` and :class:`ProcessPoolEvaluator` run
-  evaluation functions concurrently on a thread / process pool, as thin
-  shells over :class:`_WallClockEvaluator`, which owns the futures and
+  evaluation functions concurrently, each worker a single-worker thread /
+  process executor of its own, as thin shells over
+  :class:`_WallClockEvaluator`, which owns the executors, the futures and
   ``gather``.
 
 One job lifecycle serves every backend, and :class:`Evaluator` owns it:
-the job table, the one FIFO of jobs waiting for a worker, the in-flight
-count, the run function, the :class:`~repro.workflow.faults.FaultPolicy`,
-the optional :class:`~repro.workflow.cache.EvaluationCache` and the
-failure counters.  Every attempt starts on the manager, which stamps it
-``RUNNING``, draws its injected fault from ``(fault_seed, job_id,
-retries)``, consults the cache and hands it to the backend's ``_launch``;
+the job table, the one FIFO of jobs waiting for a worker, the free
+workers, the in-flight count, the run function, the
+:class:`~repro.workflow.faults.FaultPolicy`, the optional
+:class:`~repro.workflow.cache.EvaluationCache` and the failure counters.
+Every attempt starts on the manager, which gives it a free worker's index,
+stamps it ``RUNNING``, draws its injected fault from ``(fault_seed,
+job_id, retries)``, consults the cache and hands it to the backend's
+``_launch``;
 it is settled by :meth:`FaultPolicy.settle
 <repro.workflow.faults.FaultPolicy.settle>`, which decides accept, retry,
 penalize or raise; an attempt that ends for good goes through one
@@ -38,11 +41,12 @@ penalize or raise; an attempt that ends for good goes through one
 job is delivered by one ``_deliver``, which ends it ``DONE`` or ``FAILED``
 by its result's ``failed`` flag.  So on every backend a cache hit needs an
 attempt of its config that has already ended.
-The backends keep only their clocks, pools and ``gather`` scans; each
-clock decides which attempts time out (the declared duration on the
-simulated clock, the reap deadline on the wall clock).  No worker thread
-touches a job or emits an event: an attempt's ``EpochEnd`` events come
-from its result as it settles, so every backend gives one stream.
+The backends keep only their clocks, workers and ``gather`` scans, and
+put an attempt's worker back when it ends; each clock decides which
+attempts time out (the declared duration on the simulated clock, the reap
+deadline on the wall clock).  No worker thread touches a job or emits an
+event: an attempt's ``EpochEnd`` events come from its result as it
+settles, so every backend gives one stream.
 
 Utilization is read off the job table
 (:func:`repro.analysis.utilization_summary`) or the ``JobGathered`` stream
@@ -60,6 +64,7 @@ import time as _time
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Executor,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -88,10 +93,10 @@ EVALUATOR_BACKENDS = ("simulated", "threaded", "process")
 
 
 # --------------------------------------------------------------------- #
-# Process-pool worker plumbing.  The run function is pickled once at
-# construction and installed into each worker via the pool initializer, so
-# large captured state (datasets, cost models) crosses the process
-# boundary once per worker instead of once per job.
+# Process worker plumbing.  The run function is pickled once at
+# construction and installed into each worker process by its executor's
+# initializer, so large captured state (datasets, cost models) crosses the
+# process boundary once per worker instead of once per job.
 # --------------------------------------------------------------------- #
 _WORKER_RUN_FUNCTION: RunFunction | None = None
 
@@ -133,12 +138,14 @@ class Evaluator:
 
     The lifecycle lives here.  :meth:`submit` counts a job in flight and
     :meth:`_dispatch` queues it; :meth:`_fill_workers` starts queued
-    attempts, oldest first, while the backend reports a free worker
-    (``_has_free_worker``), stamping each ``RUNNING`` and handing it to
-    the backend's ``_launch(job, kind, cached)``.  Every attempt is settled
-    once, when it ends, inside the backend's ``gather``, by :meth:`_settle`;
-    the backend only requeues a job whose retry it books.  ``gather``
-    returns :meth:`_deliver`, which takes the finished jobs out of flight.
+    attempts, oldest first, while a worker is free: each pops a worker
+    index in ``[0, num_workers)`` from ``_free_workers`` into
+    ``job.worker``, is stamped ``RUNNING`` and is handed to the backend's
+    ``_launch(job, kind, cached)``.  Every attempt is settled once, when it
+    ends, inside the backend's ``gather``, by :meth:`_settle`; the backend
+    puts the attempt's worker back first, and requeues a job whose retry
+    it books.  ``gather`` returns :meth:`_deliver`, which takes the
+    finished jobs out of flight.
 
     A raise ends the campaign.  An attempt whose settlement raises
     (``on_error="raise"``) ends its job ``FAILED``, end-stamped, and the
@@ -177,6 +184,7 @@ class Evaluator:
         self._queue: collections.deque[Job] = collections.deque()
         self._completed: collections.deque[Job] = collections.deque()
         self._in_flight = 0
+        self._free_workers = list(range(num_workers - 1, -1, -1))
         self._raised: BaseException | None = None
 
     @property
@@ -190,26 +198,15 @@ class Evaluator:
         self._fill_workers()
 
     def _fill_workers(self) -> None:
-        """Start queued attempts, oldest first, while a worker is free.
-
-        A job queued while still ``RUNNING`` is the innocent victim of a
-        process-pool kill: it restarts the attempt it was running, under
-        that attempt's fault, and trains again (it was no cache hit), so
-        its fault is neither counted nor emitted twice.
-        """
-        while self._queue and self._has_free_worker():
+        """Start queued attempts, oldest first, each on the free worker
+        freed last, while a worker is free."""
+        while self._queue and self._free_workers:
             job = self._queue.popleft()
+            job.worker = self._free_workers.pop()
             job.start_time = self.now
             job.attempt += 1
-            if job.state is JobState.RUNNING:
-                kind, cached = self.fault_policy.fault(job.job_id, job.retries), None
-            else:
-                job.state = JobState.RUNNING
-                kind, cached = self._begin_attempt(job)
-            self._launch(job, kind, cached)
-
-    def _has_free_worker(self) -> bool:
-        raise NotImplementedError
+            job.state = JobState.RUNNING
+            self._launch(job, *self._begin_attempt(job))
 
     def _launch(self, job: Job, kind: str | None, cached: EvaluationResult | None) -> None:
         """Run the attempt of ``job`` just started under fault ``kind``
@@ -447,7 +444,6 @@ class SimulatedEvaluator(Evaluator):
         super().__init__(run_function, num_workers, fault_policy=fault_policy, cache=cache)
         self._clock = 0.0
         self._events = EventQueue()  # payload: (kind, job, outcome)
-        self._free_workers = list(range(num_workers - 1, -1, -1))
         self._pool = TrainingPool(run_function, num_workers)
 
     # ------------------------------------------------------------------ #
@@ -456,19 +452,15 @@ class SimulatedEvaluator(Evaluator):
         return self._clock
 
     # ------------------------------------------------------------------ #
-    def _has_free_worker(self) -> bool:
-        return bool(self._free_workers)
-
     def close(self) -> None:
         """Terminate and join the training workers."""
         self._pool.close()
 
     def _launch(self, job: Job, kind: str | None, cached: EvaluationResult | None) -> None:
-        """Run the attempt on a free worker and push its one completion
+        """Run the attempt on its worker and push its one completion
         event, at the minutes the policy bills the outcome known now; a
         declared training is dealt to the pool unless it times out, and
         any other outcome rides on the event."""
-        job.worker = self._free_workers.pop()
         duration = getattr(self.run_function, "duration", None)
         declared = kind != "crash" and cached is None and callable(duration)
         if kind == "crash":
@@ -540,25 +532,26 @@ class _WallClockEvaluator(Evaluator):
     """Shared machinery for the wall-clock (thread / process) backends.
 
     Time is wall-clock minutes since construction.  This class owns the
-    tracked futures, the deadline scan and the whole of :meth:`gather`.
-    The executor starts with the first attempt handed to a worker and
-    :meth:`close` shuts it down, so a closed evaluator runs again.  A
-    backend supplies only
+    workers, the tracked futures, the deadline scan and the whole of
+    :meth:`gather`.  Each worker index has a single-worker executor of its
+    own, started by the first attempt handed to that worker; :meth:`close`
+    shuts them all down, so a closed evaluator runs again.  A backend
+    supplies only
 
-    - ``_make_pool()``: a fresh executor with ``num_workers`` workers;
+    - ``_new_worker()``: a fresh single-worker executor;
     - ``_worker_call``: the callable a worker runs on a job's config,
-      which returns the run function's result;
-    - ``_kill_workers()``: reclaim the workers of a broken or hung pool
-      and return the innocent tracked jobs to restart.
+      which returns the run function's result.
 
-    At most ``num_workers`` attempts are tracked at once and each has a
-    worker of the current or an abandoned pool, so the executor never
-    queues work behind a busy worker: an attempt's ``start_time`` (stamped
-    on the manager as it is handed over) holds no queue wait, a kill or a
-    crash ends only running attempts, and no more than ``num_workers`` job
-    spans are ever open together.  Each tracked future maps to its job and
-    the fault kind drawn when the attempt started, so gather settles the
-    attempt with the kind it ran under.
+    An attempt holds its worker (``job.worker``) until gather collects it,
+    so an executor never queues work behind a busy worker: an attempt's
+    ``start_time`` (stamped on the manager as it is handed over) holds no
+    queue wait, and no more than ``num_workers`` job spans are ever open
+    together.  The worker of an attempt that timed out, or whose process
+    died, is stopped (:meth:`_retire`) and starts a fresh executor with its
+    next attempt, so a timeout or a crash ends only its own attempt.  Each
+    tracked future maps to its job and the fault kind drawn when the
+    attempt started, so gather settles the attempt with the kind it ran
+    under.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -566,7 +559,7 @@ class _WallClockEvaluator(Evaluator):
         self.num_worker_crashes = 0
         self._t0 = _time.perf_counter()
         self._futures: dict[Future, tuple[Job, str | None]] = {}
-        self._pool: Any = None  # started by the first launch
+        self._executors: dict[int, Executor] = {}  # worker index -> its executor
 
     # ------------------------------------------------------------------ #
     @property
@@ -574,21 +567,19 @@ class _WallClockEvaluator(Evaluator):
         return (_time.perf_counter() - self._t0) / 60.0
 
     # ------------------------------------------------------------------ #
-    def _has_free_worker(self) -> bool:
-        return len(self._futures) < self.num_workers
-
     def _launch(self, job: Job, kind: str | None, cached: EvaluationResult | None) -> None:
-        """Hand the attempt to the pool and track its future.
+        """Hand the attempt to its worker's executor and track its future.
 
         A crash or a cache hit never reaches a worker: its future is
         already resolved (to :class:`InjectedCrash`, or to the memoized
         result), and the next gather settles it like computed work.  Until
-        then it holds its slot, as a simulated hit holds its worker.
+        then it holds its worker, as a simulated hit holds its worker.
         """
         if kind != "crash" and cached is None:
-            if self._pool is None:
-                self._pool = self._make_pool()
-            future = self._pool.submit(self._worker_call, job.config)
+            executor = self._executors.get(job.worker)
+            if executor is None:
+                executor = self._executors[job.worker] = self._new_worker()
+            future = executor.submit(self._worker_call, job.config)
         else:
             future = Future()
             if cached is None:
@@ -603,14 +594,21 @@ class _WallClockEvaluator(Evaluator):
         whichever thread resolves the future)."""
         future.end_time = self.now
 
-    def _make_pool(self) -> Any:
+    def _new_worker(self) -> Executor:
         raise NotImplementedError
 
     def _worker_call(self, config: Any) -> EvaluationResult:
         raise NotImplementedError
 
-    def _kill_workers(self) -> list[Job]:
-        raise NotImplementedError
+    def _retire(self, worker: int) -> None:
+        """Stop ``worker``'s executor; the worker's next attempt starts a
+        fresh one.  Its process, if it has one, is terminated; a thread
+        cannot be, so it runs on to its return, untracked."""
+        executor = self._executors.pop(worker, None)
+        if executor is not None:
+            for proc in list((getattr(executor, "_processes", None) or {}).values()):
+                proc.terminate()
+            executor.shutdown(wait=False)
 
     def _wait_timeout(self) -> float | None:
         """Seconds to block in ``wait`` before the earliest policy deadline
@@ -624,36 +622,34 @@ class _WallClockEvaluator(Evaluator):
     def gather(self) -> list[Job]:
         """Block until at least one job finishes; return all finished jobs.
 
-        Ended attempts are collected *before* any are settled so that
-        retries triggered by a crash or a kill are dispatched to the
-        reclaimed pool, never to the broken one.  Only tracked futures
-        deliver results: an attempt abandoned by a timeout was untracked
-        when it was reaped, so its late return is dropped.  An attempt ends
-        when its future resolved (stamped by a done-callback), not when
-        gather collects it; one that returned at or past its deadline is
-        reaped like one still running.  The first settlement that raises
-        (``on_error="raise"``) raises at once and ends the campaign: the
-        attempts collected with it are left unsettled.
+        Only tracked futures deliver results: an attempt abandoned by a
+        timeout was untracked when it was reaped, so its late return is
+        dropped.  An attempt ends when its future resolved (stamped by a
+        done-callback), not when gather collects it; one that returned at
+        or past its deadline is reaped like one still running.  Each ended
+        attempt frees its worker as it is settled, and the queued attempts,
+        then the retries just booked, take the free workers.  The first
+        settlement that raises (``on_error="raise"``) raises at once and
+        ends the campaign: the attempts collected with it are left
+        unsettled.
         """
         self._refuse_after_raise()
         timeout = self.fault_policy.timeout
         while not self._completed and self._futures:
             done, _ = wait(self._futures, timeout=self._wait_timeout(), return_when=FIRST_COMPLETED)
-            # Every attempt collected this round ended by ``now``, before the
-            # pool is reclaimed or refilled.
+            # Every attempt collected this round ended by ``now``.
             now = self.now
-            # Phase 1: collect each ended attempt's outcome and end time
-            # without touching the pool: a result, an exception, or None for
-            # a timeout.  A future whose callback has not run yet ended by
-            # ``now``.
+            # Phase 1: collect each ended attempt's outcome and end time: a
+            # result, an exception, or None for a timeout.  A future whose
+            # callback has not run yet ended by ``now``.  A worker whose
+            # process died is stopped.
             ended: list[tuple[Job, str | None, Any, float]] = []
-            pool_broken = False
             for future in done:
                 job, kind = self._futures.pop(future)
                 end_time = getattr(future, "end_time", now)
                 outcome = future.exception()
                 if isinstance(outcome, BrokenExecutor):
-                    pool_broken = True
+                    self._retire(job.worker)
                     self.num_worker_crashes += 1
                     outcome = RuntimeError(
                         f"job {job.job_id}: worker process crashed ({outcome!r})"
@@ -663,92 +659,80 @@ class _WallClockEvaluator(Evaluator):
                 elif outcome is None:
                     outcome = future.result()
                 ended.append((job, kind, outcome, end_time))
-            # Phase 2: reap attempts past the policy deadline; a running one
-            # forces a kill (an abandon, for threads).
-            must_kill = False
+            # Phase 2: reap the running attempts past the policy deadline,
+            # stopping each one's worker.
             if timeout is not None:
                 for future, (job, kind) in list(self._futures.items()):
                     if now >= job.start_time + timeout:
                         del self._futures[future]
-                        if not future.cancel():
-                            must_kill = True
+                        self._retire(job.worker)
                         ended.append((job, kind, None, now))
-            # Phase 3: reclaim the pool if it is broken or holds hung
-            # workers; innocent tracked jobs restart first, uncharged, and
-            # queued attempts take the workers that are free.
-            if pool_broken or must_kill:
-                self._queue.extendleft(reversed(self._kill_workers()))
-            self._fill_workers()
-            # Phase 4: settle every ended attempt (the pool is healthy).
+            # Phase 3: free each ended attempt's worker and settle the
+            # attempt, then start queued attempts and booked retries.
             for job, kind, outcome, end_time in ended:
+                self._free_workers.append(job.worker)
                 # A cache hit computed nothing: it ends where it started.
                 if self._settle(job, kind, outcome, job.start_time if job.cache_hit else end_time):
-                    self._dispatch(job)
+                    self._queue.append(job)
+            self._fill_workers()
         return self._deliver()
 
     def close(self) -> None:
-        """Shut the pool down, waiting for its running attempts."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        """Shut every worker down, waiting for its running attempt."""
+        for executor in self._executors.values():
+            executor.shutdown(wait=True, cancel_futures=True)
+        self._executors.clear()
 
 
 class ThreadedEvaluator(_WallClockEvaluator):
-    """Real concurrent evaluation on a thread pool.
+    """Real concurrent evaluation, one thread per worker.
 
     Time is wall-clock minutes since construction; a job's result keeps
     the duration the run function declared.  Every attempt is settled by
     the same :meth:`FaultPolicy.settle` as on :class:`SimulatedEvaluator`,
     so exceptions and invalid objectives are raised, penalized or retried
     with the same errors and penalized durations.  ``timeout`` (wall-clock
-    minutes) abandons stragglers: a thread cannot be killed, so the pool
-    that holds one is replaced by a fresh pool of ``num_workers`` threads
-    and the straggler finishes untracked, its result dropped.  Attempts
-    still running on the old pool stay tracked and finish there, and
-    every tracked attempt keeps a thread of its own.  Retries are
-    resubmitted immediately (exponential backoff is a simulated-minutes
-    concept; sleeping real minutes would stall the pool).  An optional
-    ``cache`` serves duplicate configurations without a worker: a hit
-    ends where it starts, with the memoized result.
+    minutes) abandons stragglers: a thread cannot be killed, so the
+    straggler finishes untracked on its old thread, its result dropped,
+    and its worker starts a fresh thread with its next attempt.  Attempts
+    on the other workers run on undisturbed.  Retries are resubmitted
+    immediately (exponential backoff is a simulated-minutes concept;
+    sleeping real minutes would stall a worker).  An optional ``cache``
+    serves duplicate configurations without a worker call: a hit ends
+    where it starts, with the memoized result.
     """
 
-    def _make_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(max_workers=self.num_workers)
+    def _new_worker(self) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(max_workers=1)
 
     def _worker_call(self, config: Any) -> EvaluationResult:
         return self.run_function(config)
 
-    def _kill_workers(self) -> list[Job]:
-        """Replace the pool; the hung thread and the running attempts of
-        the old pool finish on their own threads."""
-        self._pool.shutdown(wait=False)
-        self._pool = self._make_pool()
-        return []
-
 
 class ProcessPoolEvaluator(_WallClockEvaluator):
-    """True multi-core evaluation on a :class:`ProcessPoolExecutor`.
+    """True multi-core evaluation, one worker process per worker.
 
-    The run function must be picklable (a module-level callable or a
-    picklable object); it is pickled **once at construction** — failing
-    fast with a clear error — and installed into each worker by the pool
-    initializer, so heavy captured state crosses the process boundary once
-    per worker instead of once per job.  Workers hold no event bus: every
-    event, a trained attempt's ``EpochEnd`` included, is emitted by the
-    manager from what the worker returned.
+    Each worker is a single-worker :class:`ProcessPoolExecutor`, started
+    by its first attempt.  The run function must be picklable (a
+    module-level callable or a picklable object); it is pickled **once at
+    construction** — failing fast with a clear error — and installed into
+    each worker process by its executor's initializer, so heavy captured
+    state crosses the process boundary once per worker process instead of
+    once per job.  Workers hold no event bus: every event, a trained
+    attempt's ``EpochEnd`` included, is emitted by the manager from what
+    the worker returned.
 
     Semantics beyond :class:`ThreadedEvaluator` parity:
 
-    - worker crashes (abnormal exit, killed process) surface as
-      :class:`concurrent.futures.BrokenExecutor`; the pool is rebuilt
-      *before* any attempt is settled, and every attempt running at the
-      moment of the break is settled as a failed attempt (the executor
-      cannot attribute the crash to a single job).  ``num_worker_crashes``
-      counts the affected attempts, ``num_pool_rebuilds`` the rebuilds;
-    - timeouts are *real cancellations*: a hung attempt gets the worker
-      processes terminated and the pool rebuilt, reclaiming the slot.
-      Innocent running jobs caught in the kill restart first on the fresh
-      pool without being charged a retry; queued attempts are untouched.
+    - a worker crash (abnormal exit, killed process) surfaces as
+      :class:`concurrent.futures.BrokenExecutor` on the one future of that
+      worker's executor, so that attempt alone fails, settled like any
+      failed attempt, and the worker starts a fresh process with its next
+      attempt.  ``num_worker_crashes`` counts the crashed attempts;
+    - timeouts are *real cancellations*: a hung attempt's worker process
+      is terminated, reclaiming its CPU, and the worker starts a fresh
+      process with its next attempt.  Attempts on the other workers run on
+      undisturbed.
     """
 
     _worker_call = staticmethod(_process_worker_call)
@@ -762,28 +746,9 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
                 "(module-level callable or picklable object); "
                 f"pickling failed with: {exc!r}"
             ) from exc
-        self.num_pool_rebuilds = 0
         super().__init__(run_function, *args, **kwargs)
 
-    def _make_pool(self) -> ProcessPoolExecutor:
+    def _new_worker(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
-            max_workers=self.num_workers,
-            initializer=_process_worker_init,
-            initargs=(self._payload,),
+            max_workers=1, initializer=_process_worker_init, initargs=(self._payload,)
         )
-
-    def _kill_workers(self) -> list[Job]:
-        """Terminate every worker process and build a fresh pool.
-
-        Returns the innocent in-flight jobs (futures still tracked when the
-        pool went down) that must be restarted on the new pool; they are
-        not charged a retry — the fault was not theirs.
-        """
-        victims = [job for job, _ in self._futures.values()]
-        self._futures.clear()
-        for proc in list(getattr(self._pool, "_processes", {}).values()):
-            proc.terminate()
-        self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = self._make_pool()
-        self.num_pool_rebuilds += 1
-        return victims

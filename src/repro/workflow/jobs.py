@@ -50,8 +50,11 @@ class Job:
     """One evaluation tracked by an evaluator.
 
     ``retries`` counts completed failed attempts that were re-run under a
-    retry fault policy; ``attempt`` counts the job's starts (bumped on every
-    start); ``error`` holds the most recent failure description, if any.
+    retry fault policy; ``attempt`` counts the job's starts, so on every
+    backend it is ``retries + 1`` from the start of an attempt on;
+    ``worker`` is the index, in ``[0, num_workers)``, of the worker that
+    runs or ran the latest attempt (-1 before a start and while a retry
+    waits); ``error`` holds the most recent failure description, if any.
     ``cache_hit`` marks a job whose latest attempt was served from an
     :class:`~repro.workflow.cache.EvaluationCache` without re-running the
     evaluation.

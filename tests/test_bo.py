@@ -14,7 +14,6 @@ from repro.bo import (
     constant_lie,
     upper_confidence_bound,
 )
-from repro.bo.acquisition import expected_improvement
 from repro.searchspace import default_dataparallel_space
 
 
@@ -156,16 +155,6 @@ def test_ucb_validation():
         upper_confidence_bound(np.zeros(2), np.zeros(2), -1.0)
     with pytest.raises(ValueError):
         upper_confidence_bound(np.zeros(2), np.zeros(3), 1.0)
-
-
-def test_expected_improvement_zero_when_certain_below_best():
-    ei = expected_improvement(np.array([0.0]), np.array([0.0]), best=1.0)
-    assert ei[0] == 0.0
-
-
-def test_expected_improvement_positive_above_best():
-    ei = expected_improvement(np.array([2.0]), np.array([0.0]), best=1.0)
-    np.testing.assert_allclose(ei, [1.0])
 
 
 # --------------------------------------------------------------------- #

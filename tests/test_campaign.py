@@ -373,7 +373,8 @@ def test_jsonl_log_holds_every_event_without_flush(tmp_path):
 
 
 def test_import_campaign_leaves_scipy_stats_unloaded():
-    """scipy.stats is most of the import cost; only expected_improvement needs it."""
+    """scipy.stats would be most of the import cost, and no module a
+    campaign imports needs it."""
     import os
     import subprocess
     import sys

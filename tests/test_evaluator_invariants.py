@@ -8,7 +8,8 @@ invariants that must hold for *any* schedule:
 - jobs start in FIFO submission order (absent faults),
 - ``num_in_flight`` always equals submitted-minus-finished,
 - workers are conserved: free workers + ``RUNNING`` jobs == num_workers
-  at every submit/gather boundary,
+  at every submit/gather boundary, on every backend, and every gathered
+  job names a worker in ``[0, num_workers)``,
 - utilization (:func:`repro.analysis.utilization_summary`) stays within
   [0, 1] at every quiescent point.
 
@@ -25,8 +26,8 @@ process attempts queued behind a busy worker carrying their queue wait in
 ``start_time`` and failing with a crash, attempts starting while finished
 ones were not gathered yet (more than ``num_workers`` open spans), a
 late-returning abandoned thread attempt clobbering its retry's result,
-and an innocent process attempt restarted by a kill drawing its fault
-and looking up the cache again.
+and a process timeout kill or worker crash ending an attempt on another
+worker.
 Last, a differential test runs one fault-injected simulated schedule with
 the run function's duration declared (trained lazily, at completion) and
 hidden (trained as each attempt starts): the job tables, event streams
@@ -149,8 +150,8 @@ def test_sim_fifo_start_order(seed):
 
 
 def assert_workers_conserved(ev):
-    """Between calls, each simulated worker is free or held by exactly
-    one ``RUNNING`` job."""
+    """Between calls, each worker is free or held by exactly one
+    ``RUNNING`` job."""
     running = [job for job in ev.jobs if job.state is JobState.RUNNING]
     assert len({job.worker for job in running}) == len(running)
     assert len(ev._free_workers) + len(running) == ev.num_workers
@@ -264,12 +265,30 @@ def test_wallclock_schedule_invariants(backend, seed):
     backends (smaller scale)."""
     rng = random.Random(seed)
     with WALL_CLOCK[backend](hashed_run, num_workers=3) as ev:
-        finished = random_schedule(ev, rng, num_jobs=10, max_batch=3)
+        finished = random_schedule(
+            ev, rng, num_jobs=10, max_batch=3, check=assert_workers_conserved
+        )
         assert len(finished) == 10
         assert all(j.state is JobState.DONE for j in finished)
         assert sorted(j.job_id for j in finished) == list(range(10))
         assert 0.0 <= utilization_summary(ev).utilization <= 1.0
         assert ev.num_in_flight == 0
+
+
+@pytest.mark.parametrize("backend", WALL_CLOCK)
+def test_wallclock_gathered_jobs_name_their_worker(backend):
+    """Every ``JobGathered`` names the worker that ran the job's last
+    attempt, in ``[0, num_workers)``, a retried one and a reaped one too
+    (pre-fix a wall-clock job never had a worker: -1)."""
+    policy = FaultPolicy(on_error="retry", max_retries=1, timeout=0.8 / 60)
+    log = EventLog()
+    with WALL_CLOCK[backend](sleep_then_return, num_workers=2, fault_policy=policy) as ev:
+        ev.event_bus = log
+        ev.submit([0.0, 0.05, 1.2, 0.0, 0.1])
+        drain(ev)
+    workers = [e["worker"] for e in log.events if e["event"] == "JobGathered"]
+    assert len(workers) == 5 and set(workers) <= {0, 1}
+    assert ev.num_timeouts == 2  # job 2 ran past its deadline, and its retry too
 
 
 @pytest.mark.parametrize("backend", WALL_CLOCK)
@@ -349,8 +368,8 @@ def test_process_results_match_run_function():
 
 
 def test_process_worker_crash_routed_through_policy():
-    """An abnormal worker exit (os._exit) becomes a policy failure, the
-    pool is rebuilt, and the evaluator keeps working."""
+    """An abnormal worker exit (os._exit) becomes a policy failure, and
+    the evaluator keeps working."""
     policy = FaultPolicy(on_error="penalize", failure_objective=-1.0)
     with ProcessPoolEvaluator(crash_on_negative, num_workers=2, fault_policy=policy) as ev:
         ev.submit([-1])
@@ -361,8 +380,7 @@ def test_process_worker_crash_routed_through_policy():
         assert job.objective == -1.0
         assert "crash" in (job.error or "").lower()
         assert ev.num_worker_crashes >= 1
-        assert ev.num_pool_rebuilds >= 1
-        # The rebuilt pool still evaluates.
+        # The crashed worker's fresh process still evaluates.
         ev.submit([5])
         more = drain(ev)
         assert len(more) == 1 and more[0].state is JobState.DONE
@@ -380,7 +398,6 @@ def test_process_timeout_kills_hung_worker_and_reclaims_slot():
         assert finished[0].state is JobState.FAILED
         assert "timeout" in finished[0].error
         assert ev.num_timeouts == 1
-        assert ev.num_pool_rebuilds >= 1
         ev.submit([7])
         more = drain(ev)
         assert len(more) == 1 and more[0].state is JobState.DONE
@@ -398,10 +415,29 @@ def test_process_reclaim_credits_only_running_attempts(run):
         ev.submit([-1, 5, 6])
         finished = drain(ev)
         assert len(finished) == 3
-        assert ev.num_pool_rebuilds >= 1
         assert 0.0 <= utilization_summary(ev).utilization <= 1.0
     states = {job.job_id: job.state for job in finished}
     assert states == {0: JobState.FAILED, 1: JobState.DONE, 2: JobState.DONE}
+
+
+def crash_or_sleep(config):
+    """``crash_on_negative`` for a negative config, else ``sleep_then_return``."""
+    return crash_on_negative(config) if config < 0 else sleep_then_return(config)
+
+
+def test_process_worker_crash_fails_only_its_own_attempt():
+    """A worker that dies fails the attempt it ran and no other: the
+    1-second attempt on the other worker ends ``DONE`` (pre-fix the two
+    shared one pool, so the crash broke it under both and both ended
+    ``FAILED``)."""
+    policy = FaultPolicy(on_error="penalize")
+    with ProcessPoolEvaluator(crash_or_sleep, num_workers=2, fault_policy=policy) as ev:
+        crashed, sibling = ev.submit([-1, 1.0])
+        drain(ev)
+    assert crashed.state is JobState.FAILED and "crash" in crashed.error
+    assert sibling.state is JobState.DONE and sibling.error is None
+    assert sibling.objective == hashed_run(1).objective
+    assert ev.num_worker_crashes == 1 and ev.num_failures == 1
 
 
 def test_process_rejects_unpicklable_run_function():
@@ -707,12 +743,12 @@ def test_declared_and_hidden_durations_agree(seed, on_error, monkeypatch):
     assert declared.cache._entries.keys() == hidden.cache._entries.keys()
 
 
-def test_process_kill_restarts_an_innocent_attempt_under_its_own_fault():
-    """A kill for job 0's hang restarts job 1, still running, on the fresh
-    pool: the restart keeps its attempt's injected fault and trains, so
-    the fault is drawn, counted and emitted once and the cache is looked
-    up once per job (pre-fix the restart began a new attempt: 3 faults,
-    two ``FaultInjected`` events for job 1 and 3 cache lookups)."""
+def test_process_kill_ends_only_the_hung_attempt():
+    """The kill for job 0's hang stops only job 0's worker: job 1, running
+    on the other worker, runs on to its end in its first attempt, with its
+    start stamp, so its fault is drawn, counted and emitted once and the
+    cache is looked up once per job (pre-fix the kill took both workers
+    down and job 1 started over, at ``attempt == 2``)."""
     # Fault seed 20 draws a hang for job 0 and a corruption for job 1.
     policy = FaultPolicy(
         on_error="penalize", timeout=1.0 / 60, hang_prob=0.3, corrupt_prob=0.3, fault_seed=20
@@ -724,12 +760,14 @@ def test_process_kill_restarts_an_innocent_attempt_under_its_own_fault():
         ev.event_bus = log
         (hung,) = ev.submit([300.0])
         time.sleep(0.5)
-        # Running when job 0 is reaped at 1 s, done 0.75 s after its restart.
-        (innocent,) = ev.submit([0.75])
+        # Running when job 0 is reaped at 1 s; done 0.75 s after its start.
+        (sibling,) = ev.submit([0.75])
+        started = sibling.start_time
         finished = drain(ev)
     assert sorted(job.job_id for job in finished) == [0, 1]
-    assert ev.num_pool_rebuilds >= 1 and innocent.attempt == 2
-    assert "timeout" in hung.error and "invalid objective" in innocent.error
+    assert sibling.attempt == 1 and sibling.start_time == started
+    assert sibling.end_time >= started + 0.75 / 60
+    assert "timeout" in hung.error and "invalid objective" in sibling.error
     faults = [(e["kind"], e["job_id"]) for e in log.events if e["event"] == "FaultInjected"]
     assert faults == [("hang", 0), ("corrupt", 1)]
     assert ev.num_faults_injected == 2 and ev.num_failures == 2
